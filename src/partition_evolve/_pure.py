@@ -2,64 +2,54 @@
 and the independent brute-force enumerator.
 
 This module is the fallback twin of the compiled ``_speedups`` extension;
-the two must stay behaviorally identical (same outputs, same order, same
-tags).  It is kept free of package imports so the compiled twin can mirror
-it line for line.  Partitions are plain non-increasing tuples of ints here;
-wrapping into richer types happens at the boundaries.
+the two must stay behaviorally identical (same outputs, same order).  It is
+kept free of package imports so the compiled twin can mirror it line for
+line.  Partitions are plain non-increasing tuples of ints here; wrapping
+into richer types happens at the boundaries.
+
+Both step kernels return ``(members, second_count)``: every appended-unit
+successor first, in input order, then the ``second_count`` successors of
+the second kind.  Provenance is not recorded; it follows from the parts
+(see ``level.Level.tags``).
 """
 
 from __future__ import annotations
 
 BACKEND_NAME = "python"
 
-# Literals shared with level.py's tag vocabulary.
-TAG_ADDED_UNIT = "AddedUnit"
-TAG_AUGMENTED = "Augmented"
-TAG_COLLECTED = "Collected"
 
-
-def step_m1(members: list) -> tuple[list, list]:
+def step_m1(members: list) -> tuple[list, int]:
     """Expand one complete level by the first rule set.
 
     Every partition contributes itself with an extra unit appended; a
     partition whose last part is strictly smaller than its second-to-last
     (or that has a single part) also contributes a copy with the last part
-    incremented.  Returns (parts tuples, parallel tag strings).
+    incremented.
     """
-    out = []
-    tags = []
-    for parts in members:
-        k = len(parts)
-        out.append(parts + (1,))
-        tags.append(TAG_ADDED_UNIT)
-        if k == 1 or (k > 1 and parts[k - 1] < parts[k - 2]):
-            out.append(parts[:k - 1] + (parts[k - 1] + 1,))
-            tags.append(TAG_AUGMENTED)
-    return out, tags
+    out = [parts + (1,) for parts in members]
+    augmented = [parts[:-1] + (parts[-1] + 1,) for parts in members
+                 if len(parts) == 1
+                 or (len(parts) > 1 and parts[-1] < parts[-2])]
+    out += augmented
+    return out, len(augmented)
 
 
-def step_m2(members: list) -> tuple[list, list]:
+def step_m2(members: list) -> tuple[list, int]:
     """Expand one complete level by the second rule set.
 
     Every partition contributes itself with an extra unit appended; a
     partition with u units, 1 <= u < its smallest non-unit part, also
     contributes a copy with all units replaced by the single part u+1.
-    The single-part partition of the next weight is NOT produced here;
-    the evolution loop adds it separately.
+    Parts never increase, so ``count(1)`` counts the trailing units.  The
+    single-part partition of the next weight is NOT produced here; the
+    evolution loop adds it separately.
     """
-    out = []
-    tags = []
-    for parts in members:
-        k = len(parts)
-        out.append(parts + (1,))
-        tags.append(TAG_ADDED_UNIT)
-        units = 0
-        while units < k and parts[k - 1 - units] == 1:
-            units += 1
-        if 0 < units < k and units < parts[k - 1 - units]:
-            out.append(parts[:k - units] + (units + 1,))
-            tags.append(TAG_COLLECTED)
-    return out, tags
+    out = [parts + (1,) for parts in members]
+    collected = [parts[:-units] + (units + 1,) for parts in members
+                 if 0 < (units := parts.count(1)) < len(parts)
+                 and units < parts[-units - 1]]
+    out += collected
+    return out, len(collected)
 
 
 def enumerate_level(n: int) -> list:

@@ -1,51 +1,47 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled twins of the pure-Python level kernels in ``_pure``.
 
-Same contracts, same outputs, same tags; only the inner loops are typed.
-Parts are assumed to fit a C long, which the enumeration caps guarantee
-long before memory would run out.
+Same contracts, same outputs in the same order; only the inner loops are
+typed.  The step kernels return ``(members, second_count)``: the
+appended-unit successors first, then the second-kind ones.  Parts are
+assumed to fit a C long, which the enumeration caps guarantee long before
+memory would run out.
 """
 
 BACKEND_NAME = "compiled"
-
-TAG_ADDED_UNIT = "AddedUnit"
-TAG_AUGMENTED = "Augmented"
-TAG_COLLECTED = "Collected"
 
 
 def step_m1(list members):
     """Expand one complete level by the first rule set (see _pure.step_m1)."""
     cdef list out = []
-    cdef list tags = []
+    cdef list augmented = []
     cdef tuple parts
     cdef Py_ssize_t k
     for parts in members:
         k = len(parts)
         out.append(parts + (1,))
-        tags.append(TAG_ADDED_UNIT)
         if k == 1 or (k > 1 and <long>parts[k - 1] < <long>parts[k - 2]):
-            out.append(parts[:k - 1] + (<long>parts[k - 1] + 1,))
-            tags.append(TAG_AUGMENTED)
-    return out, tags
+            augmented.append(parts[:k - 1] + (<long>parts[k - 1] + 1,))
+    out.extend(augmented)
+    return out, len(augmented)
 
 
 def step_m2(list members):
     """Expand one complete level by the second rule set (see _pure.step_m2)."""
     cdef list out = []
-    cdef list tags = []
+    cdef list collected = []
     cdef tuple parts
     cdef Py_ssize_t k, units
     for parts in members:
         k = len(parts)
         out.append(parts + (1,))
-        tags.append(TAG_ADDED_UNIT)
         units = 0
         while units < k and <long>parts[k - 1 - units] == 1:
             units += 1
         if 0 < units < k and units < <long>parts[k - 1 - units]:
-            out.append(parts[:k - units] + (units + 1,))
-            tags.append(TAG_COLLECTED)
-    return out, tags
+            collected.append(parts[:k - units] + (units + 1,))
+    out.extend(collected)
+    return out, len(collected)
 
 
 cdef int _descend(long remainder, long bound, list prefix, list out) except -1:

@@ -3,7 +3,9 @@ verify, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 enumeration cap exceeded.  Data goes to stdout; progress and error
-messages go to stderr.  Counts are printed in full decimal.
+messages go to stderr.  Counts are printed in full decimal.  A reader
+that closes stdout early (``list 40 | head``) ends the run quietly with
+exit 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 
 from .backend import get_backend
 from .core import Kind, classify_m1, classify_m2, parse_partition
-from .level import Level, read_snapshot, write_snapshot
+from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1, predecessor_m1
 from .method2 import evolve_m2, predecessor_m2
 from .oracle import DEFAULT_CAP, CapExceededError, count_oracle, enumerate_oracle
@@ -101,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSONL snapshot holding the complete start level")
     evolve.add_argument("--snapshot-out", metavar="FILE",
                         help="write the final level as JSONL instead of text")
-    evolve.add_argument("--parallel", action="store_true",
-                        help="expand levels across threads (same output)")
     evolve.add_argument("--check", action="store_true",
                         help="assert the no-duplicate guarantee every level")
     _add_cap_flag(evolve)
@@ -187,8 +187,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.format == "jsonl":
         write_snapshot(level, sys.stdout)
     else:
-        for member in level.partitions:
-            print(member)
+        write_text(level, sys.stdout)
     return EXIT_OK
 
 
@@ -236,17 +235,35 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             f"evolving from weight {args.from_n} requires --snapshot-in "
             "with the complete level")
 
-    final = evolve(start, args.to_n, backend=args.backend,
-                   parallel=args.parallel, check=args.check,
+    final = evolve(start, args.to_n, backend=args.backend, check=args.check,
                    progress=_progress)
 
     if args.snapshot_out is not None:
-        with open(args.snapshot_out, "w", encoding="utf-8") as stream:
-            write_snapshot(final, stream)
+        _write_snapshot_file(final, args.snapshot_out)
     else:
-        for member in final.partitions:
-            print(member)
+        write_text(final, sys.stdout)
     return EXIT_OK
+
+
+def _write_snapshot_file(level: Level, path: str) -> None:
+    """Write a snapshot into a temporary file beside ``path``, then rename
+    it over ``path``: a failure removes the temporary file and leaves any
+    existing ``path`` untouched."""
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    # Exclusive create: a file of that name is not ours to overwrite or
+    # remove.
+    stream = open(temporary, "x", encoding="utf-8")
+    try:
+        with stream:
+            write_snapshot(level, stream)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass
+        raise
 
 
 def cmd_predecessor(args: argparse.Namespace) -> int:
@@ -293,13 +310,31 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help.
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_OK
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _discard_stdout() -> None:
+    # The reader closed stdout; point it at the null device, so that the
+    # interpreter's own flush at exit cannot fail on the closed pipe and
+    # print "Exception ignored".
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file descriptor: an in-process caller's buffer
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main_entry() -> None:

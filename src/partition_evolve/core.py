@@ -46,7 +46,9 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()) -> None:
         items = list(parts)
         for part in items:
-            if not isinstance(part, int) or part < 1:
+            # type() and not isinstance(): bool is an int subclass, and
+            # True must not pass for the part 1.
+            if type(part) is not int or part < 1:
                 raise InvalidPartitionError(
                     f"parts must be positive integers, got {part!r}")
         items.sort(reverse=True)
@@ -100,10 +102,15 @@ class Partition:
         return compare(self, other) >= 0
 
     def __str__(self) -> str:
-        return "+".join(map(str, self._parts)) if self._parts else "0"
+        return format_parts(self._parts)
 
     def __repr__(self) -> str:
         return f"Partition('{self}')"
+
+
+def format_parts(parts: tuple[int, ...]) -> str:
+    """Canonical text of a part tuple: ``"3+2+1"``, or ``"0"`` when empty."""
+    return "+".join(map(str, parts)) if parts else "0"
 
 
 def make_partition(raw: Iterable[int]) -> Partition:

@@ -1,33 +1,31 @@
 """Level-by-level evolution loop shared by both successor methods.
 
 Only the current level is held in memory.  Intermediate levels stay as raw
-part tuples in generation order; the final level is sorted once and wrapped.
-With ``parallel=True`` the per-partition expansion is fanned out over
-threads in fixed chunk order, so the result is identical to the sequential
-run, byte for byte.
+part tuples in generation order; the final level is sorted once and
+validated, and its members are wrapped and tagged only when asked for.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from types import ModuleType
 
 from . import backend as backend_mod
-from .level import TAG_ORDER, Level
+from .core import format_parts
+from .level import SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_EXPLICIT, Level
 
-# expand(kernel_module, members) -> (members, tags); pure per-member mapping.
-ExpandFn = Callable[[ModuleType, list], tuple[list, list]]
-# extra_for_weight(w) -> [(parts, tag), ...] appended once per step.
-ExtraFn = Callable[[int], list[tuple[tuple[int, ...], str]]]
+# expand(kernel_module, members) -> (members, second_count): the
+# appended-unit successors of every member, then second_count more.
+ExpandFn = Callable[[ModuleType, list], tuple[list, int]]
+# extra_for_weight(w) -> [parts, ...] added explicitly once per step.
+ExtraFn = Callable[[int], list[tuple[int, ...]]]
 ProgressFn = Callable[[int, dict[str, int]], None]
 
 
 def run_evolution(start: Level, target_n: int, *, method_tag: str,
                   expand: ExpandFn, extra_for_weight: ExtraFn | None = None,
                   backend: str | ModuleType | None = None,
-                  parallel: bool = False, check: bool = False,
+                  check: bool = False,
                   progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level up to ``target_n``, one weight at a time."""
     if target_n < start.n:
@@ -39,36 +37,23 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         return start
 
     kernel = backend_mod.get_backend(backend)
+    second_tag = SECOND_KIND_TAG[method_tag]
     members = start.raw_members()
-    tags: list[str] = []
     for weight in range(start.n + 1, target_n + 1):
-        members, tags = _expand_level(kernel, expand, members, parallel)
-        if extra_for_weight is not None:
-            for parts, tag in extra_for_weight(weight):
-                members.append(parts)
-                tags.append(tag)
+        # Every member grows exactly one appended-unit successor.
+        added = len(members)
+        members, second = expand(kernel, members)
+        extra = ([] if extra_for_weight is None
+                 else extra_for_weight(weight))
+        members += extra
         if check:
             _assert_no_duplicates(members, weight, method_tag)
         if progress is not None:
-            progress(weight, _tag_counts(tags))
-    return Level.from_raw(target_n, members, tags, method_tag)
-
-
-def _expand_level(kernel: ModuleType, expand: ExpandFn, members: list,
-                  parallel: bool) -> tuple[list, list]:
-    if not parallel or len(members) < 2:
-        return expand(kernel, members)
-    workers = min(os.cpu_count() or 1, len(members))
-    size = -(-len(members) // workers)
-    chunks = [members[i:i + size] for i in range(0, len(members), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda chunk: expand(kernel, chunk), chunks))
-    out: list = []
-    tags: list = []
-    for chunk_out, chunk_tags in results:
-        out.extend(chunk_out)
-        tags.extend(chunk_tags)
-    return out, tags
+            counts = {TAG_ADDED_UNIT: added, second_tag: second,
+                      TAG_EXPLICIT: len(extra)}
+            progress(weight, {tag: count for tag, count in counts.items()
+                              if count})
+    return Level.from_raw(target_n, members, None, method_tag)
 
 
 def _assert_no_duplicates(members: list, weight: int, method_tag: str) -> None:
@@ -78,15 +63,7 @@ def _assert_no_duplicates(members: list, weight: int, method_tag: str) -> None:
     seen: set = set()
     for parts in members:
         if parts in seen:
-            text = "+".join(map(str, parts)) if parts else "0"
             raise RuntimeError(
-                f"{method_tag} produced duplicate partition {text} "
-                f"at weight {weight}")
+                f"{method_tag} produced duplicate partition "
+                f"{format_parts(parts)} at weight {weight}")
         seen.add(parts)
-
-
-def _tag_counts(tags: list) -> dict[str, int]:
-    counts = {tag: 0 for tag in TAG_ORDER}
-    for tag in tags:
-        counts[tag] += 1
-    return {tag: count for tag, count in counts.items() if count}

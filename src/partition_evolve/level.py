@@ -11,10 +11,11 @@ evolution run is valid input for resuming it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import gt, itemgetter
 from typing import IO, Iterable
 
-from .core import Partition
+from .core import Partition, format_parts
 
 TAG_SEED = "Seed"
 TAG_ADDED_UNIT = "AddedUnit"
@@ -28,75 +29,200 @@ SNAPSHOT_TAGS = frozenset(TAG_ORDER)
 
 METHOD_TAGS = ("method1", "method2", "oracle")
 
+# The tag a method's rule gives the members it grows from a complete level
+# that are not appended-unit successors.  Explicit members (method 2's
+# single part) are told apart by their length.
+SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
+
+# Members per write when rendering a level; bounds the text held at once.
+_WRITE_CHUNK = 8192
+
 
 class SnapshotError(ValueError):
     """Raised for malformed snapshot input; messages name the offending line."""
 
 
-@dataclass(frozen=True)
 class Level:
     """All partitions of one weight, unique and in canonical order.
 
     ``tags`` is parallel to ``partitions`` and records provenance;
     ``method_tag`` records which pipeline produced the level.
+
+    Members are held as canonical part tuples.  ``partitions`` wraps them
+    on first access.  A level built with tags (by this constructor, by
+    ``seed`` or from a snapshot) keeps them; one grown by ``from_raw``
+    without tags derives them on first access from the rule that grew
+    it: the appended-unit successors are exactly the members ending in 1,
+    method 2's explicit member is the single part, and every other member
+    is of the method's second kind.
     """
 
-    n: int
-    partitions: tuple[Partition, ...]
-    tags: tuple[str, ...]
-    method_tag: str
+    __slots__ = ("_n", "_method_tag", "_raw", "_partitions", "_tags")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"level weight must be nonnegative, got {self.n}")
-        if self.method_tag not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.method_tag!r}")
-        if len(self.tags) != len(self.partitions):
+    def __init__(self, n: int, partitions: Iterable[Partition],
+                 tags: Iterable[str], method_tag: str) -> None:
+        partitions = tuple(partitions)
+        self._setup(n, [p.parts for p in partitions], tuple(tags), method_tag)
+        self._partitions = partitions
+
+    @classmethod
+    def _validated(cls, n: int, raw: list[tuple[int, ...]],
+                   tags: tuple[str, ...] | None, method_tag: str) -> "Level":
+        """A Level over ``raw``, which must already be in canonical order;
+        the order is checked, not restored."""
+        self = object.__new__(cls)
+        self._setup(n, raw, tags, method_tag)
+        self._partitions = None
+        return self
+
+    def _setup(self, n: int, raw: list[tuple[int, ...]],
+               tags: tuple[str, ...] | None, method_tag: str) -> None:
+        if n < 0:
+            raise ValueError(f"level weight must be nonnegative, got {n}")
+        if method_tag not in METHOD_TAGS:
+            raise ValueError(f"unknown method tag {method_tag!r}")
+        if tags is not None and len(tags) != len(raw):
             raise ValueError("tags and partitions must be parallel")
-        previous = None
-        for p in self.partitions:
-            if p.weight != self.n:
-                raise ValueError(
-                    f"member {p} has weight {p.weight}, level holds weight {self.n}")
-            # Strict canonical order implies both sortedness and uniqueness.
-            if previous is not None and not previous < p:
-                raise ValueError(
-                    f"members out of canonical order or duplicated near {p}")
-            previous = p
+        # Within one weight, strictly descending tuples are strictly
+        # canonical, which implies both sortedness and uniqueness.  The
+        # built-ins check the whole level in C; the scan after them only
+        # runs to name the first offending member.
+        if not (set(map(sum, raw)) <= {n}
+                and all(map(gt, raw, islice(raw, 1, None)))):
+            previous = None
+            for parts in raw:
+                weight = sum(parts)
+                if weight != n:
+                    raise ValueError(
+                        f"member {format_parts(parts)} has weight {weight}, "
+                        f"level holds weight {n}")
+                if previous is not None and not previous > parts:
+                    raise ValueError(
+                        "members out of canonical order or duplicated near "
+                        f"{format_parts(parts)}")
+                previous = parts
+        self._n = n
+        self._method_tag = method_tag
+        self._raw = raw
+        self._tags = tags
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def method_tag(self) -> str:
+        return self._method_tag
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        if self._partitions is None:
+            self._partitions = tuple(map(Partition._from_canonical, self._raw,
+                                         repeat(self._n)))
+        return self._partitions
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        if self._tags is None:
+            self._tags = self._derive_tags()
+        return self._tags
+
+    def _derive_tags(self) -> tuple[str, ...]:
+        raw = self._raw
+        if self._n == 0 or self._method_tag == "oracle":
+            return (TAG_SEED,) * len(raw)
+        second = SECOND_KIND_TAG[self._method_tag]
+        if self._method_tag == "method1":
+            return tuple([TAG_ADDED_UNIT if parts[-1] == 1 else second
+                          for parts in raw])
+        return tuple([TAG_ADDED_UNIT if parts[-1] == 1
+                      else TAG_EXPLICIT if len(parts) == 1 else second
+                      for parts in raw])
 
     def __len__(self) -> int:
-        return len(self.partitions)
+        return len(self._raw)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Level):
+            return NotImplemented
+        return (self._n == other._n and self._method_tag == other._method_tag
+                and self._raw == other._raw and self.tags == other.tags)
+
+    def __hash__(self) -> int:
+        return hash((self._n, self._method_tag, len(self._raw)))
+
+    def __repr__(self) -> str:
+        return (f"Level(n={self._n}, members={len(self._raw)}, "
+                f"method_tag={self._method_tag!r})")
 
     @classmethod
     def seed(cls, method_tag: str) -> "Level":
         """The weight-0 level: just the empty partition."""
-        return cls(0, (Partition(),), (TAG_SEED,), method_tag)
+        return cls._validated(0, [()], (TAG_SEED,), method_tag)
 
     @classmethod
     def from_raw(cls, n: int, members: Iterable[tuple[int, ...]],
-                 tags: Iterable[str], method_tag: str) -> "Level":
-        """Sort raw kernel output (part tuples plus tags) into a Level."""
-        pairs = sorted(zip(members, tags), key=lambda pair: pair[0], reverse=True)
-        partitions = tuple(Partition._from_canonical(parts) for parts, _ in pairs)
-        return cls(n, partitions, tuple(tag for _, tag in pairs), method_tag)
+                 tags: Iterable[str] | None, method_tag: str) -> "Level":
+        """Sort raw kernel output into a validated Level.
+
+        With ``tags`` None the level derives its tags from its parts (see
+        the class docstring); otherwise each tag stays attached to its
+        member through the sort.
+        """
+        if tags is None:
+            return cls._validated(n, sorted(members, reverse=True), None,
+                                  method_tag)
+        pairs = sorted(zip(members, tags), key=itemgetter(0), reverse=True)
+        return cls._validated(n, [parts for parts, _ in pairs],
+                              tuple([tag for _, tag in pairs]), method_tag)
 
     def raw_members(self) -> list[tuple[int, ...]]:
         """Part tuples in level order, the kernels' working representation."""
-        return [p.parts for p in self.partitions]
+        return list(self._raw)
 
     def tag_counts(self) -> dict[str, int]:
         """Provenance breakdown in fixed TAG_ORDER, zero counts omitted."""
-        counts = {tag: 0 for tag in TAG_ORDER}
-        for tag in self.tags:
-            counts[tag] += 1
+        tags = self.tags
+        counts = {tag: tags.count(tag) for tag in TAG_ORDER}
         return {tag: count for tag, count in counts.items() if count}
 
 
+def _part_strings(n: int):
+    # Every part of a level of weight n is at most n; one table lookup per
+    # part replaces an int-to-text conversion.
+    return [str(part) for part in range(n + 1)].__getitem__
+
+
+def write_text(level: Level, stream: IO[str]) -> None:
+    """Write one canonical text line per member (``3+2+1``, or ``0`` for
+    the empty partition), in level order."""
+    raw = level._raw
+    if level.n == 0:
+        stream.write("0\n" * len(raw))
+        return
+    digits = repeat(_part_strings(level.n))
+    for start in range(0, len(raw), _WRITE_CHUNK):
+        chunk = raw[start:start + _WRITE_CHUNK]
+        stream.write("\n".join(map("+".join, map(map, digits, chunk))))
+        stream.write("\n")
+
+
 def write_snapshot(level: Level, stream: IO[str]) -> None:
-    """Write one JSONL line per member, in level order."""
-    for partition, tag in zip(level.partitions, level.tags):
-        record = {"n": level.n, "parts": list(partition.parts), "tag": tag}
-        stream.write(json.dumps(record) + "\n")
+    """Write one JSONL line per member, in level order.
+
+    The lines are formatted directly; their bytes are those of
+    ``json.dumps({"n": ..., "parts": [...], "tag": ...})``.
+    """
+    raw = level._raw
+    tags = level.tags
+    digits = _part_strings(level.n)
+    head = '{"n": %d, "parts": [' % level.n
+    tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
+    for start in range(0, len(raw), _WRITE_CHUNK):
+        stop = start + _WRITE_CHUNK
+        stream.write("".join([
+            head + ", ".join(map(digits, parts)) + tail[tag]
+            for parts, tag in zip(raw[start:stop], tags[start:stop])]))
 
 
 def read_snapshot(stream: IO[str], *, method_tag: str,
@@ -130,12 +256,14 @@ def read_snapshot(stream: IO[str], *, method_tag: str,
         n = record["n"]
         parts = record["parts"]
         tag = record["tag"]
-        if not isinstance(n, int) or n < 0:
+        # type() and not isinstance(): JSON true and false load as bool,
+        # an int subclass, and must not pass for 1 and 0.
+        if type(n) is not int or n < 0:
             raise SnapshotError(f"line {lineno}: bad weight {n!r}")
         if tag not in SNAPSHOT_TAGS:
             raise SnapshotError(f"line {lineno}: unknown tag {tag!r}")
         if not isinstance(parts, list) or any(
-                not isinstance(x, int) or x < 1 for x in parts):
+                type(x) is not int or x < 1 for x in parts):
             raise SnapshotError(
                 f"line {lineno}: parts must be a list of positive integers")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

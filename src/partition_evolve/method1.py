@@ -47,13 +47,13 @@ def predecessor_m1(p: Partition) -> Partition:
         parts[:-1] + (parts[-1] - 1,), p.weight - 1)
 
 
-def _expand(kernel: ModuleType, members: list) -> tuple[list, list]:
+def _expand(kernel: ModuleType, members: list) -> tuple[list, int]:
     return kernel.step_m1(members)
 
 
 def evolve_m1(start: Level, target_n: int, *,
               backend: str | ModuleType | None = None,
-              parallel: bool = False, check: bool = False,
+              check: bool = False,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the first rule.
 
@@ -62,4 +62,4 @@ def evolve_m1(start: Level, target_n: int, *,
     """
     return run_evolution(start, target_n, method_tag="method1",
                          expand=_expand, backend=backend,
-                         parallel=parallel, check=check, progress=progress)
+                         check=check, progress=progress)

@@ -13,7 +13,7 @@ from types import ModuleType
 
 from .core import Kind, NoPredecessorError, Partition, classify_m2, unit_count
 from .engine import ProgressFn, run_evolution
-from .level import TAG_ADDED_UNIT, TAG_COLLECTED, TAG_EXPLICIT, Level
+from .level import TAG_ADDED_UNIT, TAG_COLLECTED, Level
 
 
 def tagged_successors_m2(p: Partition) -> tuple[tuple[Partition, str], ...]:
@@ -57,21 +57,21 @@ def predecessor_m2(p: Partition) -> Partition:
         parts[:-1] + (1,) * (last - 1), p.weight - 1)
 
 
-def _expand(kernel: ModuleType, members: list) -> tuple[list, list]:
+def _expand(kernel: ModuleType, members: list) -> tuple[list, int]:
     return kernel.step_m2(members)
 
 
-def _explicit_member(weight: int) -> list[tuple[tuple[int, ...], str]]:
+def _explicit_member(weight: int) -> list[tuple[int, ...]]:
     # The single-part partition of weight 1 already arises from the empty
     # partition's appended unit, so the explicit add starts at weight 2.
     if weight == 1:
         return []
-    return [((weight,), TAG_EXPLICIT)]
+    return [(weight,)]
 
 
 def evolve_m2(start: Level, target_n: int, *,
               backend: str | ModuleType | None = None,
-              parallel: bool = False, check: bool = False,
+              check: bool = False,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the second rule.
 
@@ -80,5 +80,4 @@ def evolve_m2(start: Level, target_n: int, *,
     """
     return run_evolution(start, target_n, method_tag="method2",
                          expand=_expand, extra_for_weight=_explicit_member,
-                         backend=backend, parallel=parallel, check=check,
-                         progress=progress)
+                         backend=backend, check=check, progress=progress)

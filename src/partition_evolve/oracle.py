@@ -10,8 +10,7 @@ honest to be checked against.
 from __future__ import annotations
 
 from .backend import get_backend
-from .core import Partition
-from .level import TAG_SEED, Level
+from .level import Level
 
 DEFAULT_CAP = 60
 
@@ -34,10 +33,9 @@ def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP,
         raise CapExceededError(
             f"weight {n} exceeds cap {cap}; raise the cap to enumerate")
     kernel = get_backend(backend)
-    raw = kernel.enumerate_level(n)
-    members = tuple(Partition._from_canonical(parts, n) for parts in raw)
-    return Level(n=n, partitions=members,
-                 tags=(TAG_SEED,) * len(members), method_tag="oracle")
+    # The enumerator emits canonical order; the level checks it, and wraps
+    # and tags its members only when asked.
+    return Level._validated(n, kernel.enumerate_level(n), None, "oracle")
 
 
 def count_oracle(n: int) -> int:

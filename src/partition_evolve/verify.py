@@ -15,7 +15,8 @@ from __future__ import annotations
 from types import ModuleType
 
 from .backend import get_backend
-from .core import Kind, NoPredecessorError, Partition, classify_m1
+from .core import (Kind, NoPredecessorError, Partition, classify_m1,
+                   format_parts)
 from .level import Level
 from .method1 import evolve_m1, predecessor_m1, tagged_successors_m1
 from .method2 import evolve_m2, predecessor_m2, tagged_successors_m2
@@ -195,11 +196,8 @@ def _first_mismatch(got: list[tuple[int, ...]],
                     want: list[tuple[int, ...]]) -> str | None:
     for index, (a, b) in enumerate(zip(got, want)):
         if a != b:
-            return (f"index {index}: {_fmt(a)} vs {_fmt(b)}")
+            return (f"index {index}: {format_parts(a)} vs "
+                    f"{format_parts(b)}")
     if len(got) != len(want):
         return f"lengths differ: {len(got)} vs {len(want)}"
     return None
-
-
-def _fmt(parts: tuple[int, ...]) -> str:
-    return "+".join(map(str, parts)) if parts else "0"

@@ -125,7 +125,7 @@ def test_criterion_8_determinism(run_cli):
     assert first == second
 
     for method in (1, 2):
-        plain = run_cli("evolve", 0, 20, "--method", method)
-        threaded = run_cli("evolve", 0, 20, "--method", method, "--parallel")
-        assert plain[0] == threaded[0] == 0
-        assert plain[1] == threaded[1]
+        first = run_cli("evolve", 0, 20, "--method", method)
+        second = run_cli("evolve", 0, 20, "--method", method)
+        assert first[0] == second[0] == 0
+        assert first == second

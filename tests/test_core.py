@@ -30,6 +30,8 @@ def test_validation_names_the_offender():
         make_partition([4, -2])
     with pytest.raises(InvalidPartitionError, match="'x'"):
         make_partition([2, "x"])
+    with pytest.raises(InvalidPartitionError, match="True"):
+        Partition([True, 2])
 
 
 def test_text_format_examples():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from partition_evolve import _pure, backend, level
+from partition_evolve import _pure, backend
 from partition_evolve.backend import (available_backends,
                                       default_backend_name, get_backend,
                                       has_compiled)
@@ -34,12 +34,6 @@ def test_env_var_forces_the_default(monkeypatch):
     assert default_backend_name() in available_backends()
 
 
-def test_tag_literals_stay_in_sync_with_level():
-    assert _pure.TAG_ADDED_UNIT == level.TAG_ADDED_UNIT
-    assert _pure.TAG_AUGMENTED == level.TAG_AUGMENTED
-    assert _pure.TAG_COLLECTED == level.TAG_COLLECTED
-
-
 def test_pure_enumeration_is_canonical_and_complete():
     assert _pure.enumerate_level(0) == [()]
     assert _pure.enumerate_level(4) == [
@@ -49,16 +43,9 @@ def test_pure_enumeration_is_canonical_and_complete():
 
 
 @needs_compiled
-def test_compiled_tag_literals_match():
-    from partition_evolve import _speedups
-    assert _speedups.TAG_ADDED_UNIT == level.TAG_ADDED_UNIT
-    assert _speedups.TAG_AUGMENTED == level.TAG_AUGMENTED
-    assert _speedups.TAG_COLLECTED == level.TAG_COLLECTED
-    assert _speedups.BACKEND_NAME == "compiled"
-
-
-@needs_compiled
 def test_compiled_default_when_built(monkeypatch):
+    from partition_evolve import _speedups
+    assert _speedups.BACKEND_NAME == "compiled"
     monkeypatch.delenv(backend.ENV_BACKEND, raising=False)
     assert default_backend_name() == "compiled"
 

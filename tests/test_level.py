@@ -1,11 +1,14 @@
 """Level integrity rules and the JSONL snapshot format."""
 
 import io
+import json
 
 import pytest
 
 from partition_evolve import (Level, Partition, SnapshotError, TAG_ORDER,
-                              evolve_m2, read_snapshot, write_snapshot)
+                              enumerate_oracle, evolve_m1, evolve_m2,
+                              read_snapshot, write_snapshot)
+from partition_evolve.level import write_text
 
 
 def _level(n, raw, tags=None, method_tag="oracle"):
@@ -70,6 +73,26 @@ def test_snapshot_roundtrip_weight_zero():
     assert read_snapshot(buffer, method_tag="oracle") == Level.seed("oracle")
 
 
+# Weight 35 holds 14,883 members, more than one write chunk.
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_oracle(35),
+    lambda: evolve_m1(Level.seed("method1"), 13),
+    lambda: evolve_m2(Level.seed("method2"), 13),
+    lambda: Level.seed("method2"),
+    lambda: _level(3, [(3,), (2, 1)], tags=('odd "tag"', "t\u00e4g")),
+])
+def test_writers_match_their_reference_formats(make):
+    level = make()
+    text = io.StringIO()
+    write_text(level, text)
+    assert text.getvalue() == "".join(f"{p}\n" for p in level.partitions)
+    snapshot = io.StringIO()
+    write_snapshot(level, snapshot)
+    assert snapshot.getvalue() == "".join(
+        json.dumps({"n": level.n, "parts": list(p.parts), "tag": tag}) + "\n"
+        for p, tag in zip(level.partitions, level.tags))
+
+
 def test_snapshot_tolerates_blank_lines():
     text = '{"n": 2, "parts": [2], "tag": "Seed"}\n\n' \
            '{"n": 2, "parts": [1, 1], "tag": "Seed"}\n'
@@ -82,9 +105,12 @@ def test_snapshot_tolerates_blank_lines():
     ('[1, 2]', "line 2: expected a JSON object"),
     ('{"n": 2, "parts": [2]}', "line 2: missing field"),
     ('{"n": -2, "parts": [2], "tag": "Seed"}', "line 2: bad weight"),
+    ('{"n": true, "parts": [1], "tag": "Seed"}', "line 2: bad weight"),
     ('{"n": 2, "parts": [2], "tag": "Odd"}', "line 2: unknown tag"),
     ('{"n": 2, "parts": 2, "tag": "Seed"}', "line 2: parts must be"),
     ('{"n": 2, "parts": [2, 0], "tag": "Seed"}', "line 2: parts must be"),
+    ('{"n": 2, "parts": [true, true], "tag": "Seed"}',
+     "line 2: parts must be"),
     ('{"n": 3, "parts": [1, 2], "tag": "Seed"}', "line 2: .*not non-increasing"),
     ('{"n": 2, "parts": [3], "tag": "Seed"}', "line 2: .*sum to 3, not 2"),
     ('{"n": 3, "parts": [3], "tag": "Seed"}', "line 2: weight 3 differs"),
