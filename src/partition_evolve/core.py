@@ -119,19 +119,28 @@ def make_partition(raw: Iterable[int]) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse the canonical text format: ``"a+b+c"`` with positive parts, or ``"0"``."""
+    """Parse the canonical text format: ``"a+b+c"`` with positive parts, or ``"0"``.
+
+    Each part is ASCII decimal digits; only whitespace around the whole
+    text is ignored.
+    """
     stripped = text.strip()
     if stripped == "0":
         return Partition()
     if not stripped:
         raise InvalidPartitionError(
             "empty partition text; the weight-0 partition is written '0'")
-    try:
-        values = [int(token) for token in stripped.split("+")]
-    except ValueError:
-        raise InvalidPartitionError(
-            f"cannot parse partition text {text!r}") from None
-    return Partition(values)
+    tokens = stripped.split("+")
+    # int() alone would also take '1_0', non-ASCII digits and inner
+    # whitespace.
+    if all(token.isascii() and token.isdigit() for token in tokens):
+        try:
+            values = [int(token) for token in tokens]
+        except ValueError:
+            pass  # past the interpreter's limit on integer digits
+        else:
+            return Partition(values)
+    raise InvalidPartitionError(f"cannot parse partition text {text!r}")
 
 
 def compare(a: Partition, b: Partition) -> int:

@@ -244,7 +244,9 @@ def read_snapshot(stream: IO[str], *, method_tag: str,
             continue
         try:
             record = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # Besides JSONDecodeError: ValueError for an integer past the
+        # interpreter's digit limit, RecursionError for deep nesting.
+        except (ValueError, RecursionError) as exc:
             raise SnapshotError(f"line {lineno}: not valid JSON ({exc})") from None
         if not isinstance(record, dict):
             raise SnapshotError(f"line {lineno}: expected a JSON object")
@@ -260,7 +262,7 @@ def read_snapshot(stream: IO[str], *, method_tag: str,
         # an int subclass, and must not pass for 1 and 0.
         if type(n) is not int or n < 0:
             raise SnapshotError(f"line {lineno}: bad weight {n!r}")
-        if tag not in SNAPSHOT_TAGS:
+        if type(tag) is not str or tag not in SNAPSHOT_TAGS:
             raise SnapshotError(f"line {lineno}: unknown tag {tag!r}")
         if not isinstance(parts, list) or any(
                 type(x) is not int or x < 1 for x in parts):

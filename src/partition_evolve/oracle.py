@@ -2,9 +2,9 @@
 
 Neither routine here knows about successor rules or generating
 functions.  The enumerator descends over largest-part bounds; the
-counter runs the bounded-count recurrence with an explicit stack.  Both
-exist so the evolution methods and the series module have something
-honest to be checked against.
+counter fills one row of the bounded-count recurrence.  Both exist so
+the evolution methods and the series module have something honest to
+be checked against.
 """
 
 from __future__ import annotations
@@ -38,39 +38,20 @@ def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP,
     return Level._validated(n, kernel.enumerate_level(n), None, "oracle")
 
 
-def count_oracle(n: int) -> int:
-    """P(n) by the bounded-count recurrence, no series involved.
+def count_oracle(n: int, *, every_weight: bool = False) -> int | list[int]:
+    """P(n) by the bounded-count recurrence, no series involved; with
+    ``every_weight``, the list P(0..n) from the same table.
 
-    c(n, b) counts partitions of n with every part <= b, via
-    c(n, b) = c(n - b, b) + c(n, b - 1).  Implemented with an explicit
-    stack so large n cannot hit the interpreter recursion limit.
+    c(m, b) counts partitions of m with every part <= b, via
+    c(m, b) = c(m - b, b) + c(m, b - 1) and c(0, b) = 1.  One row holds
+    c(0..n, b); raising b rewrites it in place in increasing m, so
+    c(m - b, b) is already in the row when c(m, b) needs it.  After b = n
+    the row is P(0..n): O(n^2) additions and O(n) integers held.
     """
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
-    if n == 0:
-        return 1
-    memo: dict[tuple[int, int], int] = {}
-
-    def normalize(m: int, bound: int) -> tuple[int, int]:
-        return (m, bound if bound < m else m)
-
-    root = normalize(n, n)
-    stack = [root]
-    while stack:
-        m, bound = key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        if m == 0 or bound == 1:
-            memo[key] = 1
-            stack.pop()
-            continue
-        take = normalize(m - bound, bound)
-        skip = normalize(m, bound - 1)
-        missing = [k for k in (take, skip) if k not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[key] = memo[take] + memo[skip]
-        stack.pop()
-    return memo[root]
+    row = [1] + [0] * n
+    for bound in range(1, n + 1):
+        for m in range(bound, n + 1):
+            row[m] += row[m - bound]
+    return row if every_weight else row[n]

@@ -35,16 +35,11 @@ def run_suite(max_n: int, *, cap: int = DEFAULT_CAP,
     rows = coefficient_rows(max_n)
     p = [row[1] for row in rows]
     q = [row[2] for row in rows]
-    checks = (
+    return VerificationReport((
         _check_recurrence(p, q, max_n),
         _check_count_identity(p, max_n),
-        _check_q_semantics(q, bound, cap, kernel),
-        _check_bijection_m1(bound, cap, kernel),
-        _check_bijection_m2(bound, cap, kernel),
-        _check_equivalence(bound, cap, kernel),
-        _check_mixed_methods(bound, cap, kernel),
-    )
-    return VerificationReport(checks)
+        *_oracle_pass(q, bound, cap, kernel),
+    ))
 
 
 def _check_recurrence(p: list[int], q: list[int], max_n: int) -> CheckResult:
@@ -61,8 +56,8 @@ def _check_recurrence(p: list[int], q: list[int], max_n: int) -> CheckResult:
 def _check_count_identity(p: list[int], max_n: int) -> CheckResult:
     name = "count-identity series vs counting recurrence"
     scope = f"n=0..{max_n}"
-    for n in range(max_n + 1):
-        counted = count_oracle(n)
+    counts = count_oracle(max_n, every_weight=True)
+    for n, counted in enumerate(counts):
         if p[n] != counted:
             return CheckResult(
                 name, scope, False,
@@ -71,57 +66,97 @@ def _check_count_identity(p: list[int], max_n: int) -> CheckResult:
     return CheckResult(name, scope, True)
 
 
-def _check_q_semantics(q: list[int], bound: int, cap: int,
-                       kernel: ModuleType) -> CheckResult:
-    name = "q-semantics Q(n) counts smallest-part-once partitions"
-    scope = f"n=0..{bound}"
+def _oracle_pass(q: list[int], bound: int, cap: int,
+                 kernel: ModuleType) -> list[CheckResult]:
+    """The five checks that enumerate, fed by one oracle pass.
+
+    Each weight n is enumerated once, and only oracle levels n-1 and n are
+    held.  Every check keeps its own first failure and stops there.
+
+    The equivalence and mixed checks grow step n from ``Level.seed`` at
+    n = 1 and from the oracle's level n-1 above that, not from chains of
+    their own.  The verdicts and counterexamples are those of private
+    chains: a chain reaches step n only after its level n-1 compared equal,
+    member for member, to the oracle's level n-1, and the kernels are pure
+    functions of their input list.  Each method's step is computed once,
+    and only while a check still needs it.  The mixed run reads method 1
+    at odd n and method 2 at even n: alternating the rules must still
+    yield complete levels, since each step only needs a complete input.
+    """
+    names = ("q-semantics Q(n) counts smallest-part-once partitions",
+             "method1 successor bijection and round-trip",
+             "method2 successor bijection and round-trip",
+             "method equivalence with enumeration",
+             "mixed-method evolution matches enumeration")
+    failures: list[str | None] = [None] * len(names)
+    previous = None
     for n in range(bound + 1):
         level = enumerate_oracle(n, cap=cap, backend=kernel)
-        second = sum(1 for member in level.partitions
-                     if classify_m1(member) is Kind.SECOND)
-        if second != q[n]:
-            return CheckResult(
-                name, scope, False,
-                f"n={n}: Q(n)={q[n]} but enumeration finds {second} "
+        if failures[0] is None:
+            failures[0] = _q_semantics(n, level, q[n])
+        # Each helper drops its temporaries on return, before the next
+        # one (and the next weight) builds its own.
+        if n > 0:
+            _bijection_checks(n, previous, level, failures)
+        _evolution_checks(n, previous, level, kernel, failures)
+        previous = level
+    scopes = (bound, bound - 1, bound - 1, bound, bound)
+    return [CheckResult(name, f"n=0..{top}", failure is None, failure)
+            for name, top, failure in zip(names, scopes, failures)]
+
+
+def _q_semantics(n: int, level: Level, expected: int) -> str | None:
+    second = sum(1 for member in level.partitions
+                 if classify_m1(member) is Kind.SECOND)
+    if second != expected:
+        return (f"n={n}: Q(n)={expected} but enumeration finds {second} "
                 f"second-kind partitions")
-    return CheckResult(name, scope, True)
+    return None
 
 
-def _check_bijection_m1(bound: int, cap: int,
-                        kernel: ModuleType) -> CheckResult:
-    name = "method1 successor bijection and round-trip"
-    scope = f"n=0..{bound - 1}"
-    current = enumerate_oracle(0, cap=cap, backend=kernel)
-    for n in range(bound):
-        nxt = enumerate_oracle(n + 1, cap=cap, backend=kernel)
-        failure = _bijection_step(n, current, nxt, tagged_successors_m1,
-                                  predecessor_m1, excluded=None)
-        if failure is not None:
-            return CheckResult(name, scope, False, failure)
-        current = nxt
-    return CheckResult(name, scope, True)
-
-
-def _check_bijection_m2(bound: int, cap: int,
-                        kernel: ModuleType) -> CheckResult:
-    name = "method2 successor bijection and round-trip"
-    scope = f"n=0..{bound - 1}"
-    current = enumerate_oracle(0, cap=cap, backend=kernel)
-    for n in range(bound):
-        nxt = enumerate_oracle(n + 1, cap=cap, backend=kernel)
+def _bijection_checks(n: int, previous: Level, level: Level,
+                      failures: list[str | None]) -> None:
+    expected = set(level.partitions)
+    if failures[1] is None:
+        failures[1] = _bijection_step(n - 1, previous, expected,
+                                      tagged_successors_m1, predecessor_m1,
+                                      excluded=None)
+    if failures[2] is None:
         # The single-part successor exists only via the explicit step,
         # and only from weight 2 up ([1] does arise from the rule).
-        excluded = (Partition._from_canonical((n + 1,), n + 1)
-                    if n + 1 >= 2 else None)
-        failure = _bijection_step(n, current, nxt, tagged_successors_m2,
-                                  predecessor_m2, excluded=excluded)
-        if failure is not None:
-            return CheckResult(name, scope, False, failure)
-        current = nxt
-    return CheckResult(name, scope, True)
+        excluded = Partition._from_canonical((n,), n) if n >= 2 else None
+        failures[2] = _bijection_step(n - 1, previous, expected,
+                                      tagged_successors_m2, predecessor_m2,
+                                      excluded=excluded)
 
 
-def _bijection_step(n, current, nxt, tagged_successors, predecessor,
+def _evolution_checks(n: int, previous: Level | None, level: Level,
+                      kernel: ModuleType, failures: list[str | None]) -> None:
+    reference = level.raw_members()
+    grown: dict[int, list[tuple[int, ...]]] = {}
+
+    def step(method: int) -> list[tuple[int, ...]]:
+        # Evolving the seed to weight 0 returns the seed itself.
+        if method not in grown:
+            evolve = evolve_m1 if method == 1 else evolve_m2
+            start = previous if n > 1 else Level.seed("oracle")
+            grown[method] = evolve(start, n, backend=kernel).raw_members()
+        return grown[method]
+
+    if failures[3] is None:
+        for method in (1, 2):
+            mismatch = _first_mismatch(step(method), reference)
+            if mismatch is not None:
+                failures[3] = (f"n={n}: method{method} vs enumeration, "
+                               f"{mismatch}")
+                break
+    if failures[4] is None and n > 0:
+        mismatch = _first_mismatch(step(2 - n % 2), reference)
+        if mismatch is not None:
+            failures[4] = f"n={n}: {mismatch}"
+
+
+def _bijection_step(n, current, expected, tagged_successors, predecessor,
                     *, excluded):
     produced: dict[Partition, Partition] = {}
     for member in current.partitions:
@@ -130,7 +165,6 @@ def _bijection_step(n, current, nxt, tagged_successors, predecessor,
                 return (f"n={n}: {produced[successor]} and {member} both "
                         f"produce {successor}")
             produced[successor] = member
-    expected = set(nxt.partitions)
     if excluded is not None:
         if excluded in produced:
             return (f"n={n}: rule produced the excluded single-part "
@@ -142,7 +176,7 @@ def _bijection_step(n, current, nxt, tagged_successors, predecessor,
         else:
             return (f"n={n}: predecessor({excluded}) gave {wrong}, "
                     f"expected a refusal")
-        expected.discard(excluded)
+        expected = expected - {excluded}
     if produced.keys() != expected:
         difference = sorted(produced.keys() ^ expected)
         sample = difference[0]
@@ -156,44 +190,10 @@ def _bijection_step(n, current, nxt, tagged_successors, predecessor,
     return None
 
 
-def _check_equivalence(bound: int, cap: int,
-                       kernel: ModuleType) -> CheckResult:
-    name = "method equivalence with enumeration"
-    scope = f"n=0..{bound}"
-    level_m1 = Level.seed("method1")
-    level_m2 = Level.seed("method2")
-    for n in range(bound + 1):
-        if n > 0:
-            level_m1 = evolve_m1(level_m1, n, backend=kernel)
-            level_m2 = evolve_m2(level_m2, n, backend=kernel)
-        reference = enumerate_oracle(n, cap=cap, backend=kernel).raw_members()
-        for label, level in (("method1", level_m1), ("method2", level_m2)):
-            mismatch = _first_mismatch(level.raw_members(), reference)
-            if mismatch is not None:
-                return CheckResult(name, scope, False,
-                                   f"n={n}: {label} vs enumeration, {mismatch}")
-    return CheckResult(name, scope, True)
-
-
-def _check_mixed_methods(bound: int, cap: int,
-                         kernel: ModuleType) -> CheckResult:
-    # Not public API: alternating the rules between levels must still
-    # yield complete levels, since each step only needs a complete input.
-    name = "mixed-method evolution matches enumeration"
-    scope = f"n=0..{bound}"
-    level = Level.seed("method1")
-    for n in range(1, bound + 1):
-        step = evolve_m1 if n % 2 else evolve_m2
-        level = step(level, n, backend=kernel)
-        reference = enumerate_oracle(n, cap=cap, backend=kernel).raw_members()
-        mismatch = _first_mismatch(level.raw_members(), reference)
-        if mismatch is not None:
-            return CheckResult(name, scope, False, f"n={n}: {mismatch}")
-    return CheckResult(name, scope, True)
-
-
 def _first_mismatch(got: list[tuple[int, ...]],
                     want: list[tuple[int, ...]]) -> str | None:
+    if got == want:
+        return None
     for index, (a, b) in enumerate(zip(got, want)):
         if a != b:
             return (f"index {index}: {format_parts(a)} vs "

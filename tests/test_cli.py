@@ -250,6 +250,9 @@ def test_predecessor_errors(run_cli):
     code, _, err = run_cli("predecessor", "3+", "--method", 1)
     assert code == 2
     assert "parse" in err
+    code, _, err = run_cli("predecessor", "1_0+2", "--method", 1)
+    assert code == 2
+    assert "'1_0+2'" in err
 
 
 def test_verify_command(run_cli):

@@ -49,6 +49,37 @@ def test_parse_rejects_garbage(text):
         parse_partition(text)
 
 
+@pytest.mark.parametrize("text", [
+    "1_0+2", " 3 + 1", "3+ 1",
+    pytest.param("\u0663+1", id="arabic-indic-3+1"),
+    pytest.param("4\u00a0+1", id="no-break-space"),
+    pytest.param("\uff13", id="fullwidth-3"),
+    pytest.param("1" * 5000, id="5000-digits"),
+])
+def test_parse_names_text_it_will_not_coerce(text):
+    # int() would read these as 10+2, 3+1, 3+1, 3+1, 4+1, 3 and a
+    # 5000-digit part (past the interpreter's digit limit).
+    with pytest.raises(InvalidPartitionError, match="cannot parse") as info:
+        parse_partition(text)
+    assert repr(text) in str(info.value)
+
+
+@given(st.one_of(st.text(),
+                 st.lists(st.sampled_from(["0", "1", "12", "+", " ", "_",
+                                           "\u0663", "-", "\n"]))
+                 .map("".join)))
+def test_parse_accepts_only_ascii_digit_parts(text):
+    try:
+        p = parse_partition(text)
+    except InvalidPartitionError:
+        return
+    stripped = text.strip()
+    assert stripped == "0" or all(
+        token.isascii() and token.isdigit() and int(token) > 0
+        for token in stripped.split("+"))
+    assert parse_partition(str(p)) == p
+
+
 @given(st.lists(st.integers(1, 60), max_size=40))
 def test_canonicalization_roundtrip(raw):
     p = make_partition(raw)

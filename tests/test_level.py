@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partition_evolve import (Level, Partition, SnapshotError, TAG_ORDER,
                               enumerate_oracle, evolve_m1, evolve_m2,
@@ -131,3 +133,41 @@ def test_snapshot_expected_weight_is_enforced():
 def test_empty_snapshot_is_an_error():
     with pytest.raises(SnapshotError, match="empty"):
         read_snapshot(io.StringIO(""), method_tag="oracle")
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                          st.floats(allow_nan=True), st.text(max_size=4))
+_RECORDS = st.fixed_dictionaries(
+    {"n": st.one_of(st.integers(0, 6), _JSON_SCALARS),
+     "parts": st.one_of(st.lists(st.integers(0, 6), max_size=6),
+                        st.lists(_JSON_SCALARS, max_size=3), _JSON_SCALARS),
+     "tag": st.one_of(st.sampled_from(TAG_ORDER), _JSON_SCALARS,
+                      st.lists(st.text(max_size=2), max_size=2))},
+    optional={"extra": _JSON_SCALARS})
+_LINES = st.lists(st.one_of(
+    _RECORDS.map(json.dumps),
+    _RECORDS.map(lambda record: json.dumps(record)[:-1]),
+    st.sampled_from(["", "   ", "[]", "{}", "null", "1" * 5000, "[" * 5000]),
+    st.text(max_size=12)), max_size=6)
+
+
+@given(_LINES)
+def test_snapshot_reader_fails_only_with_snapshot_errors(lines):
+    # Lines never hold a newline: the reader would split them further.
+    lines = [line.replace("\n", " ") + "\n" for line in lines]
+    try:
+        level = read_snapshot(lines, method_tag="oracle")
+    except SnapshotError as exc:
+        message = str(exc)
+        if message == "snapshot is empty":
+            assert not "".join(lines).strip()
+            return
+        lineno = int(message.split(":")[0].removeprefix("line "))
+        assert lines[lineno - 1].strip()
+        # The complaint is about that line: reading only the lines up to
+        # it gives the same error.
+        with pytest.raises(SnapshotError) as again:
+            read_snapshot(lines[:lineno], method_tag="oracle")
+        assert str(again.value) == message
+    else:
+        assert 0 < len(level) == len(set(level.partitions))

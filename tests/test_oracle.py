@@ -44,6 +44,12 @@ def test_count_agrees_with_series_up_to_300():
         assert count_oracle(n) == coeffs[n], f"n={n}"
 
 
+def test_count_table_matches_single_counts_up_to_80():
+    table = count_oracle(80, every_weight=True)
+    assert table == [count_oracle(n) for n in range(81)]
+    assert count_oracle(0, every_weight=True) == [1]
+
+
 def test_cap_guard():
     with pytest.raises(CapExceededError):
         enumerate_oracle(10, cap=5)
