@@ -1,5 +1,6 @@
-"""Canonical partition values, their text format, ordering, and the two
-kind classifiers that drive the successor rules.
+"""Canonical partition values, their text format, ordering, the two
+kind classifiers that drive the successor rules, and the member encoding
+that levels and kernels work in.
 
 Everything here is an immutable value; instances can be shared freely
 across threads.
@@ -9,6 +10,13 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator
+
+
+# The largest part a member string can hold: the last Unicode code point.
+MAX_PART = 0x10FFFF
+
+# parse_partition quotes at most this much of text it refuses.
+_QUOTED_CHARS = 40
 
 
 class InvalidPartitionError(ValueError):
@@ -113,6 +121,28 @@ def format_parts(parts: tuple[int, ...]) -> str:
     return "+".join(map(str, parts)) if parts else "0"
 
 
+def encode_parts(parts: Iterable[int]) -> str:
+    """The member string of a part sequence: one code point per part.
+
+    ``3+2+1`` is held as ``"\\x03\\x02\\x01"`` and the empty partition as
+    ``""``.  Code points compare like the ints they stand for, so members
+    sort and compare exactly as their part tuples do, and NUL, never a
+    part, is free to separate members.  Parts must lie in 1..MAX_PART;
+    chr() refuses larger ones.
+    """
+    return "".join(map(chr, parts))
+
+
+def decode_member(member: str) -> tuple[int, ...]:
+    """The part tuple of a member string (inverse of ``encode_parts``)."""
+    return tuple(map(ord, member))
+
+
+def member_text(member: str) -> str:
+    """Canonical text of a member string, as ``str`` of its Partition."""
+    return format_parts(decode_member(member))
+
+
 def make_partition(raw: Iterable[int]) -> Partition:
     """Canonicalize any finite sequence of positive integers into a Partition."""
     return Partition(raw)
@@ -140,7 +170,11 @@ def parse_partition(text: str) -> Partition:
             pass  # past the interpreter's limit on integer digits
         else:
             return Partition(values)
-    raise InvalidPartitionError(f"cannot parse partition text {text!r}")
+    if len(text) <= _QUOTED_CHARS:
+        raise InvalidPartitionError(f"cannot parse partition text {text!r}")
+    raise InvalidPartitionError(
+        f"cannot parse partition text {text[:_QUOTED_CHARS]!r}... "
+        f"({len(text)} characters)")
 
 
 def compare(a: Partition, b: Partition) -> int:
@@ -159,13 +193,7 @@ def compare(a: Partition, b: Partition) -> int:
 
 def unit_count(p: Partition) -> int:
     """Number of parts equal to 1 (a trailing run, since parts are sorted)."""
-    parts = p.parts
-    count = 0
-    for i in range(len(parts) - 1, -1, -1):
-        if parts[i] != 1:
-            break
-        count += 1
-    return count
+    return p.parts.count(1)
 
 
 def classify_m1(p: Partition) -> Kind:
@@ -191,10 +219,12 @@ def classify_m2(p: Partition) -> Kind:
     SECOND iff 1 <= u < m.  Partitions with no units, with nothing but
     units, and the empty partition are all FIRST.
     """
-    parts = p.parts
-    k = len(parts)
-    units = unit_count(p)
-    if units == 0 or units == k:
+    return kind_m2(p.parts, unit_count(p))
+
+
+def kind_m2(parts: tuple[int, ...], units: int) -> Kind:
+    """``classify_m2`` for parts whose unit count is already known."""
+    if units == 0 or units == len(parts):
         return Kind.FIRST
-    smallest_non_unit = parts[k - units - 1]
+    smallest_non_unit = parts[-units - 1]
     return Kind.SECOND if units < smallest_non_unit else Kind.FIRST

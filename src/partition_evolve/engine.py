@@ -1,8 +1,9 @@
 """Level-by-level evolution loop shared by both successor methods.
 
-Only the current level is held in memory.  Intermediate levels stay as raw
-part tuples in generation order; the final level is sorted once and
-validated, and its members are wrapped and tagged only when asked for.
+Only the current level is held in memory.  Intermediate levels stay as
+member strings (``core.encode_parts``) in generation order; the final
+level is sorted once and validated, and its members are wrapped and
+tagged only when asked for.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from collections.abc import Callable
 from types import ModuleType
 
 from . import backend as backend_mod
-from .core import format_parts
+from .core import member_text
 from .level import SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_EXPLICIT, Level
 
 # expand(kernel_module, members) -> (members, second_count): the
 # appended-unit successors of every member, then second_count more.
 ExpandFn = Callable[[ModuleType, list], tuple[list, int]]
-# extra_for_weight(w) -> [parts, ...] added explicitly once per step.
-ExtraFn = Callable[[int], list[tuple[int, ...]]]
+# extra_for_weight(w) -> [member, ...] added explicitly once per step.
+ExtraFn = Callable[[int], list[str]]
 ProgressFn = Callable[[int, dict[str, int]], None]
 
 
@@ -61,9 +62,9 @@ def _assert_no_duplicates(members: list, weight: int, method_tag: str) -> None:
     if len(set(members)) == len(members):
         return
     seen: set = set()
-    for parts in members:
-        if parts in seen:
+    for member in members:
+        if member in seen:
             raise RuntimeError(
                 f"{method_tag} produced duplicate partition "
-                f"{format_parts(parts)} at weight {weight}")
-        seen.add(parts)
+                f"{member_text(member)} at weight {weight}")
+        seen.add(member)

@@ -15,7 +15,8 @@ from itertools import islice, repeat
 from operator import gt, itemgetter
 from typing import IO, Iterable
 
-from .core import Partition, format_parts
+from .core import (MAX_PART, Partition, decode_member, encode_parts,
+                   member_text)
 
 TAG_SEED = "Seed"
 TAG_ADDED_UNIT = "AddedUnit"
@@ -48,13 +49,14 @@ class Level:
     ``tags`` is parallel to ``partitions`` and records provenance;
     ``method_tag`` records which pipeline produced the level.
 
-    Members are held as canonical part tuples.  ``partitions`` wraps them
-    on first access.  A level built with tags (by this constructor, by
-    ``seed`` or from a snapshot) keeps them; one grown by ``from_raw``
-    without tags derives them on first access from the rule that grew
-    it: the appended-unit successors are exactly the members ending in 1,
-    method 2's explicit member is the single part, and every other member
-    is of the method's second kind.
+    Members are held as member strings, one code point per part (see
+    ``core.encode_parts``).  ``partitions`` wraps them on first access.  A
+    level built with tags (by this constructor, by ``seed`` or from a
+    snapshot) keeps them; one grown by ``from_raw`` without tags derives
+    them on first access from the rule that grew it: the appended-unit
+    successors are exactly the members ending in 1, method 2's explicit
+    member is the single part, and every other member is of the method's
+    second kind.
     """
 
     __slots__ = ("_n", "_method_tag", "_raw", "_partitions", "_tags")
@@ -62,11 +64,12 @@ class Level:
     def __init__(self, n: int, partitions: Iterable[Partition],
                  tags: Iterable[str], method_tag: str) -> None:
         partitions = tuple(partitions)
-        self._setup(n, [p.parts for p in partitions], tuple(tags), method_tag)
+        self._setup(n, [encode_parts(p.parts) for p in partitions],
+                    tuple(tags), method_tag)
         self._partitions = partitions
 
     @classmethod
-    def _validated(cls, n: int, raw: list[tuple[int, ...]],
+    def _validated(cls, n: int, raw: list[str],
                    tags: tuple[str, ...] | None, method_tag: str) -> "Level":
         """A Level over ``raw``, which must already be in canonical order;
         the order is checked, not restored."""
@@ -75,7 +78,7 @@ class Level:
         self._partitions = None
         return self
 
-    def _setup(self, n: int, raw: list[tuple[int, ...]],
+    def _setup(self, n: int, raw: list[str],
                tags: tuple[str, ...] | None, method_tag: str) -> None:
         if n < 0:
             raise ValueError(f"level weight must be nonnegative, got {n}")
@@ -83,24 +86,19 @@ class Level:
             raise ValueError(f"unknown method tag {method_tag!r}")
         if tags is not None and len(tags) != len(raw):
             raise ValueError("tags and partitions must be parallel")
-        # Within one weight, strictly descending tuples are strictly
-        # canonical, which implies both sortedness and uniqueness.  The
-        # built-ins check the whole level in C; the scan after them only
-        # runs to name the first offending member.
-        if not (set(map(sum, raw)) <= {n}
-                and all(map(gt, raw, islice(raw, 1, None)))):
+        if not _canonical(n, raw):
             previous = None
-            for parts in raw:
-                weight = sum(parts)
+            for member in raw:
+                weight = sum(map(ord, member))
                 if weight != n:
                     raise ValueError(
-                        f"member {format_parts(parts)} has weight {weight}, "
+                        f"member {member_text(member)} has weight {weight}, "
                         f"level holds weight {n}")
-                if previous is not None and not previous > parts:
+                if previous is not None and not previous > member:
                     raise ValueError(
                         "members out of canonical order or duplicated near "
-                        f"{format_parts(parts)}")
-                previous = parts
+                        f"{member_text(member)}")
+                previous = member
         self._n = n
         self._method_tag = method_tag
         self._raw = raw
@@ -117,8 +115,9 @@ class Level:
     @property
     def partitions(self) -> tuple[Partition, ...]:
         if self._partitions is None:
-            self._partitions = tuple(map(Partition._from_canonical, self._raw,
-                                         repeat(self._n)))
+            self._partitions = tuple(map(
+                Partition._from_canonical, map(decode_member, self._raw),
+                repeat(self._n)))
         return self._partitions
 
     @property
@@ -133,11 +132,11 @@ class Level:
             return (TAG_SEED,) * len(raw)
         second = SECOND_KIND_TAG[self._method_tag]
         if self._method_tag == "method1":
-            return tuple([TAG_ADDED_UNIT if parts[-1] == 1 else second
-                          for parts in raw])
-        return tuple([TAG_ADDED_UNIT if parts[-1] == 1
-                      else TAG_EXPLICIT if len(parts) == 1 else second
-                      for parts in raw])
+            return tuple([TAG_ADDED_UNIT if member[-1] == "\x01" else second
+                          for member in raw])
+        return tuple([TAG_ADDED_UNIT if member[-1] == "\x01"
+                      else TAG_EXPLICIT if len(member) == 1 else second
+                      for member in raw])
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -158,10 +157,10 @@ class Level:
     @classmethod
     def seed(cls, method_tag: str) -> "Level":
         """The weight-0 level: just the empty partition."""
-        return cls._validated(0, [()], (TAG_SEED,), method_tag)
+        return cls._validated(0, [""], (TAG_SEED,), method_tag)
 
     @classmethod
-    def from_raw(cls, n: int, members: Iterable[tuple[int, ...]],
+    def from_raw(cls, n: int, members: Iterable[str],
                  tags: Iterable[str] | None, method_tag: str) -> "Level":
         """Sort raw kernel output into a validated Level.
 
@@ -173,11 +172,12 @@ class Level:
             return cls._validated(n, sorted(members, reverse=True), None,
                                   method_tag)
         pairs = sorted(zip(members, tags), key=itemgetter(0), reverse=True)
-        return cls._validated(n, [parts for parts, _ in pairs],
+        return cls._validated(n, [member for member, _ in pairs],
                               tuple([tag for _, tag in pairs]), method_tag)
 
-    def raw_members(self) -> list[tuple[int, ...]]:
-        """Part tuples in level order, the kernels' working representation."""
+    def raw_members(self) -> list[str]:
+        """Member strings in level order, the kernels' working
+        representation."""
         return list(self._raw)
 
     def tag_counts(self) -> dict[str, int]:
@@ -187,42 +187,70 @@ class Level:
         return {tag: count for tag, count in counts.items() if count}
 
 
-def _part_strings(n: int):
-    # Every part of a level of weight n is at most n; one table lookup per
-    # part replaces an int-to-text conversion.
-    return [str(part) for part in range(n + 1)].__getitem__
+def _canonical(n: int, raw: list[str]) -> bool:
+    """Whether every member has weight n and the members strictly descend.
+
+    Within one weight, strictly descending members are strictly canonical,
+    which implies both sortedness and uniqueness.  The built-ins check the
+    whole level in C: a member's weight is the byte sum of its Latin-1
+    encoding, and the string comparisons are memcmp.  A part past 255 has
+    no Latin-1 byte; such a level answers False here and is checked by the
+    caller's per-member scan, which also names the first offender.
+    """
+    try:
+        weights = set(map(sum, map(str.encode, raw, repeat("latin-1"))))
+    except UnicodeEncodeError:
+        return False
+    return weights <= {n} and all(map(gt, raw, islice(raw, 1, None)))
+
+
+def _render_table(n: int, first: str, rest: str) -> list[str]:
+    # One entry per code point a member of weight n can hold: part k
+    # renders as ``k`` followed by ``rest``, and the member separator
+    # NUL (never a part) as ``first``.
+    table = [f"{part}{rest}" for part in range(n + 1)]
+    table[0] = first
+    return table
 
 
 def write_text(level: Level, stream: IO[str]) -> None:
     """Write one canonical text line per member (``3+2+1``, or ``0`` for
-    the empty partition), in level order."""
+    the empty partition), in level order.
+
+    Each chunk of members is joined with NUL and rendered by one
+    ``str.translate``: part k becomes ``k+`` and the separator a newline,
+    so a single ``replace`` of ``+`` before each newline finishes every
+    line.
+    """
     raw = level._raw
     if level.n == 0:
         stream.write("0\n" * len(raw))
         return
-    digits = repeat(_part_strings(level.n))
+    table = _render_table(level.n, "\n", "+")
     for start in range(0, len(raw), _WRITE_CHUNK):
         chunk = raw[start:start + _WRITE_CHUNK]
-        stream.write("\n".join(map("+".join, map(map, digits, chunk))))
-        stream.write("\n")
+        stream.write(("\0".join(chunk) + "\0").translate(table)
+                     .replace("+\n", "\n"))
 
 
 def write_snapshot(level: Level, stream: IO[str]) -> None:
     """Write one JSONL line per member, in level order.
 
     The lines are formatted directly; their bytes are those of
-    ``json.dumps({"n": ..., "parts": [...], "tag": ...})``.
+    ``json.dumps({"n": ..., "parts": [...], "tag": ...})``.  The parts
+    lists are rendered as in ``write_text``, then joined with their tags.
     """
     raw = level._raw
     tags = level.tags
-    digits = _part_strings(level.n)
     head = '{"n": %d, "parts": [' % level.n
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
+    table = _render_table(level.n, "\0", ", ")
     for start in range(0, len(raw), _WRITE_CHUNK):
         stop = start + _WRITE_CHUNK
-        stream.write("".join([
-            head + ", ".join(map(digits, parts)) + tail[tag]
-            for parts, tag in zip(raw[start:stop], tags[start:stop])]))
+        parts = (("\0".join(raw[start:stop]) + "\0").translate(table)
+                 .replace(", \0", "\0").split("\0"))
+        stream.write("".join([head + text + tail[tag] for text, tag
+                              in zip(parts, tags[start:stop])]))
 
 
 def read_snapshot(stream: IO[str], *, method_tag: str,
@@ -233,9 +261,9 @@ def read_snapshot(stream: IO[str], *, method_tag: str,
     given), canonical non-increasing positive parts, a known tag, and no
     partition may repeat.  Violations raise SnapshotError naming the line.
     """
-    members: list[tuple[int, ...]] = []
+    members: list[str] = []
     tags: list[str] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[str] = set()
     level_n = expected_n
 
     for lineno, line in enumerate(stream, start=1):
@@ -280,7 +308,11 @@ def read_snapshot(stream: IO[str], *, method_tag: str,
             raise SnapshotError(
                 f"line {lineno}: weight {n} differs from expected {level_n}")
 
-        key = tuple(parts)
+        if parts and parts[0] > MAX_PART:
+            raise SnapshotError(
+                f"line {lineno}: part {parts[0]} is past the largest "
+                f"supported part {MAX_PART}")
+        key = encode_parts(parts)
         if key in seen:
             raise SnapshotError(f"line {lineno}: duplicate partition {parts}")
         seen.add(key)

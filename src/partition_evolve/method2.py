@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from types import ModuleType
 
-from .core import Kind, NoPredecessorError, Partition, classify_m2, unit_count
+from .core import (Kind, NoPredecessorError, Partition, encode_parts, kind_m2,
+                   unit_count)
 from .engine import ProgressFn, run_evolution
 from .level import TAG_ADDED_UNIT, TAG_COLLECTED, Level
 
@@ -20,9 +21,9 @@ def tagged_successors_m2(p: Partition) -> tuple[tuple[Partition, str], ...]:
     """Successors of ``p`` with the rule that produced each one."""
     parts = p.parts
     added = Partition._from_canonical(parts + (1,), p.weight + 1)
-    if classify_m2(p) is Kind.FIRST:
-        return ((added, TAG_ADDED_UNIT),)
     units = unit_count(p)
+    if kind_m2(parts, units) is Kind.FIRST:
+        return ((added, TAG_ADDED_UNIT),)
     head = parts[:len(parts) - units]
     # u+1 <= smallest non-unit part, so appending keeps canonical order.
     assert not head or head[-1] >= units + 1
@@ -61,12 +62,12 @@ def _expand(kernel: ModuleType, members: list) -> tuple[list, int]:
     return kernel.step_m2(members)
 
 
-def _explicit_member(weight: int) -> list[tuple[int, ...]]:
+def _explicit_member(weight: int) -> list[str]:
     # The single-part partition of weight 1 already arises from the empty
     # partition's appended unit, so the explicit add starts at weight 2.
     if weight == 1:
         return []
-    return [(weight,)]
+    return [encode_parts((weight,))]
 
 
 def evolve_m2(start: Level, target_n: int, *,

@@ -12,11 +12,12 @@ bounded by ``min(max_n, cap)``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from types import ModuleType
 
 from .backend import get_backend
 from .core import (Kind, NoPredecessorError, Partition, classify_m1,
-                   format_parts)
+                   decode_member, encode_parts, member_text)
 from .level import Level
 from .method1 import evolve_m1, predecessor_m1, tagged_successors_m1
 from .method2 import evolve_m2, predecessor_m2, tagged_successors_m2
@@ -106,7 +107,7 @@ def _oracle_pass(q: list[int], bound: int, cap: int,
 
 
 def _q_semantics(n: int, level: Level, expected: int) -> str | None:
-    second = sum(1 for member in level.partitions
+    second = sum(1 for member in _wrapped(level)
                  if classify_m1(member) is Kind.SECOND)
     if second != expected:
         return (f"n={n}: Q(n)={expected} but enumeration finds {second} "
@@ -116,7 +117,7 @@ def _q_semantics(n: int, level: Level, expected: int) -> str | None:
 
 def _bijection_checks(n: int, previous: Level, level: Level,
                       failures: list[str | None]) -> None:
-    expected = set(level.partitions)
+    expected = set(level.raw_members())
     if failures[1] is None:
         failures[1] = _bijection_step(n - 1, previous, expected,
                                       tagged_successors_m1, predecessor_m1,
@@ -133,9 +134,9 @@ def _bijection_checks(n: int, previous: Level, level: Level,
 def _evolution_checks(n: int, previous: Level | None, level: Level,
                       kernel: ModuleType, failures: list[str | None]) -> None:
     reference = level.raw_members()
-    grown: dict[int, list[tuple[int, ...]]] = {}
+    grown: dict[int, list[str]] = {}
 
-    def step(method: int) -> list[tuple[int, ...]]:
+    def step(method: int) -> list[str]:
         # Evolving the seed to weight 0 returns the seed itself.
         if method not in grown:
             evolve = evolve_m1 if method == 1 else evolve_m2
@@ -158,17 +159,30 @@ def _evolution_checks(n: int, previous: Level | None, level: Level,
 
 def _bijection_step(n, current, expected, tagged_successors, predecessor,
                     *, excluded):
-    produced: dict[Partition, Partition] = {}
-    for member in current.partitions:
+    # Partitions are keyed by their member strings, which hash and compare
+    # in C; each source is wrapped once, when it is expanded.  Its
+    # successors are checked for the round trip while they are at hand,
+    # but the first round-trip failure is reported only if the rule's
+    # image passes the duplicate, exclusion and coverage checks.
+    excluded_key = None if excluded is None else encode_parts(excluded.parts)
+    produced: dict[str, str] = {}
+    round_trip = None
+    for source, member in zip(current.raw_members(), _wrapped(current)):
         for successor, _tag in tagged_successors(member):
-            if successor in produced:
-                return (f"n={n}: {produced[successor]} and {member} both "
-                        f"produce {successor}")
-            produced[successor] = member
+            key = encode_parts(successor.parts)
+            if key in produced:
+                return (f"n={n}: {member_text(produced[key])} and {member} "
+                        f"both produce {successor}")
+            produced[key] = source
+            if round_trip is None and key != excluded_key:
+                back = predecessor(successor)
+                if back != member:
+                    round_trip = (f"n={n}: predecessor({successor})={back} "
+                                  f"but it was produced by {member}")
     if excluded is not None:
-        if excluded in produced:
+        if excluded_key in produced:
             return (f"n={n}: rule produced the excluded single-part "
-                    f"{excluded} from {produced[excluded]}")
+                    f"{excluded} from {member_text(produced[excluded_key])}")
         try:
             wrong = predecessor(excluded)
         except NoPredecessorError:
@@ -176,28 +190,33 @@ def _bijection_step(n, current, expected, tagged_successors, predecessor,
         else:
             return (f"n={n}: predecessor({excluded}) gave {wrong}, "
                     f"expected a refusal")
-        expected = expected - {excluded}
+        expected = expected - {excluded_key}
     if produced.keys() != expected:
-        difference = sorted(produced.keys() ^ expected)
-        sample = difference[0]
+        # Partition order: weight first, then descending on the parts,
+        # which is descending on the member strings.
+        sample = min(sorted(produced.keys() ^ expected, reverse=True),
+                     key=_weight)
         side = "missing" if sample in expected else "extra"
-        return f"n={n}: successor union is {side} {sample}"
-    for successor, source in produced.items():
-        back = predecessor(successor)
-        if back != source:
-            return (f"n={n}: predecessor({successor})={back} but it was "
-                    f"produced by {source}")
-    return None
+        return f"n={n}: successor union is {side} {member_text(sample)}"
+    return round_trip
 
 
-def _first_mismatch(got: list[tuple[int, ...]],
-                    want: list[tuple[int, ...]]) -> str | None:
+def _wrapped(level: Level):
+    """The level's members as Partitions, made one at a time."""
+    return map(Partition._from_canonical,
+               map(decode_member, level.raw_members()), repeat(level.n))
+
+
+def _weight(member: str) -> int:
+    return sum(map(ord, member))
+
+
+def _first_mismatch(got: list[str], want: list[str]) -> str | None:
     if got == want:
         return None
     for index, (a, b) in enumerate(zip(got, want)):
         if a != b:
-            return (f"index {index}: {format_parts(a)} vs "
-                    f"{format_parts(b)}")
+            return f"index {index}: {member_text(a)} vs {member_text(b)}"
     if len(got) != len(want):
         return f"lengths differ: {len(got)} vs {len(want)}"
     return None

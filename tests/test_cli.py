@@ -163,6 +163,34 @@ def test_failed_snapshot_write_leaves_the_target_untouched(run_cli, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["level6.jsonl"]
 
 
+def _cli_bytes(*argv):
+    """Run the CLI as a child process; returns its stdout bytes."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "partition_evolve", *argv],
+                            capture_output=True, env=env, check=True)
+    return result.stdout
+
+
+def test_evolved_levels_are_byte_identical_to_the_listing(tmp_path):
+    listing = _cli_bytes("list", "30")
+    assert listing.count(b"\n") == 5604
+    for method in ("1", "2"):
+        assert _cli_bytes("evolve", "0", "30", "--method", method) == listing
+    # The snapshot is the oracle's JSONL listing with every tag replaced by
+    # the first rule's: Augmented when the last part exceeds 1.
+    expected = b""
+    for line in _cli_bytes("list", "30", "--format", "jsonl").splitlines():
+        record = json.loads(line)
+        record["tag"] = ("Augmented" if record["parts"][-1] > 1
+                         else "AddedUnit")
+        expected += (json.dumps(record) + "\n").encode()
+    target = tmp_path / "level30.jsonl"
+    _cli_bytes("evolve", "0", "30", "--method", "1", "--snapshot-out",
+               str(target))
+    assert target.read_bytes() == expected
+
+
 @pytest.mark.parametrize("argv", [("list", "40"),
                                   ("evolve", "0", "40", "--method", "2")])
 def test_closed_pipe_stops_quietly(argv):

@@ -10,6 +10,7 @@ from partition_evolve import (InvalidPartitionError, Kind, Partition,
                               classify_m1, classify_m2, compare,
                               enumerate_oracle, make_partition,
                               parse_partition, unit_count)
+from partition_evolve.core import decode_member, encode_parts
 
 from golden import M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5
 
@@ -61,7 +62,14 @@ def test_parse_names_text_it_will_not_coerce(text):
     # 5000-digit part (past the interpreter's digit limit).
     with pytest.raises(InvalidPartitionError, match="cannot parse") as info:
         parse_partition(text)
-    assert repr(text) in str(info.value)
+    message = str(info.value)
+    if len(text) <= 40:
+        assert repr(text) in message
+    else:
+        # Long text is named by a bounded prefix and its length.
+        assert repr(text[:40]) in message
+        assert f"({len(text)} characters)" in message
+        assert len(message) < 100
 
 
 @given(st.one_of(st.text(),
@@ -88,6 +96,19 @@ def test_canonicalization_roundtrip(raw):
     assert parse_partition(str(p)) == p
     # Idempotence: rebuilding from canonical parts changes nothing.
     assert make_partition(p.parts) == p
+
+
+_PARTS = st.lists(st.integers(1, 2**20), max_size=12)
+
+
+@given(_PARTS, _PARTS)
+def test_member_encoding_roundtrips_and_keeps_order(a, b):
+    assert decode_member(encode_parts(a)) == tuple(a)
+    assert len(encode_parts(a)) == len(a)
+    # Members compare as their part tuples do, which the sorts and the
+    # canonical-order check rely on.
+    assert (encode_parts(a) < encode_parts(b)) == (tuple(a) < tuple(b))
+    assert (encode_parts(a) == encode_parts(b)) == (a == b)
 
 
 def test_compare_spot_examples():

@@ -5,8 +5,9 @@ import types
 
 import pytest
 
-from partition_evolve import (Level, enumerate_oracle, evolve_m1, evolve_m2,
-                              tagged_successors_m1, tagged_successors_m2)
+from partition_evolve import (Level, Partition, enumerate_oracle, evolve_m1,
+                              evolve_m2, tagged_successors_m1,
+                              tagged_successors_m2)
 
 
 def test_identity_evolution_returns_the_start_level():
@@ -27,14 +28,14 @@ def test_check_mode_passes_on_honest_kernels():
 
 def test_check_mode_catches_a_duplicating_kernel():
     broken = types.ModuleType("broken_kernel")
-    broken.step_m1 = lambda members: ([(1,), (1,)], 0)
+    broken.step_m1 = lambda members: (["\x01", "\x01"], 0)
     with pytest.raises(RuntimeError, match="duplicate partition 1"):
         evolve_m1(Level.seed("method1"), 1, backend=broken, check=True)
 
 
 def test_without_check_a_duplicate_surfaces_at_level_construction():
     broken = types.ModuleType("broken_kernel")
-    broken.step_m1 = lambda members: ([(1,), (1,)], 0)
+    broken.step_m1 = lambda members: (["\x01", "\x01"], 0)
     with pytest.raises(ValueError, match="order or duplicated"):
         evolve_m1(Level.seed("method1"), 1, backend=broken)
 
@@ -64,9 +65,9 @@ def test_derived_tags_match_the_per_partition_rules(evolve, method_tag,
         expected = {}
         for member in enumerate_oracle(n - 1).partitions:
             for successor, tag in tagged_successors(member):
-                expected[successor.parts] = tag
+                expected[successor] = tag
         if method_tag == "method2" and n >= 2:
-            expected[(n,)] = "Explicit"
+            expected[Partition((n,))] = "Explicit"
         level = evolve(Level.seed(method_tag), n)
-        assert level.tags == tuple(expected[parts]
-                                   for parts in level.raw_members()), n
+        assert level.tags == tuple(expected[member]
+                                   for member in level.partitions), n

@@ -35,9 +35,10 @@ def test_env_var_forces_the_default(monkeypatch):
 
 
 def test_pure_enumeration_is_canonical_and_complete():
-    assert _pure.enumerate_level(0) == [()]
+    assert _pure.enumerate_level(0) == [""]
     assert _pure.enumerate_level(4) == [
-        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        "\x04", "\x03\x01", "\x02\x02", "\x02\x01\x01",
+        "\x01\x01\x01\x01"]
     with pytest.raises(ValueError):
         _pure.enumerate_level(-2)
 

@@ -36,6 +36,11 @@ def test_level_rejects_bad_shapes():
         _level(3, [(2, 1), (3,)])
     with pytest.raises(ValueError, match="order"):
         _level(3, [(3,), (3,)])
+    # Parts past 255 have no Latin-1 byte; the per-member scan checks them.
+    with pytest.raises(ValueError, match=r"member 299\+2 has weight 301"):
+        _level(300, [(300,), (299, 2)])
+    with pytest.raises(ValueError, match=r"duplicated near 299\+1"):
+        _level(300, [(299, 1), (299, 1)])
     with pytest.raises(ValueError, match="parallel"):
         _level(2, [(2,)], tags=("Seed", "Seed"))
     with pytest.raises(ValueError, match="method tag"):
@@ -46,9 +51,17 @@ def test_level_rejects_bad_shapes():
 
 def test_from_raw_sorts_and_keeps_tags_attached():
     level = Level.from_raw(
-        3, [(1, 1, 1), (3,), (2, 1)], ["a3", "a1", "a2"], "oracle")
+        3, ["\x01\x01\x01", "\x03", "\x02\x01"], ["a3", "a1", "a2"],
+        "oracle")
     assert [str(p) for p in level.partitions] == ["3", "2+1", "1+1+1"]
     assert level.tags == ("a1", "a2", "a3")
+
+
+def test_snapshot_parts_must_fit_a_member():
+    text = '{"n": 1114112, "parts": [1114112], "tag": "Seed"}\n'
+    with pytest.raises(SnapshotError,
+                       match="line 1: part 1114112 is past the largest"):
+        read_snapshot(io.StringIO(text), method_tag="oracle")
 
 
 def test_tag_counts_follow_fixed_order():
@@ -82,6 +95,9 @@ def test_snapshot_roundtrip_weight_zero():
     lambda: evolve_m2(Level.seed("method2"), 13),
     lambda: Level.seed("method2"),
     lambda: _level(3, [(3,), (2, 1)], tags=('odd "tag"', "t\u00e4g")),
+    lambda: _level(231, [(120, 100, 11), (99, 99, 33), (10,) * 23 + (1,)]),
+    lambda: evolve_m2(Level(300, [Partition((300,))], ["Seed"], "method2"),
+                      303),
 ])
 def test_writers_match_their_reference_formats(make):
     level = make()

@@ -122,3 +122,18 @@ def test_methods_may_be_mixed_across_levels():
         level = (evolve_m1 if n % 2 else evolve_m2)(level, n)
     reference = enumerate_oracle(12)
     assert level.raw_members() == reference.raw_members()
+
+
+def test_parts_past_255_evolve_like_the_per_partition_rule():
+    # Parts past 255 have no Latin-1 byte, so the level's one-pass check
+    # falls back to its per-member scan; members must come out as the
+    # rule grows them all the same.
+    start = Level(300, [Partition((300,))], ["Seed"], "method2")
+    expected = {Partition((300,)): "Seed"}
+    for n in range(301, 304):
+        expected = {successor: tag for member in expected
+                    for successor, tag in tagged_successors_m2(member)}
+        expected[Partition((n,))] = "Explicit"
+    level = evolve_m2(start, 303)
+    assert list(level.partitions) == sorted(expected)
+    assert level.tags == tuple(expected[p] for p in level.partitions)

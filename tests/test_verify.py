@@ -95,16 +95,23 @@ def _drop_last_second_kind(step, weight):
     # The kernels list the second-kind successors last.
     def sabotaged(members):
         out, second = step(members)
-        if sum(members[0]) + 1 == weight:
+        if sum(map(ord, members[0])) + 1 == weight:
             return out[:-1], second - 1
         return out, second
     return sabotaged
 
 
-def _omit_member(enumerate_level, weight, parts):
+def _omit_member(enumerate_level, weight, member):
     def sabotaged(n):
         out = enumerate_level(n)
-        return [m for m in out if m != parts] if n == weight else out
+        return [m for m in out if m != member] if n == weight else out
+    return sabotaged
+
+
+def _added_unit_only(tagged_successors, weight):
+    def sabotaged(p):
+        successors = tagged_successors(p)
+        return successors[:1] if p.weight == weight else successors
     return sabotaged
 
 
@@ -147,15 +154,18 @@ def _report(failures):
         6: "n=7: index 8: 3+2+1+1 vs 3+2+2"}),
     (verify, "predecessor_m2", lambda real: _wrong_predecessor(real, 6), {
         4: "n=5: predecessor(5+1)=1+1+1+1+1 but it was produced by 5"}),
+    # 5 and 3+2 both go missing; the report names the first in order.
+    (verify, "tagged_successors_m1", lambda real: _added_unit_only(real, 4), {
+        3: "n=4: successor union is missing 5"}),
     (_pure, "enumerate_level",
-     lambda real: _omit_member(real, 6, (5, 1)), {
+     lambda real: _omit_member(real, 6, "\x05\x01"), {
          2: "n=6: Q(n)=4 but enumeration finds 3 second-kind partitions",
          3: "n=5: successor union is extra 5+1",
          4: "n=5: successor union is extra 5+1",
          5: "n=6: method1 vs enumeration, index 1: 5+1 vs 4+2",
          6: "n=6: index 1: 5+1 vs 4+2"}),
 ], ids=["step_m2-odd", "step_m2-even", "step_m1-odd", "predecessor_m2",
-        "enumerate_level"])
+        "successors_m1", "enumerate_level"])
 def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
                                      failures):
     # Each check stops at its own first failure; the method-2 fault at an
