@@ -7,8 +7,7 @@ series exist purely to check them, and ``run_suite`` cross-checks
 everything against everything.
 """
 
-from .backend import (available_backends, default_backend_name, get_backend,
-                      has_compiled)
+from .backend import default_backend_name
 from .core import (InvalidPartitionError, Kind, NoPredecessorError, Partition,
                    classify_m1, classify_m2, compare, make_partition,
                    parse_partition, unit_count)
@@ -46,7 +45,6 @@ __all__ = [
     "TAG_ORDER",
     "TAG_SEED",
     "VerificationReport",
-    "available_backends",
     "check_recurrence",
     "classify_m1",
     "classify_m2",
@@ -60,8 +58,6 @@ __all__ = [
     "evolve_m1",
     "evolve_m2",
     "geometric_factor",
-    "get_backend",
-    "has_compiled",
     "make_partition",
     "parse_partition",
     "predecessor_m1",

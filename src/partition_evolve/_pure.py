@@ -1,10 +1,5 @@
-"""Pure-Python level kernels: one-step successor expansion for both methods
-and the independent brute-force enumerator.
-
-This module is the fallback twin of the compiled ``_speedups`` extension;
-the two must stay behaviorally identical (same outputs, same order).  It is
-kept free of package imports so the compiled twin can mirror it line for
-line.
+"""Level kernels: one-step successor expansion for both methods and the
+independent brute-force enumerator.
 
 Members are strings whose code points are the parts (``core.encode_parts``):
 ``3+2+1`` is ``"\\x03\\x02\\x01"`` and the empty partition is ``""``.  Each
@@ -19,8 +14,6 @@ the second kind.  Provenance is not recorded; it follows from the parts
 """
 
 from __future__ import annotations
-
-BACKEND_NAME = "python"
 
 
 def step_m1(members: list) -> tuple[list, int]:

@@ -1,58 +1,17 @@
-"""Kernel backend selection.
+"""The kernel module under its former backend name.
 
-The hot loops (level expansion, brute-force enumeration) exist twice: as a
-compiled Cython extension (``_speedups``) and as pure Python (``_pure``).
-The compiled one is preferred when built; PARTITION_EVOLVE_BACKEND or an
-explicit name forces a choice.  Both backends are behaviorally identical,
-which the test suite pins down.
+``_pure`` is the one kernel module.  These two calls remain because the
+benchmark's tracer and harness (``perfbench/``) still ask for a backend.
 """
 
-from __future__ import annotations
-
-import os
 from types import ModuleType
 
 from . import _pure
 
-try:
-    from . import _speedups
-except ImportError:
-    _speedups = None
 
-ENV_BACKEND = "PARTITION_EVOLVE_BACKEND"
-
-_BACKENDS: dict[str, ModuleType | None] = {
-    "python": _pure,
-    "compiled": _speedups,
-}
-
-
-def has_compiled() -> bool:
-    return _speedups is not None
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(name for name, mod in _BACKENDS.items() if mod is not None)
+def get_backend() -> ModuleType:
+    return _pure
 
 
 def default_backend_name() -> str:
-    forced = os.environ.get(ENV_BACKEND)
-    if forced:
-        return forced
-    return "compiled" if _speedups is not None else "python"
-
-
-def get_backend(name: str | ModuleType | None = None) -> ModuleType:
-    """Resolve a backend by name; None picks the default (env, then best)."""
-    if isinstance(name, ModuleType):
-        return name
-    if name is None:
-        name = default_backend_name()
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(_BACKENDS)}")
-    module = _BACKENDS[name]
-    if module is None:
-        raise ValueError(
-            f"backend {name!r} is not available (extension not built)")
-    return module
+    return "python"

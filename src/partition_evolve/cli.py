@@ -15,8 +15,8 @@ import os
 import sys
 import time
 
-from .backend import get_backend
-from .core import Kind, classify_m1, classify_m2, parse_partition
+from .core import (Kind, classify_m1, classify_m2, decimal_value,
+                   parse_partition, quote_text)
 from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1, predecessor_m1
 from .method2 import evolve_m2, predecessor_m2
@@ -33,25 +33,19 @@ ENV_CAP = "PARTITION_EVOLVE_CAP"
 
 
 def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be nonnegative")
+    value = decimal_value(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"{quote_text(text)} is not a nonnegative decimal integer")
     return value
 
 
 def _positive_int(text: str) -> int:
     value = _nonneg_int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
+        raise argparse.ArgumentTypeError(
+            f"{quote_text(text)} must be at least 1")
     return value
-
-
-def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--backend", choices=("python", "compiled"),
-                     help="force a specific kernel backend")
 
 
 def _add_cap_flag(sub: argparse.ArgumentParser) -> None:
@@ -75,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the n,P,Q coefficient table instead "
                             "(series source only)")
     _add_cap_flag(count)
-    _add_backend_flag(count)
     count.set_defaults(func=cmd_count)
 
     list_ = commands.add_parser(
@@ -83,22 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
     list_.add_argument("n", type=_nonneg_int)
     list_.add_argument("--format", default="text", choices=("text", "jsonl"))
     _add_cap_flag(list_)
-    _add_backend_flag(list_)
     list_.set_defaults(func=cmd_list)
 
     classify = commands.add_parser(
         "classify", help="split the partitions of n into the two kinds")
     classify.add_argument("n", type=_nonneg_int)
-    classify.add_argument("--method", type=int, choices=(1, 2), required=True)
+    classify.add_argument("--method", type=_nonneg_int, choices=(1, 2),
+                          required=True)
     _add_cap_flag(classify)
-    _add_backend_flag(classify)
     classify.set_defaults(func=cmd_classify)
 
     evolve = commands.add_parser(
         "evolve", help="grow the complete level from one weight to another")
     evolve.add_argument("from_n", type=_nonneg_int)
     evolve.add_argument("to_n", type=_nonneg_int)
-    evolve.add_argument("--method", type=int, choices=(1, 2), required=True)
+    evolve.add_argument("--method", type=_nonneg_int, choices=(1, 2),
+                        required=True)
     evolve.add_argument("--snapshot-in", metavar="FILE",
                         help="JSONL snapshot holding the complete start level")
     evolve.add_argument("--snapshot-out", metavar="FILE",
@@ -106,14 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--check", action="store_true",
                         help="assert the no-duplicate guarantee every level")
     _add_cap_flag(evolve)
-    _add_backend_flag(evolve)
     evolve.set_defaults(func=cmd_evolve)
 
     predecessor = commands.add_parser(
         "predecessor", help="print the unique predecessor of a partition")
     predecessor.add_argument("partition", metavar="PARTITION",
                              help="partition text such as '3+2+1', or '0'")
-    predecessor.add_argument("--method", type=int, choices=(1, 2),
+    predecessor.add_argument("--method", type=_nonneg_int, choices=(1, 2),
                              required=True)
     predecessor.set_defaults(func=cmd_predecessor)
 
@@ -121,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the full cross-check suite up to max_n")
     verify.add_argument("max_n", type=_positive_int)
     _add_cap_flag(verify)
-    _add_backend_flag(verify)
     verify.set_defaults(func=cmd_verify)
 
     bench = commands.add_parser(
@@ -129,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("max_n", type=_nonneg_int)
     bench.add_argument("reps", type=_positive_int)
     _add_cap_flag(bench)
-    _add_backend_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -141,12 +131,10 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     raw = os.environ.get(ENV_CAP)
     if raw is None:
         return DEFAULT_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"${ENV_CAP} is not an integer: {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"${ENV_CAP} must be nonnegative, got {raw!r}")
+    value = decimal_value(raw)
+    if value is None:
+        raise ValueError(f"${ENV_CAP} is not a nonnegative decimal integer: "
+                         f"{quote_text(raw)}")
     return value
 
 
@@ -167,15 +155,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.source == "series":
         value = euler_p_coeffs(args.n)[args.n]
     elif args.source == "oracle":
-        value = len(enumerate_oracle(args.n, cap=cap, backend=args.backend))
+        value = len(enumerate_oracle(args.n, cap=cap))
     else:
         _ensure_within_cap(args.n, cap)
         if args.source == "evolve1":
-            level = evolve_m1(Level.seed("method1"), args.n,
-                              backend=args.backend)
+            level = evolve_m1(Level.seed("method1"), args.n)
         else:
-            level = evolve_m2(Level.seed("method2"), args.n,
-                              backend=args.backend)
+            level = evolve_m2(Level.seed("method2"), args.n)
         value = len(level)
     print(value)
     return EXIT_OK
@@ -183,7 +169,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    level = enumerate_oracle(args.n, cap=cap, backend=args.backend)
+    level = enumerate_oracle(args.n, cap=cap)
     if args.format == "jsonl":
         write_snapshot(level, sys.stdout)
     else:
@@ -193,7 +179,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    level = enumerate_oracle(args.n, cap=cap, backend=args.backend)
+    level = enumerate_oracle(args.n, cap=cap)
     classifier = classify_m1 if args.method == 1 else classify_m2
     groups: dict[Kind, list] = {Kind.FIRST: [], Kind.SECOND: []}
     for member in level.partitions:
@@ -235,8 +221,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             f"evolving from weight {args.from_n} requires --snapshot-in "
             "with the complete level")
 
-    final = evolve(start, args.to_n, backend=args.backend, check=args.check,
-                   progress=_progress)
+    final = evolve(start, args.to_n, check=args.check, progress=_progress)
 
     if args.snapshot_out is not None:
         _write_snapshot_file(final, args.snapshot_out)
@@ -275,7 +260,7 @@ def cmd_predecessor(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    report = run_suite(args.max_n, cap=cap, backend=args.backend)
+    report = run_suite(args.max_n, cap=cap)
     print(report.format_text())
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 
@@ -283,13 +268,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     _ensure_within_cap(args.max_n, cap)
-    kernel = get_backend(args.backend)
     runners = (
-        ("method1", lambda n: evolve_m1(Level.seed("method1"), n,
-                                        backend=kernel)),
-        ("method2", lambda n: evolve_m2(Level.seed("method2"), n,
-                                        backend=kernel)),
-        ("oracle", lambda n: enumerate_oracle(n, cap=cap, backend=kernel)),
+        ("method1", lambda n: evolve_m1(Level.seed("method1"), n)),
+        ("method2", lambda n: evolve_m2(Level.seed("method2"), n)),
+        ("oracle", lambda n: enumerate_oracle(n, cap=cap)),
     )
     print("n,method,wall_time_ns,partitions_emitted")
     for n in range(args.max_n + 1):

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 # The largest part a member string can hold: the last Unicode code point.
 MAX_PART = 0x10FFFF
 
-# parse_partition quotes at most this much of text it refuses.
+# Error messages quote at most this much of text they refuse.
 _QUOTED_CHARS = 40
 
 
@@ -160,21 +160,34 @@ def parse_partition(text: str) -> Partition:
     if not stripped:
         raise InvalidPartitionError(
             "empty partition text; the weight-0 partition is written '0'")
-    tokens = stripped.split("+")
-    # int() alone would also take '1_0', non-ASCII digits and inner
-    # whitespace.
-    if all(token.isascii() and token.isdigit() for token in tokens):
-        try:
-            values = [int(token) for token in tokens]
-        except ValueError:
-            pass  # past the interpreter's limit on integer digits
-        else:
-            return Partition(values)
-    if len(text) <= _QUOTED_CHARS:
-        raise InvalidPartitionError(f"cannot parse partition text {text!r}")
+    values = list(map(decimal_value, stripped.split("+")))
+    if None not in values:
+        return Partition(values)
     raise InvalidPartitionError(
-        f"cannot parse partition text {text[:_QUOTED_CHARS]!r}... "
-        f"({len(text)} characters)")
+        f"cannot parse partition text {quote_text(text)}")
+
+
+def decimal_value(text: str) -> int | None:
+    """The value of ``text`` if it is ASCII decimal digits only, else None.
+
+    ``int()`` alone would also take a sign, ``1_0``, non-ASCII digits and
+    surrounding whitespace.  Digits past the interpreter's limit on
+    integer length give None too.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def quote_text(text: str) -> str:
+    """``text`` quoted for an error message: its repr, cut to the first
+    40 characters and followed by its length when longer."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def compare(a: Partition, b: Partition) -> int:

@@ -9,23 +9,20 @@ tagged only when asked for.
 from __future__ import annotations
 
 from collections.abc import Callable
-from types import ModuleType
 
-from . import backend as backend_mod
 from .core import member_text
 from .level import SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_EXPLICIT, Level
 
-# expand(kernel_module, members) -> (members, second_count): the
-# appended-unit successors of every member, then second_count more.
-ExpandFn = Callable[[ModuleType, list], tuple[list, int]]
+# step(members) -> (members, second_count): the appended-unit successors
+# of every member, then second_count more (``_pure.step_m1``, ``step_m2``).
+StepFn = Callable[[list], tuple[list, int]]
 # extra_for_weight(w) -> [member, ...] added explicitly once per step.
 ExtraFn = Callable[[int], list[str]]
 ProgressFn = Callable[[int, dict[str, int]], None]
 
 
 def run_evolution(start: Level, target_n: int, *, method_tag: str,
-                  expand: ExpandFn, extra_for_weight: ExtraFn | None = None,
-                  backend: str | ModuleType | None = None,
+                  step: StepFn, extra_for_weight: ExtraFn | None = None,
                   check: bool = False,
                   progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level up to ``target_n``, one weight at a time."""
@@ -37,13 +34,12 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
     if target_n == start.n:
         return start
 
-    kernel = backend_mod.get_backend(backend)
     second_tag = SECOND_KIND_TAG[method_tag]
     members = start.raw_members()
     for weight in range(start.n + 1, target_n + 1):
         # Every member grows exactly one appended-unit successor.
         added = len(members)
-        members, second = expand(kernel, members)
+        members, second = step(members)
         extra = ([] if extra_for_weight is None
                  else extra_for_weight(weight))
         members += extra

@@ -253,13 +253,36 @@ def write_snapshot(level: Level, stream: IO[str]) -> None:
                               in zip(parts, tags[start:stop])]))
 
 
+def _tag_fits(tag: str, parts: list[int]) -> bool:
+    """Whether some rule gives a member with these parts this tag, which
+    is any but Seed (the caller accepts Seed first, in one comparison).
+
+    An appended unit ends in 1.  An augmented, collected or explicit last
+    part is at least 2; a collected one follows other parts, an explicit
+    one stands alone.  A tag of either method fits: evolving a level grown
+    by the other rule is valid.
+    """
+    if not parts:
+        return False
+    if tag == TAG_ADDED_UNIT:
+        return parts[-1] == 1
+    if parts[-1] < 2:
+        return False
+    if tag == TAG_COLLECTED:
+        return len(parts) > 1
+    if tag == TAG_EXPLICIT:
+        return len(parts) == 1
+    return True
+
+
 def read_snapshot(stream: IO[str], *, method_tag: str,
                   expected_n: int | None = None) -> Level:
     """Read and validate a snapshot, returning the Level it describes.
 
     Every line must carry the same weight (and match ``expected_n`` when
-    given), canonical non-increasing positive parts, a known tag, and no
-    partition may repeat.  Violations raise SnapshotError naming the line.
+    given), canonical non-increasing positive parts, and a known tag that
+    some rule gives those parts (see ``_tag_fits``); no partition may
+    repeat.  Violations raise SnapshotError naming the line.
     """
     members: list[str] = []
     tags: list[str] = []
@@ -302,6 +325,9 @@ def read_snapshot(stream: IO[str], *, method_tag: str,
         if sum(parts) != n:
             raise SnapshotError(
                 f"line {lineno}: parts {parts} sum to {sum(parts)}, not {n}")
+        if tag != TAG_SEED and not _tag_fits(tag, parts):
+            raise SnapshotError(
+                f"line {lineno}: tag {tag!r} does not fit parts {parts}")
         if level_n is None:
             level_n = n
         elif n != level_n:

@@ -9,8 +9,7 @@ its source is recovered by ``predecessor_m1``.
 
 from __future__ import annotations
 
-from types import ModuleType
-
+from . import _pure
 from .core import Kind, NoPredecessorError, Partition, classify_m1
 from .engine import ProgressFn, run_evolution
 from .level import TAG_ADDED_UNIT, TAG_AUGMENTED, Level
@@ -47,13 +46,7 @@ def predecessor_m1(p: Partition) -> Partition:
         parts[:-1] + (parts[-1] - 1,), p.weight - 1)
 
 
-def _expand(kernel: ModuleType, members: list) -> tuple[list, int]:
-    return kernel.step_m1(members)
-
-
-def evolve_m1(start: Level, target_n: int, *,
-              backend: str | ModuleType | None = None,
-              check: bool = False,
+def evolve_m1(start: Level, target_n: int, *, check: bool = False,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the first rule.
 
@@ -61,5 +54,5 @@ def evolve_m1(start: Level, target_n: int, *,
     ``check=True`` asserts the no-duplicate guarantee after every step.
     """
     return run_evolution(start, target_n, method_tag="method1",
-                         expand=_expand, backend=backend,
-                         check=check, progress=progress)
+                         step=_pure.step_m1, check=check,
+                         progress=progress)

@@ -9,8 +9,7 @@ n+1, so evolution adds it explicitly at every weight above 1.
 
 from __future__ import annotations
 
-from types import ModuleType
-
+from . import _pure
 from .core import (Kind, NoPredecessorError, Partition, encode_parts, kind_m2,
                    unit_count)
 from .engine import ProgressFn, run_evolution
@@ -58,10 +57,6 @@ def predecessor_m2(p: Partition) -> Partition:
         parts[:-1] + (1,) * (last - 1), p.weight - 1)
 
 
-def _expand(kernel: ModuleType, members: list) -> tuple[list, int]:
-    return kernel.step_m2(members)
-
-
 def _explicit_member(weight: int) -> list[str]:
     # The single-part partition of weight 1 already arises from the empty
     # partition's appended unit, so the explicit add starts at weight 2.
@@ -70,9 +65,7 @@ def _explicit_member(weight: int) -> list[str]:
     return [encode_parts((weight,))]
 
 
-def evolve_m2(start: Level, target_n: int, *,
-              backend: str | ModuleType | None = None,
-              check: bool = False,
+def evolve_m2(start: Level, target_n: int, *, check: bool = False,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the second rule.
 
@@ -80,5 +73,6 @@ def evolve_m2(start: Level, target_n: int, *,
     Contract otherwise as for ``evolve_m1``.
     """
     return run_evolution(start, target_n, method_tag="method2",
-                         expand=_expand, extra_for_weight=_explicit_member,
-                         backend=backend, check=check, progress=progress)
+                         step=_pure.step_m2,
+                         extra_for_weight=_explicit_member, check=check,
+                         progress=progress)

@@ -9,7 +9,7 @@ be checked against.
 
 from __future__ import annotations
 
-from .backend import get_backend
+from . import _pure
 from .level import Level
 
 DEFAULT_CAP = 60
@@ -19,8 +19,7 @@ class CapExceededError(RuntimeError):
     """Raised when an enumeration would exceed the configured weight cap."""
 
 
-def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP,
-                     backend=None) -> Level:
+def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP) -> Level:
     """All partitions of n in canonical order, tagged as seeds.
 
     The cap guards against accidental exponential blowups; P(n) grows
@@ -32,10 +31,9 @@ def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP,
     if n > cap:
         raise CapExceededError(
             f"weight {n} exceeds cap {cap}; raise the cap to enumerate")
-    kernel = get_backend(backend)
     # The enumerator emits canonical order; the level checks it, and wraps
     # and tags its members only when asked.
-    return Level._validated(n, kernel.enumerate_level(n), None, "oracle")
+    return Level._validated(n, _pure.enumerate_level(n), None, "oracle")
 
 
 def count_oracle(n: int, *, every_weight: bool = False) -> int | list[int]:

@@ -13,9 +13,7 @@ bounded by ``min(max_n, cap)``.
 from __future__ import annotations
 
 from itertools import repeat
-from types import ModuleType
 
-from .backend import get_backend
 from .core import (Kind, NoPredecessorError, Partition, classify_m1,
                    decode_member, encode_parts, member_text)
 from .level import Level
@@ -26,12 +24,10 @@ from .report import CheckResult, VerificationReport
 from .series import coefficient_rows, recurrence_violations
 
 
-def run_suite(max_n: int, *, cap: int = DEFAULT_CAP,
-              backend: str | ModuleType | None = None) -> VerificationReport:
+def run_suite(max_n: int, *, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Run every check up to ``max_n`` and return the combined report."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    kernel = get_backend(backend)
     bound = min(max_n, cap)
     rows = coefficient_rows(max_n)
     p = [row[1] for row in rows]
@@ -39,7 +35,7 @@ def run_suite(max_n: int, *, cap: int = DEFAULT_CAP,
     return VerificationReport((
         _check_recurrence(p, q, max_n),
         _check_count_identity(p, max_n),
-        *_oracle_pass(q, bound, cap, kernel),
+        *_oracle_pass(q, bound, cap),
     ))
 
 
@@ -67,8 +63,7 @@ def _check_count_identity(p: list[int], max_n: int) -> CheckResult:
     return CheckResult(name, scope, True)
 
 
-def _oracle_pass(q: list[int], bound: int, cap: int,
-                 kernel: ModuleType) -> list[CheckResult]:
+def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     """The five checks that enumerate, fed by one oracle pass.
 
     Each weight n is enumerated once, and only oracle levels n-1 and n are
@@ -92,14 +87,14 @@ def _oracle_pass(q: list[int], bound: int, cap: int,
     failures: list[str | None] = [None] * len(names)
     previous = None
     for n in range(bound + 1):
-        level = enumerate_oracle(n, cap=cap, backend=kernel)
+        level = enumerate_oracle(n, cap=cap)
         if failures[0] is None:
             failures[0] = _q_semantics(n, level, q[n])
         # Each helper drops its temporaries on return, before the next
         # one (and the next weight) builds its own.
         if n > 0:
             _bijection_checks(n, previous, level, failures)
-        _evolution_checks(n, previous, level, kernel, failures)
+        _evolution_checks(n, previous, level, failures)
         previous = level
     scopes = (bound, bound - 1, bound - 1, bound, bound)
     return [CheckResult(name, f"n=0..{top}", failure is None, failure)
@@ -132,7 +127,7 @@ def _bijection_checks(n: int, previous: Level, level: Level,
 
 
 def _evolution_checks(n: int, previous: Level | None, level: Level,
-                      kernel: ModuleType, failures: list[str | None]) -> None:
+                      failures: list[str | None]) -> None:
     reference = level.raw_members()
     grown: dict[int, list[str]] = {}
 
@@ -141,7 +136,7 @@ def _evolution_checks(n: int, previous: Level | None, level: Level,
         if method not in grown:
             evolve = evolve_m1 if method == 1 else evolve_m2
             start = previous if n > 1 else Level.seed("oracle")
-            grown[method] = evolve(start, n, backend=kernel).raw_members()
+            grown[method] = evolve(start, n).raw_members()
         return grown[method]
 
     if failures[3] is None:

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from partition_evolve import cli
-from partition_evolve.backend import has_compiled
 
 from golden import (M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5,
                     P_AT, PARTITIONS_5, PARTITIONS_6)
@@ -305,6 +304,17 @@ def test_cap_flag_and_env(run_cli, monkeypatch):
     code, _, err = run_cli("list", 3)
     assert code == 2
     assert "PARTITION_EVOLVE_CAP" in err
+    for text in ("1_0", " 2", "-1", "\u0663", "+4"):
+        monkeypatch.setenv("PARTITION_EVOLVE_CAP", text)
+        code, out, err = run_cli("list", 3)
+        assert (code, out) == (2, "")
+        assert f"PARTITION_EVOLVE_CAP is not a nonnegative decimal " \
+               f"integer: {text!r}" in err
+    monkeypatch.delenv("PARTITION_EVOLVE_CAP")
+    for text in (" 2", "1_0", "-1"):
+        code, out, err = run_cli("list", 3, "--cap", text)
+        assert (code, out) == (2, "")
+        assert f"{text!r} is not a nonnegative decimal integer" in err
 
 
 def test_cap_applies_to_every_enumerating_command(run_cli):
@@ -350,19 +360,22 @@ def test_stdout_is_deterministic(run_cli):
         assert first[1] == second[1]
 
 
-def test_backend_flag(run_cli):
-    base = run_cli("list", 8)
-    viapython = run_cli("list", 8, "--backend", "python")
-    assert viapython == base
-    if has_compiled():
-        viacompiled = run_cli("list", 8, "--backend", "compiled")
-        assert viacompiled == base
-
-
 def test_usage_errors(run_cli):
     assert run_cli("nonsense", 3)[0] == 2
     assert run_cli("classify", 5)[0] == 2
     assert run_cli("count", -1)[0] == 2
     assert run_cli("bench", 3, 0)[0] == 2
+    # Integers are ASCII decimal digits only; int() would read each of
+    # these as a number.
+    for text in ("1_0", "\u0663", "+3", " 3", "3 "):
+        code, out, err = run_cli("list", text)
+        assert (code, out) == (2, "")
+        assert f"{text!r} is not a nonnegative decimal integer" in err
+    assert run_cli("evolve", 0, 3, "--method", " 1")[0] == 2
+    code, _, err = run_cli("list", "9" * 5000)
+    assert code == 2
+    assert "'9999999999999999999999999999999999999999'... (5000 characters)" \
+        in err
+    assert "9" * 41 not in err
     assert run_cli("--help")[0] == 0
     assert run_cli("evolve", "--help")[0] == 0

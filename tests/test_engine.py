@@ -1,12 +1,10 @@
 """Evolution loop mechanics: duplicate assertion, progress reporting, and
 provenance derived from the parts."""
 
-import types
-
 import pytest
 
-from partition_evolve import (Level, Partition, enumerate_oracle, evolve_m1,
-                              evolve_m2, tagged_successors_m1,
+from partition_evolve import (Level, Partition, _pure, enumerate_oracle,
+                              evolve_m1, evolve_m2, tagged_successors_m1,
                               tagged_successors_m2)
 
 
@@ -26,18 +24,20 @@ def test_check_mode_passes_on_honest_kernels():
     assert len(level) == 42
 
 
-def test_check_mode_catches_a_duplicating_kernel():
-    broken = types.ModuleType("broken_kernel")
-    broken.step_m1 = lambda members: (["\x01", "\x01"], 0)
+def _duplicating(members):
+    return ["\x01", "\x01"], 0
+
+
+def test_check_mode_catches_a_duplicating_kernel(monkeypatch):
+    monkeypatch.setattr(_pure, "step_m1", _duplicating)
     with pytest.raises(RuntimeError, match="duplicate partition 1"):
-        evolve_m1(Level.seed("method1"), 1, backend=broken, check=True)
+        evolve_m1(Level.seed("method1"), 1, check=True)
 
 
-def test_without_check_a_duplicate_surfaces_at_level_construction():
-    broken = types.ModuleType("broken_kernel")
-    broken.step_m1 = lambda members: (["\x01", "\x01"], 0)
+def test_without_check_a_duplicate_surfaces_at_level_construction(monkeypatch):
+    monkeypatch.setattr(_pure, "step_m1", _duplicating)
     with pytest.raises(ValueError, match="order or duplicated"):
-        evolve_m1(Level.seed("method1"), 1, backend=broken)
+        evolve_m1(Level.seed("method1"), 1)
 
 
 def test_progress_reports_every_level_including_the_start():

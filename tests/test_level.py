@@ -133,11 +133,40 @@ def test_snapshot_tolerates_blank_lines():
     ('{"n": 2, "parts": [3], "tag": "Seed"}', "line 2: .*sum to 3, not 2"),
     ('{"n": 3, "parts": [3], "tag": "Seed"}', "line 2: weight 3 differs"),
     ('{"n": 2, "parts": [1, 1], "tag": "Seed"}', "line 2: duplicate"),
+    # A tag must be one that some rule gives those parts.
+    ('{"n": 2, "parts": [2], "tag": "AddedUnit"}',
+     r"line 2: tag 'AddedUnit' does not fit parts \[2\]"),
+    ('{"n": 2, "parts": [1, 1], "tag": "Augmented"}',
+     r"line 2: tag 'Augmented' does not fit parts \[1, 1\]"),
+    ('{"n": 2, "parts": [2], "tag": "Collected"}',
+     r"line 2: tag 'Collected' does not fit parts \[2\]"),
+    ('{"n": 2, "parts": [1, 1], "tag": "Collected"}',
+     r"line 2: tag 'Collected' does not fit parts \[1, 1\]"),
+    ('{"n": 2, "parts": [1, 1], "tag": "Explicit"}',
+     r"line 2: tag 'Explicit' does not fit parts \[1, 1\]"),
+    ('{"n": 1, "parts": [1], "tag": "Explicit"}',
+     r"line 2: tag 'Explicit' does not fit parts \[1\]"),
+    ('{"n": 0, "parts": [], "tag": "AddedUnit"}',
+     r"line 2: tag 'AddedUnit' does not fit parts \[\]"),
 ])
 def test_snapshot_errors_name_the_line(line, complaint):
     text = '{"n": 2, "parts": [1, 1], "tag": "Seed"}\n' + line + "\n"
     with pytest.raises(SnapshotError, match=complaint):
         read_snapshot(io.StringIO(text), method_tag="oracle")
+
+
+@pytest.mark.parametrize("evolve,method_tag", [
+    (evolve_m1, "method1"), (evolve_m2, "method2")])
+def test_snapshot_tags_of_either_rule_are_read_under_both(evolve, method_tag):
+    # Every tag a rule writes fits its parts, and evolving a level grown
+    # by the other rule is valid, so either method reads it back.
+    level = evolve(Level.seed(method_tag), 9)
+    buffer = io.StringIO()
+    write_snapshot(level, buffer)
+    for reader_tag in ("method1", "method2"):
+        buffer.seek(0)
+        back = read_snapshot(buffer, method_tag=reader_tag, expected_n=9)
+        assert back.tags == level.tags
 
 
 def test_snapshot_expected_weight_is_enforced():

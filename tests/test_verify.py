@@ -172,7 +172,7 @@ def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
     # odd weight stays invisible to the mixed run, which uses method 1
     # there.
     monkeypatch.setattr(module, name, sabotage(getattr(module, name)))
-    report = run_suite(12, backend="python")
+    report = run_suite(12)
     assert report.format_text() == _report(failures)
 
 
