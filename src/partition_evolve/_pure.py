@@ -1,52 +1,72 @@
-"""Level kernels: one-step successor expansion for both methods and the
-independent brute-force enumerator.
+"""Level kernels: one-step growth of unit-free heads for both methods and
+the independent brute-force enumerator.
 
 Members are strings whose code points are the parts (``core.encode_parts``):
 ``3+2+1`` is ``"\\x03\\x02\\x01"`` and the empty partition is ``""``.  Each
-rule is then one string operation per member, and members of one weight
+rule is then one string operation per head, and members of one weight
 sort and compare in C exactly as their part tuples would.  Wrapping into
 ``Partition`` happens at the boundaries.
 
-Both step kernels return ``(members, second_count)``: every appended-unit
-successor first, in input order, then the ``second_count`` successors of
-the second kind.  Provenance is not recorded; it follows from the parts
-(see ``level.Level.tags``).
+Every partition of n is a head with no part 1, followed by units: ``h +
+"\\x01" * (n - |h|)``.  Both rules grow from each partition of n its
+appended-unit successor, which keeps the head, so level n+1 is level n's
+heads plus the new heads of weight exactly n+1.  The step kernels build
+only those.  A step kernel takes ``heads``, where ``heads[w]`` lists the
+heads of weight w for w = 0..n, each list in descending order of last part
+(``""`` only at weight 0).  It returns ``(new, second_count)``: the heads
+of weight n+1 in the same order, of which the last ``second_count`` are of
+the method's second kind and any before them are explicit.  Provenance is
+not recorded; it follows from the parts (see ``level.Level.tags``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 
-def step_m1(members: list) -> tuple[list, int]:
-    """Expand one complete level by the first rule set.
 
-    Every partition contributes itself with an extra unit appended; a
-    partition whose last part is strictly smaller than its second-to-last
-    (or that has a single part) also contributes a copy with the last part
-    incremented.
+def step_m1(heads: list) -> tuple[list, int]:
+    """The new heads of weight n+1 under the first rule set.
+
+    A partition whose last part occurs once also grows a copy with that
+    part raised by 1.  Ending in a single unit, that is its head with a 2
+    appended, one for each head of weight n-1; ending in a part of 2 or
+    more, it is a head of weight n whose last part occurs once, raised.
+    Raising keeps the order of last parts, and every raised part is at
+    least 3.
     """
-    out = [p + "\x01" for p in members]
-    augmented = [p[:-1] + chr(ord(p[-1]) + 1) for p in members
-                 if len(p) == 1 or (len(p) > 1 and p[-1] < p[-2])]
-    out += augmented
-    return out, len(augmented)
+    n = len(heads) - 1
+    if n == 0:
+        return [], 0
+    out = [h[:-1] + chr(ord(h[-1]) + 1) for h in heads[n]
+           if len(h) == 1 or h[-1] < h[-2]]
+    out += [h + "\x02" for h in heads[n - 1]]
+    return out, len(out)
 
 
-def step_m2(members: list) -> tuple[list, int]:
-    """Expand one complete level by the second rule set.
+def _neg_last(head: str) -> int:
+    return -ord(head[-1])
 
-    Every partition contributes itself with an extra unit appended; a
-    partition with u units, 1 <= u < its smallest non-unit part, also
-    contributes a copy with all units replaced by the single part u+1.
-    Parts never increase, so ``count("\\x01")`` counts the trailing units.
-    The single-part partition of the next weight is NOT produced here; the
-    evolution loop adds it separately.
+
+def step_m2(heads: list) -> tuple[list, int]:
+    """The new heads of weight n+1 under the second rule set.
+
+    A partition with u units, 1 <= u < the last part of its head h, also
+    grows h + (u+1), so each head of weight n-u with last part above u
+    gives one; as the last part is at most the weight, u < n/2.  A weight's
+    heads descend by last part, so those heads are a prefix of its list.
+    The single part n+1, which the rule never grows, leads as the one
+    explicit head from weight 2 up ((1) is the empty head's unit).
     """
-    out = [p + "\x01" for p in members]
-    collected = [p[:-units] + chr(units + 1) for p in members
-                 if 0 < (units := p.count("\x01")) < len(p)
-                 and units < ord(p[-units - 1])]
-    out += collected
-    return out, len(collected)
+    n = len(heads) - 1
+    if n == 0:
+        return [], 0
+    out = [chr(n + 1)]
+    for units in range((n - 1) // 2, 0, -1):
+        level = heads[n - units]
+        part = chr(units + 1)
+        out += [h + part for h in
+                level[:bisect_left(level, -units, key=_neg_last)]]
+    return out, len(out) - 1
 
 
 def enumerate_level(n: int) -> list:

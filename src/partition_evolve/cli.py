@@ -14,6 +14,9 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
+from typing import TextIO
 
 from .core import (Kind, classify_m1, classify_m2, decimal_value,
                    parse_partition, quote_text)
@@ -221,18 +224,22 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             f"evolving from weight {args.from_n} requires --snapshot-in "
             "with the complete level")
 
-    final = evolve(start, args.to_n, check=args.check, progress=_progress)
-
-    if args.snapshot_out is not None:
-        _write_snapshot_file(final, args.snapshot_out)
+    if args.snapshot_out is None:
+        output, write = nullcontext(sys.stdout), write_text
     else:
-        write_text(final, sys.stdout)
+        # Opened before evolving, so that a bad path fails fast.
+        output, write = _replacing(args.snapshot_out), write_snapshot
+    with output as stream:
+        final = evolve(start, args.to_n, check=args.check,
+                       progress=_progress)
+        write(final, stream)
     return EXIT_OK
 
 
-def _write_snapshot_file(level: Level, path: str) -> None:
-    """Write a snapshot into a temporary file beside ``path``, then rename
-    it over ``path``: a failure removes the temporary file and leaves any
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A new temporary file beside ``path``, renamed over ``path`` when the
+    block succeeds; a failure removes the temporary file and leaves any
     existing ``path`` untouched."""
     directory, name = os.path.split(os.path.abspath(path))
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -241,7 +248,7 @@ def _write_snapshot_file(level: Level, path: str) -> None:
     stream = open(temporary, "x", encoding="utf-8")
     try:
         with stream:
-            write_snapshot(level, stream)
+            yield stream
         os.replace(temporary, path)
     except BaseException:
         try:

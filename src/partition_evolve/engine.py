@@ -1,29 +1,31 @@
 """Level-by-level evolution loop shared by both successor methods.
 
-Only the current level is held in memory.  Intermediate levels stay as
-member strings (``core.encode_parts``) in generation order; the final
-level is sorted once and validated, and its members are wrapped and
-tagged only when asked for.
+The loop holds unit-free heads grouped by weight (see ``_pure``): every
+partition of n is a head h followed by n - |h| units, and the
+appended-unit successor keeps its head, so a step only adds the new heads
+of weight n+1.  The start level is split into heads once; at the target
+weight each head is rendered with its units, and the level is sorted once
+and validated.  Its members are wrapped and tagged only when asked for.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import itemgetter
 
 from .core import member_text
 from .level import SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_EXPLICIT, Level
 
-# step(members) -> (members, second_count): the appended-unit successors
-# of every member, then second_count more (``_pure.step_m1``, ``step_m2``).
+# step(heads) -> (new, second_count): heads[w] lists the heads of weight w
+# for w = 0..n in descending order of last part; new lists the heads of
+# weight n+1 in that order, explicit ones first, then second_count of the
+# method's second kind (``_pure.step_m1``, ``_pure.step_m2``).
 StepFn = Callable[[list], tuple[list, int]]
-# extra_for_weight(w) -> [member, ...] added explicitly once per step.
-ExtraFn = Callable[[int], list[str]]
 ProgressFn = Callable[[int, dict[str, int]], None]
 
 
 def run_evolution(start: Level, target_n: int, *, method_tag: str,
-                  step: StepFn, extra_for_weight: ExtraFn | None = None,
-                  check: bool = False,
+                  step: StepFn, check: bool = False,
                   progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level up to ``target_n``, one weight at a time."""
     if target_n < start.n:
@@ -35,22 +37,41 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         return start
 
     second_tag = SECOND_KIND_TAG[method_tag]
-    members = start.raw_members()
+    heads = _heads(start)
+    # Every member grows exactly one appended-unit successor.
+    added = len(start)
     for weight in range(start.n + 1, target_n + 1):
-        # Every member grows exactly one appended-unit successor.
-        added = len(members)
-        members, second = step(members)
-        extra = ([] if extra_for_weight is None
-                 else extra_for_weight(weight))
-        members += extra
+        new, second = step(heads)
+        # Old heads keep distinct unit tails, so only new heads can collide.
         if check:
-            _assert_no_duplicates(members, weight, method_tag)
+            _assert_no_duplicates(new, weight, method_tag)
+        heads.append(new)
         if progress is not None:
             counts = {TAG_ADDED_UNIT: added, second_tag: second,
-                      TAG_EXPLICIT: len(extra)}
+                      TAG_EXPLICIT: len(new) - second}
             progress(weight, {tag: count for tag, count in counts.items()
                               if count})
+        added += len(new)
+    # Each weight's heads are released once rendered with their units.
+    members: list[str] = []
+    while heads:
+        tail = "\x01" * (target_n + 1 - len(heads))
+        members += [head + tail for head in heads.pop()]
     return Level.from_raw(target_n, members, None, method_tag)
+
+
+def _heads(level: Level) -> list[list[str]]:
+    """The level's members split into heads, grouped by weight, each
+    weight's heads in descending order of last part."""
+    n = level.n
+    heads: list[list[str]] = [[] for _ in range(n + 1)]
+    for member in level.raw_members():
+        head = member.rstrip("\x01")
+        heads[n - len(member) + len(head)].append(head)
+    # Only weight 0 holds the empty head, and it holds nothing else.
+    for group in heads[1:]:
+        group.sort(key=itemgetter(-1), reverse=True)
+    return heads
 
 
 def _assert_no_duplicates(members: list, weight: int, method_tag: str) -> None:

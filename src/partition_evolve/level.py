@@ -176,8 +176,7 @@ class Level:
                               tuple([tag for _, tag in pairs]), method_tag)
 
     def raw_members(self) -> list[str]:
-        """Member strings in level order, the kernels' working
-        representation."""
+        """Member strings in level order."""
         return list(self._raw)
 
     def tag_counts(self) -> dict[str, int]:

@@ -10,8 +10,7 @@ n+1, so evolution adds it explicitly at every weight above 1.
 from __future__ import annotations
 
 from . import _pure
-from .core import (Kind, NoPredecessorError, Partition, encode_parts, kind_m2,
-                   unit_count)
+from .core import Kind, NoPredecessorError, Partition, kind_m2, unit_count
 from .engine import ProgressFn, run_evolution
 from .level import TAG_ADDED_UNIT, TAG_COLLECTED, Level
 
@@ -57,22 +56,12 @@ def predecessor_m2(p: Partition) -> Partition:
         parts[:-1] + (1,) * (last - 1), p.weight - 1)
 
 
-def _explicit_member(weight: int) -> list[str]:
-    # The single-part partition of weight 1 already arises from the empty
-    # partition's appended unit, so the explicit add starts at weight 2.
-    if weight == 1:
-        return []
-    return [encode_parts((weight,))]
-
-
 def evolve_m2(start: Level, target_n: int, *, check: bool = False,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the second rule.
 
-    Appends the single-part partition explicitly at every weight above 1.
+    Adds the single-part partition explicitly at every weight above 1.
     Contract otherwise as for ``evolve_m1``.
     """
     return run_evolution(start, target_n, method_tag="method2",
-                         step=_pure.step_m2,
-                         extra_for_weight=_explicit_member, check=check,
-                         progress=progress)
+                         step=_pure.step_m2, check=check, progress=progress)

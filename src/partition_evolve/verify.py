@@ -73,8 +73,8 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     n = 1 and from the oracle's level n-1 above that, not from chains of
     their own.  The verdicts and counterexamples are those of private
     chains: a chain reaches step n only after its level n-1 compared equal,
-    member for member, to the oracle's level n-1, and the kernels are pure
-    functions of their input list.  Each method's step is computed once,
+    member for member, to the oracle's level n-1, and a one-step evolution
+    is a pure function of the level it starts from.  Each method's step is computed once,
     and only while a check still needs it.  The mixed run reads method 1
     at odd n and method 2 at even n: alternating the rules must still
     yield complete levels, since each step only needs a complete input.

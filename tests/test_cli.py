@@ -2,13 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from partition_evolve import cli
+from partition_evolve import cli, count_oracle
 
 from golden import (M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5,
                     P_AT, PARTITIONS_5, PARTITIONS_6)
@@ -107,6 +108,44 @@ def test_evolve_progress_shows_tag_breakdown(run_cli):
         in err
 
 
+def _progress_lines(method, start, to_n, start_counts):
+    """The stderr of ``evolve start to_n``, computed from P alone: level n
+    holds P(n-1) appended-unit successors, one explicit single part under
+    method 2 from weight 2 up, and the rest of the second kind."""
+    p = count_oracle(to_n, every_weight=True)
+    second_tag = "Augmented" if method == 1 else "Collected"
+    lines = [f"level {start}: {p[start]} partitions ({start_counts})"]
+    for n in range(start + 1, to_n + 1):
+        explicit = 1 if method == 2 and n >= 2 else 0
+        counts = {"AddedUnit": p[n - 1],
+                  second_tag: p[n] - p[n - 1] - explicit,
+                  "Explicit": explicit}
+        breakdown = ", ".join(f"{tag}={count}"
+                              for tag, count in counts.items() if count)
+        lines.append(f"level {n}: {p[n]} partitions ({breakdown})")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("method", [1, 2])
+def test_evolve_progress_stream_is_pinned_to_the_counts(run_cli, method):
+    code, _, err = run_cli("evolve", 0, 20, "--method", method)
+    assert code == 0
+    assert err == _progress_lines(method, 0, 20, "Seed=1")
+
+
+def test_resumed_progress_stream_is_pinned_to_the_counts(run_cli, tmp_path):
+    code, listing, _ = run_cli("list", 12, "--format", "jsonl")
+    assert code == 0
+    lines = listing.splitlines(keepends=True)
+    random.Random(7).shuffle(lines)
+    snapshot = tmp_path / "level12.jsonl"
+    snapshot.write_text("".join(lines))
+    code, _, err = run_cli("evolve", 12, 20, "--method", 2,
+                           "--snapshot-in", snapshot)
+    assert code == 0
+    assert err == _progress_lines(2, 12, 20, "Seed=77")
+
+
 def test_evolve_snapshot_roundtrip(run_cli, tmp_path):
     first = tmp_path / "level5.jsonl"
     second = tmp_path / "level8.jsonl"
@@ -160,6 +199,30 @@ def test_failed_snapshot_write_leaves_the_target_untouched(run_cli, tmp_path,
     assert code == 0
     assert len(target.read_text().splitlines()) == 11
     assert [p.name for p in tmp_path.iterdir()] == ["level6.jsonl"]
+
+
+def test_bad_snapshot_directory_fails_before_evolving(run_cli, tmp_path):
+    code, out, err = run_cli("evolve", 0, 3, "--method", 1,
+                             "--snapshot-out", tmp_path / "missing" / "x.jsonl")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "level " not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_while_evolving_removes_the_temporary_file(run_cli, tmp_path,
+                                                         monkeypatch):
+    def fail(start, to_n, **kwargs):
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f".x.jsonl.{os.getpid()}.tmp"]
+        raise ValueError("evolution failed")
+
+    monkeypatch.setattr(cli, "evolve_m1", fail)
+    code, _, err = run_cli("evolve", 0, 3, "--method", 1,
+                           "--snapshot-out", tmp_path / "x.jsonl")
+    assert code == 2
+    assert "evolution failed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _cli_bytes(*argv):

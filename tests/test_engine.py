@@ -24,20 +24,26 @@ def test_check_mode_passes_on_honest_kernels():
     assert len(level) == 42
 
 
-def _duplicating(members):
-    return ["\x01", "\x01"], 0
+def _duplicating(step):
+    # Repeats the kernel's first new head; at weight 2 that is the single
+    # part 2.
+    def duplicating(heads):
+        new, second = step(heads)
+        return new + new[:1], second + 1
+    return duplicating
 
 
 def test_check_mode_catches_a_duplicating_kernel(monkeypatch):
-    monkeypatch.setattr(_pure, "step_m1", _duplicating)
-    with pytest.raises(RuntimeError, match="duplicate partition 1"):
-        evolve_m1(Level.seed("method1"), 1, check=True)
+    monkeypatch.setattr(_pure, "step_m1", _duplicating(_pure.step_m1))
+    with pytest.raises(RuntimeError,
+                       match="duplicate partition 2 at weight 2"):
+        evolve_m1(Level.seed("method1"), 2, check=True)
 
 
 def test_without_check_a_duplicate_surfaces_at_level_construction(monkeypatch):
-    monkeypatch.setattr(_pure, "step_m1", _duplicating)
+    monkeypatch.setattr(_pure, "step_m1", _duplicating(_pure.step_m1))
     with pytest.raises(ValueError, match="order or duplicated"):
-        evolve_m1(Level.seed("method1"), 1)
+        evolve_m1(Level.seed("method1"), 2)
 
 
 def test_progress_reports_every_level_including_the_start():

@@ -92,10 +92,11 @@ def test_report_formatting_counts_failures():
 
 
 def _drop_last_second_kind(step, weight):
-    # The kernels list the second-kind successors last.
-    def sabotaged(members):
-        out, second = step(members)
-        if sum(map(ord, members[0])) + 1 == weight:
+    # The kernels list the new heads of the second kind last; a step from
+    # heads of weights 0..n grows weight n+1.
+    def sabotaged(heads):
+        out, second = step(heads)
+        if len(heads) == weight:
             return out[:-1], second - 1
         return out, second
     return sabotaged
