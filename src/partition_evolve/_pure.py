@@ -17,11 +17,17 @@ heads of weight w for w = 0..n, each list in descending order of last part
 of weight n+1 in the same order, of which the last ``second_count`` are of
 the method's second kind and any before them are explicit.  Provenance is
 not recorded; it follows from the parts (see ``level.Level.tags``).
+
+Each rule's inverse, ``pred_m1`` and ``pred_m2``, takes one member string
+and is written apart from the step kernels, so that ``verify`` can check
+one against the other.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+
+from .core import NoPredecessorError
 
 
 def step_m1(heads: list) -> tuple[list, int]:
@@ -67,6 +73,39 @@ def step_m2(heads: list) -> tuple[list, int]:
         out += [h + part for h in
                 level[:bisect_left(level, -units, key=_neg_last)]]
     return out, len(out) - 1
+
+
+def pred_m1(member: str) -> str:
+    """The member the first rule grew ``member`` from.
+
+    Last part 1: drop it.  Any other last part: lower it by 1.  Only the
+    empty partition has no predecessor.
+    """
+    if not member:
+        raise NoPredecessorError("the empty partition has no predecessor")
+    last = ord(member[-1])
+    if last == 1:
+        return member[:-1]
+    return member[:-1] + chr(last - 1)
+
+
+def pred_m2(member: str) -> str:
+    """The member the second rule grew ``member`` from.
+
+    Last part 1: drop it.  Last part a > 1 after other parts: replace it
+    by a-1 units.  A single part of 2 or more is added explicitly, never
+    grown, and the empty partition has no predecessor; both refuse.
+    """
+    if not member:
+        raise NoPredecessorError("the empty partition has no predecessor")
+    last = ord(member[-1])
+    if last == 1:
+        return member[:-1]
+    if len(member) == 1:
+        raise NoPredecessorError(
+            f"{last} is the single-part partition of {last}; it is added "
+            "explicitly at its weight, not grown from a predecessor")
+    return member[:-1] + "\x01" * (last - 1)
 
 
 def enumerate_level(n: int) -> list:

@@ -133,6 +133,15 @@ def encode_parts(parts: Iterable[int]) -> str:
     return "".join(map(chr, parts))
 
 
+def partition_member(p: Partition) -> str:
+    """The member string of ``p``, refusing a part no member can hold."""
+    if p.parts and p.parts[0] > MAX_PART:
+        raise InvalidPartitionError(
+            f"part {p.parts[0]} is past the largest supported part "
+            f"{MAX_PART}")
+    return encode_parts(p.parts)
+
+
 def decode_member(member: str) -> tuple[int, ...]:
     """The part tuple of a member string (inverse of ``encode_parts``)."""
     return tuple(map(ord, member))

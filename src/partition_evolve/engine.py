@@ -37,7 +37,7 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         return start
 
     second_tag = SECOND_KIND_TAG[method_tag]
-    heads = _heads(start)
+    heads = split_heads(start)
     # Every member grows exactly one appended-unit successor.
     added = len(start)
     for weight in range(start.n + 1, target_n + 1):
@@ -60,7 +60,7 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
     return Level.from_raw(target_n, members, None, method_tag)
 
 
-def _heads(level: Level) -> list[list[str]]:
+def split_heads(level: Level) -> list[list[str]]:
     """The level's members split into heads, grouped by weight, each
     weight's heads in descending order of last part."""
     n = level.n

@@ -10,7 +10,8 @@ its source is recovered by ``predecessor_m1``.
 from __future__ import annotations
 
 from . import _pure
-from .core import Kind, NoPredecessorError, Partition, classify_m1
+from .core import (Kind, Partition, classify_m1, decode_member,
+                   partition_member)
 from .engine import ProgressFn, run_evolution
 from .level import TAG_ADDED_UNIT, TAG_AUGMENTED, Level
 
@@ -32,18 +33,13 @@ def successors_m1(p: Partition) -> frozenset[Partition]:
 
 
 def predecessor_m1(p: Partition) -> Partition:
-    """The unique partition this rule grew ``p`` from.
+    """The unique partition this rule grew ``p`` from (``_pure.pred_m1``).
 
     Last part 1: drop it.  Last part above 1: decrement it.  Only the
     empty partition has no predecessor.
     """
-    if p.weight == 0:
-        raise NoPredecessorError("the empty partition has no predecessor")
-    parts = p.parts
-    if parts[-1] == 1:
-        return Partition._from_canonical(parts[:-1], p.weight - 1)
     return Partition._from_canonical(
-        parts[:-1] + (parts[-1] - 1,), p.weight - 1)
+        decode_member(_pure.pred_m1(partition_member(p))), p.weight - 1)
 
 
 def evolve_m1(start: Level, target_n: int, *, check: bool = False,

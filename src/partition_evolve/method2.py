@@ -10,7 +10,8 @@ n+1, so evolution adds it explicitly at every weight above 1.
 from __future__ import annotations
 
 from . import _pure
-from .core import Kind, NoPredecessorError, Partition, kind_m2, unit_count
+from .core import (Kind, Partition, decode_member, kind_m2, partition_member,
+                   unit_count)
 from .engine import ProgressFn, run_evolution
 from .level import TAG_ADDED_UNIT, TAG_COLLECTED, Level
 
@@ -35,25 +36,16 @@ def successors_m2(p: Partition) -> frozenset[Partition]:
 
 
 def predecessor_m2(p: Partition) -> Partition:
-    """The unique partition the second rule grew ``p`` from.
+    """The unique partition the second rule grew ``p`` from
+    (``_pure.pred_m2``).
 
     Last part 1: drop it.  Last part a > 1 in a multi-part partition:
     replace it by a-1 units.  Single-part partitions of weight 2 or more
     are never generated (they enter by the explicit step), and the empty
     partition has no predecessor; both raise NoPredecessorError.
     """
-    if p.weight == 0:
-        raise NoPredecessorError("the empty partition has no predecessor")
-    parts = p.parts
-    if parts[-1] == 1:
-        return Partition._from_canonical(parts[:-1], p.weight - 1)
-    if len(parts) == 1:
-        raise NoPredecessorError(
-            f"{p} is the single-part partition of {p.weight}; it is added "
-            "explicitly at its weight, not grown from a predecessor")
-    last = parts[-1]
     return Partition._from_canonical(
-        parts[:-1] + (1,) * (last - 1), p.weight - 1)
+        decode_member(_pure.pred_m2(partition_member(p))), p.weight - 1)
 
 
 def evolve_m2(start: Level, target_n: int, *, check: bool = False,

@@ -345,6 +345,15 @@ def test_predecessor_errors(run_cli):
     assert "'1_0+2'" in err
 
 
+@pytest.mark.parametrize("method", [1, 2])
+def test_predecessor_refuses_a_part_no_member_holds(run_cli, method):
+    code, out, err = run_cli("predecessor", "1114112+1", "--method", method)
+    assert (code, out) == (2, "")
+    assert "part 1114112 is past the largest supported part 1114111" in err
+    code, out, _ = run_cli("predecessor", "1114111+1114111", "--method", 1)
+    assert (code, out) == (0, "1114111+1114110\n")
+
+
 def test_verify_command(run_cli):
     code, out, _ = run_cli("verify", 8)
     assert code == 0

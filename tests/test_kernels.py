@@ -1,12 +1,13 @@
-"""The kernel module: its head kernels and enumerator, and the contract
-that callers look its kernels up when they run."""
+"""The kernel module: its head kernels, inverses and enumerator, and the
+contract that callers look its kernels up when they run."""
 
 import pytest
 
-from partition_evolve import (Level, Partition, _pure, backend, count_oracle,
-                              default_backend_name, enumerate_oracle,
-                              evolve_m1, evolve_m2, tagged_successors_m1,
-                              tagged_successors_m2)
+from partition_evolve import (Level, NoPredecessorError, Partition, _pure,
+                              backend, count_oracle, default_backend_name,
+                              enumerate_oracle, evolve_m1, evolve_m2,
+                              tagged_successors_m1, tagged_successors_m2)
+from partition_evolve.core import encode_parts
 
 
 def test_python_backend_is_always_available():
@@ -83,3 +84,25 @@ def test_head_kernels_grow_the_complete_level_from_any_start(
             expected[Partition((k + 6,))] = "Explicit"
         assert level.tags == tuple(expected[member]
                                    for member in level.partitions), k
+
+
+@pytest.mark.parametrize("pred,tagged_successors", [
+    (_pure.pred_m1, tagged_successors_m1),
+    (_pure.pred_m2, tagged_successors_m2),
+])
+def test_string_inverses_undo_the_per_partition_rules(pred, tagged_successors):
+    for n in range(20):
+        for member in enumerate_oracle(n).partitions:
+            source = encode_parts(member.parts)
+            for successor, _tag in tagged_successors(member):
+                assert pred(encode_parts(successor.parts)) == source, (
+                    str(successor))
+
+
+@pytest.mark.parametrize("pred,member", [
+    (_pure.pred_m1, ""), (_pure.pred_m2, ""),
+    (_pure.pred_m2, "\x02"), (_pure.pred_m2, "\x09"),
+])
+def test_string_inverses_refuse_what_no_rule_grows(pred, member):
+    with pytest.raises(NoPredecessorError):
+        pred(member)

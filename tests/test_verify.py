@@ -1,11 +1,11 @@
-"""The self-check suite: green on the real code, loud on a sabotaged
-classifier, deterministic output."""
+"""The self-check suite: green on the real code, loud on sabotaged
+kernels and inverses, deterministic output."""
 
 import pytest
 
-from partition_evolve import (CheckResult, Kind, Partition,
+from partition_evolve import (CheckResult, NoPredecessorError,
                               VerificationReport, run_suite)
-from partition_evolve import _pure, method1, verify
+from partition_evolve import _pure, verify
 
 
 EXPECTED_CHECK_NAMES = [
@@ -45,6 +45,13 @@ def test_cap_bounds_the_enumeration_checks():
         == "n=0..4"
     assert scopes["method1 successor bijection and round-trip"] == "n=0..3"
     assert report.overall
+    # Cap 0 leaves no step to check, and the bijection checks say so.
+    report = run_suite(5, cap=0)
+    assert report.format_text().splitlines()[2:5] == [
+        "PASS  q-semantics Q(n) counts smallest-part-once partitions [n=0..0]",
+        "PASS  method1 successor bijection and round-trip [no step checked]",
+        "PASS  method2 successor bijection and round-trip [no step checked]",
+    ]
 
 
 def test_report_is_deterministic():
@@ -52,9 +59,9 @@ def test_report_is_deterministic():
 
 
 def test_sabotaged_classifier_is_reported_with_a_counterexample(monkeypatch):
-    # Misclassify everything as FirstKind: the rule stops producing the
-    # augmented successors, so coverage of level n+1 breaks.
-    monkeypatch.setattr(method1, "classify_m1", lambda p: Kind.FIRST)
+    # Treat every partition as FirstKind: the method-1 step grows no
+    # augmented heads, so coverage of level n+1 breaks.
+    monkeypatch.setattr(_pure, "step_m1", lambda heads: ([], 0))
     report = run_suite(8)
     assert not report.overall
     by_name = {c.name: c for c in report.checks}
@@ -62,8 +69,8 @@ def test_sabotaged_classifier_is_reported_with_a_counterexample(monkeypatch):
     assert not broken.passed
     assert broken.counterexample is not None
     assert "missing" in broken.counterexample
-    # The sabotage sits in method1's lookup; the series-side checks and
-    # the direct classifier uses elsewhere stay green.
+    # The sabotage sits in the method-1 kernel; the series-side checks and
+    # the string predicate of the q-semantics check stay green.
     assert by_name["count-recurrence P(n+1)=P(n)+Q(n)"].passed
     assert by_name[
         "q-semantics Q(n) counts smallest-part-once partitions"].passed
@@ -109,18 +116,42 @@ def _omit_member(enumerate_level, weight, member):
     return sabotaged
 
 
-def _added_unit_only(tagged_successors, weight):
-    def sabotaged(p):
-        successors = tagged_successors(p)
-        return successors[:1] if p.weight == weight else successors
+def _added_unit_only(step, weight):
+    # Grows no second-kind heads from the partitions of ``weight``.
+    def sabotaged(heads):
+        return ([], 0) if len(heads) == weight + 1 else step(heads)
     return sabotaged
 
 
-def _wrong_predecessor(predecessor, weight):
-    def sabotaged(p):
-        if p.weight == weight and len(p) > 1:
-            return Partition([1] * (weight - 1))
-        return predecessor(p)
+def _changed_at(step, weight, change):
+    # ``change(out, second)`` replaces what the step growing ``weight``
+    # returns.
+    def sabotaged(heads):
+        out, second = step(heads)
+        return change(out, second) if len(heads) == weight else (out, second)
+    return sabotaged
+
+
+def _refusing(pred, weight, applies):
+    def sabotaged(member):
+        if sum(map(ord, member)) == weight and applies(member):
+            raise NoPredecessorError("sabotaged")
+        return pred(member)
+    return sabotaged
+
+
+def _grows_the_single_part(pred, weight):
+    def sabotaged(member):
+        return chr(weight - 1) if member == chr(weight) else pred(member)
+    return sabotaged
+
+
+def _wrong_predecessor(pred, weight, applies):
+    # Members of ``weight`` that ``applies`` picks map to all units.
+    def sabotaged(member):
+        if sum(map(ord, member)) == weight and applies(member):
+            return "\x01" * (weight - 1)
+        return pred(member)
     return sabotaged
 
 
@@ -146,18 +177,24 @@ def _report(failures):
 
 @pytest.mark.parametrize("module,name,sabotage,failures", [
     (_pure, "step_m2", lambda real: _drop_last_second_kind(real, 7), {
+        4: "n=6: successor union is missing 3+2+2",
         5: "n=7: method2 vs enumeration, index 8: 3+2+1+1 vs 3+2+2"}),
     (_pure, "step_m2", lambda real: _drop_last_second_kind(real, 8), {
+        4: "n=7: successor union is missing 2+2+2+2",
         5: "n=8: method2 vs enumeration, index 17: 2+2+2+1+1 vs 2+2+2+2",
         6: "n=8: index 17: 2+2+2+1+1 vs 2+2+2+2"}),
     (_pure, "step_m1", lambda real: _drop_last_second_kind(real, 7), {
+        3: "n=6: successor union is missing 3+2+2",
         5: "n=7: method1 vs enumeration, index 8: 3+2+1+1 vs 3+2+2",
         6: "n=7: index 8: 3+2+1+1 vs 3+2+2"}),
-    (verify, "predecessor_m2", lambda real: _wrong_predecessor(real, 6), {
+    (_pure, "pred_m2",
+     lambda real: _wrong_predecessor(real, 6, lambda m: len(m) > 1), {
         4: "n=5: predecessor(5+1)=1+1+1+1+1 but it was produced by 5"}),
     # 5 and 3+2 both go missing; the report names the first in order.
-    (verify, "tagged_successors_m1", lambda real: _added_unit_only(real, 4), {
-        3: "n=4: successor union is missing 5"}),
+    (_pure, "step_m1", lambda real: _added_unit_only(real, 4), {
+        3: "n=4: successor union is missing 5",
+        5: "n=5: method1 vs enumeration, index 0: 4+1 vs 5",
+        6: "n=5: index 0: 4+1 vs 5"}),
     (_pure, "enumerate_level",
      lambda real: _omit_member(real, 6, "\x05\x01"), {
          2: "n=6: Q(n)=4 but enumeration finds 3 second-kind partitions",
@@ -165,8 +202,48 @@ def _report(failures):
          4: "n=5: successor union is extra 5+1",
          5: "n=6: method1 vs enumeration, index 1: 5+1 vs 4+2",
          6: "n=6: index 1: 5+1 vs 4+2"}),
+    # The level that evolution grows repeats 6 too, and fails validation.
+    (_pure, "step_m1", lambda real: _changed_at(
+        real, 6, lambda out, second: (out + out[:1], second + 1)), {
+        3: "n=5: 5 and 5 both produce 6",
+        5: "n=6: method1 vs enumeration, members out of canonical order or "
+           "duplicated near 6"}),
+    # The level is unchanged; only the step's own account of it is wrong.
+    (_pure, "step_m2", lambda real: _changed_at(
+        real, 6, lambda out, second: (out, second + 1)), {
+        4: "n=5: rule produced the excluded single-part 6 from 5"}),
+    (_pure, "pred_m1",
+     lambda real: _wrong_predecessor(real, 8, lambda m: m[-1] != "\x01"), {
+        3: "n=7: predecessor(8)=1+1+1+1+1+1+1 but it was produced by 7"}),
+    (_pure, "pred_m1",
+     lambda real: _refusing(real, 8, lambda m: m[-1] != "\x01"), {
+        3: "n=7: predecessor(8) refused but it was produced by 7"}),
+    (_pure, "pred_m2", lambda real: _grows_the_single_part(real, 6), {
+        4: "n=5: predecessor(6) gave 5, expected a refusal"}),
+    (_pure, "step_m2", lambda real: _changed_at(
+        real, 6, lambda out, second: (out[1:], second)), {
+        4: "n=5: the step grew 0 explicit heads [], expected [6]",
+        5: "n=6: method2 vs enumeration, index 0: 5+1 vs 6",
+        6: "n=6: index 0: 5+1 vs 6"}),
+    # The first new head, 6 (5 raised), becomes 5 with a unit appended,
+    # which the inverse still maps back to 5.
+    (_pure, "step_m1", lambda real: _changed_at(
+        real, 6, lambda out, second: (["\x05\x01", *out[1:]], second)), {
+        3: "n=5: 5 and 5 both produce 5+1",
+        5: "n=6: method1 vs enumeration, members out of canonical order or "
+           "duplicated near 5+1"}),
+    # The members that end in a unit still map onto a prefix of level 5.
+    (_pure, "enumerate_level",
+     lambda real: _omit_member(real, 6, "\x01" * 6), {
+         3: "n=5: successor union is extra 1+1+1+1+1+1",
+         4: "n=5: successor union is extra 1+1+1+1+1+1",
+         5: "n=6: method1 vs enumeration, lengths differ: 11 vs 10",
+         6: "n=6: lengths differ: 11 vs 10"}),
 ], ids=["step_m2-odd", "step_m2-even", "step_m1-odd", "predecessor_m2",
-        "successors_m1", "enumerate_level"])
+        "successors_m1", "enumerate_level", "step_m1-duplicate",
+        "step_m2-explicit-in-second-block", "pred_m1-round-trip",
+        "pred_m1-refusal", "pred_m2-no-refusal", "step_m2-no-explicit-head",
+        "step_m1-unit-ending-head", "enumerate_level-all-units"])
 def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
                                      failures):
     # Each check stops at its own first failure; the method-2 fault at an
@@ -177,15 +254,15 @@ def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
     assert report.format_text() == _report(failures)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=verify):
     calls = []
-    real = getattr(verify, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0] if args else None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -199,15 +276,29 @@ def test_each_weight_is_enumerated_once(monkeypatch, max_n, cap, weights):
     assert calls == weights
 
 
+@pytest.mark.parametrize("module,name", [
+    pytest.param(module, name, id=name)
+    for module, names in ((verify, ["enumerate_oracle", "count_oracle",
+                                    "coefficient_rows"]),
+                          (_pure, ["step_m1", "step_m2", "pred_m1",
+                                   "pred_m2"]))
+    for name in names
+])
+def test_suite_calls_the_module_globals_it_is_traced_through(monkeypatch,
+                                                              module, name):
+    # perfbench/tracer.py replaces module attributes such as these, and the
+    # sabotage tests above replace the kernels and inverses, so the suite
+    # must look them up when it runs.
+    calls = _counting(monkeypatch, name, module)
+    assert run_suite(6).overall
+    assert calls
+
+
 @pytest.mark.parametrize("name", [
-    "enumerate_oracle", "count_oracle", "coefficient_rows",
     "tagged_successors_m1", "predecessor_m1",
     "tagged_successors_m2", "predecessor_m2",
 ])
-def test_suite_calls_the_module_globals_it_is_traced_through(monkeypatch,
-                                                              name):
-    # perfbench/tracer.py replaces these attributes of the verify module,
-    # so the suite must look them up when it runs.
-    calls = _counting(monkeypatch, name)
-    assert run_suite(6).overall
-    assert calls
+def test_tracer_names_stay_bound_in_verify(name):
+    # perfbench/tracer.py wraps these attributes of the verify module by
+    # name; the suite no longer calls them, but they must still resolve.
+    assert callable(getattr(verify, name))
