@@ -20,9 +20,8 @@ from .method2 import (evolve_m2, predecessor_m2, successors_m2,
                       tagged_successors_m2)
 from .oracle import DEFAULT_CAP, CapExceededError, count_oracle, enumerate_oracle
 from .report import CheckResult, VerificationReport
-from .series import (Series, check_recurrence, coefficient_csv,
-                     coefficient_rows, euler_p_coeffs, geometric_factor,
-                     q_coeffs, recurrence_violations, series_mul)
+from .series import (coefficient_csv, coefficient_rows, euler_p_coeffs,
+                     q_coeffs, recurrence_violations)
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -36,7 +35,6 @@ __all__ = [
     "Level",
     "NoPredecessorError",
     "Partition",
-    "Series",
     "SnapshotError",
     "TAG_ADDED_UNIT",
     "TAG_AUGMENTED",
@@ -45,7 +43,6 @@ __all__ = [
     "TAG_ORDER",
     "TAG_SEED",
     "VerificationReport",
-    "check_recurrence",
     "classify_m1",
     "classify_m2",
     "coefficient_csv",
@@ -57,7 +54,6 @@ __all__ = [
     "euler_p_coeffs",
     "evolve_m1",
     "evolve_m2",
-    "geometric_factor",
     "make_partition",
     "parse_partition",
     "predecessor_m1",
@@ -66,7 +62,6 @@ __all__ = [
     "read_snapshot",
     "recurrence_violations",
     "run_suite",
-    "series_mul",
     "successors_m1",
     "successors_m2",
     "tagged_successors_m1",

@@ -1,10 +1,10 @@
 """Independent ground truth: direct enumeration and direct counting.
 
-Neither routine here knows about successor rules or generating
-functions.  The enumerator descends over largest-part bounds; the
-counter fills one row of the bounded-count recurrence.  Both exist so
-the evolution methods and the series module have something honest to
-be checked against.
+Neither routine here knows about successor rules or builds a power
+series.  The enumerator descends over largest-part bounds; the counter
+runs Euler's pentagonal-number recurrence, which shares no loop with
+the series module's products.  Both exist so the evolution methods and
+the series module have something honest to be checked against.
 """
 
 from __future__ import annotations
@@ -37,19 +37,26 @@ def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP) -> Level:
 
 
 def count_oracle(n: int, *, every_weight: bool = False) -> int | list[int]:
-    """P(n) by the bounded-count recurrence, no series involved; with
-    ``every_weight``, the list P(0..n) from the same table.
+    """P(n) by Euler's pentagonal-number recurrence, no series involved;
+    with ``every_weight``, the list P(0..n) it builds on the way.
 
-    c(m, b) counts partitions of m with every part <= b, via
-    c(m, b) = c(m - b, b) + c(m, b - 1) and c(0, b) = 1.  One row holds
-    c(0..n, b); raising b rewrites it in place in increasing m, so
-    c(m - b, b) is already in the row when c(m, b) needs it.  After b = n
-    the row is P(0..n): O(n^2) additions and O(n) integers held.
+    P(m) = sum over k >= 1 of (-1)^(k+1) [P(m - k(3k-1)/2) + P(m - k(3k+1)/2)],
+    with P(0) = 1 and P of a negative weight 0 (Andrews, *The Theory of
+    Partitions*, 1976, Cor. 1.8).  About sqrt(2m/3) values of k reach m,
+    so the list P(0..n) takes O(n^1.5) additions.
     """
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
-    row = [1] + [0] * n
-    for bound in range(1, n + 1):
-        for m in range(bound, n + 1):
-            row[m] += row[m - bound]
-    return row if every_weight else row[n]
+    counts = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = pentagonal = 1          # pentagonal == k(3k-1)/2
+        while pentagonal <= m:
+            term = counts[m - pentagonal]
+            if pentagonal + k <= m:
+                term += counts[m - pentagonal - k]
+            total += term if k % 2 else -term
+            k += 1
+            pentagonal += 3 * k - 2
+        counts.append(total)
+    return counts if every_weight else counts[n]

@@ -1,9 +1,11 @@
-"""Exact truncated power series over Python integers, and the two
-partition-counting coefficient streams built from them.
+"""The two partition-counting coefficient streams, as truncated power
+series held in plain lists of Python integers.
 
 All arithmetic is modulo q^(N+1) for a fixed truncation degree N, with
 arbitrary-precision integer coefficients throughout, so nothing ever
-overflows or rounds.
+overflows or rounds.  Multiplying a list of coefficients by 1/(1-q^j)
+is done in place: ``acc[k] += acc[k - j]`` for k ascending, so each
+``acc[k - j]`` already carries the factor when ``acc[k]`` reads it.
 
 Truncation lemma used below: modulo q^(N+1) the factor 1/(1-q^j) reduces
 to 1 whenever j > N, and any summand carrying q^s vanishes whenever
@@ -13,79 +15,21 @@ factors and terms without changing any coefficient up to degree N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .report import CheckResult, VerificationReport
-
-
-@dataclass(frozen=True)
-class Series:
-    """A formal power series kept to degree ``truncation_degree`` inclusive."""
-
-    truncation_degree: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.truncation_degree < 0:
-            raise ValueError("truncation degree must be nonnegative")
-        if len(self.coeffs) != self.truncation_degree + 1:
-            raise ValueError(
-                f"expected {self.truncation_degree + 1} coefficients, "
-                f"got {len(self.coeffs)}")
-
-    @classmethod
-    def one(cls, truncation_degree: int) -> "Series":
-        return cls(truncation_degree, (1,) + (0,) * truncation_degree)
-
-    def __mul__(self, other: "Series") -> "Series":
-        return series_mul(self, other)
-
-
-def series_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated at the common degree; exact integers."""
-    if a.truncation_degree != b.truncation_degree:
-        raise ValueError(
-            f"truncation degrees differ: {a.truncation_degree} "
-            f"vs {b.truncation_degree}")
-    n = a.truncation_degree
-    # Schoolbook convolution; iterate the sparser operand on the outside.
-    if sum(1 for c in b.coeffs if c) < sum(1 for c in a.coeffs if c):
-        a, b = b, a
-    out = [0] * (n + 1)
-    b_coeffs = b.coeffs
-    for i, a_i in enumerate(a.coeffs):
-        if not a_i:
-            continue
-        for j in range(n - i + 1):
-            b_j = b_coeffs[j]
-            if b_j:
-                out[i + j] += a_i * b_j
-    return Series(n, tuple(out))
-
-
-def geometric_factor(j: int, truncation_degree: int) -> Series:
-    """1/(1-q^j) truncated: coefficient 1 at every multiple of j."""
-    if j < 1:
-        raise ValueError(f"factor index must be positive, got {j}")
-    coeffs = [0] * (truncation_degree + 1)
-    for degree in range(0, truncation_degree + 1, j):
-        coeffs[degree] = 1
-    return Series(truncation_degree, tuple(coeffs))
-
 
 def euler_p_coeffs(n_max: int) -> list[int]:
     """P(0..n_max): partition counts from the product of all 1/(1-q^j).
 
     Factors with j > n_max are 1 modulo q^(n_max+1) and are skipped
-    (truncation lemma above); the rest are multiplied into an accumulator
-    in increasing j.
+    (truncation lemma above); the rest multiply one list in place, in
+    increasing j: O(n_max^2) additions.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    acc = Series.one(n_max)
+    acc = [1] + [0] * n_max
     for j in range(1, n_max + 1):
-        acc = series_mul(acc, geometric_factor(j, n_max))
-    return list(acc.coeffs)
+        for k in range(j, n_max + 1):
+            acc[k] += acc[k - j]
+    return acc
 
 
 def q_coeffs(n_max: int) -> list[int]:
@@ -95,21 +39,20 @@ def q_coeffs(n_max: int) -> list[int]:
     product of 1/(1-q^j) over j > s: the term for s counts partitions
     whose only or last part equals s with every other part strictly
     larger.  Summands with s > n_max vanish under truncation.  The
-    products share their factors, so they are accumulated from s = n_max
-    downward, one exact multiplication per step.
+    products share their factors, so one suffix product is kept from
+    s = n_max downward and multiplied in place by one factor per step:
+    O(n_max^2) additions.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     total = [0] * (n_max + 1)
-    suffix = Series.one(n_max)
+    suffix = [1] + [0] * n_max
     for s in range(n_max, 0, -1):
-        # Here suffix == product of geometric_factor(j) for s < j <= n_max.
+        # Here suffix == the product of 1/(1-q^j) for s < j <= n_max.
         for degree in range(n_max - s + 1):
-            coeff = suffix.coeffs[degree]
-            if coeff:
-                total[s + degree] += coeff
-        if s > 1:
-            suffix = series_mul(suffix, geometric_factor(s, n_max))
+            total[s + degree] += suffix[degree]
+        for k in range(s, n_max + 1):
+            suffix[k] += suffix[k - s]
     return total
 
 
@@ -141,25 +84,3 @@ def recurrence_violations(p_coeffs: list[int],
             violations.append((n, lhs, rhs))
     return violations
 
-
-def check_recurrence(n_max: int) -> VerificationReport:
-    """Verify P(n+1) = P(n) + Q(n) for all 0 <= n < n_max.
-
-    Both sides come from independent series computations: P from the
-    full product, Q from the tail-product sum.  Violations become
-    failing checks, one per offending n.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    p = euler_p_coeffs(n_max)
-    q = q_coeffs(n_max)
-    scope = f"n=0..{n_max - 1}"
-    violations = recurrence_violations(p, q)
-    if not violations:
-        return VerificationReport(
-            (CheckResult("count-recurrence P(n+1)=P(n)+Q(n)", scope, True),))
-    checks = tuple(
-        CheckResult("count-recurrence P(n+1)=P(n)+Q(n)", scope, False,
-                    f"n={n}: P(n+1)={lhs} but P(n)+Q(n)={rhs}")
-        for n, lhs, rhs in violations)
-    return VerificationReport(checks)

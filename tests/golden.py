@@ -18,6 +18,7 @@ P_AT = {
     60: 966467,
     100: 190569292,
     200: 3972999029388,
+    1000: 24061467864032622473692149727991,
 }
 
 # Q(0) through Q(10): partitions whose smallest part occurs exactly once.

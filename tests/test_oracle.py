@@ -39,9 +39,7 @@ def test_count_examples_and_frozen_values():
 
 def test_count_agrees_with_series_up_to_300():
     # Two independent computations; neither value is asserted from outside.
-    coeffs = euler_p_coeffs(300)
-    for n in range(301):
-        assert count_oracle(n) == coeffs[n], f"n={n}"
+    assert count_oracle(1000, every_weight=True) == euler_p_coeffs(1000)
 
 
 def test_count_table_matches_single_counts_up_to_80():

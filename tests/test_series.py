@@ -1,76 +1,14 @@
-"""Exact truncated series: multiplication, both coefficient streams, and
-the count recurrence."""
+"""Exact truncated series: both coefficient streams, and the count
+recurrence."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from partition_evolve import (Kind, Series, check_recurrence, classify_m1,
-                              coefficient_csv, coefficient_rows,
-                              enumerate_oracle, euler_p_coeffs,
-                              geometric_factor, q_coeffs,
-                              recurrence_violations, series_mul)
+from partition_evolve import (Kind, classify_m1, coefficient_csv,
+                              coefficient_rows, enumerate_oracle,
+                              euler_p_coeffs, q_coeffs,
+                              recurrence_violations)
 
 from golden import P_AT, P_SMALL, Q_SMALL
-
-
-def test_series_shape_is_validated():
-    assert Series.one(3).coeffs == (1, 0, 0, 0)
-    with pytest.raises(ValueError):
-        Series(2, (1, 2))
-    with pytest.raises(ValueError):
-        Series(-1, (1,))
-
-
-def test_geometric_factor_examples():
-    assert geometric_factor(2, 5).coeffs == (1, 0, 1, 0, 1, 0)
-    assert geometric_factor(1, 3).coeffs == (1, 1, 1, 1)
-    assert geometric_factor(7, 5).coeffs == (1, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        geometric_factor(0, 5)
-    with pytest.raises(ValueError):
-        geometric_factor(-3, 5)
-
-
-def test_series_mul_examples():
-    one_plus_q = Series(2, (1, 1, 0))
-    assert series_mul(one_plus_q, one_plus_q).coeffs == (1, 2, 1)
-    geo = geometric_factor(1, 3)
-    assert series_mul(geo, geo).coeffs == (1, 2, 3, 4)
-    # Truncation drops the q^2 term entirely.
-    tight = Series(1, (1, 1))
-    assert series_mul(tight, tight).coeffs == (1, 2)
-    with pytest.raises(ValueError):
-        series_mul(Series.one(3), Series.one(4))
-
-
-def test_mul_operator_matches_function():
-    a = Series(4, (1, 2, 0, 1, 0))
-    b = geometric_factor(2, 4)
-    assert a * b == series_mul(a, b)
-
-
-coefficients = st.integers(-9, 9)
-
-
-@st.composite
-def series_triples(draw):
-    degree = draw(st.integers(0, 64))
-
-    def one():
-        coeffs = draw(st.lists(coefficients, min_size=degree + 1,
-                               max_size=degree + 1))
-        return Series(degree, tuple(coeffs))
-
-    return one(), one(), one()
-
-
-@settings(max_examples=60)
-@given(series_triples())
-def test_mul_is_commutative_and_associative(trio):
-    a, b, c = trio
-    assert series_mul(a, b) == series_mul(b, a)
-    assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
 
 
 def test_euler_product_examples():
@@ -83,7 +21,7 @@ def test_euler_product_examples():
 
 
 def test_euler_matches_frozen_table():
-    coeffs = euler_p_coeffs(200)
+    coeffs = euler_p_coeffs(1000)
     assert coeffs[:13] == P_SMALL
     for n, expected in P_AT.items():
         assert coeffs[n] == expected
@@ -116,20 +54,6 @@ def test_q_equals_p_difference_up_to_200():
     q = q_coeffs(200)
     for n in range(201):
         assert q[n] == p[n + 1] - p[n], f"n={n}"
-
-
-def test_check_recurrence_passes_at_200():
-    report = check_recurrence(200)
-    assert report.overall
-    assert len(report.checks) == 1
-    assert report.checks[0].scope == "n=0..199"
-    assert report.format_text().endswith("OVERALL PASS (1 checks)")
-
-
-def test_check_recurrence_degenerate_and_invalid():
-    assert check_recurrence(1).overall
-    with pytest.raises(ValueError):
-        check_recurrence(0)
 
 
 def test_recurrence_violations_flag_corrupted_counts():

@@ -155,6 +155,21 @@ def _wrong_predecessor(pred, weight, applies):
     return sabotaged
 
 
+def _count_off_by_one(count_oracle, weight):
+    def sabotaged(n, **kwargs):
+        counts = count_oracle(n, **kwargs)
+        counts[weight] += 1
+        return counts
+    return sabotaged
+
+
+def _q_off_by_one(coefficient_rows, weight):
+    def sabotaged(n_max):
+        return [(n, p, q + 1 if n == weight else q)
+                for n, p, q in coefficient_rows(n_max)]
+    return sabotaged
+
+
 _ALL_PASS = [
     "PASS  count-recurrence P(n+1)=P(n)+Q(n) [n=0..11]",
     "PASS  count-identity series vs counting recurrence [n=0..12]",
@@ -239,11 +254,17 @@ def _report(failures):
          4: "n=5: successor union is extra 1+1+1+1+1+1",
          5: "n=6: method1 vs enumeration, lengths differ: 11 vs 10",
          6: "n=6: lengths differ: 11 vs 10"}),
+    (verify, "count_oracle", lambda real: _count_off_by_one(real, 7), {
+        1: "n=7: series P(n)=15 but counting recurrence gives 16"}),
+    (verify, "coefficient_rows", lambda real: _q_off_by_one(real, 5), {
+        0: "n=5: P(n+1)=11 but P(n)+Q(n)=12",
+        2: "n=5: Q(n)=5 but enumeration finds 4 second-kind partitions"}),
 ], ids=["step_m2-odd", "step_m2-even", "step_m1-odd", "predecessor_m2",
         "successors_m1", "enumerate_level", "step_m1-duplicate",
         "step_m2-explicit-in-second-block", "pred_m1-round-trip",
         "pred_m1-refusal", "pred_m2-no-refusal", "step_m2-no-explicit-head",
-        "step_m1-unit-ending-head", "enumerate_level-all-units"])
+        "step_m1-unit-ending-head", "enumerate_level-all-units",
+        "count_oracle", "coefficient_rows"])
 def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
                                      failures):
     # Each check stops at its own first failure; the method-2 fault at an
