@@ -209,7 +209,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     evolve = evolve_m1 if args.method == 1 else evolve_m2
 
     if args.snapshot_in is not None:
-        with open(args.snapshot_in, encoding="utf-8") as stream:
+        # Undecodable bytes come through as lone surrogates, which the
+        # reader refuses by line.
+        with open(args.snapshot_in, encoding="utf-8",
+                  errors="surrogateescape") as stream:
             start = read_snapshot(stream, method_tag=method_tag,
                                   expected_n=args.from_n)
         expected = count_oracle(args.from_n)
@@ -245,7 +248,13 @@ def _replacing(path: str) -> Iterator[TextIO]:
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     # Exclusive create: a file of that name is not ours to overwrite or
     # remove.
-    stream = open(temporary, "x", encoding="utf-8")
+    try:
+        stream = open(temporary, "x", encoding="utf-8")
+    except FileExistsError:
+        raise
+    except OSError as exc:
+        # A missing or unwritable directory: name the path the user gave.
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with stream:
             yield stream

@@ -11,8 +11,9 @@ evolution run is valid input for resuming it.
 from __future__ import annotations
 
 import json
-from itertools import islice, repeat
-from operator import gt, itemgetter
+from codecs import charmap_encode
+from itertools import chain, filterfalse, islice, repeat
+from operator import getitem, gt, itemgetter, lt
 from typing import IO, Iterable
 
 from .core import (MAX_PART, Partition, decode_member, encode_parts,
@@ -203,33 +204,38 @@ def _canonical(n: int, raw: list[str]) -> bool:
     return weights <= {n} and all(map(gt, raw, islice(raw, 1, None)))
 
 
-def _render_table(n: int, first: str, rest: str) -> list[str]:
+def _render_table(n: int, first: bytes, rest: bytes) -> list[bytes]:
     # One entry per code point a member of weight n can hold: part k
     # renders as ``k`` followed by ``rest``, and the member separator
     # NUL (never a part) as ``first``.
-    table = [f"{part}{rest}" for part in range(n + 1)]
+    table = [b"%d%s" % (part, rest) for part in range(n + 1)]
     table[0] = first
     return table
+
+
+def _render(chunk: list[str], table: list[bytes]) -> bytes:
+    # charmap_encode, the function behind every stdlib charmap codec,
+    # looks each code point up in a list table and may emit several bytes
+    # for it, all in C.
+    return charmap_encode("\0".join(chunk) + "\0", "strict", table)[0]
 
 
 def write_text(level: Level, stream: IO[str]) -> None:
     """Write one canonical text line per member (``3+2+1``, or ``0`` for
     the empty partition), in level order.
 
-    Each chunk of members is joined with NUL and rendered by one
-    ``str.translate``: part k becomes ``k+`` and the separator a newline,
-    so a single ``replace`` of ``+`` before each newline finishes every
-    line.
+    Each chunk of members is joined with NUL and rendered to bytes in one
+    call: part k becomes ``k+`` and the separator a newline, so a single
+    ``replace`` of ``+`` before each newline finishes every line.
     """
     raw = level._raw
     if level.n == 0:
         stream.write("0\n" * len(raw))
         return
-    table = _render_table(level.n, "\n", "+")
+    table = _render_table(level.n, b"\n", b"+")
     for start in range(0, len(raw), _WRITE_CHUNK):
-        chunk = raw[start:start + _WRITE_CHUNK]
-        stream.write(("\0".join(chunk) + "\0").translate(table)
-                     .replace("+\n", "\n"))
+        text = _render(raw[start:start + _WRITE_CHUNK], table)
+        stream.write(text.replace(b"+\n", b"\n").decode("ascii"))
 
 
 def write_snapshot(level: Level, stream: IO[str]) -> None:
@@ -243,11 +249,11 @@ def write_snapshot(level: Level, stream: IO[str]) -> None:
     tags = level.tags
     head = '{"n": %d, "parts": [' % level.n
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
-    table = _render_table(level.n, "\0", ", ")
+    table = _render_table(level.n, b"\0", b", ")
     for start in range(0, len(raw), _WRITE_CHUNK):
         stop = start + _WRITE_CHUNK
-        parts = (("\0".join(raw[start:stop]) + "\0").translate(table)
-                 .replace(", \0", "\0").split("\0"))
+        parts = (_render(raw[start:stop], table).replace(b", \0", b"\0")
+                 .decode("ascii").split("\0"))
         stream.write("".join([head + text + tail[tag] for text, tag
                               in zip(parts, tags[start:stop])]))
 
@@ -274,24 +280,119 @@ def _tag_fits(tag: str, parts: list[int]) -> bool:
     return True
 
 
-def read_snapshot(stream: IO[str], *, method_tag: str,
+# Nonblank lines per bulk pass of the snapshot reader.  Records are held
+# one chunk at a time: held all at once, the garbage collector's passes
+# over them cost what the bulk checks save, and they raise the peak RSS.
+_READ_CHUNK = 2048
+
+def read_snapshot(stream: Iterable[str], *, method_tag: str,
                   expected_n: int | None = None) -> Level:
     """Read and validate a snapshot, returning the Level it describes.
 
-    Every line must carry the same weight (and match ``expected_n`` when
-    given), canonical non-increasing positive parts, and a known tag that
-    some rule gives those parts (see ``_tag_fits``); no partition may
-    repeat.  Violations raise SnapshotError naming the line.
+    Every line must be text with a UTF-8 form, and carry the same weight
+    (and match ``expected_n`` when given), canonical non-increasing
+    positive parts, and a known tag that some rule gives those parts (see
+    ``_tag_fits``); no partition may repeat.  Violations raise
+    SnapshotError naming the line.
+
+    The lines are checked in bulk, a chunk at a time.  On any failure the
+    per-line scan reruns over them; it alone words the error.
     """
+    lines = list(stream)
+    try:
+        found = _read_chunks(lines, expected_n)
+    # What malformed input raises on its way through json.loads, the field
+    # lookups, set() and bytes(); the scan words the error.
+    except (KeyError, RecursionError, TypeError, ValueError):
+        found = None
+    if found is None:
+        return _scan_lines(lines, method_tag, expected_n)
+    level_n, members, tags = found
+    return Level.from_raw(level_n, members, tags, method_tag)
+
+
+def _read_chunks(lines: list[str], expected_n: int | None
+                 ) -> tuple[int, list[str], list[str]] | None:
+    """The weight, members and tags of a snapshot that passes every check
+    ``_scan_lines`` makes, checked a chunk at a time with whole-list
+    built-ins; None, or an exception, when some check fails."""
+    members: list[str] = []
+    tags: list[str] = []
+    level_n = expected_n
+    nonblank = filterfalse(str.isspace, lines)
+    while chunk := list(islice(nonblank, _READ_CHUNK)):
+        text = "".join(chunk)
+        # A lone surrogate, as the CLI reads an undecodable byte, has no
+        # UTF-8 form.
+        text.encode("utf-8")
+        # JSON true and false load as bool, an int subclass that sum() and
+        # bytes() take for 1 and 0.  Without either literal, no field
+        # holds one.
+        if "true" in text or "false" in text:
+            return None
+        records = list(map(json.loads, chunk))
+        if set(map(type, records)) != {dict}:
+            return None
+        weights = list(map(itemgetter("n"), records))
+        chunk_parts = list(map(itemgetter("parts"), records))
+        chunk_tags = list(map(itemgetter("tag"), records))
+        del records
+        if level_n is None:
+            level_n = weights[0]
+        if (set(map(type, weights)) != {int} or set(weights) != {level_n}
+                or not SNAPSHOT_TAGS.issuperset(chunk_tags)
+                or set(map(type, chunk_parts)) != {list}):
+            return None
+        # Every member followed by NUL, never a part.  bytes() refuses a
+        # part that is not an int or lies past 255, so a level with larger
+        # parts is left to the scan, as in _canonical; a part 0 adds a NUL.
+        joined = bytes(chain.from_iterable(chain.from_iterable(
+            zip(chunk_parts, repeat((0,))))))
+        if joined.count(0) != len(chunk_parts):
+            return None
+        # Positive parts summing to level_n also make it nonnegative.
+        if set(map(sum, chunk_parts)) != {level_n}:
+            return None
+        # The parts descend when the only ascents are from each separator
+        # into the next member's first part (none at weight 0, where every
+        # member is empty).
+        if sum(map(lt, joined, joined[1:])) != (
+                len(chunk_parts) - 1 if level_n else 0):
+            return None
+        chunk_members = joined.decode("latin-1").split("\0")[:-1]
+        # _tag_fits reads only a member's length and last part, so one
+        # member of each (tag, length, last part) stands for the rest.
+        shapes = dict(zip(zip(chunk_tags, map(len, chunk_members),
+                              map(getitem, chunk_members,
+                                  repeat(slice(-1, None)))),
+                          chunk_members))
+        if not all(tag == TAG_SEED or _tag_fits(tag, list(map(ord, member)))
+                   for (tag, _, _), member in shapes.items()):
+            return None
+        members += chunk_members
+        tags += chunk_tags
+    if not members or len(set(members)) != len(members):
+        return None
+    return level_n, members, tags
+
+
+def _scan_lines(lines: Iterable[str], method_tag: str,
+                expected_n: int | None) -> Level:
+    """``read_snapshot`` one line at a time, raising SnapshotError at the
+    first line that fails a check."""
     members: list[str] = []
     tags: list[str] = []
     seen: set[str] = set()
     level_n = expected_n
 
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SnapshotError(f"line {lineno}: not valid UTF-8") from None
         try:
             record = json.loads(text)
         # Besides JSONDecodeError: ValueError for an integer past the

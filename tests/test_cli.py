@@ -202,10 +202,14 @@ def test_failed_snapshot_write_leaves_the_target_untouched(run_cli, tmp_path,
 
 
 def test_bad_snapshot_directory_fails_before_evolving(run_cli, tmp_path):
+    target = tmp_path / "missing" / "x.jsonl"
     code, out, err = run_cli("evolve", 0, 3, "--method", 1,
-                             "--snapshot-out", tmp_path / "missing" / "x.jsonl")
+                             "--snapshot-out", target)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+    # The error names the path given, not the hidden temporary beside it.
+    assert repr(str(target)) in err
+    assert ".tmp" not in err
     assert "level " not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -298,6 +302,16 @@ def test_evolve_rejects_malformed_snapshots(run_cli, tmp_path):
                            "--snapshot-in", snap)
     assert code == 2
     assert "line 2" in err
+
+
+def test_snapshot_that_is_not_utf8_names_the_line(run_cli, tmp_path):
+    snap = tmp_path / "bad.jsonl"
+    snap.write_bytes(b'{"n": 1, "parts": [1], "tag": "Seed"}\n'
+                     b'{"n": 1, "parts": [1], "tag": "Se\xffed"}\n')
+    code, out, err = run_cli("evolve", 1, 3, "--method", 1,
+                             "--snapshot-in", snap)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: not valid UTF-8\n"
 
 
 def test_evolve_rejects_weight_mismatch_and_downward_runs(run_cli, tmp_path):

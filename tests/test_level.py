@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from partition_evolve import (Level, Partition, SnapshotError, TAG_ORDER,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               read_snapshot, write_snapshot)
-from partition_evolve.level import write_text
+from partition_evolve.level import (_READ_CHUNK, _read_chunks, _scan_lines,
+                                    write_text)
 
 
 def _level(n, raw, tags=None, method_tag="oracle"):
@@ -88,11 +89,15 @@ def test_snapshot_roundtrip_weight_zero():
     assert read_snapshot(buffer, method_tag="oracle") == Level.seed("oracle")
 
 
-# Weight 35 holds 14,883 members, more than one write chunk.
+# Weight 35 holds 14,883 members, more than one write chunk; the evolved
+# levels of weight 35 derive their tags.  Weights 231 and 303 take parts
+# past code points 127 and 255.
 @pytest.mark.parametrize("make", [
     lambda: enumerate_oracle(35),
     lambda: evolve_m1(Level.seed("method1"), 13),
     lambda: evolve_m2(Level.seed("method2"), 13),
+    lambda: evolve_m1(Level.seed("method1"), 35),
+    lambda: evolve_m2(Level.seed("method2"), 35),
     lambda: Level.seed("method2"),
     lambda: _level(3, [(3,), (2, 1)], tags=('odd "tag"', "t\u00e4g")),
     lambda: _level(231, [(120, 100, 11), (99, 99, 33), (10,) * 23 + (1,)]),
@@ -153,6 +158,48 @@ def test_snapshot_errors_name_the_line(line, complaint):
     text = '{"n": 2, "parts": [1, 1], "tag": "Seed"}\n' + line + "\n"
     with pytest.raises(SnapshotError, match=complaint):
         read_snapshot(io.StringIO(text), method_tag="oracle")
+
+
+def _second_chunk_fault(fault):
+    """A real level of more than one read chunk, with blank lines before
+    the first line of the second chunk, where ``fault`` rewrites that line
+    from its record and the first line's."""
+    buffer = io.StringIO()
+    write_snapshot(enumerate_oracle(30), buffer)
+    lines = buffer.getvalue().splitlines(keepends=True)
+    assert len(lines) > 2 * _READ_CHUNK
+    first = json.loads(lines[0])
+    record = json.loads(lines[_READ_CHUNK])
+    lines[_READ_CHUNK] = json.dumps(fault(record, first)) + "\n"
+    lines[_READ_CHUNK:_READ_CHUNK] = ["\n", "  \n", "\t\n"]
+    return lines, _READ_CHUNK + 4
+
+
+def test_multi_chunk_snapshot_with_blank_lines_reads_back():
+    level = enumerate_oracle(30)
+    lines, _ = _second_chunk_fault(lambda record, first: record)
+    # The bulk checks pass it whole, with no rerun of the scan.
+    assert _read_chunks(lines, 30) is not None
+    assert read_snapshot(lines, method_tag="oracle", expected_n=30) == level
+
+
+@pytest.mark.parametrize("fault,complaint", [
+    (lambda record, first: {**record, "n": "30"}, "bad weight '30'"),
+    (lambda record, first: {**record, "parts": record["parts"] + [1]},
+     "sum to 31, not 30"),
+    (lambda record, first: {**record, "tag": (
+        "Augmented" if record["parts"][-1] == 1 else "AddedUnit")},
+     "does not fit parts"),
+    (lambda record, first: first, r"duplicate partition \[30\]"),
+])
+def test_snapshot_errors_at_a_chunk_boundary_name_the_line(fault, complaint):
+    lines, lineno = _second_chunk_fault(fault)
+    with pytest.raises(SnapshotError, match=f"^line {lineno}: .*{complaint}"
+                       ) as bulk:
+        read_snapshot(lines, method_tag="oracle", expected_n=30)
+    with pytest.raises(SnapshotError) as scan:
+        _scan_lines(lines, "oracle", 30)
+    assert str(bulk.value) == str(scan.value)
 
 
 @pytest.mark.parametrize("evolve,method_tag", [
