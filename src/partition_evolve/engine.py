@@ -4,8 +4,9 @@ The loop holds unit-free heads grouped by weight (see ``_pure``): every
 partition of n is a head h followed by n - |h| units, and the
 appended-unit successor keeps its head, so a step only adds the new heads
 of weight n+1.  The start level is split into heads once; at the target
-weight each head is rendered with its units, and the level is sorted once
-and validated.  Its members are wrapped and tagged only when asked for.
+weight the start's members and each new head are rendered with their
+units, and the level is sorted once and validated.  Its members are
+wrapped and tagged only when asked for.
 """
 
 from __future__ import annotations
@@ -52,12 +53,27 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
             progress(weight, {tag: count for tag, count in counts.items()
                               if count})
         added += len(new)
-    # Each weight's heads are released once rendered with their units.
-    members: list[str] = []
-    while heads:
-        tail = "\x01" * (target_n + 1 - len(heads))
-        members += [head + tail for head in heads.pop()]
-    return Level.from_raw(target_n, members, None, method_tag)
+    # The start's members are rendered whole; its heads are not needed.
+    del heads[:start.n + 1]
+    return Level.from_raw(target_n, grown_members(start, heads, target_n),
+                          None, method_tag)
+
+
+def grown_members(start: Level, new: list[list[str]],
+                  target_n: int) -> list[str]:
+    """The members of level ``target_n`` grown from ``start``, unsorted.
+
+    ``new[i]`` lists the new heads of weight ``start.n + 1 + i``.  The
+    start's members come first with their unit tail appended; they stay
+    canonical, one run for the sort.  Then each weight's new heads follow
+    with their tails, and each list is popped from ``new`` as it renders.
+    """
+    tail = "\x01" * (target_n - start.n)
+    members = [member + tail for member in start.raw_members()]
+    while new:
+        tail = "\x01" * (target_n - start.n - len(new))
+        members += [head + tail for head in new.pop()]
+    return members
 
 
 def split_heads(level: Level) -> list[list[str]]:

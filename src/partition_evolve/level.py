@@ -28,6 +28,9 @@ TAG_EXPLICIT = "Explicit"
 # Fixed display/reporting order for tag breakdowns.
 TAG_ORDER = (TAG_SEED, TAG_ADDED_UNIT, TAG_AUGMENTED, TAG_COLLECTED, TAG_EXPLICIT)
 SNAPSHOT_TAGS = frozenset(TAG_ORDER)
+# json.loads builds a new string for every tag it reads; a read level
+# holds these constants instead, one object per tag.
+_SHARED_TAG = {tag: tag for tag in TAG_ORDER}.__getitem__
 
 METHOD_TAGS = ("method1", "method2", "oracle")
 
@@ -370,7 +373,7 @@ def _read_chunks(lines: list[str], expected_n: int | None
                    for (tag, _, _), member in shapes.items()):
             return None
         members += chunk_members
-        tags += chunk_tags
+        tags += map(_SHARED_TAG, chunk_tags)
     if not members or len(set(members)) != len(members):
         return None
     return level_n, members, tags
@@ -443,7 +446,7 @@ def _scan_lines(lines: Iterable[str], method_tag: str,
             raise SnapshotError(f"line {lineno}: duplicate partition {parts}")
         seen.add(key)
         members.append(key)
-        tags.append(tag)
+        tags.append(_SHARED_TAG(tag))
 
     if not members:
         raise SnapshotError("snapshot is empty")

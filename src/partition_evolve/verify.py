@@ -24,13 +24,13 @@ from operator import eq, methodcaller
 
 from . import _pure
 from .core import NoPredecessorError, member_text
-from .engine import split_heads
+from .engine import grown_members, split_heads
 from .level import Level
 # perfbench/tracer.py wraps tagged_successors_m* and predecessor_m* as
 # attributes of this module, so the names stay bound here; the suite
 # checks the kernels and their string inverses instead.
-from .method1 import evolve_m1, predecessor_m1, tagged_successors_m1  # noqa: F401
-from .method2 import evolve_m2, predecessor_m2, tagged_successors_m2  # noqa: F401
+from .method1 import predecessor_m1, tagged_successors_m1  # noqa: F401
+from .method2 import predecessor_m2, tagged_successors_m2  # noqa: F401
 from .oracle import DEFAULT_CAP, count_oracle, enumerate_oracle
 from .report import CheckResult, VerificationReport
 from .series import coefficient_rows, recurrence_violations
@@ -83,16 +83,18 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     Each weight n is enumerated once, and only oracle levels n-1 and n are
     held.  Every check keeps its own first failure and stops there.
 
-    The equivalence and mixed checks grow step n from ``Level.seed`` at
-    n = 1 and from the oracle's level n-1 above that, not from chains of
-    their own.  The verdicts and counterexamples are those of private
-    chains: a chain reaches step n only after its level n-1 compared equal,
-    member for member, to the oracle's level n-1, and a one-step evolution
-    is a pure function of the level it starts from.  Each method's step is
-    computed once, and only while a check still needs it.  The mixed run
-    reads method 1 at odd n and method 2 at even n: alternating the rules
-    must still yield complete levels, since each step only needs a
-    complete input.
+    The four step checks (both bijections, equivalence and mixed) share
+    one step per method from the oracle's level n-1: it is split into
+    heads once, and each method's step kernel runs once, only while a
+    check still needs it.  At n = 1 that level is the oracle's level 0,
+    which holds the same members as ``Level.seed``.  The verdicts and
+    counterexamples of the equivalence and mixed checks are those of
+    private chains: a chain reaches step n only after its level n-1
+    compared equal, member for member, to the oracle's level n-1, and a
+    one-step evolution is a pure function of the level it starts from.
+    The mixed run reads method 1 at odd n and method 2 at even n:
+    alternating the rules must still yield complete levels, since each
+    step only needs a complete input.
     """
     names = ("q-semantics Q(n) counts smallest-part-once partitions",
              "method1 successor bijection and round-trip",
@@ -110,18 +112,48 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
         if failures[0] is None and len(once) != q[n]:
             failures[0] = (f"n={n}: Q(n)={q[n]} but enumeration finds "
                            f"{len(once)} second-kind partitions")
-        # Each helper drops its temporaries on return, before the next
-        # one (and the next weight) builds its own.
-        if n > 0 and None in failures[1:3]:
-            _bijection_checks(n, previous, previous_members, previous_once,
-                              members, failures)
-        _evolution_checks(n, previous, members, failures)
+        if n == 0:
+            # Evolving the seed to weight 0 returns the seed itself.
+            for method in (1, 2):
+                _evolution_check(0, method, Level.seed("oracle"), [],
+                                 members, failures)
+        else:
+            _step_checks(n, previous, previous_members, previous_once,
+                         members, failures)
         previous, previous_members, previous_once = level, members, once
     top = f"n=0..{bound}"
     steps = f"n=0..{bound - 1}" if bound else "no step checked"
     return [CheckResult(name, scope, failure is None, failure)
             for name, scope, failure in zip(
                 names, (top, steps, steps, top, top), failures)]
+
+
+def _needs_step(n: int, method: int, failures: list[str | None]) -> bool:
+    """Whether a check still needs method ``method``'s step to weight n:
+    its bijection, the equivalence, or the mixed run at this n."""
+    return (failures[method] is None or failures[3] is None
+            or failures[4] is None and method == 2 - n % 2)
+
+
+def _step_checks(n: int, previous: Level, previous_members: list[str],
+                 previous_once: list[str], members: list[str],
+                 failures: list[str | None]) -> None:
+    # Each helper drops its temporaries on return, before the next one
+    # (and the next weight) builds its own.
+    needed = [_needs_step(n, method, failures) for method in (1, 2)]
+    if not any(needed):
+        return
+    heads = split_heads(previous)
+    grown1 = _pure.step_m1(heads) if needed[0] else None
+    grown2 = _pure.step_m2(heads) if needed[1] else None
+    del heads
+    if None in failures[1:3]:
+        _bijection_checks(n, previous_members, previous_once, members,
+                          grown1, grown2, failures)
+    for method, grown in ((1, grown1), (2, grown2)):
+        if grown is not None:
+            _evolution_check(n, method, previous, [grown[0]], members,
+                             failures)
 
 
 def _smallest_part_once(member: str) -> bool:
@@ -137,30 +169,31 @@ def _collectable(member: str) -> bool:
     return head != "" and 0 < units < ord(head[-1])
 
 
-def _bijection_checks(n: int, previous: Level, previous_members: list[str],
-                      previous_once: list[str], members: list[str],
+def _bijection_checks(n: int, previous: list[str], previous_once: list[str],
+                      members: list[str], grown1: tuple[list[str], int],
+                      grown2: tuple[list[str], int],
                       failures: list[str | None]) -> None:
     # Level n is level n-1 with a unit appended to each member, plus the
     # members with no unit: the heads of weight n.
-    heads = split_heads(previous)
     tops = set(filterfalse(_ends_in_unit, members))
     if failures[1] is None:
-        failures[1] = _step_failure(n, _pure.step_m1, _pure.pred_m1, heads,
-                                    previous_members, members, tops,
-                                    previous_once, [])
+        failures[1] = _step_failure(n, _pure.step_m1, grown1, _pure.pred_m1,
+                                    previous, members, tops, previous_once,
+                                    [])
     if failures[2] is None:
         # The single part n enters by the explicit step, and only from
         # weight 2 up ([1] does arise from the rule).
         failures[2] = _step_failure(
-            n, _pure.step_m2, _pure.pred_m2, heads, previous_members,
-            members, tops, list(filter(_collectable, previous_members)),
+            n, _pure.step_m2, grown2, _pure.pred_m2, previous, members,
+            tops, list(filter(_collectable, previous)),
             [chr(n)] if n >= 2 else [])
 
 
-def _step_failure(n, step, pred, heads, previous, members, tops, sources,
+def _step_failure(n, step, grown, pred, previous, members, tops, sources,
                   explicit):
-    """None if one step from level n-1 grows level n once each, inverted
-    by ``pred``; otherwise the counterexample.
+    """None if ``grown``, the ``(new, second)`` that ``step`` returned
+    from level n-1, grows level n once each, inverted by ``pred``;
+    otherwise the counterexample.
 
     The step returns the new heads of weight n, ``explicit`` ones first,
     which ``pred`` must refuse, then the second block.  The appended
@@ -170,14 +203,14 @@ def _step_failure(n, step, pred, heads, previous, members, tops, sources,
     unit once, and ``pred`` must map it one-to-one onto ``sources``, the
     members of level n-1 of the method's second kind.
     """
-    new, second = step(heads)
+    new, second = grown
     cut = len(new) - second
     if cut == len(explicit) and new[:cut] == explicit:
         block = new[cut:]
-        grown = set(block)
+        unique = set(block)
         try:
-            if (len(grown) == len(block)
-                    and grown == tops.difference(explicit)
+            if (len(unique) == len(block)
+                    and unique == tops.difference(explicit)
                     and len(previous) == len(members) - len(tops)
                     and all(_refuses(pred, single) for single in explicit)
                     and all(map(eq, map(pred, compress(
@@ -281,41 +314,49 @@ def _round_trip(n: int, pred, successor: str, source: str) -> str | None:
             f"produced by {member_text(source)}")
 
 
-def _evolution_checks(n: int, previous: Level | None, reference: list[str],
-                      failures: list[str | None]) -> None:
-    # Evolving the seed to weight 0 returns the seed itself.  One method's
-    # level is grown, compared and dropped before the other's.
-    start = previous if n > 1 else Level.seed("oracle")
-    for method, evolve in ((1, evolve_m1), (2, evolve_m2)):
-        equivalence = failures[3] is None
-        mixed = failures[4] is None and n > 0 and method == 2 - n % 2
-        if not (equivalence or mixed):
-            continue
-        try:
-            mismatch = _first_mismatch(evolve(start, n).raw_members(),
-                                       reference)
-        except ValueError as exc:
-            # A level that repeats a member or holds one of another
-            # weight fails its own validation.
-            mismatch = str(exc)
-        if mismatch is not None:
-            if equivalence:
-                failures[3] = (f"n={n}: method{method} vs enumeration, "
-                               f"{mismatch}")
-            if mixed:
-                failures[4] = f"n={n}: {mismatch}"
+def _evolution_check(n: int, method: int, start: Level,
+                     new: list[list[str]], reference: list[str],
+                     failures: list[str | None]) -> None:
+    # One method's level is grown, compared and dropped before the
+    # other's.
+    equivalence = failures[3] is None
+    mixed = failures[4] is None and n > 0 and method == 2 - n % 2
+    if not (equivalence or mixed):
+        return
+    mismatch = _level_mismatch(n, grown_members(start, new, n), reference)
+    if mismatch is not None:
+        if equivalence:
+            failures[3] = f"n={n}: method{method} vs enumeration, {mismatch}"
+        if mixed:
+            failures[4] = f"n={n}: {mismatch}"
+
+
+def _level_mismatch(n: int, grown: list[str], want: list[str]) -> str | None:
+    """None if ``grown``, sorted in place, is the oracle's level ``want``;
+    otherwise the first difference.
+
+    ``want`` is a validated level, so a list equal to it would pass
+    validation too; only a mismatch is validated.  A level that repeats a
+    member or holds one of another weight fails its own validation, which
+    words the difference.
+    """
+    grown.sort(reverse=True)
+    if grown == want:
+        return None
+    try:
+        Level.from_raw(n, grown, None, "oracle")
+    except ValueError as exc:
+        return str(exc)
+    return _first_mismatch(grown, want)
 
 
 def _weight(member: str) -> int:
     return sum(map(ord, member))
 
 
-def _first_mismatch(got: list[str], want: list[str]) -> str | None:
-    if got == want:
-        return None
+def _first_mismatch(got: list[str], want: list[str]) -> str:
+    """Where two lists that differ first differ."""
     for index, (a, b) in enumerate(zip(got, want)):
         if a != b:
             return f"index {index}: {member_text(a)} vs {member_text(b)}"
-    if len(got) != len(want):
-        return f"lengths differ: {len(got)} vs {len(want)}"
-    return None
+    return f"lengths differ: {len(got)} vs {len(want)}"

@@ -229,6 +229,17 @@ def test_failure_while_evolving_removes_the_temporary_file(run_cli, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Either module would add several milliseconds to every CLI process.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, partition_evolve.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        capture_output=True, env=env, check=True, text=True)
+    assert result.stdout == "[]\n"
+
+
 def _cli_bytes(*argv):
     """Run the CLI as a child process; returns its stdout bytes."""
     env = dict(os.environ,

@@ -6,6 +6,7 @@ import pytest
 from partition_evolve import (Level, Partition, _pure, enumerate_oracle,
                               evolve_m1, evolve_m2, tagged_successors_m1,
                               tagged_successors_m2)
+from partition_evolve.engine import grown_members, split_heads
 
 
 def test_identity_evolution_returns_the_start_level():
@@ -77,3 +78,27 @@ def test_derived_tags_match_the_per_partition_rules(evolve, method_tag,
         level = evolve(Level.seed(method_tag), n)
         assert level.tags == tuple(expected[member]
                                    for member in level.partitions), n
+
+
+@pytest.mark.parametrize("evolve,step", [
+    (evolve_m1, "step_m1"), (evolve_m2, "step_m2")])
+def test_grown_members_sort_into_the_evolved_level(evolve, step):
+    for n in range(1, 13):
+        start = enumerate_oracle(n - 1)
+        new, _ = getattr(_pure, step)(split_heads(start))
+        members = grown_members(start, [new], n)
+        assert sorted(members, reverse=True) == \
+            evolve(start, n).raw_members(), n
+
+
+def test_grown_members_renders_several_weights_and_pops_them():
+    start = enumerate_oracle(3)
+    heads = split_heads(start)
+    new = []
+    for _ in range(3):
+        new.append(_pure.step_m1(heads + new)[0])
+    members = grown_members(start, new, 6)
+    assert new == []
+    assert members[:len(start)] == [m + "\x01" * 3
+                                    for m in start.raw_members()]
+    assert sorted(members, reverse=True) == enumerate_oracle(6).raw_members()

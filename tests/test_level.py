@@ -202,6 +202,18 @@ def test_snapshot_errors_at_a_chunk_boundary_name_the_line(fault, complaint):
     assert str(bulk.value) == str(scan.value)
 
 
+@pytest.mark.parametrize("read", [
+    lambda lines: read_snapshot(lines, method_tag="oracle"),
+    lambda lines: _scan_lines(lines, "oracle", None),
+], ids=["bulk", "scan"])
+def test_read_levels_share_the_tag_constants(run_cli, read):
+    code, listing, _ = run_cli("list", 12, "--format", "jsonl")
+    assert code == 0
+    level = read(listing.splitlines(keepends=True))
+    assert len(level) == 77
+    assert len(set(map(id, level.tags))) <= len(TAG_ORDER)
+
+
 @pytest.mark.parametrize("evolve,method_tag", [
     (evolve_m1, "method1"), (evolve_m2, "method2")])
 def test_snapshot_tags_of_either_rule_are_read_under_both(evolve, method_tag):

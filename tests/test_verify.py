@@ -254,6 +254,15 @@ def _report(failures):
          4: "n=5: successor union is extra 1+1+1+1+1+1",
          5: "n=6: method1 vs enumeration, lengths differ: 11 vs 10",
          6: "n=6: lengths differ: 11 vs 10"}),
+    # The first new head, 6, gains a unit: the grown level holds 6+1, of
+    # weight 7, which fails its own validation.
+    (_pure, "step_m2", lambda real: _changed_at(
+        real, 6, lambda out, second: (
+            [head + "\x01" for head in out[:1]] + out[1:], second)), {
+        4: "n=5: the step grew 1 explicit heads [6+1], expected [6]",
+        5: "n=6: method2 vs enumeration, member 6+1 has weight 7, level "
+           "holds weight 6",
+        6: "n=6: member 6+1 has weight 7, level holds weight 6"}),
     (verify, "count_oracle", lambda real: _count_off_by_one(real, 7), {
         1: "n=7: series P(n)=15 but counting recurrence gives 16"}),
     (verify, "coefficient_rows", lambda real: _q_off_by_one(real, 5), {
@@ -264,7 +273,7 @@ def _report(failures):
         "step_m2-explicit-in-second-block", "pred_m1-round-trip",
         "pred_m1-refusal", "pred_m2-no-refusal", "step_m2-no-explicit-head",
         "step_m1-unit-ending-head", "enumerate_level-all-units",
-        "count_oracle", "coefficient_rows"])
+        "step_m2-wrong-weight", "count_oracle", "coefficient_rows"])
 def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
                                      failures):
     # Each check stops at its own first failure; the method-2 fault at an
@@ -295,6 +304,17 @@ def test_each_weight_is_enumerated_once(monkeypatch, max_n, cap, weights):
     calls = _counting(monkeypatch, "enumerate_oracle")
     assert run_suite(max_n, cap=cap).overall
     assert calls == weights
+
+
+def test_each_weight_is_split_and_stepped_once_per_method(monkeypatch):
+    # The bijection, equivalence and mixed checks share one split of level
+    # n-1 and one step per method, n = 1..15.
+    calls = {name: _counting(monkeypatch, name, module)
+             for module, name in ((verify, "split_heads"),
+                                  (_pure, "step_m1"), (_pure, "step_m2"))}
+    assert run_suite(15).overall
+    assert {name: len(args) for name, args in calls.items()} == {
+        "split_heads": 15, "step_m1": 15, "step_m2": 15}
 
 
 @pytest.mark.parametrize("module,name", [
