@@ -10,7 +10,7 @@ everything against everything.
 from .backend import default_backend_name
 from .core import (InvalidPartitionError, Kind, NoPredecessorError, Partition,
                    classify_m1, classify_m2, compare, make_partition,
-                   parse_partition, unit_count)
+                   parse_partition)
 from .level import (TAG_ADDED_UNIT, TAG_AUGMENTED, TAG_COLLECTED,
                     TAG_EXPLICIT, TAG_ORDER, TAG_SEED, Level, SnapshotError,
                     read_snapshot, write_snapshot)
@@ -66,7 +66,6 @@ __all__ = [
     "successors_m2",
     "tagged_successors_m1",
     "tagged_successors_m2",
-    "unit_count",
     "write_snapshot",
     "__version__",
 ]

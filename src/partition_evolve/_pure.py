@@ -121,14 +121,17 @@ def enumerate_level(n: int) -> list:
     if n == 0:
         return [""]
     out: list = []
-
-    def descend(prefix: str, remainder: int, bound: int) -> None:
-        for part in range(min(remainder, bound), 1, -1):
-            if part == remainder:
-                out.append(prefix + chr(part))
-            else:
-                descend(prefix + chr(part), remainder - part, part)
-        out.append(prefix + "\x01" * remainder)
-
-    descend("", n, n)
+    _descend(out, "", n, n)
     return out
+
+
+def _descend(out: list, prefix: str, remainder: int, bound: int) -> None:
+    # A module-level function, not a closure: a nested function that calls
+    # itself is a reference cycle, which would hold every finished level
+    # until the cyclic garbage collector ran.
+    for part in range(min(remainder, bound), 1, -1):
+        if part == remainder:
+            out.append(prefix + chr(part))
+        else:
+            _descend(out, prefix + chr(part), remainder - part, part)
+    out.append(prefix + "\x01" * remainder)

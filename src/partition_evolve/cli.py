@@ -16,10 +16,11 @@ import sys
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
+from itertools import filterfalse
 from typing import TextIO
 
-from .core import (Kind, classify_m1, classify_m2, decimal_value,
-                   parse_partition, quote_text)
+from .core import (Kind, collectable, decimal_value, member_text,
+                   parse_partition, quote_text, smallest_part_once)
 from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1, predecessor_m1
 from .method2 import evolve_m2, predecessor_m2
@@ -99,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSONL snapshot holding the complete start level")
     evolve.add_argument("--snapshot-out", metavar="FILE",
                         help="write the final level as JSONL instead of text")
-    evolve.add_argument("--check", action="store_true",
-                        help="assert the no-duplicate guarantee every level")
     _add_cap_flag(evolve)
     evolve.set_defaults(func=cmd_evolve)
 
@@ -182,16 +181,14 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    level = enumerate_oracle(args.n, cap=cap)
-    classifier = classify_m1 if args.method == 1 else classify_m2
-    groups: dict[Kind, list] = {Kind.FIRST: [], Kind.SECOND: []}
-    for member in level.partitions:
-        groups[classifier(member)].append(member)
-    for label, kind in (("Group 1", Kind.FIRST), ("Group 2", Kind.SECOND)):
-        members = groups[kind]
-        print(f"{label} ({kind.value}): {len(members)} partitions")
-        for member in members:
-            print(f"  {member}")
+    members = enumerate_oracle(args.n, cap=cap).raw_members()
+    second = smallest_part_once if args.method == 1 else collectable
+    for label, kind, group in (
+            ("Group 1", Kind.FIRST, list(filterfalse(second, members))),
+            ("Group 2", Kind.SECOND, list(filter(second, members)))):
+        print(f"{label} ({kind.value}): {len(group)} partitions")
+        for member in group:
+            print(f"  {member_text(member)}")
     return EXIT_OK
 
 
@@ -233,8 +230,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         # Opened before evolving, so that a bad path fails fast.
         output, write = _replacing(args.snapshot_out), write_snapshot
     with output as stream:
-        final = evolve(start, args.to_n, check=args.check,
-                       progress=_progress)
+        final = evolve(start, args.to_n, progress=_progress)
         write(final, stream)
     return EXIT_OK
 

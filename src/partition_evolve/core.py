@@ -1,6 +1,6 @@
-"""Canonical partition values, their text format, ordering, the two
-kind classifiers that drive the successor rules, and the member encoding
-that levels and kernels work in.
+"""Canonical partition values, their text format, ordering, the member
+encoding that levels and kernels work in, and the two kind tests on
+member strings that drive the successor rules.
 
 Everything here is an immutable value; instances can be shared freely
 across threads.
@@ -213,40 +213,30 @@ def compare(a: Partition, b: Partition) -> int:
     return -1 if a._parts > b._parts else 1
 
 
-def unit_count(p: Partition) -> int:
-    """Number of parts equal to 1 (a trailing run, since parts are sorted)."""
-    return p.parts.count(1)
+def smallest_part_once(member: str) -> bool:
+    """Method 1's second kind, and the partitions Q(n) counts: the
+    smallest part occurs once, so a single part, or a last part below the
+    one before it.  The empty partition is not one, so that evolving
+    weight 0 yields exactly the one partition of 1."""
+    return len(member) == 1 or len(member) > 1 and member[-1] < member[-2]
+
+
+def collectable(member: str) -> bool:
+    """Method 2's second kind: u units, 1 <= u < the smallest non-unit
+    part.  Partitions with no units, with nothing but units, and the empty
+    partition are not."""
+    head = member.rstrip("\x01")
+    units = len(member) - len(head)
+    return head != "" and 0 < units < ord(head[-1])
 
 
 def classify_m1(p: Partition) -> Kind:
-    """Method-1 kind: SECOND iff single-part, or the last two parts differ.
-
-    Equivalently, SECOND iff the smallest part occurs exactly once.  The
-    empty partition is FIRST so that evolving weight 0 yields exactly the
-    one partition of 1.
-    """
-    parts = p.parts
-    k = len(parts)
-    if k == 0:
-        return Kind.FIRST
-    if k == 1 or parts[k - 1] < parts[k - 2]:
-        return Kind.SECOND
-    return Kind.FIRST
+    """Method-1 kind of ``p``: SECOND iff ``smallest_part_once``."""
+    second = smallest_part_once(partition_member(p))
+    return Kind.SECOND if second else Kind.FIRST
 
 
 def classify_m2(p: Partition) -> Kind:
-    """Method-2 kind, by the unit count against the smallest non-unit part.
-
-    With ``u`` units (parts equal to 1) and smallest non-unit part ``m``:
-    SECOND iff 1 <= u < m.  Partitions with no units, with nothing but
-    units, and the empty partition are all FIRST.
-    """
-    return kind_m2(p.parts, unit_count(p))
-
-
-def kind_m2(parts: tuple[int, ...], units: int) -> Kind:
-    """``classify_m2`` for parts whose unit count is already known."""
-    if units == 0 or units == len(parts):
-        return Kind.FIRST
-    smallest_non_unit = parts[-units - 1]
-    return Kind.SECOND if units < smallest_non_unit else Kind.FIRST
+    """Method-2 kind of ``p``: SECOND iff ``collectable``."""
+    second = collectable(partition_member(p))
+    return Kind.SECOND if second else Kind.FIRST

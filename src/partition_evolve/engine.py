@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import itemgetter
 
-from .core import member_text
 from .level import SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_EXPLICIT, Level
 
 # step(heads) -> (new, second_count): heads[w] lists the heads of weight w
@@ -26,8 +25,7 @@ ProgressFn = Callable[[int, dict[str, int]], None]
 
 
 def run_evolution(start: Level, target_n: int, *, method_tag: str,
-                  step: StepFn, check: bool = False,
-                  progress: ProgressFn | None = None) -> Level:
+                  step: StepFn, progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level up to ``target_n``, one weight at a time."""
     if target_n < start.n:
         raise ValueError(
@@ -43,9 +41,6 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
     added = len(start)
     for weight in range(start.n + 1, target_n + 1):
         new, second = step(heads)
-        # Old heads keep distinct unit tails, so only new heads can collide.
-        if check:
-            _assert_no_duplicates(new, weight, method_tag)
         heads.append(new)
         if progress is not None:
             counts = {TAG_ADDED_UNIT: added, second_tag: second,
@@ -89,15 +84,3 @@ def split_heads(level: Level) -> list[list[str]]:
         group.sort(key=itemgetter(-1), reverse=True)
     return heads
 
-
-def _assert_no_duplicates(members: list, weight: int, method_tag: str) -> None:
-    # The successor maps are bijective, so a duplicate is a bug, not data.
-    if len(set(members)) == len(members):
-        return
-    seen: set = set()
-    for member in members:
-        if member in seen:
-            raise RuntimeError(
-                f"{method_tag} produced duplicate partition "
-                f"{member_text(member)} at weight {weight}")
-        seen.add(member)

@@ -50,49 +50,34 @@ class SnapshotError(ValueError):
 class Level:
     """All partitions of one weight, unique and in canonical order.
 
-    ``tags`` is parallel to ``partitions`` and records provenance;
+    ``tags`` is parallel to the members and records provenance;
     ``method_tag`` records which pipeline produced the level.
 
     Members are held as member strings, one code point per part (see
-    ``core.encode_parts``).  ``partitions`` wraps them on first access.  A
-    level built with tags (by this constructor, by ``seed`` or from a
-    snapshot) keeps them; one grown by ``from_raw`` without tags derives
-    them on first access from the rule that grew it: the appended-unit
-    successors are exactly the members ending in 1, method 2's explicit
-    member is the single part, and every other member is of the method's
-    second kind.
+    ``core.encode_parts``).  ``partitions`` wraps them anew on each
+    access.  A level built with tags (by ``seed`` or from a snapshot)
+    keeps them; one built without (by ``from_raw`` after evolving, or by
+    the oracle) derives them on first access from the rule that grew it:
+    the appended-unit successors are exactly the members ending in 1,
+    method 2's explicit member is the single part, and every other member
+    is of the method's second kind.
     """
 
-    __slots__ = ("_n", "_method_tag", "_raw", "_partitions", "_tags")
+    __slots__ = ("_n", "_method_tag", "_raw", "_tags")
 
-    def __init__(self, n: int, partitions: Iterable[Partition],
-                 tags: Iterable[str], method_tag: str) -> None:
-        partitions = tuple(partitions)
-        self._setup(n, [encode_parts(p.parts) for p in partitions],
-                    tuple(tags), method_tag)
-        self._partitions = partitions
-
-    @classmethod
-    def _validated(cls, n: int, raw: list[str],
-                   tags: tuple[str, ...] | None, method_tag: str) -> "Level":
-        """A Level over ``raw``, which must already be in canonical order;
-        the order is checked, not restored."""
-        self = object.__new__(cls)
-        self._setup(n, raw, tags, method_tag)
-        self._partitions = None
-        return self
-
-    def _setup(self, n: int, raw: list[str],
-               tags: tuple[str, ...] | None, method_tag: str) -> None:
+    def __init__(self, n: int, members: list[str],
+                 tags: tuple[str, ...] | None, method_tag: str) -> None:
+        """A Level over ``members``, which must already be in canonical
+        order; the order is checked, not restored."""
         if n < 0:
             raise ValueError(f"level weight must be nonnegative, got {n}")
         if method_tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {method_tag!r}")
-        if tags is not None and len(tags) != len(raw):
+        if tags is not None and len(tags) != len(members):
             raise ValueError("tags and partitions must be parallel")
-        if not _canonical(n, raw):
+        if not _canonical(n, members):
             previous = None
-            for member in raw:
+            for member in members:
                 weight = sum(map(ord, member))
                 if weight != n:
                     raise ValueError(
@@ -105,7 +90,7 @@ class Level:
                 previous = member
         self._n = n
         self._method_tag = method_tag
-        self._raw = raw
+        self._raw = members
         self._tags = tags
 
     @property
@@ -118,11 +103,8 @@ class Level:
 
     @property
     def partitions(self) -> tuple[Partition, ...]:
-        if self._partitions is None:
-            self._partitions = tuple(map(
-                Partition._from_canonical, map(decode_member, self._raw),
-                repeat(self._n)))
-        return self._partitions
+        return tuple(map(Partition._from_canonical,
+                         map(decode_member, self._raw), repeat(self._n)))
 
     @property
     def tags(self) -> tuple[str, ...]:
@@ -161,7 +143,7 @@ class Level:
     @classmethod
     def seed(cls, method_tag: str) -> "Level":
         """The weight-0 level: just the empty partition."""
-        return cls._validated(0, [""], (TAG_SEED,), method_tag)
+        return cls(0, [""], (TAG_SEED,), method_tag)
 
     @classmethod
     def from_raw(cls, n: int, members: Iterable[str],
@@ -173,11 +155,10 @@ class Level:
         member through the sort.
         """
         if tags is None:
-            return cls._validated(n, sorted(members, reverse=True), None,
-                                  method_tag)
+            return cls(n, sorted(members, reverse=True), None, method_tag)
         pairs = sorted(zip(members, tags), key=itemgetter(0), reverse=True)
-        return cls._validated(n, [member for member, _ in pairs],
-                              tuple([tag for _, tag in pairs]), method_tag)
+        return cls(n, [member for member, _ in pairs],
+                   tuple([tag for _, tag in pairs]), method_tag)
 
     def raw_members(self) -> list[str]:
         """Member strings in level order."""

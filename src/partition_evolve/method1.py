@@ -42,13 +42,11 @@ def predecessor_m1(p: Partition) -> Partition:
         decode_member(_pure.pred_m1(partition_member(p))), p.weight - 1)
 
 
-def evolve_m1(start: Level, target_n: int, *, check: bool = False,
+def evolve_m1(start: Level, target_n: int, *,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the first rule.
 
     ``start`` must be complete (hold every partition of its weight).
-    ``check=True`` asserts the no-duplicate guarantee after every step.
     """
     return run_evolution(start, target_n, method_tag="method1",
-                         step=_pure.step_m1, check=check,
-                         progress=progress)
+                         step=_pure.step_m1, progress=progress)

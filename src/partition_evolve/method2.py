@@ -10,8 +10,8 @@ n+1, so evolution adds it explicitly at every weight above 1.
 from __future__ import annotations
 
 from . import _pure
-from .core import (Kind, Partition, decode_member, kind_m2, partition_member,
-                   unit_count)
+from .core import (Kind, Partition, classify_m2, decode_member,
+                   partition_member)
 from .engine import ProgressFn, run_evolution
 from .level import TAG_ADDED_UNIT, TAG_COLLECTED, Level
 
@@ -20,9 +20,9 @@ def tagged_successors_m2(p: Partition) -> tuple[tuple[Partition, str], ...]:
     """Successors of ``p`` with the rule that produced each one."""
     parts = p.parts
     added = Partition._from_canonical(parts + (1,), p.weight + 1)
-    units = unit_count(p)
-    if kind_m2(parts, units) is Kind.FIRST:
+    if classify_m2(p) is Kind.FIRST:
         return ((added, TAG_ADDED_UNIT),)
+    units = parts.count(1)
     head = parts[:len(parts) - units]
     # u+1 <= smallest non-unit part, so appending keeps canonical order.
     assert not head or head[-1] >= units + 1
@@ -48,7 +48,7 @@ def predecessor_m2(p: Partition) -> Partition:
         decode_member(_pure.pred_m2(partition_member(p))), p.weight - 1)
 
 
-def evolve_m2(start: Level, target_n: int, *, check: bool = False,
+def evolve_m2(start: Level, target_n: int, *,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the second rule.
 
@@ -56,4 +56,4 @@ def evolve_m2(start: Level, target_n: int, *, check: bool = False,
     Contract otherwise as for ``evolve_m1``.
     """
     return run_evolution(start, target_n, method_tag="method2",
-                         step=_pure.step_m2, check=check, progress=progress)
+                         step=_pure.step_m2, progress=progress)

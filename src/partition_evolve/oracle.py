@@ -33,7 +33,7 @@ def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP) -> Level:
             f"weight {n} exceeds cap {cap}; raise the cap to enumerate")
     # The enumerator emits canonical order; the level checks it, and wraps
     # and tags its members only when asked.
-    return Level._validated(n, _pure.enumerate_level(n), None, "oracle")
+    return Level(n, _pure.enumerate_level(n), None, "oracle")
 
 
 def count_oracle(n: int, *, every_weight: bool = False) -> int | list[int]:

@@ -10,8 +10,8 @@ The bijection checks run the step kernels that write the output
 (``_pure.step_m1``, ``_pure.step_m2``) and each rule's inverse
 (``_pure.pred_m1``, ``_pure.pred_m2``) on member strings, with the set
 and sequence work done in C.  Which members are of a method's second kind
-is decided here, by string predicates that share nothing with the
-kernels.
+is decided by the kind tests on member strings (``core.smallest_part_once``,
+``core.collectable``), which share nothing with the kernels.
 
 Series checks run to ``max_n``; anything that enumerates partitions is
 bounded by ``min(max_n, cap)``.
@@ -23,7 +23,8 @@ from itertools import compress, filterfalse
 from operator import eq, methodcaller
 
 from . import _pure
-from .core import NoPredecessorError, member_text
+from .core import (NoPredecessorError, collectable, member_text,
+                   smallest_part_once)
 from .engine import grown_members, split_heads
 from .level import Level
 # perfbench/tracer.py wraps tagged_successors_m* and predecessor_m* as
@@ -108,7 +109,7 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
         members = level.raw_members()
         # Q(n) counts these; they are also method 1's second kind, which
         # the method-1 round trip at weight n+1 needs.
-        once = list(filter(_smallest_part_once, members))
+        once = list(filter(smallest_part_once, members))
         if failures[0] is None and len(once) != q[n]:
             failures[0] = (f"n={n}: Q(n)={q[n]} but enumeration finds "
                            f"{len(once)} second-kind partitions")
@@ -156,19 +157,6 @@ def _step_checks(n: int, previous: Level, previous_members: list[str],
                              failures)
 
 
-def _smallest_part_once(member: str) -> bool:
-    """Q(n)'s partitions, and method 1's second kind: a single part, or
-    a last part below the one before it."""
-    return len(member) == 1 or len(member) > 1 and member[-1] < member[-2]
-
-
-def _collectable(member: str) -> bool:
-    """Method 2's second kind: u units, 1 <= u < the last other part."""
-    head = member.rstrip("\x01")
-    units = len(member) - len(head)
-    return head != "" and 0 < units < ord(head[-1])
-
-
 def _bijection_checks(n: int, previous: list[str], previous_once: list[str],
                       members: list[str], grown1: tuple[list[str], int],
                       grown2: tuple[list[str], int],
@@ -185,7 +173,7 @@ def _bijection_checks(n: int, previous: list[str], previous_once: list[str],
         # weight 2 up ([1] does arise from the rule).
         failures[2] = _step_failure(
             n, _pure.step_m2, grown2, _pure.pred_m2, previous, members,
-            tops, list(filter(_collectable, previous)),
+            tops, list(filter(collectable, previous)),
             [chr(n)] if n >= 2 else [])
 
 

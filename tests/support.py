@@ -1,9 +1,19 @@
-"""Exhaustive property loops shared by the unit and acceptance tests."""
+"""Exhaustive property loops shared by the unit and acceptance tests, and
+a sabotaged step kernel."""
 
 from partition_evolve import (Level, NoPredecessorError, Partition,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               predecessor_m1, predecessor_m2, successors_m1,
                               successors_m2)
+
+
+def duplicating(step):
+    """``step`` with its first new head repeated; from weight 1 to 2 that
+    is the single part 2."""
+    def duplicated(heads):
+        new, second = step(heads)
+        return new + new[:1], second + 1
+    return duplicated
 
 
 def assert_m1_bijection(max_n: int) -> None:

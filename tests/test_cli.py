@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from partition_evolve import cli, count_oracle
+from partition_evolve import _pure, cli, count_oracle
 
 from golden import (M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5,
                     P_AT, PARTITIONS_5, PARTITIONS_6)
+
+from support import duplicating
 
 
 def classify_text(group1, group2):
@@ -86,6 +88,13 @@ def test_classify_weight_one(run_cli):
     code, out, _ = run_cli("classify", 1, "--method", 1)
     assert code == 0
     assert out == classify_text([], ["1"])
+
+
+@pytest.mark.parametrize("method", [1, 2])
+def test_classify_weight_zero_prints_the_empty_member_as_0(run_cli, method):
+    code, out, _ = run_cli("classify", 0, "--method", method)
+    assert code == 0
+    assert out == classify_text(["0"], [])
 
 
 def test_evolve_from_seed(run_cli):
@@ -285,6 +294,16 @@ def test_closed_pipe_stops_quietly(argv):
     assert child.wait(timeout=120) == 0
     # Only evolve's progress lines: no error and no "Exception ignored".
     assert all(line.startswith("level ") for line in err.splitlines()), err
+
+
+def test_a_duplicating_kernel_is_refused_with_exit_2(run_cli, monkeypatch):
+    # A duplicate head keeps its unit tail, so the level's validation
+    # refuses it at any target weight.
+    monkeypatch.setattr(_pure, "step_m1", duplicating(_pure.step_m1))
+    code, out, err = run_cli("evolve", 0, 2, "--method", 1)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: members out of canonical order or duplicated near 2\n")
 
 
 def test_evolve_above_zero_requires_a_snapshot(run_cli):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from partition_evolve import (InvalidPartitionError, Kind, Partition,
                               classify_m1, classify_m2, compare,
                               enumerate_oracle, make_partition,
-                              parse_partition, unit_count)
-from partition_evolve.core import decode_member, encode_parts
+                              parse_partition, predecessor_m1)
+from partition_evolve.core import MAX_PART, decode_member, encode_parts
 
 from golden import M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5
 
@@ -136,16 +136,6 @@ def test_compare_is_a_total_order_up_to_12():
             assert compare(a, b) == expected
 
 
-def test_unit_count_examples():
-    assert unit_count(Partition([3, 1, 1])) == 2
-    assert unit_count(Partition([5])) == 0
-    assert unit_count(Partition([1, 1, 1, 1, 1])) == 5
-    assert unit_count(Partition()) == 0
-    for n in range(11):
-        for p in enumerate_oracle(n).partitions:
-            assert unit_count(p) == sum(1 for part in p if part == 1)
-
-
 def test_classify_m1_examples():
     assert classify_m1(Partition([3, 1, 1])) is Kind.FIRST
     assert classify_m1(Partition([2, 2, 1])) is Kind.SECOND
@@ -186,7 +176,32 @@ def test_classifiers_are_genuinely_different():
 
 
 def test_classify_m1_means_smallest_part_occurs_once():
-    for n in range(1, 17):
+    for n in range(26):
         for p in enumerate_oracle(n).partitions:
-            occurs_once = p.parts.count(min(p.parts)) == 1
+            parts = p.parts
+            occurs_once = bool(parts) and parts.count(min(parts)) == 1
             assert (classify_m1(p) is Kind.SECOND) == occurs_once, str(p)
+
+
+def test_classify_m2_means_units_below_the_smallest_non_unit_part():
+    # The paper's definition on part tuples: with u = parts.count(1),
+    # second kind iff 1 <= u < the smallest part above 1.
+    for n in range(26):
+        for p in enumerate_oracle(n).partitions:
+            parts = p.parts
+            units = parts.count(1)
+            non_units = [part for part in parts if part > 1]
+            collectable = bool(non_units) and 1 <= units < min(non_units)
+            assert (classify_m2(p) is Kind.SECOND) == collectable, str(p)
+
+
+@pytest.mark.parametrize("classify", [classify_m1, classify_m2])
+def test_classifiers_refuse_a_part_past_the_largest_member_part(classify):
+    too_large = Partition([MAX_PART + 1, 1])
+    with pytest.raises(InvalidPartitionError) as refused:
+        predecessor_m1(too_large)
+    with pytest.raises(InvalidPartitionError,
+                       match="part 1114112 is past the largest supported "
+                             "part 1114111") as classified:
+        classify(too_large)
+    assert str(classified.value) == str(refused.value)

@@ -1,4 +1,4 @@
-"""Evolution loop mechanics: duplicate assertion, progress reporting, and
+"""Evolution loop mechanics: duplicate refusal, progress reporting, and
 provenance derived from the parts."""
 
 import pytest
@@ -7,6 +7,8 @@ from partition_evolve import (Level, Partition, _pure, enumerate_oracle,
                               evolve_m1, evolve_m2, tagged_successors_m1,
                               tagged_successors_m2)
 from partition_evolve.engine import grown_members, split_heads
+
+from support import duplicating
 
 
 def test_identity_evolution_returns_the_start_level():
@@ -21,28 +23,13 @@ def test_downward_evolution_is_rejected():
 
 
 def test_check_mode_passes_on_honest_kernels():
-    level = evolve_m2(Level.seed("method2"), 10, check=True)
+    # The level's own validation is the one duplicate check.
+    level = evolve_m2(Level.seed("method2"), 10)
     assert len(level) == 42
 
 
-def _duplicating(step):
-    # Repeats the kernel's first new head; at weight 2 that is the single
-    # part 2.
-    def duplicating(heads):
-        new, second = step(heads)
-        return new + new[:1], second + 1
-    return duplicating
-
-
-def test_check_mode_catches_a_duplicating_kernel(monkeypatch):
-    monkeypatch.setattr(_pure, "step_m1", _duplicating(_pure.step_m1))
-    with pytest.raises(RuntimeError,
-                       match="duplicate partition 2 at weight 2"):
-        evolve_m1(Level.seed("method1"), 2, check=True)
-
-
 def test_without_check_a_duplicate_surfaces_at_level_construction(monkeypatch):
-    monkeypatch.setattr(_pure, "step_m1", _duplicating(_pure.step_m1))
+    monkeypatch.setattr(_pure, "step_m1", duplicating(_pure.step_m1))
     with pytest.raises(ValueError, match="order or duplicated"):
         evolve_m1(Level.seed("method1"), 2)
 

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partition_evolve import (Level, Partition, SnapshotError, TAG_ORDER,
+from partition_evolve import (Level, SnapshotError, TAG_ORDER,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               read_snapshot, write_snapshot)
+from partition_evolve.core import encode_parts
 from partition_evolve.level import (_READ_CHUNK, _read_chunks, _scan_lines,
                                     write_text)
 
 
 def _level(n, raw, tags=None, method_tag="oracle"):
-    members = tuple(Partition(parts) for parts in raw)
+    members = [encode_parts(parts) for parts in raw]
     if tags is None:
         tags = ("Seed",) * len(members)
-    return Level(n=n, partitions=members, tags=tuple(tags),
+    return Level(n=n, members=members, tags=tuple(tags),
                  method_tag=method_tag)
 
 
@@ -101,8 +102,7 @@ def test_snapshot_roundtrip_weight_zero():
     lambda: Level.seed("method2"),
     lambda: _level(3, [(3,), (2, 1)], tags=('odd "tag"', "t\u00e4g")),
     lambda: _level(231, [(120, 100, 11), (99, 99, 33), (10,) * 23 + (1,)]),
-    lambda: evolve_m2(Level(300, [Partition((300,))], ["Seed"], "method2"),
-                      303),
+    lambda: evolve_m2(Level(300, [chr(300)], ("Seed",), "method2"), 303),
 ])
 def test_writers_match_their_reference_formats(make):
     level = make()

@@ -1,10 +1,12 @@
 """The brute-force enumerator and counter that everything else is
 checked against."""
 
+import gc
+
 import pytest
 
-from partition_evolve import (CapExceededError, count_oracle,
-                              enumerate_oracle, euler_p_coeffs)
+from partition_evolve import (CapExceededError, _pure, count_oracle,
+                              enumerate_oracle, euler_p_coeffs, run_suite)
 
 from golden import P_AT, P_SMALL, PARTITIONS_5, PARTITIONS_6
 
@@ -62,3 +64,18 @@ def test_negative_weight_is_rejected():
         enumerate_oracle(-1)
     with pytest.raises(ValueError):
         count_oracle(-1)
+
+
+def test_enumeration_and_the_suite_leave_no_cyclic_garbage():
+    # Strings are not tracked by the cyclic collector, so it runs rarely
+    # while levels are built; a reference cycle would hold each finished
+    # level until it did.
+    gc.collect()
+    gc.disable()
+    try:
+        _pure.enumerate_level(20)
+        assert gc.collect() == 0
+        run_suite(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,7 +5,8 @@ import pytest
 
 from partition_evolve import (CheckResult, NoPredecessorError,
                               VerificationReport, run_suite)
-from partition_evolve import _pure, verify
+import partition_evolve.cli
+from partition_evolve import _pure, backend, verify
 
 
 EXPECTED_CHECK_NAMES = [
@@ -335,11 +336,30 @@ def test_suite_calls_the_module_globals_it_is_traced_through(monkeypatch,
     assert calls
 
 
-@pytest.mark.parametrize("name", [
-    "tagged_successors_m1", "predecessor_m1",
-    "tagged_successors_m2", "predecessor_m2",
-])
-def test_tracer_names_stay_bound_in_verify(name):
-    # perfbench/tracer.py wraps these attributes of the verify module by
-    # name; the suite no longer calls them, but they must still resolve.
-    assert callable(getattr(verify, name))
+# Every attribute perfbench/tracer.py replaces, and the package function
+# perfbench/bench.py calls.  "kernel" stands for the module that
+# backend.get_backend() returns, which the tracer patches.
+BENCHMARK_HOOKS = [
+    "backend.get_backend",
+    "kernel.step_m1", "kernel.step_m2", "kernel.enumerate_level",
+    "level.Level.from_raw",
+    "method1.run_evolution", "method2.run_evolution",
+    "cli.main", "cli.enumerate_oracle", "cli.count_oracle",
+    "cli.read_snapshot", "cli.write_snapshot", "cli.run_suite",
+    "verify.enumerate_oracle", "verify.count_oracle",
+    "verify.coefficient_rows",
+    "verify.tagged_successors_m1", "verify.predecessor_m1",
+    "verify.tagged_successors_m2", "verify.predecessor_m2",
+    "default_backend_name",
+]
+
+
+@pytest.mark.parametrize("path", BENCHMARK_HOOKS)
+def test_benchmark_hooks_resolve(path):
+    # The benchmark looks these up by name; the suite no longer calls some
+    # of them, but each must still resolve to a callable.
+    target = partition_evolve
+    for name in path.split("."):
+        target = (backend.get_backend() if name == "kernel"
+                  else getattr(target, name))
+    assert callable(target)
