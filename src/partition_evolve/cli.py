@@ -239,8 +239,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def _replacing(path: str) -> Iterator[TextIO]:
     """A new temporary file beside ``path``, renamed over ``path`` when the
     block succeeds; a failure removes the temporary file and leaves any
-    existing ``path`` untouched."""
-    directory, name = os.path.split(os.path.abspath(path))
+    existing ``path`` untouched.  A symlink is written through; a target
+    that exists and is not a regular file is refused at once."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ValueError(f"--snapshot-out {path!r} is not a regular file")
+    directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     # Exclusive create: a file of that name is not ours to overwrite or
     # remove.
@@ -254,7 +258,7 @@ def _replacing(path: str) -> Iterator[TextIO]:
     try:
         with stream:
             yield stream
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         try:
             os.remove(temporary)

@@ -36,7 +36,7 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         return start
 
     second_tag = SECOND_KIND_TAG[method_tag]
-    heads = split_heads(start)
+    heads = split_heads(start.n, start.raw_members())
     # Every member grows exactly one appended-unit successor.
     added = len(start)
     for weight in range(start.n + 1, target_n + 1):
@@ -50,33 +50,33 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         added += len(new)
     # The start's members are rendered whole; its heads are not needed.
     del heads[:start.n + 1]
-    return Level.from_raw(target_n, grown_members(start, heads, target_n),
-                          None, method_tag)
+    grown = grown_members(start.n, start.raw_members(), heads, target_n)
+    return Level.from_raw(target_n, grown, None, method_tag)
 
 
-def grown_members(start: Level, new: list[list[str]],
+def grown_members(n: int, members: list[str], new: list[list[str]],
                   target_n: int) -> list[str]:
-    """The members of level ``target_n`` grown from ``start``, unsorted.
+    """The members of level ``target_n`` grown from ``members``, the
+    level of weight n, unsorted.
 
-    ``new[i]`` lists the new heads of weight ``start.n + 1 + i``.  The
-    start's members come first with their unit tail appended; they stay
-    canonical, one run for the sort.  Then each weight's new heads follow
-    with their tails, and each list is popped from ``new`` as it renders.
+    ``new[i]`` lists the new heads of weight ``n + 1 + i``.  The members
+    come first with their unit tail appended; they stay canonical, one run
+    for the sort.  Then each weight's new heads follow with their tails,
+    and each list is popped from ``new`` as it renders.
     """
-    tail = "\x01" * (target_n - start.n)
-    members = [member + tail for member in start.raw_members()]
+    tail = "\x01" * (target_n - n)
+    grown = [member + tail for member in members]
     while new:
-        tail = "\x01" * (target_n - start.n - len(new))
-        members += [head + tail for head in new.pop()]
-    return members
+        tail = "\x01" * (target_n - n - len(new))
+        grown += [head + tail for head in new.pop()]
+    return grown
 
 
-def split_heads(level: Level) -> list[list[str]]:
-    """The level's members split into heads, grouped by weight, each
+def split_heads(n: int, members: list[str]) -> list[list[str]]:
+    """The members of weight n split into heads, grouped by weight, each
     weight's heads in descending order of last part."""
-    n = level.n
     heads: list[list[str]] = [[] for _ in range(n + 1)]
-    for member in level.raw_members():
+    for member in members:
         head = member.rstrip("\x01")
         heads[n - len(member) + len(head)].append(head)
     # Only weight 0 holds the empty head, and it holds nothing else.

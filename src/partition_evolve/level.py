@@ -75,19 +75,7 @@ class Level:
             raise ValueError(f"unknown method tag {method_tag!r}")
         if tags is not None and len(tags) != len(members):
             raise ValueError("tags and partitions must be parallel")
-        if not _canonical(n, members):
-            previous = None
-            for member in members:
-                weight = sum(map(ord, member))
-                if weight != n:
-                    raise ValueError(
-                        f"member {member_text(member)} has weight {weight}, "
-                        f"level holds weight {n}")
-                if previous is not None and not previous > member:
-                    raise ValueError(
-                        "members out of canonical order or duplicated near "
-                        f"{member_text(member)}")
-                previous = member
+        check_members(n, members)
         self._n = n
         self._method_tag = method_tag
         self._raw = members
@@ -169,6 +157,23 @@ class Level:
         tags = self.tags
         counts = {tag: tags.count(tag) for tag in TAG_ORDER}
         return {tag: count for tag, count in counts.items() if count}
+
+
+def check_members(n: int, members: list[str]) -> None:
+    """Raise ValueError naming the first member that is not of weight n
+    or breaks the strict descent of a level."""
+    if _canonical(n, members):
+        return
+    previous = None
+    for member in members:
+        weight = sum(map(ord, member))
+        if weight != n:
+            raise ValueError(f"member {member_text(member)} has weight "
+                             f"{weight}, level holds weight {n}")
+        if previous is not None and not previous > member:
+            raise ValueError("members out of canonical order or duplicated "
+                             f"near {member_text(member)}")
+        previous = member
 
 
 def _canonical(n: int, raw: list[str]) -> bool:

@@ -26,7 +26,7 @@ from . import _pure
 from .core import (NoPredecessorError, collectable, member_text,
                    smallest_part_once)
 from .engine import grown_members, split_heads
-from .level import Level
+from .level import check_members
 # perfbench/tracer.py wraps tagged_successors_m* and predecessor_m* as
 # attributes of this module, so the names stay bound here; the suite
 # checks the kernels and their string inverses instead.
@@ -85,14 +85,13 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     held.  Every check keeps its own first failure and stops there.
 
     The four step checks (both bijections, equivalence and mixed) share
-    one step per method from the oracle's level n-1: it is split into
-    heads once, and each method's step kernel runs once, only while a
-    check still needs it.  At n = 1 that level is the oracle's level 0,
-    which holds the same members as ``Level.seed``.  The verdicts and
-    counterexamples of the equivalence and mixed checks are those of
-    private chains: a chain reaches step n only after its level n-1
-    compared equal, member for member, to the oracle's level n-1, and a
-    one-step evolution is a pure function of the level it starts from.
+    one step per method from the oracle's level n-1, a member list: it is
+    split into heads once, and each method's step kernel runs once while
+    any of the four is still open.  The verdicts and counterexamples of
+    the equivalence and mixed checks are those of private chains: a chain
+    reaches step n only after its level n-1 compared equal, member for
+    member, to the oracle's level n-1, and a one-step evolution is a pure
+    function of the level it starts from.
     The mixed run reads method 1 at odd n and method 2 at even n:
     alternating the rules must still yield complete levels, since each
     step only needs a complete input.
@@ -103,10 +102,9 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
              "method equivalence with enumeration",
              "mixed-method evolution matches enumeration")
     failures: list[str | None] = [None] * len(names)
-    previous = previous_members = previous_once = None
+    previous = previous_once = None
     for n in range(bound + 1):
-        level = enumerate_oracle(n, cap=cap)
-        members = level.raw_members()
+        members = enumerate_oracle(n, cap=cap).raw_members()
         # Q(n) counts these; they are also method 1's second kind, which
         # the method-1 round trip at weight n+1 needs.
         once = list(filter(smallest_part_once, members))
@@ -116,12 +114,10 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
         if n == 0:
             # Evolving the seed to weight 0 returns the seed itself.
             for method in (1, 2):
-                _evolution_check(0, method, Level.seed("oracle"), [],
-                                 members, failures)
+                _evolution_check(0, method, [""], [], members, failures)
         else:
-            _step_checks(n, previous, previous_members, previous_once,
-                         members, failures)
-        previous, previous_members, previous_once = level, members, once
+            _step_checks(n, previous, previous_once, members, failures)
+        previous, previous_once = members, once
     top = f"n=0..{bound}"
     steps = f"n=0..{bound - 1}" if bound else "no step checked"
     return [CheckResult(name, scope, failure is None, failure)
@@ -129,32 +125,21 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
                 names, (top, steps, steps, top, top), failures)]
 
 
-def _needs_step(n: int, method: int, failures: list[str | None]) -> bool:
-    """Whether a check still needs method ``method``'s step to weight n:
-    its bijection, the equivalence, or the mixed run at this n."""
-    return (failures[method] is None or failures[3] is None
-            or failures[4] is None and method == 2 - n % 2)
-
-
-def _step_checks(n: int, previous: Level, previous_members: list[str],
-                 previous_once: list[str], members: list[str],
-                 failures: list[str | None]) -> None:
+def _step_checks(n: int, previous: list[str], previous_once: list[str],
+                 members: list[str], failures: list[str | None]) -> None:
     # Each helper drops its temporaries on return, before the next one
     # (and the next weight) builds its own.
-    needed = [_needs_step(n, method, failures) for method in (1, 2)]
-    if not any(needed):
+    if None not in failures[1:]:
         return
-    heads = split_heads(previous)
-    grown1 = _pure.step_m1(heads) if needed[0] else None
-    grown2 = _pure.step_m2(heads) if needed[1] else None
+    heads = split_heads(n - 1, previous)
+    grown1 = _pure.step_m1(heads)
+    grown2 = _pure.step_m2(heads)
     del heads
     if None in failures[1:3]:
-        _bijection_checks(n, previous_members, previous_once, members,
-                          grown1, grown2, failures)
+        _bijection_checks(n, previous, previous_once, members, grown1,
+                          grown2, failures)
     for method, grown in ((1, grown1), (2, grown2)):
-        if grown is not None:
-            _evolution_check(n, method, previous, [grown[0]], members,
-                             failures)
+        _evolution_check(n, method, previous, [grown[0]], members, failures)
 
 
 def _bijection_checks(n: int, previous: list[str], previous_once: list[str],
@@ -236,7 +221,7 @@ def _counterexample(n, step, pred, previous, members, new, second, explicit):
     """
     owner: dict[str, str] = {}
     for source in previous:
-        alone = step(split_heads(Level.from_raw(n, [source], None, "oracle")))
+        alone = step(split_heads(n, [source]))
         for head in _second_block(*alone):
             owner.setdefault(head, source)
     grown: dict[str | None, list[str]] = {}
@@ -302,16 +287,17 @@ def _round_trip(n: int, pred, successor: str, source: str) -> str | None:
             f"produced by {member_text(source)}")
 
 
-def _evolution_check(n: int, method: int, start: Level,
+def _evolution_check(n: int, method: int, start: list[str],
                      new: list[list[str]], reference: list[str],
                      failures: list[str | None]) -> None:
-    # One method's level is grown, compared and dropped before the
-    # other's.
+    # One method's level is grown from ``start``, the level of weight
+    # n - len(new), compared and dropped before the other's.
     equivalence = failures[3] is None
     mixed = failures[4] is None and n > 0 and method == 2 - n % 2
     if not (equivalence or mixed):
         return
-    mismatch = _level_mismatch(n, grown_members(start, new, n), reference)
+    mismatch = _level_mismatch(
+        n, grown_members(n - len(new), start, new, n), reference)
     if mismatch is not None:
         if equivalence:
             failures[3] = f"n={n}: method{method} vs enumeration, {mismatch}"
@@ -324,15 +310,15 @@ def _level_mismatch(n: int, grown: list[str], want: list[str]) -> str | None:
     otherwise the first difference.
 
     ``want`` is a validated level, so a list equal to it would pass
-    validation too; only a mismatch is validated.  A level that repeats a
-    member or holds one of another weight fails its own validation, which
-    words the difference.
+    validation too; only a mismatch is validated.  A list that repeats a
+    member or holds one of another weight fails a level's validation,
+    which words the difference.
     """
     grown.sort(reverse=True)
     if grown == want:
         return None
     try:
-        Level.from_raw(n, grown, None, "oracle")
+        check_members(n, grown)
     except ValueError as exc:
         return str(exc)
     return _first_mismatch(grown, want)

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,50 @@ def test_bad_snapshot_directory_fails_before_evolving(run_cli, tmp_path):
     assert ".tmp" not in err
     assert "level " not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_target_that_is_a_directory_fails_before_evolving(
+        run_cli, tmp_path):
+    target = tmp_path / "level.jsonl"
+    target.mkdir()
+    code, out, err = run_cli("evolve", 0, 3, "--method", 1,
+                             "--snapshot-out", target)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert repr(str(target)) in err
+    assert ".tmp" not in err
+    assert "level " not in err
+    assert target.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == ["level.jsonl"]
+
+
+def test_snapshot_target_that_is_a_fifo_is_refused(run_cli, tmp_path):
+    target = tmp_path / "pipe"
+    os.mkfifo(target)
+    code, out, err = run_cli("evolve", 0, 3, "--method", 1,
+                             "--snapshot-out", target)
+    assert (code, out) == (2, "")
+    assert repr(str(target)) in err
+    assert "level " not in err
+    assert stat.S_ISFIFO(os.lstat(target).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_snapshot_written_through_a_symlink(run_cli, tmp_path):
+    real = tmp_path / "real.jsonl"
+    real.write_text("previous\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    direct = tmp_path / "direct.jsonl"
+    for target in (link, direct):
+        code, _, _ = run_cli("evolve", 0, 6, "--method", 2,
+                             "--snapshot-out", target)
+        assert code == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == str(real)
+    assert real.read_bytes() == direct.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "direct.jsonl", "link.jsonl", "real.jsonl"]
 
 
 def test_failure_while_evolving_removes_the_temporary_file(run_cli, tmp_path,

@@ -6,7 +6,9 @@ import pytest
 from partition_evolve import (Level, Partition, _pure, enumerate_oracle,
                               evolve_m1, evolve_m2, tagged_successors_m1,
                               tagged_successors_m2)
+from partition_evolve.core import decode_member, encode_parts
 from partition_evolve.engine import grown_members, split_heads
+from partition_evolve.level import TAG_ADDED_UNIT
 
 from support import duplicating
 
@@ -72,20 +74,37 @@ def test_derived_tags_match_the_per_partition_rules(evolve, method_tag,
 def test_grown_members_sort_into_the_evolved_level(evolve, step):
     for n in range(1, 13):
         start = enumerate_oracle(n - 1)
-        new, _ = getattr(_pure, step)(split_heads(start))
-        members = grown_members(start, [new], n)
+        previous = start.raw_members()
+        new, _ = getattr(_pure, step)(split_heads(n - 1, previous))
+        members = grown_members(n - 1, previous, [new], n)
         assert sorted(members, reverse=True) == \
             evolve(start, n).raw_members(), n
 
 
 def test_grown_members_renders_several_weights_and_pops_them():
-    start = enumerate_oracle(3)
-    heads = split_heads(start)
+    start = enumerate_oracle(3).raw_members()
+    heads = split_heads(3, start)
     new = []
     for _ in range(3):
         new.append(_pure.step_m1(heads + new)[0])
-    members = grown_members(start, new, 6)
+    members = grown_members(3, start, new, 6)
     assert new == []
-    assert members[:len(start)] == [m + "\x01" * 3
-                                    for m in start.raw_members()]
+    assert members[:len(start)] == [m + "\x01" * 3 for m in start]
     assert sorted(members, reverse=True) == enumerate_oracle(6).raw_members()
+
+
+@pytest.mark.parametrize("step,tagged_successors", [
+    ("step_m1", tagged_successors_m1), ("step_m2", tagged_successors_m2)])
+def test_one_member_steps_grow_its_per_partition_successors(
+        step, tagged_successors):
+    # verify names the producer of a new head by stepping each member of
+    # level n alone; its second block must be that member's successors
+    # under the per-partition rule, less the appended-unit one.
+    for n in range(16):
+        for member in enumerate_oracle(n).raw_members():
+            new, second = getattr(_pure, step)(split_heads(n, [member]))
+            expected = [encode_parts(successor.parts)
+                        for successor, tag in tagged_successors(
+                            Partition(decode_member(member)))
+                        if tag != TAG_ADDED_UNIT]
+            assert new[len(new) - second:] == expected, (n, member)

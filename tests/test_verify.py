@@ -3,7 +3,7 @@ kernels and inverses, deterministic output."""
 
 import pytest
 
-from partition_evolve import (CheckResult, NoPredecessorError,
+from partition_evolve import (CheckResult, Level, NoPredecessorError,
                               VerificationReport, run_suite)
 import partition_evolve.cli
 from partition_evolve import _pure, backend, verify
@@ -316,6 +316,22 @@ def test_each_weight_is_split_and_stepped_once_per_method(monkeypatch):
     assert run_suite(15).overall
     assert {name: len(args) for name, args in calls.items()} == {
         "split_heads": 15, "step_m1": 15, "step_m2": 15}
+
+
+def test_the_suite_builds_only_the_oracle_levels(monkeypatch):
+    # The checks work on member lists; the only Levels are the ones
+    # enumerate_oracle returns, one per weight.
+    built = []
+    init = Level.__init__
+
+    def counted(self, n, *args):
+        built.append(n)
+        init(self, n, *args)
+
+    monkeypatch.setattr(Level, "__init__", counted)
+    calls = _counting(monkeypatch, "enumerate_oracle")
+    assert run_suite(15).overall
+    assert built == calls == list(range(16))
 
 
 @pytest.mark.parametrize("module,name", [
