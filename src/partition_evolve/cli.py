@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import time
 from collections.abc import Iterator
@@ -21,6 +22,7 @@ from typing import TextIO
 
 from .core import (Kind, collectable, decimal_value, member_text,
                    parse_partition, quote_text, smallest_part_once)
+from .engine import check_upward
 from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1, predecessor_m1
 from .method2 import evolve_m2, predecessor_m2
@@ -202,6 +204,8 @@ def _progress(weight: int, counts: dict[str, int]) -> None:
 def cmd_evolve(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     _ensure_within_cap(args.to_n, cap)
+    # Refused before any snapshot is opened, read or counted.
+    check_upward(args.from_n, args.to_n)
     method_tag = "method1" if args.method == 1 else "method2"
     evolve = evolve_m1 if args.method == 1 else evolve_m2
 
@@ -240,7 +244,8 @@ def _replacing(path: str) -> Iterator[TextIO]:
     """A new temporary file beside ``path``, renamed over ``path`` when the
     block succeeds; a failure removes the temporary file and leaves any
     existing ``path`` untouched.  A symlink is written through; a target
-    that exists and is not a regular file is refused at once."""
+    that exists and is not a regular file is refused at once.  A replaced
+    file keeps its permission bits; a new one gets the default mode."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise ValueError(f"--snapshot-out {path!r} is not a regular file")
@@ -257,6 +262,8 @@ def _replacing(path: str) -> Iterator[TextIO]:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with stream:
+            if os.path.isfile(target):
+                os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
             yield stream
         os.replace(temporary, target)
     except BaseException:

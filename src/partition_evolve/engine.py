@@ -27,9 +27,7 @@ ProgressFn = Callable[[int, dict[str, int]], None]
 def run_evolution(start: Level, target_n: int, *, method_tag: str,
                   step: StepFn, progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level up to ``target_n``, one weight at a time."""
-    if target_n < start.n:
-        raise ValueError(
-            f"cannot evolve downward: start weight {start.n}, target {target_n}")
+    check_upward(start.n, target_n)
     if progress is not None:
         progress(start.n, start.tag_counts())
     if target_n == start.n:
@@ -52,6 +50,13 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
     del heads[:start.n + 1]
     grown = grown_members(start.n, start.raw_members(), heads, target_n)
     return Level.from_raw(target_n, grown, None, method_tag)
+
+
+def check_upward(start_n: int, target_n: int) -> None:
+    """Raise ValueError when ``target_n`` lies below ``start_n``."""
+    if target_n < start_n:
+        raise ValueError(
+            f"cannot evolve downward: start weight {start_n}, target {target_n}")
 
 
 def grown_members(n: int, members: list[str], new: list[list[str]],

@@ -11,7 +11,6 @@ evolution run is valid input for resuming it.
 from __future__ import annotations
 
 import json
-from codecs import charmap_encode
 from itertools import chain, filterfalse, islice, repeat
 from operator import getitem, gt, itemgetter, lt
 from typing import IO, Iterable
@@ -39,8 +38,15 @@ METHOD_TAGS = ("method1", "method2", "oracle")
 # single part) are told apart by their length.
 SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 
-# Members per write when rendering a level; bounds the text held at once.
-_WRITE_CHUNK = 8192
+# Members per bulk pass of the snapshot writer and the weight check.  Each
+# pass drops its buffers before the next, so a pass bounds the memory held
+# at once; the speed barely changes from 1024 to 8192 members.
+_CHUNK = 2048
+# Members per write of text: at weight 50 about 250 KB, several times a
+# pipe's buffer, so that a reader finds the pipe full at each read.  With
+# writes of 2048 members the reads came in assorted sizes, and the
+# benchmark's reader, which allocates 1 MiB per read, grew by about 6 MiB.
+_TEXT_CHUNK = 8192
 
 
 class SnapshotError(ValueError):
@@ -181,50 +187,101 @@ def _canonical(n: int, raw: list[str]) -> bool:
 
     Within one weight, strictly descending members are strictly canonical,
     which implies both sortedness and uniqueness.  The built-ins check the
-    whole level in C: a member's weight is the byte sum of its Latin-1
-    encoding, and the string comparisons are memcmp.  A part past 255 has
-    no Latin-1 byte; such a level answers False here and is checked by the
-    caller's per-member scan, which also names the first offender.
+    whole level in C, a chunk at a time: a member's weight is the byte sum
+    of its piece of the chunk's Latin-1 encoding, joined and split at NUL,
+    and the string comparisons are memcmp.  A member holding NUL splits
+    into extra pieces and answers False, as does a part past 255, which
+    has no Latin-1 byte; the caller's per-member scan then checks the
+    level and names the first offender.
+    """
+    for start in range(0, len(raw), _CHUNK):
+        chunk = raw[start:start + _CHUNK]
+        try:
+            pieces = "\0".join(chunk).encode("latin-1").split(b"\0")
+        except UnicodeEncodeError:
+            return False
+        if len(pieces) != len(chunk) or not set(map(sum, pieces)) <= {n}:
+            return False
+    return all(map(gt, raw, islice(raw, 1, None)))
+
+
+# The byte that never appears in output: padding inside a rendered cell.
+_PAD = b"\xff"
+# Translate table marking the member separator NUL with 1, parts with 0.
+_IS_END = b"\x01" + bytes(255)
+
+
+def _cell_tables(n: int, sep: bytes,
+                 end: bytes) -> tuple[list[bytes], list[bytes]]:
+    """``bytes.translate`` tables, one per byte of a rendered cell: those
+    of its separator slot, looked up by a code's pair value (see
+    ``_render``), then those of its digit slot, looked up by the code.
+
+    The separator slot holds ``sep`` between two parts, ``end`` at each
+    member separator NUL, and nothing before a member's first part.  The
+    digit slot holds a part's digits, right-aligned to the largest part a
+    member of weight n holds, and nothing for NUL.  Every unused byte of a
+    cell is ``_PAD``.
+    """
+    width = len(sep)
+    digits = len(str(min(n, 255)))
+    # By pair value: a part after a part, a NUL after a part, a part after
+    # a NUL, a NUL after a NUL (the empty member).
+    slots = [sep, end.ljust(width, _PAD), _PAD * width, end.ljust(width, _PAD)]
+    slots += [_PAD * width] * (256 - len(slots))
+    parts = [_PAD * digits]
+    parts += [(b"%d" % part).rjust(digits, _PAD) for part in range(1, 256)]
+    return ([bytes(column) for column in zip(*slots)],
+            [bytes(column) for column in zip(*parts)])
+
+
+def _render(chunk: list[str],
+            tables: tuple[list[bytes], list[bytes]]) -> str | None:
+    """The members of ``chunk`` rendered with ``_cell_tables``, each
+    followed by its end marker; None when some part is past 255.
+
+    The chunk is encoded once, one Latin-1 code per part and a NUL after
+    each member.  A code's pair value is 1 if it is a NUL, plus 2 if the
+    code before it is (or it is the first).  The pair values come from one
+    sum of big-endian integers, whose bytes are 0, 1 or 2 and never carry.
+    Each byte position of the fixed-width cells is then filled by one
+    strided slice assignment from the translated pair values or codes, and
+    dropping the padding finishes the text.
     """
     try:
-        weights = set(map(sum, map(str.encode, raw, repeat("latin-1"))))
+        codes = ("\0".join(chunk) + "\0").encode("latin-1")
     except UnicodeEncodeError:
-        return False
-    return weights <= {n} and all(map(gt, raw, islice(raw, 1, None)))
-
-
-def _render_table(n: int, first: bytes, rest: bytes) -> list[bytes]:
-    # One entry per code point a member of weight n can hold: part k
-    # renders as ``k`` followed by ``rest``, and the member separator
-    # NUL (never a part) as ``first``.
-    table = [b"%d%s" % (part, rest) for part in range(n + 1)]
-    table[0] = first
-    return table
-
-
-def _render(chunk: list[str], table: list[bytes]) -> bytes:
-    # charmap_encode, the function behind every stdlib charmap codec,
-    # looks each code point up in a list table and may emit several bytes
-    # for it, all in C.
-    return charmap_encode("\0".join(chunk) + "\0", "strict", table)[0]
+        return None
+    ends = int.from_bytes(codes.translate(_IS_END), "big")
+    before = (ends >> 8) + (1 << 8 * (len(codes) - 1))
+    pairs = (ends + 2 * before).to_bytes(len(codes), "big")
+    slot_tables, part_tables = tables
+    width = len(slot_tables) + len(part_tables)
+    cells = bytearray(width * len(codes))
+    for i, table in enumerate(slot_tables):
+        cells[i::width] = pairs.translate(table)
+    for i, table in enumerate(part_tables, len(slot_tables)):
+        cells[i::width] = codes.translate(table)
+    return cells.translate(None, _PAD).decode("ascii")
 
 
 def write_text(level: Level, stream: IO[str]) -> None:
     """Write one canonical text line per member (``3+2+1``, or ``0`` for
     the empty partition), in level order.
 
-    Each chunk of members is joined with NUL and rendered to bytes in one
-    call: part k becomes ``k+`` and the separator a newline, so a single
-    ``replace`` of ``+`` before each newline finishes every line.
+    Each chunk of members is rendered in bulk (see ``_render``), with
+    ``+`` between parts and a newline after each member; a chunk with a
+    part past 255 is formatted a member at a time.
     """
     raw = level._raw
     if level.n == 0:
         stream.write("0\n" * len(raw))
         return
-    table = _render_table(level.n, b"\n", b"+")
-    for start in range(0, len(raw), _WRITE_CHUNK):
-        text = _render(raw[start:start + _WRITE_CHUNK], table)
-        stream.write(text.replace(b"+\n", b"\n").decode("ascii"))
+    tables = _cell_tables(level.n, b"+", b"\n")
+    for start in range(0, len(raw), _TEXT_CHUNK):
+        chunk = raw[start:start + _TEXT_CHUNK]
+        stream.write(_render(chunk, tables) or "".join(
+            [member_text(member) + "\n" for member in chunk]))
 
 
 def write_snapshot(level: Level, stream: IO[str]) -> None:
@@ -232,17 +289,22 @@ def write_snapshot(level: Level, stream: IO[str]) -> None:
 
     The lines are formatted directly; their bytes are those of
     ``json.dumps({"n": ..., "parts": [...], "tag": ...})``.  The parts
-    lists are rendered as in ``write_text``, then joined with their tags.
+    lists are rendered as in ``write_text``, with ``, `` between parts,
+    then joined with their tags.
     """
     raw = level._raw
     tags = level.tags
     head = '{"n": %d, "parts": [' % level.n
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
-    table = _render_table(level.n, b"\0", b", ")
-    for start in range(0, len(raw), _WRITE_CHUNK):
-        stop = start + _WRITE_CHUNK
-        parts = (_render(raw[start:stop], table).replace(b", \0", b"\0")
-                 .decode("ascii").split("\0"))
+    tables = _cell_tables(level.n, b", ", b"\0")
+    for start in range(0, len(raw), _CHUNK):
+        stop = start + _CHUNK
+        chunk = raw[start:stop]
+        rendered = _render(chunk, tables)
+        if rendered is None:
+            parts = [", ".join(map(str, map(ord, member))) for member in chunk]
+        else:
+            parts = rendered.split("\0")[:-1]
         stream.write("".join([head + text + tail[tag] for text, tag
                               in zip(parts, tags[start:stop])]))
 

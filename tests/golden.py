@@ -53,3 +53,11 @@ M2_EXPLICIT_6 = ["6"]
 # The weight-6 members broken down by the rule that emitted them.
 M1_AUGMENTED_6 = ["6", "4+2", "3+3", "2+2+2"]
 M2_COLLECTED_6 = ["4+2", "3+3", "2+2+2"]
+
+# SHA-256 of the stdout of `evolve 0 50 --method 2`, the paper's headline
+# output: all 204,226 partitions of 50 as text, in canonical order.  It was
+# taken from the CLI before its writers were rewritten, and equals the
+# benchmark's pinned digest for the same run, which the benchmark's own
+# tests re-derive from an independent listing.
+EVOLVE_50_M2_TEXT_SHA256 = (
+    "394103aaf60ae25bee7abb02f111b58d8e8c90f7a94de72a69916238801fcc14")

@@ -1,5 +1,5 @@
 """Exhaustive property loops shared by the unit and acceptance tests, and
-a sabotaged step kernel."""
+sabotaged step kernels."""
 
 from partition_evolve import (Level, NoPredecessorError, Partition,
                               enumerate_oracle, evolve_m1, evolve_m2,
@@ -14,6 +14,16 @@ def duplicating(step):
         new, second = step(heads)
         return new + new[:1], second + 1
     return duplicated
+
+
+def overweight(step):
+    """``step`` with the first part of its first new head raised by one;
+    from weight 1 to 2 that makes the single part 3."""
+    def raised(heads):
+        new, second = step(heads)
+        return [chr(ord(head[0]) + 1) + head[1:]
+                for head in new[:1]] + new[1:], second
+    return raised
 
 
 def assert_m1_bijection(max_n: int) -> None:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, cap handling, snapshots."""
 
+import hashlib
 import json
 import os
 import random
@@ -12,10 +13,11 @@ import pytest
 
 from partition_evolve import _pure, cli, count_oracle
 
-from golden import (M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5,
-                    P_AT, PARTITIONS_5, PARTITIONS_6)
+from golden import (EVOLVE_50_M2_TEXT_SHA256, M1_GROUP1_5, M1_GROUP2_5,
+                    M2_GROUP1_5, M2_GROUP2_5, P_AT, PARTITIONS_5,
+                    PARTITIONS_6)
 
-from support import duplicating
+from support import duplicating, overweight
 
 
 def classify_text(group1, group2):
@@ -268,6 +270,23 @@ def test_snapshot_written_through_a_symlink(run_cli, tmp_path):
         "direct.jsonl", "link.jsonl", "real.jsonl"]
 
 
+def test_snapshot_out_keeps_the_mode_of_the_file_it_replaces(run_cli,
+                                                            tmp_path):
+    private = tmp_path / "private.jsonl"
+    private.write_text("previous\n")
+    private.chmod(0o600)
+    fresh = tmp_path / "fresh.jsonl"
+    for target in (private, fresh):
+        code, _, _ = run_cli("evolve", 0, 2, "--method", 1,
+                             "--snapshot-out", target)
+        assert code == 0
+    assert private.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
 def test_failure_while_evolving_removes_the_temporary_file(run_cli, tmp_path,
                                                          monkeypatch):
     def fail(start, to_n, **kwargs):
@@ -349,6 +368,52 @@ def test_a_duplicating_kernel_is_refused_with_exit_2(run_cli, monkeypatch):
     assert (code, out) == (2, "")
     assert err.endswith(
         "error: members out of canonical order or duplicated near 2\n")
+
+
+# The messages are those the CLI printed before the weight check was
+# chunked.  At weight 30 the level spans three check chunks.
+@pytest.mark.parametrize("method, to_n, message", [
+    (1, 2, "member 3 has weight 3, level holds weight 2"),
+    (2, 2, "member 3 has weight 3, level holds weight 2"),
+    (1, 30, "member 59 has weight 59, level holds weight 30"),
+    (2, 30, "member 31 has weight 31, level holds weight 30"),
+])
+def test_a_wrong_weight_kernel_is_refused_with_exit_2(run_cli, monkeypatch,
+                                                      method, to_n, message):
+    kernel = f"step_m{method}"
+    monkeypatch.setattr(_pure, kernel, overweight(getattr(_pure, kernel)))
+    code, out, err = run_cli("evolve", 0, to_n, "--method", method)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_headline_output_matches_its_digest(run_cli):
+    code, out, _ = run_cli("evolve", 0, 50, "--method", 2)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EVOLVE_50_M2_TEXT_SHA256
+
+
+def test_downward_run_is_refused_before_the_snapshot_is_read(
+        run_cli, tmp_path, monkeypatch):
+    snap = tmp_path / "level20000.jsonl"
+    snap.write_text('{"n": 20000, "parts": [20000], "tag": "Seed"}\n')
+
+    def never(*args, **kwargs):
+        raise AssertionError("the snapshot was read or counted")
+
+    monkeypatch.setattr(cli, "read_snapshot", never)
+    monkeypatch.setattr(cli, "count_oracle", never)
+    code, out, err = run_cli("evolve", 20000, 5, "--method", 1,
+                             "--snapshot-in", snap)
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot evolve downward: start weight 20000, "
+                   "target 5\n")
+
+
+def test_downward_run_without_a_snapshot_names_the_direction(run_cli):
+    code, out, err = run_cli("evolve", 7, 5, "--method", 2)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot evolve downward: start weight 7, target 5\n"
 
 
 def test_evolve_above_zero_requires_a_snapshot(run_cli):

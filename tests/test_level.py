@@ -11,8 +11,8 @@ from partition_evolve import (Level, SnapshotError, TAG_ORDER,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               read_snapshot, write_snapshot)
 from partition_evolve.core import encode_parts
-from partition_evolve.level import (_READ_CHUNK, _read_chunks, _scan_lines,
-                                    write_text)
+from partition_evolve.level import (_READ_CHUNK, _canonical, _read_chunks,
+                                    _scan_lines, check_members, write_text)
 
 
 def _level(n, raw, tags=None, method_tag="oracle"):
@@ -90,9 +90,22 @@ def test_snapshot_roundtrip_weight_zero():
     assert read_snapshot(buffer, method_tag="oracle") == Level.seed("oracle")
 
 
-# Weight 35 holds 14,883 members, more than one write chunk; the evolved
-# levels of weight 35 derive their tags.  Weights 231 and 303 take parts
-# past code points 127 and 255.
+def _assert_writers_match_their_reference_formats(level):
+    text = io.StringIO()
+    write_text(level, text)
+    assert text.getvalue() == "".join(f"{p}\n" for p in level.partitions)
+    snapshot = io.StringIO()
+    write_snapshot(level, snapshot)
+    assert snapshot.getvalue() == "".join(
+        json.dumps({"n": level.n, "parts": list(p.parts), "tag": tag}) + "\n"
+        for p, tag in zip(level.partitions, level.tags))
+
+
+# Weight 35 holds 14,883 members, several write chunks; the evolved levels
+# of weight 35 derive their tags.  Weights 231 and 303 take parts past code
+# points 127 and 255; a part past 255 is formatted a member at a time.
+# Weights 9, 10, 99, 100 and 255 are the edges of the rendered cell
+# widths, and 300 renders parts of up to 255 in cells three digits wide.
 @pytest.mark.parametrize("make", [
     lambda: enumerate_oracle(35),
     lambda: evolve_m1(Level.seed("method1"), 13),
@@ -103,17 +116,83 @@ def test_snapshot_roundtrip_weight_zero():
     lambda: _level(3, [(3,), (2, 1)], tags=('odd "tag"', "t\u00e4g")),
     lambda: _level(231, [(120, 100, 11), (99, 99, 33), (10,) * 23 + (1,)]),
     lambda: evolve_m2(Level(300, [chr(300)], ("Seed",), "method2"), 303),
+    lambda: enumerate_oracle(9),
+    lambda: enumerate_oracle(10),
+    lambda: _level(99, [(99,), (90, 9), (10,) * 9 + (9,), (1,) * 99]),
+    lambda: _level(100, [(100,), (99, 1), (10,) * 10, (1,) * 100]),
+    lambda: _level(255, [(255,), (128, 127), (100, 100, 55), (1,) * 255]),
+    lambda: _level(300, [(255, 45), (255,) + (1,) * 45, (100,) * 3]),
 ])
 def test_writers_match_their_reference_formats(make):
-    level = make()
-    text = io.StringIO()
-    write_text(level, text)
-    assert text.getvalue() == "".join(f"{p}\n" for p in level.partitions)
-    snapshot = io.StringIO()
-    write_snapshot(level, snapshot)
-    assert snapshot.getvalue() == "".join(
-        json.dumps({"n": level.n, "parts": list(p.parts), "tag": tag}) + "\n"
-        for p, tag in zip(level.partitions, level.tags))
+    _assert_writers_match_their_reference_formats(make())
+
+
+def _fill(parts, n):
+    """A partition of n: the parts that fit, in turn, then units."""
+    kept = []
+    for part in parts:
+        if sum(kept) + part <= n:
+            kept.append(part)
+    return sorted(kept + [1] * (n - sum(kept)), reverse=True)
+
+
+@st.composite
+def _small_levels(draw):
+    """A valid level of a few members with parts in 1..300."""
+    parts = st.lists(st.integers(1, 300), max_size=5)
+    n = sum(draw(parts))
+    members = {encode_parts(_fill(draw(parts), n))
+               for _ in range(draw(st.integers(1, 6)))}
+    members = sorted(members, reverse=True)
+    tags = draw(st.lists(st.sampled_from(TAG_ORDER), min_size=len(members),
+                         max_size=len(members)))
+    return Level(n, members, tuple(tags), "oracle")
+
+
+@given(_small_levels())
+def test_writers_match_their_reference_formats_on_small_levels(level):
+    _assert_writers_match_their_reference_formats(level)
+
+
+def test_a_member_holding_nul_never_passes_the_weight_check():
+    assert not _canonical(2, ["\x02\x00"])
+    assert not _canonical(4, ["\x02\x00\x02"])
+    assert not _canonical(3, ["\x03", "\x02\x00\x01"])
+    with pytest.raises(ValueError, match=r"member 2\+0\+2 has weight 4"):
+        check_members(2, ["\x02\x00\x02"])
+
+
+_CODES = "\x00\x01\x02\x03\x04\x05\u0100"
+
+
+@st.composite
+def _member_lists(draw):
+    """A weight and members near a level of it: its members, any strings
+    over a few codes (NUL and one past 255 among them), and its members
+    with NUL put in."""
+    n = draw(st.integers(0, 6))
+    level = enumerate_oracle(n).raw_members()
+    with_nul = st.sampled_from(level).flatmap(
+        lambda member: st.integers(0, len(member)).map(
+            lambda i: member[:i] + "\0" + member[i:]))
+    members = draw(st.lists(st.one_of(
+        st.sampled_from(level), st.text(_CODES, max_size=5), with_nul),
+        max_size=8))
+    if draw(st.booleans()):
+        members.sort(reverse=True)
+    return n, members
+
+
+@given(_member_lists())
+def test_weight_check_passes_only_what_the_scan_passes(case):
+    n, members = case
+    if _canonical(n, members):
+        check_members(n, members)
+
+
+def test_weight_check_passes_whole_levels():
+    for n in (0, 1, 12, 30):
+        assert _canonical(n, enumerate_oracle(n).raw_members())
 
 
 def test_snapshot_tolerates_blank_lines():
