@@ -26,7 +26,8 @@ from .engine import check_upward
 from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1, predecessor_m1
 from .method2 import evolve_m2, predecessor_m2
-from .oracle import DEFAULT_CAP, CapExceededError, count_oracle, enumerate_oracle
+from .oracle import (DEFAULT_CAP, CapExceededError, check_cap, count_oracle,
+                     enumerate_oracle)
 from .series import coefficient_csv, euler_p_coeffs
 from .verify import run_suite
 
@@ -142,13 +143,6 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return value
 
 
-def _ensure_within_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(
-            f"weight {n} exceeds cap {cap}; raise it with --cap or "
-            f"${ENV_CAP}")
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     if args.table:
@@ -161,7 +155,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     elif args.source == "oracle":
         value = len(enumerate_oracle(args.n, cap=cap))
     else:
-        _ensure_within_cap(args.n, cap)
+        check_cap(args.n, cap)
         if args.source == "evolve1":
             level = evolve_m1(Level.seed("method1"), args.n)
         else:
@@ -203,7 +197,7 @@ def _progress(weight: int, counts: dict[str, int]) -> None:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    _ensure_within_cap(args.to_n, cap)
+    check_cap(args.to_n, cap)
     # Refused before any snapshot is opened, read or counted.
     check_upward(args.from_n, args.to_n)
     method_tag = "method1" if args.method == 1 else "method2"
@@ -290,7 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    _ensure_within_cap(args.max_n, cap)
+    check_cap(args.max_n, cap)
     runners = (
         ("method1", lambda n: evolve_m1(Level.seed("method1"), n)),
         ("method2", lambda n: evolve_m2(Level.seed("method2"), n)),
@@ -322,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         _discard_stdout()
         return EXIT_OK
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}; raise it with --cap or ${ENV_CAP}",
+              file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, filterfalse, islice, repeat
-from operator import getitem, gt, itemgetter, lt
+from operator import gt, itemgetter, lt
 from typing import IO, Iterable
 
 from .core import (MAX_PART, Partition, decode_member, encode_parts,
@@ -38,9 +38,12 @@ METHOD_TAGS = ("method1", "method2", "oracle")
 # single part) are told apart by their length.
 SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 
-# Members per bulk pass of the snapshot writer and the weight check.  Each
-# pass drops its buffers before the next, so a pass bounds the memory held
-# at once; the speed barely changes from 1024 to 8192 members.
+# Members per bulk pass of the snapshot writer, the weight check and the
+# snapshot reader.  Each pass drops its buffers before the next, so a pass
+# bounds the memory held at once; the speed barely changes from 1024 to
+# 8192 members.  The reader holds its parsed records one chunk at a time:
+# held all at once, the garbage collector's passes over them cost what the
+# bulk checks save, and they raise the peak RSS.
 _CHUNK = 2048
 # Members per write of text: at weight 50 about 250 KB, several times a
 # pipe's buffer, so that a reader finds the pipe full at each read.  With
@@ -61,12 +64,12 @@ class Level:
 
     Members are held as member strings, one code point per part (see
     ``core.encode_parts``).  ``partitions`` wraps them anew on each
-    access.  A level built with tags (by ``seed`` or from a snapshot)
-    keeps them; one built without (by ``from_raw`` after evolving, or by
-    the oracle) derives them on first access from the rule that grew it:
-    the appended-unit successors are exactly the members ending in 1,
-    method 2's explicit member is the single part, and every other member
-    is of the method's second kind.
+    access.  The level checks each member's weight, that no part is 0,
+    and the strict descent of the members; the order of the parts within
+    each member is the caller's promise and is not checked.  A level built
+    with tags (by ``seed`` or from a snapshot) keeps them; one built
+    without (by ``from_raw`` after evolving, or by the oracle) derives
+    them on each access with ``rule_tags``.
     """
 
     __slots__ = ("_n", "_method_tag", "_raw", "_tags")
@@ -103,20 +106,8 @@ class Level:
     @property
     def tags(self) -> tuple[str, ...]:
         if self._tags is None:
-            self._tags = self._derive_tags()
+            return rule_tags(self._n, self._raw, self._method_tag)
         return self._tags
-
-    def _derive_tags(self) -> tuple[str, ...]:
-        raw = self._raw
-        if self._n == 0 or self._method_tag == "oracle":
-            return (TAG_SEED,) * len(raw)
-        second = SECOND_KIND_TAG[self._method_tag]
-        if self._method_tag == "method1":
-            return tuple([TAG_ADDED_UNIT if member[-1] == "\x01" else second
-                          for member in raw])
-        return tuple([TAG_ADDED_UNIT if member[-1] == "\x01"
-                      else TAG_EXPLICIT if len(member) == 1 else second
-                      for member in raw])
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -165,9 +156,29 @@ class Level:
         return {tag: count for tag, count in counts.items() if count}
 
 
+def rule_tags(n: int, members: list[str],
+              method_tag: str) -> tuple[str, ...]:
+    """The tags that the rule of ``method_tag`` gives the members of a
+    level of weight n that it grew; Seed at weight 0 and for the oracle.
+
+    The appended-unit successors are exactly the members ending in 1,
+    method 2's explicit member is the single part, and every other member
+    is of the method's second kind.
+    """
+    if n == 0 or method_tag == "oracle":
+        return (TAG_SEED,) * len(members)
+    second = SECOND_KIND_TAG[method_tag]
+    if method_tag == "method1":
+        return tuple([TAG_ADDED_UNIT if member[-1] == "\x01" else second
+                      for member in members])
+    return tuple([TAG_ADDED_UNIT if member[-1] == "\x01"
+                  else TAG_EXPLICIT if len(member) == 1 else second
+                  for member in members])
+
+
 def check_members(n: int, members: list[str]) -> None:
-    """Raise ValueError naming the first member that is not of weight n
-    or breaks the strict descent of a level."""
+    """Raise ValueError naming the first member that is not of weight n,
+    holds a part 0, or breaks the strict descent of a level."""
     if _canonical(n, members):
         return
     previous = None
@@ -176,6 +187,8 @@ def check_members(n: int, members: list[str]) -> None:
         if weight != n:
             raise ValueError(f"member {member_text(member)} has weight "
                              f"{weight}, level holds weight {n}")
+        if "\0" in member:
+            raise ValueError(f"member {member_text(member)} has a part 0")
         if previous is not None and not previous > member:
             raise ValueError("members out of canonical order or duplicated "
                              f"near {member_text(member)}")
@@ -309,32 +322,14 @@ def write_snapshot(level: Level, stream: IO[str]) -> None:
                               in zip(parts, tags[start:stop])]))
 
 
-def _tag_fits(tag: str, parts: list[int]) -> bool:
-    """Whether some rule gives a member with these parts this tag, which
-    is any but Seed (the caller accepts Seed first, in one comparison).
+def _tags_fit(n: int, members: list[str], tags: Iterable[str]) -> bool:
+    """Whether each tag is Seed or the tag that either rule gives its
+    member (see ``rule_tags``): evolving a level grown by the other rule
+    is valid."""
+    shapes = set(zip(tags, rule_tags(n, members, "method1"),
+                     rule_tags(n, members, "method2")))
+    return all(tag in (TAG_SEED, one, two) for tag, one, two in shapes)
 
-    An appended unit ends in 1.  An augmented, collected or explicit last
-    part is at least 2; a collected one follows other parts, an explicit
-    one stands alone.  A tag of either method fits: evolving a level grown
-    by the other rule is valid.
-    """
-    if not parts:
-        return False
-    if tag == TAG_ADDED_UNIT:
-        return parts[-1] == 1
-    if parts[-1] < 2:
-        return False
-    if tag == TAG_COLLECTED:
-        return len(parts) > 1
-    if tag == TAG_EXPLICIT:
-        return len(parts) == 1
-    return True
-
-
-# Nonblank lines per bulk pass of the snapshot reader.  Records are held
-# one chunk at a time: held all at once, the garbage collector's passes
-# over them cost what the bulk checks save, and they raise the peak RSS.
-_READ_CHUNK = 2048
 
 def read_snapshot(stream: Iterable[str], *, method_tag: str,
                   expected_n: int | None = None) -> Level:
@@ -342,48 +337,54 @@ def read_snapshot(stream: Iterable[str], *, method_tag: str,
 
     Every line must be text with a UTF-8 form, and carry the same weight
     (and match ``expected_n`` when given), canonical non-increasing
-    positive parts, and a known tag that some rule gives those parts (see
-    ``_tag_fits``); no partition may repeat.  Violations raise
+    positive parts, and a known tag that fits those parts (see
+    ``_tags_fit``); no partition may repeat.  Violations raise
     SnapshotError naming the line.
 
-    The lines are checked in bulk, a chunk at a time.  On any failure the
-    per-line scan reruns over them; it alone words the error.
+    The lines are parsed in bulk, a chunk at a time, into a Level, which
+    checks the weights and the uniqueness of its members; then its tags
+    are checked.  On any failure the per-line scan reruns over the lines;
+    it alone words the error.
     """
     lines = list(stream)
     try:
-        found = _read_chunks(lines, expected_n)
+        level = Level.from_raw(*_read_chunks(lines, expected_n), method_tag)
     # What malformed input raises on its way through json.loads, the field
-    # lookups, set() and bytes(); the scan words the error.
+    # lookups, set(), bytes() and the level's own checks.
     except (KeyError, RecursionError, TypeError, ValueError):
-        found = None
-    if found is None:
+        level = None
+    if level is None or not _tags_fit(level.n, level._raw, level.tags):
         return _scan_lines(lines, method_tag, expected_n)
-    level_n, members, tags = found
-    return Level.from_raw(level_n, members, tags, method_tag)
+    return level
 
 
 def _read_chunks(lines: list[str], expected_n: int | None
-                 ) -> tuple[int, list[str], list[str]] | None:
-    """The weight, members and tags of a snapshot that passes every check
-    ``_scan_lines`` makes, checked a chunk at a time with whole-list
-    built-ins; None, or an exception, when some check fails."""
+                 ) -> tuple[int, list[str], list[str]]:
+    """The weight, members and tags of the nonblank lines, parsed a chunk
+    at a time with whole-list built-ins.
+
+    Each line must be a JSON object with the weight of the others (and
+    ``expected_n``), a known tag, and non-increasing parts from 1 to 255;
+    otherwise this raises ValueError, or what the malformed input raises
+    on its way.  The members' weights and uniqueness are left to the
+    Level, and the tags to ``_tags_fit``.
+    """
     members: list[str] = []
     tags: list[str] = []
     level_n = expected_n
     nonblank = filterfalse(str.isspace, lines)
-    while chunk := list(islice(nonblank, _READ_CHUNK)):
+    while chunk := list(islice(nonblank, _CHUNK)):
         text = "".join(chunk)
         # A lone surrogate, as the CLI reads an undecodable byte, has no
         # UTF-8 form.
         text.encode("utf-8")
-        # JSON true and false load as bool, an int subclass that sum() and
-        # bytes() take for 1 and 0.  Without either literal, no field
-        # holds one.
+        # JSON true and false load as bool, an int subclass that bytes()
+        # takes for 1 and 0.  Without either literal, no field holds one.
         if "true" in text or "false" in text:
-            return None
+            raise ValueError("a JSON boolean")
         records = list(map(json.loads, chunk))
         if set(map(type, records)) != {dict}:
-            return None
+            raise ValueError("not a JSON object")
         weights = list(map(itemgetter("n"), records))
         chunk_parts = list(map(itemgetter("parts"), records))
         chunk_tags = list(map(itemgetter("tag"), records))
@@ -393,37 +394,25 @@ def _read_chunks(lines: list[str], expected_n: int | None
         if (set(map(type, weights)) != {int} or set(weights) != {level_n}
                 or not SNAPSHOT_TAGS.issuperset(chunk_tags)
                 or set(map(type, chunk_parts)) != {list}):
-            return None
+            raise ValueError("a bad field")
         # Every member followed by NUL, never a part.  bytes() refuses a
         # part that is not an int or lies past 255, so a level with larger
-        # parts is left to the scan, as in _canonical; a part 0 adds a NUL.
+        # parts is left to the scan, as in _canonical.  A part 0 adds a
+        # NUL; the count keeps the members one per line.
         joined = bytes(chain.from_iterable(chain.from_iterable(
             zip(chunk_parts, repeat((0,))))))
-        if joined.count(0) != len(chunk_parts):
-            return None
-        # Positive parts summing to level_n also make it nonnegative.
-        if set(map(sum, chunk_parts)) != {level_n}:
-            return None
         # The parts descend when the only ascents are from each separator
-        # into the next member's first part (none at weight 0, where every
-        # member is empty).
-        if sum(map(lt, joined, joined[1:])) != (
-                len(chunk_parts) - 1 if level_n else 0):
-            return None
-        chunk_members = joined.decode("latin-1").split("\0")[:-1]
-        # _tag_fits reads only a member's length and last part, so one
-        # member of each (tag, length, last part) stands for the rest.
-        shapes = dict(zip(zip(chunk_tags, map(len, chunk_members),
-                              map(getitem, chunk_members,
-                                  repeat(slice(-1, None)))),
-                          chunk_members))
-        if not all(tag == TAG_SEED or _tag_fits(tag, list(map(ord, member)))
-                   for (tag, _, _), member in shapes.items()):
-            return None
-        members += chunk_members
+        # into the next member's first part.  An empty member breaks that
+        # count only at weight 0, where every member is empty; at any
+        # other weight the level refuses it.
+        if joined.count(0) != len(chunk_parts) or sum(
+                map(lt, joined, joined[1:])) != (
+                    len(chunk_parts) - 1 if level_n else 0):
+            raise ValueError("bad parts")
+        members += joined.decode("latin-1").split("\0")[:-1]
         tags += map(_SHARED_TAG, chunk_tags)
-    if not members or len(set(members)) != len(members):
-        return None
+    if not members:
+        raise ValueError("no members")
     return level_n, members, tags
 
 
@@ -476,7 +465,12 @@ def _scan_lines(lines: Iterable[str], method_tag: str,
         if sum(parts) != n:
             raise SnapshotError(
                 f"line {lineno}: parts {parts} sum to {sum(parts)}, not {n}")
-        if tag != TAG_SEED and not _tag_fits(tag, parts):
+        if parts and parts[0] > MAX_PART:
+            raise SnapshotError(
+                f"line {lineno}: part {parts[0]} is past the largest "
+                f"supported part {MAX_PART}")
+        key = encode_parts(parts)
+        if not _tags_fit(n, [key], [tag]):
             raise SnapshotError(
                 f"line {lineno}: tag {tag!r} does not fit parts {parts}")
         if level_n is None:
@@ -484,12 +478,6 @@ def _scan_lines(lines: Iterable[str], method_tag: str,
         elif n != level_n:
             raise SnapshotError(
                 f"line {lineno}: weight {n} differs from expected {level_n}")
-
-        if parts and parts[0] > MAX_PART:
-            raise SnapshotError(
-                f"line {lineno}: part {parts[0]} is past the largest "
-                f"supported part {MAX_PART}")
-        key = encode_parts(parts)
         if key in seen:
             raise SnapshotError(f"line {lineno}: duplicate partition {parts}")
         seen.add(key)

@@ -19,6 +19,12 @@ class CapExceededError(RuntimeError):
     """Raised when an enumeration would exceed the configured weight cap."""
 
 
+def check_cap(n: int, cap: int) -> None:
+    """Raise CapExceededError when weight n lies past ``cap``."""
+    if n > cap:
+        raise CapExceededError(f"weight {n} exceeds cap {cap}")
+
+
 def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP) -> Level:
     """All partitions of n in canonical order, tagged as seeds.
 
@@ -28,9 +34,7 @@ def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP) -> Level:
     """
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
-    if n > cap:
-        raise CapExceededError(
-            f"weight {n} exceeds cap {cap}; raise the cap to enumerate")
+    check_cap(n, cap)
     # The enumerator emits canonical order; the level checks it, and wraps
     # and tags its members only when asked.
     return Level(n, _pure.enumerate_level(n), None, "oracle")

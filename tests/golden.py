@@ -61,3 +61,10 @@ M2_COLLECTED_6 = ["4+2", "3+3", "2+2+2"]
 # tests re-derive from an independent listing.
 EVOLVE_50_M2_TEXT_SHA256 = (
     "394103aaf60ae25bee7abb02f111b58d8e8c90f7a94de72a69916238801fcc14")
+
+# SHA-256 of the snapshot that `evolve 38 50 --method 1` writes when it
+# resumes from `list 38 --format jsonl` with its lines shuffled: all
+# 204,226 partitions of 50 as JSONL with their method-1 tags.  It equals
+# the benchmark's pinned digest for its resume workload.
+RESUME_38_50_M1_SNAPSHOT_SHA256 = (
+    "7520c411a33a67d09dc84e9c941dc35070bff63362a16e167daa8da5c99104f5")

@@ -15,7 +15,7 @@ from partition_evolve import _pure, cli, count_oracle
 
 from golden import (EVOLVE_50_M2_TEXT_SHA256, M1_GROUP1_5, M1_GROUP2_5,
                     M2_GROUP1_5, M2_GROUP2_5, P_AT, PARTITIONS_5,
-                    PARTITIONS_6)
+                    PARTITIONS_6, RESUME_38_50_M1_SNAPSHOT_SHA256)
 
 from support import duplicating, overweight
 
@@ -393,6 +393,21 @@ def test_headline_output_matches_its_digest(run_cli):
     assert hashlib.sha256(out.encode()).hexdigest() == EVOLVE_50_M2_TEXT_SHA256
 
 
+def test_resumed_snapshot_matches_its_digest(run_cli, tmp_path):
+    code, listing, _ = run_cli("list", 38, "--format", "jsonl")
+    assert code == 0
+    lines = listing.splitlines(keepends=True)
+    random.Random(0).shuffle(lines)
+    start = tmp_path / "start.jsonl"
+    start.write_text("".join(lines))
+    out = tmp_path / "out.jsonl"
+    code, _, _ = run_cli("evolve", 38, 50, "--method", 1,
+                         "--snapshot-in", start, "--snapshot-out", out)
+    assert code == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == RESUME_38_50_M1_SNAPSHOT_SHA256)
+
+
 def test_downward_run_is_refused_before_the_snapshot_is_read(
         run_cli, tmp_path, monkeypatch):
     snap = tmp_path / "level20000.jsonl"
@@ -544,12 +559,16 @@ def test_cap_flag_and_env(run_cli, monkeypatch):
 
 
 def test_cap_applies_to_every_enumerating_command(run_cli):
-    assert run_cli("count", 9, "--source", "oracle", "--cap", 5)[0] == 3
-    assert run_cli("count", 9, "--source", "evolve1", "--cap", 5)[0] == 3
+    # Every refusal names both ways to raise the cap.
+    refusal = (3, "", "error: weight 9 exceeds cap 5; raise it with --cap "
+               "or $PARTITION_EVOLVE_CAP\n")
+    assert run_cli("list", 9, "--cap", 5) == refusal
+    assert run_cli("count", 9, "--source", "oracle", "--cap", 5) == refusal
+    assert run_cli("count", 9, "--source", "evolve1", "--cap", 5) == refusal
     assert run_cli("count", 9, "--source", "series", "--cap", 5)[0] == 0
-    assert run_cli("classify", 9, "--method", 1, "--cap", 5)[0] == 3
-    assert run_cli("evolve", 0, 9, "--method", 2, "--cap", 5)[0] == 3
-    assert run_cli("bench", 9, 1, "--cap", 5)[0] == 3
+    assert run_cli("classify", 9, "--method", 1, "--cap", 5) == refusal
+    assert run_cli("evolve", 0, 9, "--method", 2, "--cap", 5) == refusal
+    assert run_cli("bench", 9, 1, "--cap", 5) == refusal
 
 
 def test_bench_csv_shape(run_cli):

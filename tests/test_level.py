@@ -11,8 +11,9 @@ from partition_evolve import (Level, SnapshotError, TAG_ORDER,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               read_snapshot, write_snapshot)
 from partition_evolve.core import encode_parts
-from partition_evolve.level import (_READ_CHUNK, _canonical, _read_chunks,
-                                    _scan_lines, check_members, write_text)
+from partition_evolve.level import (_CHUNK, METHOD_TAGS, _canonical,
+                                    _read_chunks, _scan_lines, check_members,
+                                    write_text)
 
 
 def _level(n, raw, tags=None, method_tag="oracle"):
@@ -160,6 +161,11 @@ def test_a_member_holding_nul_never_passes_the_weight_check():
     assert not _canonical(3, ["\x03", "\x02\x00\x01"])
     with pytest.raises(ValueError, match=r"member 2\+0\+2 has weight 4"):
         check_members(2, ["\x02\x00\x02"])
+    # With the right weight, the scan names the part 0.
+    with pytest.raises(ValueError, match=r"^member 2\+0 has a part 0$"):
+        Level(2, ["\x02\x00"], None, "oracle")
+    with pytest.raises(ValueError, match=r"^member 300\+0 has a part 0$"):
+        check_members(300, [chr(300) + "\x00"])
 
 
 _CODES = "\x00\x01\x02\x03\x04\x05\u0100"
@@ -246,12 +252,12 @@ def _second_chunk_fault(fault):
     buffer = io.StringIO()
     write_snapshot(enumerate_oracle(30), buffer)
     lines = buffer.getvalue().splitlines(keepends=True)
-    assert len(lines) > 2 * _READ_CHUNK
+    assert len(lines) > 2 * _CHUNK
     first = json.loads(lines[0])
-    record = json.loads(lines[_READ_CHUNK])
-    lines[_READ_CHUNK] = json.dumps(fault(record, first)) + "\n"
-    lines[_READ_CHUNK:_READ_CHUNK] = ["\n", "  \n", "\t\n"]
-    return lines, _READ_CHUNK + 4
+    record = json.loads(lines[_CHUNK])
+    lines[_CHUNK] = json.dumps(fault(record, first)) + "\n"
+    lines[_CHUNK:_CHUNK] = ["\n", "  \n", "\t\n"]
+    return lines, _CHUNK + 4
 
 
 def test_multi_chunk_snapshot_with_blank_lines_reads_back():
@@ -354,3 +360,85 @@ def test_snapshot_reader_fails_only_with_snapshot_errors(lines):
         assert str(again.value) == message
     else:
         assert 0 < len(level) == len(set(level.partitions))
+
+
+def _outcome(read):
+    """What a reader makes of some lines: the level's weight, members and
+    tags, or its error text."""
+    try:
+        level = read()
+    except SnapshotError as exc:
+        return str(exc)
+    return level.n, level.raw_members(), level.tags
+
+
+def _mostly(common, rare):
+    """Values of ``common``, and one time in eight of ``rare``."""
+    return st.sampled_from([common] * 7 + [rare]).flatmap(lambda pick: pick)
+
+
+@st.composite
+def _records(draw, n):
+    """A JSON record near one of weight n: parts 0 and past 255 among its
+    parts, and now and then a junk weight, parts list or tag."""
+    part = st.one_of(st.integers(1, 5), st.integers(250, 300))
+    parts = draw(st.lists(_mostly(part, st.just(0)), max_size=4))
+    if draw(_mostly(st.just(True), st.just(False))):
+        parts = _fill(parts, n)
+    # Seed fits every member, and one tag in two fits a given member.
+    tags = st.one_of(st.just("Seed"), st.sampled_from(TAG_ORDER))
+    return json.dumps({
+        "n": draw(_mostly(st.just(n), st.one_of(st.just(n + 1),
+                                                _JSON_SCALARS))),
+        "parts": draw(_mostly(st.just(parts), _JSON_SCALARS)),
+        "tag": draw(_mostly(tags, st.one_of(st.just("Odd"),
+                                            _JSON_SCALARS)))})
+
+
+@st.composite
+def _snapshots(draw):
+    """A few lines near a snapshot of one weight, some of them no record
+    at all, and the weight the reader expects."""
+    n = draw(st.sampled_from([0, 1, 3, 5, 300]))
+    lines = draw(st.lists(_mostly(_records(n), st.sampled_from(
+        ["{}", "[]", "null", "", "7"])), max_size=6))
+    return [line + "\n" for line in lines], draw(
+        st.sampled_from([None, n, n + 1]))
+
+
+@given(_snapshots(), st.sampled_from(METHOD_TAGS))
+def test_bulk_reader_and_scan_agree(snapshot, method_tag):
+    lines, expected_n = snapshot
+    assert _outcome(lambda: read_snapshot(
+        lines, method_tag=method_tag, expected_n=expected_n)) == _outcome(
+        lambda: _scan_lines(lines, method_tag, expected_n))
+
+
+# Which tags a reader accepts on a member of each shape: Seed always, and
+# the tag that either rule gives the member.
+_ACCEPTED_TAGS = [
+    ([], {"Seed"}),
+    ([2, 1], {"Seed", "AddedUnit"}),
+    ([299, 1], {"Seed", "AddedUnit"}),
+    ([3], {"Seed", "Augmented", "Explicit"}),
+    ([300], {"Seed", "Augmented", "Explicit"}),
+    ([2, 2], {"Seed", "Augmented", "Collected"}),
+    ([298, 2], {"Seed", "Augmented", "Collected"}),
+]
+
+
+@pytest.mark.parametrize("parts,accepted", _ACCEPTED_TAGS)
+@pytest.mark.parametrize("method_tag", METHOD_TAGS)
+def test_readers_accept_the_tags_a_rule_gives(parts, accepted, method_tag):
+    for tag in TAG_ORDER:
+        line = json.dumps({"n": sum(parts), "parts": parts, "tag": tag})
+        for read in (lambda lines: read_snapshot(lines, method_tag=method_tag),
+                     lambda lines: _scan_lines(lines, method_tag, None)):
+            try:
+                read([line + "\n"])
+            except SnapshotError as exc:
+                assert tag not in accepted
+                assert str(exc) == (
+                    f"line 1: tag {tag!r} does not fit parts {parts}")
+            else:
+                assert tag in accepted
