@@ -41,9 +41,12 @@ SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 # Members per bulk pass of the snapshot writer, the weight check and the
 # snapshot reader.  Each pass drops its buffers before the next, so a pass
 # bounds the memory held at once; the speed barely changes from 1024 to
-# 8192 members.  The reader holds its parsed records one chunk at a time:
-# held all at once, the garbage collector's passes over them cost what the
-# bulk checks save, and they raise the peak RSS.
+# 8192 members.  The writer joins each chunk's lines with one "".join, and
+# the reader parses each chunk with one json.loads of its lines as a JSON
+# array, guarded to prove that the records are exactly the lines (see
+# ``_read_chunks``).  The reader holds its parsed records one chunk at a
+# time: held all at once, the garbage collector's passes over them cost
+# what the bulk checks save, and they raise the peak RSS.
 _CHUNK = 2048
 # Members per write of text: at weight 50 about 250 KB, several times a
 # pipe's buffer, so that a reader finds the pipe full at each read.  With
@@ -302,8 +305,10 @@ def write_snapshot(level: Level, stream: IO[str]) -> None:
 
     The lines are formatted directly; their bytes are those of
     ``json.dumps({"n": ..., "parts": [...], "tag": ...})``.  The parts
-    lists are rendered as in ``write_text``, with ``, `` between parts,
-    then joined with their tags.
+    lists are rendered as in ``write_text``, with ``, `` between parts.
+    Each chunk's pieces (head, parts, tail by tag, three per line) are
+    placed in one list by strided slice assignment and written with one
+    join.
     """
     raw = level._raw
     tags = level.tags
@@ -318,8 +323,10 @@ def write_snapshot(level: Level, stream: IO[str]) -> None:
             parts = [", ".join(map(str, map(ord, member))) for member in chunk]
         else:
             parts = rendered.split("\0")[:-1]
-        stream.write("".join([head + text + tail[tag] for text, tag
-                              in zip(parts, tags[start:stop])]))
+        pieces = [head] * (3 * len(parts))
+        pieces[1::3] = parts
+        pieces[2::3] = map(tail.__getitem__, tags[start:stop])
+        stream.write("".join(pieces))
 
 
 def _tags_fit(n: int, members: list[str], tags: Iterable[str]) -> bool:
@@ -341,10 +348,13 @@ def read_snapshot(stream: Iterable[str], *, method_tag: str,
     ``_tags_fit``); no partition may repeat.  Violations raise
     SnapshotError naming the line.
 
-    The lines are parsed in bulk, a chunk at a time, into a Level, which
-    checks the weights and the uniqueness of its members; then its tags
-    are checked.  On any failure the per-line scan reruns over the lines;
-    it alone words the error.
+    The lines are parsed in bulk, with one ``json.loads`` per chunk of
+    ``_CHUNK`` nonblank lines, into a Level, which checks the weights and
+    the uniqueness of its members; then its tags are checked.  A chunk is
+    parsed whole only when a guard proves that its records are exactly its
+    lines, one flat object per line (see ``_read_chunks``).  On any
+    failure, the guard's included, the per-line scan reruns over the
+    lines; it alone words the error.
     """
     lines = list(stream)
     try:
@@ -363,6 +373,17 @@ def _read_chunks(lines: list[str], expected_n: int | None
     """The weight, members and tags of the nonblank lines, parsed a chunk
     at a time with whole-list built-ins.
 
+    Each chunk is parsed by one ``json.loads`` of its lines joined into a
+    JSON array, after a guard: each line starts with ``{`` and, stripped
+    on the right, ends with ``}``, and the chunk holds as many of each
+    brace as it has lines.  Each line's only braces are then its first
+    and last characters, so every element of the array starts at a line's
+    ``{``, and as many elements as lines are the lines themselves, one
+    record each; the parse must give that many.  A record split across
+    lines or sharing one, a brace in a string, a nested object or leading
+    whitespace fails the guard, and whitespace that ``str.strip`` removes
+    but JSON refuses fails the parse; the scan reads these.
+
     Each line must be a JSON object with the weight of the others (and
     ``expected_n``), a known tag, and non-increasing parts from 1 to 255;
     otherwise this raises ValueError, or what the malformed input raises
@@ -374,7 +395,9 @@ def _read_chunks(lines: list[str], expected_n: int | None
     level_n = expected_n
     nonblank = filterfalse(str.isspace, lines)
     while chunk := list(islice(nonblank, _CHUNK)):
-        text = "".join(chunk)
+        # The one copy of the chunk's text that the checks and the parse
+        # share: two held at once raise the peak RSS.
+        text = "[" + ",".join(chunk) + "]"
         # A lone surrogate, as the CLI reads an undecodable byte, has no
         # UTF-8 form.
         text.encode("utf-8")
@@ -382,9 +405,14 @@ def _read_chunks(lines: list[str], expected_n: int | None
         # takes for 1 and 0.  Without either literal, no field holds one.
         if "true" in text or "false" in text:
             raise ValueError("a JSON boolean")
-        records = list(map(json.loads, chunk))
-        if set(map(type, records)) != {dict}:
-            raise ValueError("not a JSON object")
+        if (text.count("{") != len(chunk) or text.count("}") != len(chunk)
+                or not all(map(str.startswith, chunk, repeat("{")))
+                or not all(map(str.endswith, map(str.rstrip, chunk),
+                               repeat("}")))):
+            raise ValueError("not one flat object per line")
+        records = json.loads(text)
+        if len(records) != len(chunk):
+            raise ValueError("not one JSON object per line")
         weights = list(map(itemgetter("n"), records))
         chunk_parts = list(map(itemgetter("parts"), records))
         chunk_tags = list(map(itemgetter("tag"), records))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from partition_evolve import _pure, cli, count_oracle
+from partition_evolve.level import _read_chunks
 
 from golden import (EVOLVE_50_M2_TEXT_SHA256, M1_GROUP1_5, M1_GROUP2_5,
                     M2_GROUP1_5, M2_GROUP2_5, P_AT, PARTITIONS_5,
@@ -406,6 +407,31 @@ def test_resumed_snapshot_matches_its_digest(run_cli, tmp_path):
     assert code == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == RESUME_38_50_M1_SNAPSHOT_SHA256)
+
+
+@pytest.mark.parametrize("method", [1, 2])
+def test_resuming_from_a_reformatted_snapshot_prints_the_same(run_cli,
+                                                              tmp_path,
+                                                              method):
+    canonical = tmp_path / "level20.jsonl"
+    code, _, _ = run_cli("evolve", 0, 20, "--method", method,
+                         "--snapshot-out", canonical)
+    assert code == 0
+    # Reordered keys, compact separators, leading spaces and CRLF: lines
+    # that the bulk reader leaves to the per-line scan.
+    reformatted = tmp_path / "reformatted.jsonl"
+    reformatted.write_bytes(b"".join(
+        b"  " + json.dumps({"tag": record["tag"], "parts": record["parts"],
+                            "n": record["n"]},
+                           separators=(",", ":")).encode() + b"\r\n"
+        for record in map(json.loads, canonical.read_text().splitlines())))
+    with pytest.raises(ValueError):
+        _read_chunks(reformatted.read_text().splitlines(keepends=True), 20)
+    resumed = run_cli("evolve", 20, 24, "--method", method,
+                      "--snapshot-in", reformatted)
+    assert resumed[0] == 0 and resumed[1]
+    assert resumed == run_cli("evolve", 20, 24, "--method", method,
+                              "--snapshot-in", canonical)
 
 
 def test_downward_run_is_refused_before_the_snapshot_is_read(

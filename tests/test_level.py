@@ -2,6 +2,7 @@
 
 import io
 import json
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import given
@@ -91,6 +92,13 @@ def test_snapshot_roundtrip_weight_zero():
     assert read_snapshot(buffer, method_tag="oracle") == Level.seed("oracle")
 
 
+def _with_cycled_tags(level):
+    """``level`` with stored tags that cycle through TAG_ORDER."""
+    members = level.raw_members()
+    tags = tuple(islice(cycle(TAG_ORDER), len(members)))
+    return Level(level.n, members, tags, level.method_tag)
+
+
 def _assert_writers_match_their_reference_formats(level):
     text = io.StringIO()
     write_text(level, text)
@@ -103,12 +111,15 @@ def _assert_writers_match_their_reference_formats(level):
 
 
 # Weight 35 holds 14,883 members, several write chunks; the evolved levels
-# of weight 35 derive their tags.  Weights 231 and 303 take parts past code
-# points 127 and 255; a part past 255 is formatted a member at a time.
+# of weight 35 derive their tags, and the oracle's level with tags cycling
+# through TAG_ORDER stores tags that no rule gives.  Weights 231 and 303
+# take parts past code points 127 and 255; a part past 255 is formatted a
+# member at a time.
 # Weights 9, 10, 99, 100 and 255 are the edges of the rendered cell
 # widths, and 300 renders parts of up to 255 in cells three digits wide.
 @pytest.mark.parametrize("make", [
     lambda: enumerate_oracle(35),
+    lambda: _with_cycled_tags(enumerate_oracle(35)),
     lambda: evolve_m1(Level.seed("method1"), 13),
     lambda: evolve_m2(Level.seed("method2"), 13),
     lambda: evolve_m1(Level.seed("method1"), 35),
@@ -396,13 +407,43 @@ def _records(draw, n):
 
 
 @st.composite
+def _misaligned(draw, n):
+    """Lines near records of weight n that are not one flat object per
+    line, the layout the bulk reader parses a chunk at a time: a record
+    split across two lines beside a line of two records, and a brace in a
+    string that joins two lines into one record, each with as many
+    records or braces as lines; a nested object; a brace in a string;
+    leading spaces; trailing whitespace that str.strip removes but JSON
+    refuses."""
+    record = draw(_records(n))
+    other = draw(_records(n))
+    cut = record.index(', "tag"')
+    return draw(st.sampled_from([
+        [record[:cut], record[cut + 2:], other + ", " + other],
+        ['{"extra": "}', '{", ' + record[1:]],
+        ['{"extra": "}', '{", ' + record[1:] + ", " + other],
+        [record[:-1] + ', "extra": {"n": 1}}'],
+        [record[:-1] + ', "extra": "}{"}'],
+        ["  " + record],
+        [record + "\x1c"],
+        [record + "\x85"],
+    ]))
+
+
+@st.composite
 def _snapshots(draw):
     """A few lines near a snapshot of one weight, some of them no record
-    at all, and the weight the reader expects."""
+    at all or not one flat record per line, and the weight the reader
+    expects.  The lines end in a newline, or in nothing, as a caller may
+    pass them; only then can a string run from one line into the next."""
     n = draw(st.sampled_from([0, 1, 3, 5, 300]))
-    lines = draw(st.lists(_mostly(_records(n), st.sampled_from(
-        ["{}", "[]", "null", "", "7"])), max_size=6))
-    return [line + "\n" for line in lines], draw(
+    junk = st.sampled_from(["{}", "[]", "null", "", "7"]).map(
+        lambda line: [line])
+    groups = draw(st.lists(_mostly(_records(n).map(lambda line: [line]),
+                                   st.one_of(junk, _misaligned(n))),
+                           max_size=6))
+    end = draw(st.sampled_from(["\n", ""]))
+    return [line + end for group in groups for line in group], draw(
         st.sampled_from([None, n, n + 1]))
 
 
@@ -412,6 +453,34 @@ def test_bulk_reader_and_scan_agree(snapshot, method_tag):
     assert _outcome(lambda: read_snapshot(
         lines, method_tag=method_tag, expected_n=expected_n)) == _outcome(
         lambda: _scan_lines(lines, method_tag, expected_n))
+
+
+# Lines whose records do not fall one to a line, though the lines joined
+# into one JSON array parse, with the message the per-line scan has always
+# given them.  Only the guard's line edges refuse the first, only the count
+# of records the second, and only the count of braces the third.  The lines
+# come without line ends, as a caller may pass them: JSON refuses a newline
+# inside a string, so with them the last two would not parse.
+@pytest.mark.parametrize("lines,message", [
+    (['{"n": 3, "parts": [2, 1]', '"tag": "AddedUnit"}',
+      '{"n": 3, "parts": [3], "tag": "Seed"}, '
+      '{"n": 3, "parts": [1, 1, 1], "tag": "Seed"}'],
+     "line 1: not valid JSON (Expecting ',' delimiter: line 1 column 25 "
+     "(char 24))"),
+    (['{"extra": "}', '{", "n": 1, "parts": [1], "tag": "Seed"}'],
+     "line 1: not valid JSON (Unterminated string starting at: line 1 "
+     "column 11 (char 10))"),
+    (['{"extra": "}', '{", "n": 2, "parts": [2], "tag": "Seed"}, '
+      '{"n": 2, "parts": [1, 1], "tag": "AddedUnit"}'],
+     "line 1: not valid JSON (Unterminated string starting at: line 1 "
+     "column 11 (char 10))"),
+])
+def test_records_not_one_to_a_line_are_refused_by_the_scan(lines, message):
+    # The lines joined into an array parse: the guard refuses them.
+    json.loads("[" + ",".join(lines) + "]")
+    with pytest.raises(SnapshotError) as refused:
+        read_snapshot(lines, method_tag="method1")
+    assert str(refused.value) == message
 
 
 # Which tags a reader accepts on a member of each shape: Seed always, and
