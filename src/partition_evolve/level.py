@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from itertools import chain, filterfalse, islice, repeat
 from operator import gt, itemgetter, lt
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .core import (MAX_PART, Partition, decode_member, encode_parts,
                    member_text)
@@ -41,12 +41,13 @@ SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 # Members per bulk pass of the snapshot writer, the weight check and the
 # snapshot reader.  Each pass drops its buffers before the next, so a pass
 # bounds the memory held at once; the speed barely changes from 1024 to
-# 8192 members.  The writer joins each chunk's lines with one "".join, and
+# 8192 members.  The writer renders each chunk with one ``_snapshot_lines``;
 # the reader parses each chunk with one json.loads of its lines as a JSON
-# array, guarded to prove that the records are exactly the lines (see
-# ``_read_chunks``).  The reader holds its parsed records one chunk at a
-# time: held all at once, the garbage collector's passes over them cost
-# what the bulk checks save, and they raise the peak RSS.
+# array, and takes it only when ``_snapshot_lines`` writes the records back
+# as the chunk's own text (see ``_read_chunks``).  The reader holds its
+# parsed records one chunk at a time: held all at once, the garbage
+# collector's passes over them cost what the bulk checks save, and they
+# raise the peak RSS.
 _CHUNK = 2048
 # Members per write of text: at weight 50 about 250 KB, several times a
 # pipe's buffer, so that a reader finds the pipe full at each read.  With
@@ -131,7 +132,7 @@ class Level:
     @classmethod
     def seed(cls, method_tag: str) -> "Level":
         """The weight-0 level: just the empty partition."""
-        return cls(0, [""], (TAG_SEED,), method_tag)
+        return cls(0, [""], None, method_tag)
 
     @classmethod
     def from_raw(cls, n: int, members: Iterable[str],
@@ -300,33 +301,41 @@ def write_text(level: Level, stream: IO[str]) -> None:
             [member_text(member) + "\n" for member in chunk]))
 
 
-def write_snapshot(level: Level, stream: IO[str]) -> None:
-    """Write one JSONL line per member, in level order.
+def _snapshot_lines(n: int, tables: tuple[list[bytes], list[bytes]],
+                    members: list[str], tags: Sequence[str]) -> str:
+    """The snapshot lines of ``members`` of weight n, tagged by ``tags``:
+    the one definition of the line layout, with the bytes of ``json.dumps(
+    {"n": ..., "parts": [...], "tag": ...})`` and a newline per member.
 
-    The lines are formatted directly; their bytes are those of
-    ``json.dumps({"n": ..., "parts": [...], "tag": ...})``.  The parts
-    lists are rendered as in ``write_text``, with ``, `` between parts.
-    Each chunk's pieces (head, parts, tail by tag, three per line) are
-    placed in one list by strided slice assignment and written with one
-    join.
+    The parts are rendered with ``tables``, ``_cell_tables(n, b", ",
+    b"\\0")``, or a member at a time when some part is past 255.  The
+    pieces (head, parts, tail by tag) are placed by strided slice
+    assignment and joined once.
     """
-    raw = level._raw
-    tags = level.tags
-    head = '{"n": %d, "parts": [' % level.n
+    rendered = _render(members, tables)
+    if rendered is None:
+        parts = [", ".join(map(str, map(ord, member))) for member in members]
+    else:
+        parts = rendered.split("\0")[:-1]
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
-    tables = _cell_tables(level.n, b", ", b"\0")
+    pieces = ['{"n": %d, "parts": [' % n] * (3 * len(parts))
+    pieces[1::3] = parts
+    pieces[2::3] = map(tail.__getitem__, tags)
+    return "".join(pieces)
+
+
+def write_snapshot(level: Level, stream: IO[str]) -> None:
+    """Write one JSONL line per member, in level order (see
+    ``_snapshot_lines``), deriving or slicing the tags a chunk at a time."""
+    n = level.n
+    raw = level._raw
+    tables = _cell_tables(n, b", ", b"\0")
     for start in range(0, len(raw), _CHUNK):
         stop = start + _CHUNK
         chunk = raw[start:stop]
-        rendered = _render(chunk, tables)
-        if rendered is None:
-            parts = [", ".join(map(str, map(ord, member))) for member in chunk]
-        else:
-            parts = rendered.split("\0")[:-1]
-        pieces = [head] * (3 * len(parts))
-        pieces[1::3] = parts
-        pieces[2::3] = map(tail.__getitem__, tags[start:stop])
-        stream.write("".join(pieces))
+        tags = (rule_tags(n, chunk, level.method_tag) if level._tags is None
+                else level._tags[start:stop])
+        stream.write(_snapshot_lines(n, tables, chunk, tags))
 
 
 def _tags_fit(n: int, members: list[str], tags: Iterable[str]) -> bool:
@@ -351,17 +360,18 @@ def read_snapshot(stream: Iterable[str], *, method_tag: str,
     The lines are parsed in bulk, with one ``json.loads`` per chunk of
     ``_CHUNK`` nonblank lines, into a Level, which checks the weights and
     the uniqueness of its members; then its tags are checked.  A chunk is
-    parsed whole only when a guard proves that its records are exactly its
-    lines, one flat object per line (see ``_read_chunks``).  On any
-    failure, the guard's included, the per-line scan reruns over the
-    lines; it alone words the error.
+    taken only when the writer writes its records back byte for byte (see
+    ``_read_chunks``).  On any failure, the per-line scan reruns over the
+    lines; it alone words errors and reads the other layouts JSON allows.
     """
     lines = list(stream)
     try:
         level = Level.from_raw(*_read_chunks(lines, expected_n), method_tag)
     # What malformed input raises on its way through json.loads, the field
-    # lookups, set(), bytes() and the level's own checks.
-    except (KeyError, RecursionError, TypeError, ValueError):
+    # lookups (IndexError: no record), set(), bytes(), "%d" of the weight
+    # (OverflowError: an infinite float) and the level's own checks.
+    except (IndexError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError):
         level = None
     if level is None or not _tags_fit(level.n, level._raw, level.tags):
         return _scan_lines(lines, method_tag, expected_n)
@@ -374,70 +384,49 @@ def _read_chunks(lines: list[str], expected_n: int | None
     at a time with whole-list built-ins.
 
     Each chunk is parsed by one ``json.loads`` of its lines joined into a
-    JSON array, after a guard: each line starts with ``{`` and, stripped
-    on the right, ends with ``}``, and the chunk holds as many of each
-    brace as it has lines.  Each line's only braces are then its first
-    and last characters, so every element of the array starts at a line's
-    ``{``, and as many elements as lines are the lines themselves, one
-    record each; the parse must give that many.  A record split across
-    lines or sharing one, a brace in a string, a nested object or leading
-    whitespace fails the guard, and whitespace that ``str.strip`` removes
-    but JSON refuses fails the parse; the scan reads these.
-
-    Each line must be a JSON object with the weight of the others (and
-    ``expected_n``), a known tag, and non-increasing parts from 1 to 255;
-    otherwise this raises ValueError, or what the malformed input raises
-    on its way.  The members' weights and uniqueness are left to the
-    Level, and the tags to ``_tags_fit``.
+    JSON array, and taken only when ``_snapshot_lines`` writes the parsed
+    members and tags back as exactly the chunk's text (its last line may
+    lack the newline).  So its lines are canonical records, one to a
+    line, with integer fields, ASCII text and the weight of the first line
+    (or ``expected_n``).  Beside that, each record must give one member
+    and its parts descend, and every tag must have a shared constant.  A
+    failure raises ValueError, or what the malformed input raises on its
+    way.  The members' weights and uniqueness are left to the Level, and
+    the tags' fit to ``_tags_fit``.
     """
     members: list[str] = []
     tags: list[str] = []
     level_n = expected_n
+    tables = None
     nonblank = filterfalse(str.isspace, lines)
     while chunk := list(islice(nonblank, _CHUNK)):
-        # The one copy of the chunk's text that the checks and the parse
-        # share: two held at once raise the peak RSS.
-        text = "[" + ",".join(chunk) + "]"
-        # A lone surrogate, as the CLI reads an undecodable byte, has no
-        # UTF-8 form.
-        text.encode("utf-8")
-        # JSON true and false load as bool, an int subclass that bytes()
-        # takes for 1 and 0.  Without either literal, no field holds one.
-        if "true" in text or "false" in text:
-            raise ValueError("a JSON boolean")
-        if (text.count("{") != len(chunk) or text.count("}") != len(chunk)
-                or not all(map(str.startswith, chunk, repeat("{")))
-                or not all(map(str.endswith, map(str.rstrip, chunk),
-                               repeat("}")))):
-            raise ValueError("not one flat object per line")
-        records = json.loads(text)
-        if len(records) != len(chunk):
-            raise ValueError("not one JSON object per line")
-        weights = list(map(itemgetter("n"), records))
+        records = json.loads("[" + ",".join(chunk) + "]")
+        if level_n is None:
+            level_n = records[0]["n"]
         chunk_parts = list(map(itemgetter("parts"), records))
         chunk_tags = list(map(itemgetter("tag"), records))
         del records
-        if level_n is None:
-            level_n = weights[0]
-        if (set(map(type, weights)) != {int} or set(weights) != {level_n}
-                or not SNAPSHOT_TAGS.issuperset(chunk_tags)
-                or set(map(type, chunk_parts)) != {list}):
-            raise ValueError("a bad field")
-        # Every member followed by NUL, never a part.  bytes() refuses a
-        # part that is not an int or lies past 255, so a level with larger
-        # parts is left to the scan, as in _canonical.  A part 0 adds a
-        # NUL; the count keeps the members one per line.
+        # Every member followed by NUL.  bytes() refuses a part past 255,
+        # so a level with larger parts is left to the scan, as in
+        # _canonical; a part 0 adds a NUL, and so a member.
         joined = bytes(chain.from_iterable(chain.from_iterable(
             zip(chunk_parts, repeat((0,))))))
+        chunk_members = joined.decode("latin-1").split("\0")[:-1]
         # The parts descend when the only ascents are from each separator
         # into the next member's first part.  An empty member breaks that
         # count only at weight 0, where every member is empty; at any
         # other weight the level refuses it.
-        if joined.count(0) != len(chunk_parts) or sum(
+        if len(chunk_members) != len(chunk_tags) or sum(
                 map(lt, joined, joined[1:])) != (
-                    len(chunk_parts) - 1 if level_n else 0):
+                    len(chunk_members) - 1 if level_n else 0):
             raise ValueError("bad parts")
-        members += joined.decode("latin-1").split("\0")[:-1]
+        tables = tables or _cell_tables(level_n, b", ", b"\0")
+        text = "".join(chunk)
+        written = _snapshot_lines(level_n, tables, chunk_members, chunk_tags)
+        if text != written and text + "\n" != written:
+            raise ValueError("not the lines the writer writes")
+        members += chunk_members
+        # KeyError for a tag outside TAG_ORDER.
         tags += map(_SHARED_TAG, chunk_tags)
     if not members:
         raise ValueError("no members")

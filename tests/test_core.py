@@ -136,6 +136,31 @@ def test_compare_is_a_total_order_up_to_12():
             assert compare(a, b) == expected
 
 
+def test_partition_operators_agree_with_compare():
+    # Sorting every partition of weights 0..6 gives the oracle's listing,
+    # and each comparison operator agrees with compare on every pair.
+    listing = [p for n in range(7) for p in enumerate_oracle(n).partitions]
+    assert sorted(reversed(listing)) == listing
+    for a in listing:
+        for b in listing:
+            order = compare(a, b)
+            assert (a < b, a <= b, a == b, a > b, a >= b, a != b) == (
+                order < 0, order <= 0, order == 0, order > 0, order >= 0,
+                order != 0)
+
+
+def test_partition_is_a_sequence_of_its_parts():
+    p = Partition([1, 3, 1])
+    assert len(p) == 3 and len(Partition()) == 0
+    assert list(p) == [3, 1, 1]
+    assert (p[0], p[-1], p[1:]) == (3, 1, (1, 1))
+    with pytest.raises(IndexError):
+        p[3]
+    # Against another type, == falls back to identity.
+    assert p != (3, 1, 1) and p != "3+1+1"
+    assert p.__eq__((3, 1, 1)) is NotImplemented
+
+
 def test_classify_m1_examples():
     assert classify_m1(Partition([3, 1, 1])) is Kind.FIRST
     assert classify_m1(Partition([2, 2, 1])) is Kind.SECOND

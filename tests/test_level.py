@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from partition_evolve import (Level, SnapshotError, TAG_ORDER,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               read_snapshot, write_snapshot)
+import partition_evolve.level
 from partition_evolve.core import encode_parts
 from partition_evolve.level import (_CHUNK, METHOD_TAGS, _canonical,
                                     _read_chunks, _scan_lines, check_members,
-                                    write_text)
+                                    rule_tags, write_text)
 
 
 def _level(n, raw, tags=None, method_tag="oracle"):
@@ -31,6 +32,19 @@ def test_seed_level():
     assert len(level) == 1
     assert str(level.partitions[0]) == "0"
     assert level.tags == ("Seed",)
+
+
+def test_level_value_semantics():
+    level = evolve_m2(Level.seed("method2"), 6)
+    assert repr(level) == "Level(n=6, members=11, method_tag='method2')"
+    # Equal levels hash alike: the tags derived from the parts and the
+    # same tags stored count as equal.
+    stored = Level(6, level.raw_members(), level.tags, "method2")
+    assert stored == level and hash(stored) == hash(level)
+    assert len({level, stored}) == 1
+    assert stored != Level(6, level.raw_members(), None, "oracle")
+    assert level.__eq__(level.raw_members()) is NotImplemented
+    assert level != level.raw_members()
 
 
 def test_level_rejects_bad_shapes():
@@ -99,15 +113,29 @@ def _with_cycled_tags(level):
     return Level(level.n, members, tags, level.method_tag)
 
 
+def _reference_snapshot(level):
+    """The snapshot of ``level`` as json.dumps writes it, line by line."""
+    return "".join(
+        json.dumps({"n": level.n, "parts": list(p.parts), "tag": tag}) + "\n"
+        for p, tag in zip(level.partitions, level.tags))
+
+
 def _assert_writers_match_their_reference_formats(level):
     text = io.StringIO()
     write_text(level, text)
     assert text.getvalue() == "".join(f"{p}\n" for p in level.partitions)
     snapshot = io.StringIO()
     write_snapshot(level, snapshot)
-    assert snapshot.getvalue() == "".join(
-        json.dumps({"n": level.n, "parts": list(p.parts), "tag": tag}) + "\n"
-        for p, tag in zip(level.partitions, level.tags))
+    assert snapshot.getvalue() == _reference_snapshot(level)
+    # The bulk reader takes every snapshot it can hold (parts up to 255,
+    # known tags) as the writer wrote it, with or without a newline on the
+    # last line, so none of them falls to the per-line scan.
+    if set(level.tags) <= set(TAG_ORDER) and all(
+            member[:1] <= "\xff" for member in level.raw_members()):
+        lines = snapshot.getvalue().splitlines(keepends=True)
+        for copy in (lines, lines[:-1] + [lines[-1].rstrip("\n")]):
+            assert _read_chunks(copy, None) == (
+                level.n, level.raw_members(), list(level.tags))
 
 
 # Weight 35 holds 14,883 members, several write chunks; the evolved levels
@@ -137,6 +165,23 @@ def _assert_writers_match_their_reference_formats(level):
 ])
 def test_writers_match_their_reference_formats(make):
     _assert_writers_match_their_reference_formats(make())
+
+
+def test_writer_derives_tags_a_chunk_at_a_time(monkeypatch):
+    level = evolve_m1(Level.seed("method1"), 35)
+    assert len(level) == 14_883
+    expected = _reference_snapshot(level)
+    lengths = []
+
+    def recording(n, members, method_tag):
+        lengths.append(len(members))
+        return rule_tags(n, members, method_tag)
+
+    monkeypatch.setattr(partition_evolve.level, "rule_tags", recording)
+    snapshot = io.StringIO()
+    write_snapshot(level, snapshot)
+    assert snapshot.getvalue() == expected
+    assert sum(lengths) == len(level) and max(lengths) <= _CHUNK
 
 
 def _fill(parts, n):
@@ -287,6 +332,10 @@ def test_multi_chunk_snapshot_with_blank_lines_reads_back():
         "Augmented" if record["parts"][-1] == 1 else "AddedUnit")},
      "does not fit parts"),
     (lambda record, first: first, r"duplicate partition \[30\]"),
+    # The level leaves the order of the parts within a member to its
+    # caller: the bulk reader checks it.
+    (lambda record, first: {**record, "parts": record["parts"][::-1]},
+     r"parts \[1, 1, 1, 1, 1, 2, 3, 10, 10\] are not non-increasing"),
 ])
 def test_snapshot_errors_at_a_chunk_boundary_name_the_line(fault, complaint):
     lines, lineno = _second_chunk_fault(fault)
@@ -333,6 +382,21 @@ def test_snapshot_expected_weight_is_enforced():
 def test_empty_snapshot_is_an_error():
     with pytest.raises(SnapshotError, match="empty"):
         read_snapshot(io.StringIO(""), method_tag="oracle")
+
+
+# A first line that gives the bulk reader no weight to render lines with:
+# an empty line parses to no record, and "%d" refuses a weight of NaN or
+# infinity.  The scan words the error.
+@pytest.mark.parametrize("line,message", [
+    ("", "snapshot is empty"),
+    ('{"n": Infinity, "parts": [], "tag": "Seed"}', "line 1: bad weight inf"),
+    ('{"n": NaN, "parts": [], "tag": "Seed"}', "line 1: bad weight nan"),
+])
+def test_a_first_line_without_a_weight_to_render_falls_to_the_scan(
+        line, message):
+    with pytest.raises(SnapshotError) as refused:
+        read_snapshot([line], method_tag="oracle")
+    assert str(refused.value) == message
 
 
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
@@ -408,8 +472,8 @@ def _records(draw, n):
 
 @st.composite
 def _misaligned(draw, n):
-    """Lines near records of weight n that are not one flat object per
-    line, the layout the bulk reader parses a chunk at a time: a record
+    """Lines near records of weight n that are not one canonical record per
+    line, the layout the bulk reader takes a chunk at a time: a record
     split across two lines beside a line of two records, and a brace in a
     string that joins two lines into one record, each with as many
     records or braces as lines; a nested object; a brace in a string;
@@ -433,7 +497,7 @@ def _misaligned(draw, n):
 @st.composite
 def _snapshots(draw):
     """A few lines near a snapshot of one weight, some of them no record
-    at all or not one flat record per line, and the weight the reader
+    at all or not one canonical record per line, and the weight the reader
     expects.  The lines end in a newline, or in nothing, as a caller may
     pass them; only then can a string run from one line into the next."""
     n = draw(st.sampled_from([0, 1, 3, 5, 300]))
@@ -457,10 +521,10 @@ def test_bulk_reader_and_scan_agree(snapshot, method_tag):
 
 # Lines whose records do not fall one to a line, though the lines joined
 # into one JSON array parse, with the message the per-line scan has always
-# given them.  Only the guard's line edges refuse the first, only the count
-# of records the second, and only the count of braces the third.  The lines
-# come without line ends, as a caller may pass them: JSON refuses a newline
-# inside a string, so with them the last two would not parse.
+# given them: the writer writes none of these chunks back, so the scan
+# reads them.  The lines come without line ends, as a caller may pass
+# them: JSON refuses a newline inside a string, so with them the last two
+# would not parse.
 @pytest.mark.parametrize("lines,message", [
     (['{"n": 3, "parts": [2, 1]', '"tag": "AddedUnit"}',
       '{"n": 3, "parts": [3], "tag": "Seed"}, '
@@ -476,7 +540,7 @@ def test_bulk_reader_and_scan_agree(snapshot, method_tag):
      "column 11 (char 10))"),
 ])
 def test_records_not_one_to_a_line_are_refused_by_the_scan(lines, message):
-    # The lines joined into an array parse: the guard refuses them.
+    # The lines joined into an array parse: the bulk reader refuses them.
     json.loads("[" + ",".join(lines) + "]")
     with pytest.raises(SnapshotError) as refused:
         read_snapshot(lines, method_tag="method1")

@@ -90,6 +90,32 @@ def test_check_result_shape_is_enforced():
         "FAIL  x [n=0..1]  counterexample: n=1: off by one"
 
 
+def test_results_are_immutable_values():
+    ok = CheckResult("x", "n=0..1", True)
+    bad = CheckResult("x", "n=0..1", False, "n=1: off by one")
+    assert ok == CheckResult("x", "n=0..1", True) and ok != bad
+    assert hash(ok) == hash(CheckResult("x", "n=0..1", True))
+    assert len({ok, bad, CheckResult("x", "n=0..1", True)}) == 2
+    # Only a record of the same class compares equal.
+    assert ok.__eq__(("x", "n=0..1", True, None)) is NotImplemented
+    assert ok != VerificationReport((ok,))
+    assert repr(ok) == ("CheckResult(name='x', scope='n=0..1', passed=True, "
+                        "counterexample=None)")
+    report = VerificationReport((ok, bad))
+    assert report == VerificationReport((ok, bad))
+    assert hash(report) == hash(VerificationReport((ok, bad)))
+    assert repr(report) == f"VerificationReport(checks=({ok!r}, {bad!r}))"
+    with pytest.raises(AttributeError, match="^cannot assign to field 'name'$"):
+        ok.name = "y"
+    with pytest.raises(AttributeError,
+                       match="^cannot assign to field 'extra'$"):
+        ok.extra = 1
+    with pytest.raises(AttributeError,
+                       match="^cannot delete field 'checks'$"):
+        del report.checks
+    assert ok.name == "x" and report.checks == (ok, bad)
+
+
 def test_report_formatting_counts_failures():
     report = VerificationReport((
         CheckResult("a", "n=0..1", True),
