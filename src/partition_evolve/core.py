@@ -97,16 +97,24 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self._parts)
 
-    def __lt__(self, other: "Partition") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
         return compare(self, other) < 0
 
-    def __le__(self, other: "Partition") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
         return compare(self, other) <= 0
 
-    def __gt__(self, other: "Partition") -> bool:
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
         return compare(self, other) > 0
 
-    def __ge__(self, other: "Partition") -> bool:
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
         return compare(self, other) >= 0
 
     def __str__(self) -> str:

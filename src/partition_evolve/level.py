@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 from itertools import chain, filterfalse, islice, repeat
 from operator import gt, itemgetter, lt
+from struct import pack
 from typing import IO, Iterable, Sequence
+from zlib import adler32
 
 from .core import (MAX_PART, Partition, decode_member, encode_parts,
                    member_text)
@@ -27,8 +29,8 @@ TAG_EXPLICIT = "Explicit"
 # Fixed display/reporting order for tag breakdowns.
 TAG_ORDER = (TAG_SEED, TAG_ADDED_UNIT, TAG_AUGMENTED, TAG_COLLECTED, TAG_EXPLICIT)
 SNAPSHOT_TAGS = frozenset(TAG_ORDER)
-# json.loads builds a new string for every tag it reads; a read level
-# holds these constants instead, one object per tag.
+# Both snapshot readers build a new string for every tag they read; a read
+# level holds these constants instead, one object per tag.
 _SHARED_TAG = {tag: tag for tag in TAG_ORDER}.__getitem__
 
 METHOD_TAGS = ("method1", "method2", "oracle")
@@ -42,12 +44,12 @@ SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 # snapshot reader.  Each pass drops its buffers before the next, so a pass
 # bounds the memory held at once; the speed barely changes from 1024 to
 # 8192 members.  The writer renders each chunk with one ``_snapshot_lines``;
-# the reader parses each chunk with one json.loads of its lines as a JSON
-# array, and takes it only when ``_snapshot_lines`` writes the records back
-# as the chunk's own text (see ``_read_chunks``).  The reader holds its
-# parsed records one chunk at a time: held all at once, the garbage
-# collector's passes over them cost what the bulk checks save, and they
-# raise the peak RSS.
+# the reader cuts each chunk's text into parts and tags with whole-chunk
+# string methods, parses all its parts with one ``bytes`` of a C-level map,
+# and takes the chunk only when ``_snapshot_lines`` writes the parsed
+# members and tags back as its own text (see ``_read_chunks``).  The weight
+# check sums each chunk's members with one adler32 each (see
+# ``_canonical``).
 _CHUNK = 2048
 # Members per write of text: at weight 50 about 250 KB, several times a
 # pipe's buffer, so that a reader finds the pipe full at each read.  With
@@ -141,11 +143,15 @@ class Level:
 
         With ``tags`` None the level derives its tags from its parts (see
         the class docstring); otherwise each tag stays attached to its
-        member through the sort.
+        member through the sort, and there must be one tag per member.
         """
         if tags is None:
             return cls(n, sorted(members, reverse=True), None, method_tag)
-        pairs = sorted(zip(members, tags), key=itemgetter(0), reverse=True)
+        try:
+            pairs = sorted(zip(members, tags, strict=True), key=itemgetter(0),
+                           reverse=True)
+        except ValueError:
+            raise ValueError("tags and partitions must be parallel") from None
         return cls(n, [member for member, _ in pairs],
                    tuple([tag for _, tag in pairs]), method_tag)
 
@@ -199,25 +205,42 @@ def check_members(n: int, members: list[str]) -> None:
         previous = member
 
 
+# The longest member whose adler32 holds its byte sum exactly: the
+# checksum's low 16 bits are 1 plus the byte sum modulo 65521, and 1 plus
+# 256 bytes of 255 is 65281.
+_ADLER_BYTES = 256
+
+
 def _canonical(n: int, raw: list[str]) -> bool:
     """Whether every member has weight n and the members strictly descend.
 
     Within one weight, strictly descending members are strictly canonical,
     which implies both sortedness and uniqueness.  The built-ins check the
-    whole level in C, a chunk at a time: a member's weight is the byte sum
-    of its piece of the chunk's Latin-1 encoding, joined and split at NUL,
-    and the string comparisons are memcmp.  A member holding NUL splits
-    into extra pieces and answers False, as does a part past 255, which
-    has no Latin-1 byte; the caller's per-member scan then checks the
-    level and names the first offender.
+    whole level in C, a chunk at a time.  A member's weight is the byte sum
+    of its piece of the chunk's Latin-1 encoding, joined and split at NUL:
+    the low 16 bits of the piece's adler32 are 1 plus that sum while the
+    piece holds at most ``_ADLER_BYTES`` bytes.  The chunk's checksums are
+    packed as little-endian 32-bit words, and two strides of their bytes
+    are compared with the two bytes of 1 + n.  The string comparisons are
+    memcmp.  A member holding NUL splits into extra pieces and answers
+    False, as do a part past 255, which has no Latin-1 byte, a longer
+    piece, and a weight of 65535 or more; the caller's per-member scan then
+    checks the level and names the first offender.
     """
+    if not 0 <= n < 0xFFFF:
+        return False
+    low, high = (1 + n).to_bytes(2, "little")
     for start in range(0, len(raw), _CHUNK):
         chunk = raw[start:start + _CHUNK]
         try:
             pieces = "\0".join(chunk).encode("latin-1").split(b"\0")
         except UnicodeEncodeError:
             return False
-        if len(pieces) != len(chunk) or not set(map(sum, pieces)) <= {n}:
+        if len(pieces) != len(chunk) or max(map(len, pieces)) > _ADLER_BYTES:
+            return False
+        sums = pack("<%dI" % len(chunk), *map(adler32, pieces))
+        if (sums[0::4] != bytes([low]) * len(chunk)
+                or sums[1::4] != bytes([high]) * len(chunk)):
             return False
     return all(map(gt, raw, islice(raw, 1, None)))
 
@@ -357,42 +380,49 @@ def read_snapshot(stream: Iterable[str], *, method_tag: str,
     ``_tags_fit``); no partition may repeat.  Violations raise
     SnapshotError naming the line.
 
-    The lines are parsed in bulk, with one ``json.loads`` per chunk of
-    ``_CHUNK`` nonblank lines, into a Level, which checks the weights and
-    the uniqueness of its members; then its tags are checked.  A chunk is
-    taken only when the writer writes its records back byte for byte (see
-    ``_read_chunks``).  On any failure, the per-line scan reruns over the
-    lines; it alone words errors and reads the other layouts JSON allows.
+    The lines are parsed in bulk, a chunk of ``_CHUNK`` nonblank lines at
+    a time, without a JSON record per line, into a Level, which checks the
+    weights and the uniqueness of its members; then its tags are checked.
+    A chunk is taken only when the writer writes its members and tags back
+    byte for byte (see ``_read_chunks``).  On any failure, the per-line
+    scan reruns over the lines; it alone words errors and reads the other
+    layouts JSON allows.
     """
     lines = list(stream)
     try:
         level = Level.from_raw(*_read_chunks(lines, expected_n), method_tag)
-    # What malformed input raises on its way through json.loads, the field
-    # lookups (IndexError: no record), set(), bytes(), "%d" of the weight
-    # (OverflowError: an infinite float) and the level's own checks.
-    except (IndexError, KeyError, OverflowError, RecursionError, TypeError,
-            ValueError):
+    except ValueError:
         level = None
     if level is None or not _tags_fit(level.n, level._raw, level.tags):
         return _scan_lines(lines, method_tag, expected_n)
     return level
 
 
+# The text of each part the bulk reader reads, to its code; the member
+# separator is read as part 0.
+_PART_CODE = {str(part): part for part in range(256)}.__getitem__
+# What the writer writes between a line's parts and its tag.
+_TAG_KEY = '], "tag": "'
+
+
 def _read_chunks(lines: list[str], expected_n: int | None
                  ) -> tuple[int, list[str], list[str]]:
     """The weight, members and tags of the nonblank lines, parsed a chunk
-    at a time with whole-list built-ins.
+    at a time with whole-chunk built-ins.
 
-    Each chunk is parsed by one ``json.loads`` of its lines joined into a
-    JSON array, and taken only when ``_snapshot_lines`` writes the parsed
-    members and tags back as exactly the chunk's text (its last line may
-    lack the newline).  So its lines are canonical records, one to a
-    line, with integer fields, ASCII text and the weight of the first line
-    (or ``expected_n``).  Beside that, each record must give one member
-    and its parts descend, and every tag must have a shared constant.  A
-    failure raises ValueError, or what the malformed input raises on its
-    way.  The members' weights and uniqueness are left to the Level, and
-    the tags' fit to ``_tags_fit``.
+    The weight is ``expected_n``, or the first line's.  Each chunk's text
+    is cut into its lines' parts and tags by one ``replace`` and one
+    ``split``: where a line meets the next, its tag's close and the next
+    line's head become one more ``_TAG_KEY``.  Each line's parts, split at
+    ``", "`` and followed by a part 0 between members, are parsed by one
+    ``bytes`` of a ``_PART_CODE`` lookup per part for the whole chunk, and
+    the tags by one ``_SHARED_TAG`` lookup each.  The chunk is taken only
+    when ``_snapshot_lines`` writes the parsed members and tags back as
+    exactly its text (its last line may lack the newline), so its lines
+    are canonical records, one to a line.  Beside that, each line must
+    give one member and its parts descend.  Any failure raises
+    ValueError.  The members' weights and uniqueness are left to the
+    Level, and the tags' fit to ``_tags_fit``.
     """
     members: list[str] = []
     tags: list[str] = []
@@ -400,34 +430,40 @@ def _read_chunks(lines: list[str], expected_n: int | None
     tables = None
     nonblank = filterfalse(str.isspace, lines)
     while chunk := list(islice(nonblank, _CHUNK)):
-        records = json.loads("[" + ",".join(chunk) + "]")
         if level_n is None:
-            level_n = records[0]["n"]
-        chunk_parts = list(map(itemgetter("parts"), records))
-        chunk_tags = list(map(itemgetter("tag"), records))
-        del records
-        # Every member followed by NUL.  bytes() refuses a part past 255,
-        # so a level with larger parts is left to the scan, as in
-        # _canonical; a part 0 adds a NUL, and so a member.
-        joined = bytes(chain.from_iterable(chain.from_iterable(
-            zip(chunk_parts, repeat((0,))))))
-        chunk_members = joined.decode("latin-1").split("\0")[:-1]
-        # The parts descend when the only ascents are from each separator
-        # into the next member's first part.  An empty member breaks that
-        # count only at weight 0, where every member is empty; at any
-        # other weight the level refuses it.
-        if len(chunk_members) != len(chunk_tags) or sum(
-                map(lt, joined, joined[1:])) != (
-                    len(chunk_members) - 1 if level_n else 0):
-            raise ValueError("bad parts")
-        tables = tables or _cell_tables(level_n, b", ", b"\0")
+            level_n = int(chunk[0].partition(",")[0].removeprefix('{"n": '))
+        head = '{"n": %d, "parts": [' % level_n
         text = "".join(chunk)
-        written = _snapshot_lines(level_n, tables, chunk_members, chunk_tags)
-        if text != written and text + "\n" != written:
+        if not text.endswith("\n"):
+            text += "\n"
+        fields = text[len(head):-len('"}\n')].replace(
+            '"}\n' + head, _TAG_KEY).split(_TAG_KEY)
+        # Every member's parts followed by a separator 0, split a line at a
+        # time: a list of all the chunk's parts (about 200 KB at weight 38)
+        # grew the C heap, and the growth stayed resident past the read.
+        # At weight 0 each member is empty, and the codes are the
+        # separators alone.
+        parts = chain.from_iterable(chain.from_iterable(zip(
+            map(str.split, fields[0::2], repeat(", ")), repeat(("0",)))))
+        try:
+            codes = (bytes(map(_PART_CODE, parts)) if level_n
+                     else bytes(len(chunk)))
+            chunk_tags = list(map(_SHARED_TAG, fields[1::2]))
+        except KeyError:
+            raise ValueError("a part or tag that the writer never writes"
+                             ) from None
+        chunk_members = codes.decode("latin-1").split("\0")[:-1]
+        # The parts descend when the only ascents are from each separator
+        # into the next member's first part (a level of weight 0 holds
+        # one member).
+        if not len(chunk) == len(chunk_members) == len(chunk_tags) or sum(
+                map(lt, codes, codes[1:])) != len(chunk) - 1:
+            raise ValueError("not one member of descending parts a line")
+        tables = tables or _cell_tables(level_n, b", ", b"\0")
+        if _snapshot_lines(level_n, tables, chunk_members, chunk_tags) != text:
             raise ValueError("not the lines the writer writes")
         members += chunk_members
-        # KeyError for a tag outside TAG_ORDER.
-        tags += map(_SHARED_TAG, chunk_tags)
+        tags += chunk_tags
     if not members:
         raise ValueError("no members")
     return level_n, members, tags

@@ -1,5 +1,6 @@
 """Partition values: validation, text format, ordering, both classifiers."""
 
+import operator
 import random
 
 import pytest
@@ -147,6 +148,15 @@ def test_partition_operators_agree_with_compare():
             assert (a < b, a <= b, a == b, a > b, a >= b, a != b) == (
                 order < 0, order <= 0, order == 0, order > 0, order >= 0,
                 order != 0)
+    # Against another type, ordering is refused as for any unrelated types.
+    p = Partition([1])
+    for other in ((1,), 1, "1"):
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match="not supported between"):
+                order(p, other)
+            with pytest.raises(TypeError, match="not supported between"):
+                order(other, p)
+        assert p.__lt__(other) is NotImplemented
 
 
 def test_partition_is_a_sequence_of_its_parts():

@@ -75,6 +75,14 @@ def test_from_raw_sorts_and_keeps_tags_attached():
     assert level.tags == ("a1", "a2", "a3")
 
 
+def test_from_raw_refuses_tags_not_parallel_to_its_members():
+    for tags in (["Seed"], ["Seed"] * 3):
+        with pytest.raises(ValueError,
+                           match="^tags and partitions must be parallel$"):
+            Level.from_raw(3, iter(["\x03", "\x02\x01"]), iter(tags),
+                           "oracle")
+
+
 def test_snapshot_parts_must_fit_a_member():
     text = '{"n": 1114112, "parts": [1114112], "tag": "Seed"}\n'
     with pytest.raises(SnapshotError,
@@ -257,6 +265,44 @@ def test_weight_check_passes_whole_levels():
         assert _canonical(n, enumerate_oracle(n).raw_members())
 
 
+def _wrong_weight_in_the_second_chunk():
+    """The weight-30 level with a part 1 appended to one member of its
+    second check chunk: the members still descend."""
+    members = enumerate_oracle(30).raw_members()
+    assert len(members) > 2 * _CHUNK
+    members[_CHUNK + 5] += "\x01"
+    return members
+
+
+# The weight check reads a member's byte sum from its adler32, whose low 16
+# bits are 1 plus the byte sum modulo 65521: exact up to 256 bytes of 255.
+# 257 bytes of 255 sum to 65535 = 65521 + 14, which the checksum cannot
+# tell from 14; the scan, which words every error, must refuse it.
+@pytest.mark.parametrize("n,members,message", [
+    (14, ["\xff" * 257], r"member (255\+){256}255 has weight 65535, "
+     "level holds weight 14"),
+    (65279, ["\xff" * 256], r"member (255\+){255}255 has weight 65280, "
+     "level holds weight 65279"),
+    # 1 + n past 16 bits: 65550 is 14 modulo 65536.
+    (65549, ["\x0d"], "member 13 has weight 13, level holds weight 65549"),
+    (0, ["\x01"], "member 1 has weight 1, level holds weight 0"),
+    (0, ["", ""], "members out of canonical order or duplicated near 0"),
+    (0, ["\x00"], "member 0 has a part 0"),
+    (2, ["\x02", "\x01\x00\x01"], r"member 1\+0\+1 has a part 0"),
+    (30, _wrong_weight_in_the_second_chunk(),
+     r"member 10\+10\+2\+2(\+1){7} has weight 31, level holds weight 30"),
+])
+def test_weight_check_edges_are_worded_by_the_scan(n, members, message):
+    assert not _canonical(n, members)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_members(n, members)
+
+
+def test_weight_check_takes_members_up_to_256_bytes():
+    assert _canonical(65280, ["\xff" * 256])
+    assert _canonical(510, ["\xff" * 2, "\xff" + "\x01" * 255])
+
+
 def test_snapshot_tolerates_blank_lines():
     text = '{"n": 2, "parts": [2], "tag": "Seed"}\n\n' \
            '{"n": 2, "parts": [1, 1], "tag": "Seed"}\n'
@@ -294,6 +340,14 @@ def test_snapshot_tolerates_blank_lines():
      r"line 2: tag 'Explicit' does not fit parts \[1\]"),
     ('{"n": 0, "parts": [], "tag": "AddedUnit"}',
      r"line 2: tag 'AddedUnit' does not fit parts \[\]"),
+    # Lines in the writer's layout that the bulk reader cuts at its fixed
+    # texts, with a part or tag that the writer never writes.
+    ('{"n": 2, "parts": [02], "tag": "Seed"}', "line 2: not valid JSON"),
+    ('{"n": 2, "parts": [256], "tag": "Seed"}', "line 2: .*sum to 256, not 2"),
+    ('{"n": 2, "parts": [2], "tag": "x], \\"tag\\": \\"Seed"}',
+     r"line 2: unknown tag 'x\], \"tag\": \"Seed'"),
+    ('{"n": 2, "parts": [2], "tag": "Seed\\"}\\n{\\"n\\": 2, \\"parts\\": ["}',
+     r"line 2: unknown tag 'Seed\"}\\n{\"n\": 2, \"parts\": \['"),
 ])
 def test_snapshot_errors_name_the_line(line, complaint):
     text = '{"n": 2, "parts": [1, 1], "tag": "Seed"}\n' + line + "\n"
@@ -399,6 +453,56 @@ def test_a_first_line_without_a_weight_to_render_falls_to_the_scan(
     assert str(refused.value) == message
 
 
+# A weight-0 file, whose members the bulk reader reads without parsing a
+# part: a second empty member or a part is still refused.
+@pytest.mark.parametrize("lines,message", [
+    (['{"n": 0, "parts": [], "tag": "Seed"}\n'] * 2,
+     "line 2: duplicate partition []"),
+    (['{"n": 0, "parts": [0], "tag": "Seed"}\n'],
+     "line 1: parts must be a list of positive integers"),
+    (['{"n": 0, "parts": [], "tag": "Seed"}\n',
+      '{"n": 0, "parts": [1], "tag": "Seed"}'],
+     "line 2: parts [1] sum to 1, not 0"),
+])
+def test_weight_zero_snapshot_errors_name_the_line(lines, message):
+    with pytest.raises(SnapshotError) as refused:
+        read_snapshot(lines, method_tag="oracle")
+    assert str(refused.value) == message
+
+
+def _holds_a_record(value):
+    """Whether a decoded JSON value is or holds an object."""
+    return isinstance(value, dict) or isinstance(value, list) and any(
+        map(_holds_a_record, value))
+
+
+@pytest.mark.parametrize("expected_n", [None, 26])
+def test_a_written_snapshot_is_read_without_json_records(monkeypatch,
+                                                         expected_n):
+    # Two read chunks of the writer's lines: the bulk reader takes them
+    # both, decoding no JSON object and never entering the per-line scan.
+    level = evolve_m1(Level.seed("method1"), 26)
+    assert _CHUNK < len(level) <= 2 * _CHUNK
+    buffer = io.StringIO()
+    write_snapshot(level, buffer)
+    loaded = []
+
+    def loads(*args, **kwargs):
+        loaded.append(json_loads(*args, **kwargs))
+        return loaded[-1]
+
+    def scan(*args):
+        raise AssertionError("the per-line scan ran")
+
+    json_loads = partition_evolve.level.json.loads
+    monkeypatch.setattr(partition_evolve.level.json, "loads", loads)
+    monkeypatch.setattr(partition_evolve.level, "_scan_lines", scan)
+    buffer.seek(0)
+    back = read_snapshot(buffer, method_tag="method1", expected_n=expected_n)
+    assert back == level and back.tags == level.tags
+    assert not _holds_a_record(loaded)
+
+
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
                           st.floats(allow_nan=True), st.text(max_size=4))
 _RECORDS = st.fixed_dictionaries(
@@ -462,11 +566,14 @@ def _records(draw, n):
         parts = _fill(parts, n)
     # Seed fits every member, and one tag in two fits a given member.
     tags = st.one_of(st.just("Seed"), st.sampled_from(TAG_ORDER))
+    # Tags holding the texts at which the bulk reader cuts a line.
+    cut = st.sampled_from(['x], "tag": "Seed', 'Seed"}\n{"n": %d, "parts": ['
+                           % n, "Seed\"}\n"])
     return json.dumps({
         "n": draw(_mostly(st.just(n), st.one_of(st.just(n + 1),
                                                 _JSON_SCALARS))),
         "parts": draw(_mostly(st.just(parts), _JSON_SCALARS)),
-        "tag": draw(_mostly(tags, st.one_of(st.just("Odd"),
+        "tag": draw(_mostly(tags, st.one_of(st.just("Odd"), cut,
                                             _JSON_SCALARS)))})
 
 
@@ -478,7 +585,7 @@ def _misaligned(draw, n):
     string that joins two lines into one record, each with as many
     records or braces as lines; a nested object; a brace in a string;
     leading spaces; trailing whitespace that str.strip removes but JSON
-    refuses."""
+    refuses; a first part with a leading zero, which JSON refuses."""
     record = draw(_records(n))
     other = draw(_records(n))
     cut = record.index(', "tag"')
@@ -491,6 +598,7 @@ def _misaligned(draw, n):
         ["  " + record],
         [record + "\x1c"],
         [record + "\x85"],
+        [record.replace("[", "[0", 1)],
     ]))
 
 
@@ -499,7 +607,8 @@ def _snapshots(draw):
     """A few lines near a snapshot of one weight, some of them no record
     at all or not one canonical record per line, and the weight the reader
     expects.  The lines end in a newline, or in nothing, as a caller may
-    pass them; only then can a string run from one line into the next."""
+    pass them; only then can a string run from one line into the next.  Or
+    only the last line lacks its newline, as in a file cut short."""
     n = draw(st.sampled_from([0, 1, 3, 5, 300]))
     junk = st.sampled_from(["{}", "[]", "null", "", "7"]).map(
         lambda line: [line])
@@ -507,8 +616,10 @@ def _snapshots(draw):
                                    st.one_of(junk, _misaligned(n))),
                            max_size=6))
     end = draw(st.sampled_from(["\n", ""]))
-    return [line + end for group in groups for line in group], draw(
-        st.sampled_from([None, n, n + 1]))
+    lines = [line + end for group in groups for line in group]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].removesuffix("\n")
+    return lines, draw(st.sampled_from([None, n, n + 1]))
 
 
 @given(_snapshots(), st.sampled_from(METHOD_TAGS))
