@@ -1,5 +1,5 @@
 """Command-line surface: count, list, classify, evolve, predecessor,
-verify, bench.
+verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 enumeration cap exceeded.  Data goes to stdout; progress and error
@@ -14,7 +14,6 @@ import argparse
 import os
 import stat
 import sys
-import time
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from itertools import filterfalse
@@ -119,13 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("max_n", type=_positive_int)
     _add_cap_flag(verify)
     verify.set_defaults(func=cmd_verify)
-
-    bench = commands.add_parser(
-        "bench", help="time both evolutions and the enumerator, as CSV")
-    bench.add_argument("max_n", type=_nonneg_int)
-    bench.add_argument("reps", type=_positive_int)
-    _add_cap_flag(bench)
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -280,25 +272,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.max_n, cap=cap)
     print(report.format_text())
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args)
-    check_cap(args.max_n, cap)
-    runners = (
-        ("method1", lambda n: evolve_m1(Level.seed("method1"), n)),
-        ("method2", lambda n: evolve_m2(Level.seed("method2"), n)),
-        ("oracle", lambda n: enumerate_oracle(n, cap=cap)),
-    )
-    print("n,method,wall_time_ns,partitions_emitted")
-    for n in range(args.max_n + 1):
-        for method_name, run in runners:
-            for _ in range(args.reps):
-                started = time.perf_counter_ns()
-                level = run(n)
-                elapsed = time.perf_counter_ns() - started
-                print(f"{n},{method_name},{elapsed},{len(level)}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

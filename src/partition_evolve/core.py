@@ -9,6 +9,7 @@ across threads.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Iterable, Iterator
 
 
@@ -39,6 +40,7 @@ class Kind(enum.Enum):
     SECOND = "SecondKind"
 
 
+@functools.total_ordering
 class Partition:
     """A partition of a nonnegative integer: positive parts, non-increasing.
 
@@ -101,21 +103,6 @@ class Partition:
         if not isinstance(other, Partition):
             return NotImplemented
         return compare(self, other) < 0
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return compare(self, other) > 0
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return compare(self, other) >= 0
 
     def __str__(self) -> str:
         return format_parts(self._parts)

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Sequence
 from zlib import adler32
 
 from .core import (MAX_PART, Partition, decode_member, encode_parts,
-                   member_text)
+                   member_text, quote_text)
 
 TAG_SEED = "Seed"
 TAG_ADDED_UNIT = "AddedUnit"
@@ -469,6 +469,24 @@ def _read_chunks(lines: list[str], expected_n: int | None
     return level_n, members, tags
 
 
+class _RepeatedName(Exception):
+    """A JSON object of a snapshot line gives one name twice."""
+
+
+def _unique_names(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """The object that ``json.loads`` reads as ``pairs``.  Raises
+    _RepeatedName for the first name given twice, where a plain ``dict``
+    would keep the last value."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen: set[str] = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise _RepeatedName(name)
+            seen.add(name)
+    return record
+
+
 def _scan_lines(lines: Iterable[str], method_tag: str,
                 expected_n: int | None) -> Level:
     """``read_snapshot`` one line at a time, raising SnapshotError at the
@@ -487,7 +505,11 @@ def _scan_lines(lines: Iterable[str], method_tag: str,
         except UnicodeEncodeError:
             raise SnapshotError(f"line {lineno}: not valid UTF-8") from None
         try:
-            record = json.loads(text)
+            record = json.loads(text, object_pairs_hook=_unique_names)
+        except _RepeatedName as exc:
+            raise SnapshotError(f"line {lineno}: field "
+                                f"{quote_text(exc.args[0])} appears twice"
+                                ) from None
         # Besides JSONDecodeError: ValueError for an integer past the
         # interpreter's digit limit, RecursionError for deep nesting.
         except (ValueError, RecursionError) as exc:

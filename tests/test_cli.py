@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -594,31 +595,6 @@ def test_cap_applies_to_every_enumerating_command(run_cli):
     assert run_cli("count", 9, "--source", "series", "--cap", 5)[0] == 0
     assert run_cli("classify", 9, "--method", 1, "--cap", 5) == refusal
     assert run_cli("evolve", 0, 9, "--method", 2, "--cap", 5) == refusal
-    assert run_cli("bench", 9, 1, "--cap", 5) == refusal
-
-
-def test_bench_csv_shape(run_cli):
-    code, out, _ = run_cli("bench", 4, 2)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,method,wall_time_ns,partitions_emitted"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 5 * 3 * 2
-    expected_counts = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5}
-    for n, method, wall, emitted in rows:
-        assert method in ("method1", "method2", "oracle")
-        assert int(wall) >= 0
-        assert int(emitted) == expected_counts[int(n)]
-    assert [r[1] for r in rows[:6]] == [
-        "method1", "method1", "method2", "method2", "oracle", "oracle"]
-
-
-def test_bench_zero_weight(run_cli):
-    code, out, _ = run_cli("bench", 0, 1)
-    lines = out.splitlines()
-    assert code == 0
-    assert len(lines) == 4
-    assert all(line.endswith(",1") for line in lines[1:])
 
 
 def test_stdout_is_deterministic(run_cli):
@@ -631,11 +607,21 @@ def test_stdout_is_deterministic(run_cli):
         assert first[1] == second[1]
 
 
+def test_readme_synopsis_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.findall(r"^partition-evolve <(.*)> \[args\] \[--flags\]$",
+                          readme, re.MULTILINE)
+    usage = re.search(r"\{(.*?)\}", cli.build_parser().format_usage())
+    assert len(synopsis) == 1
+    assert synopsis[0].split("|") == usage.group(1).split(",")
+
+
 def test_usage_errors(run_cli):
     assert run_cli("nonsense", 3)[0] == 2
     assert run_cli("classify", 5)[0] == 2
     assert run_cli("count", -1)[0] == 2
-    assert run_cli("bench", 3, 0)[0] == 2
+    code, _, err = run_cli("bench", 4, 2)
+    assert code == 2 and "invalid choice: 'bench'" in err
     # Integers are ASCII decimal digits only; int() would read each of
     # these as a number.
     for text in ("1_0", "\u0663", "+3", " 3", "3 "):

@@ -325,6 +325,15 @@ def test_snapshot_tolerates_blank_lines():
     ('{"n": 2, "parts": [3], "tag": "Seed"}', "line 2: .*sum to 3, not 2"),
     ('{"n": 3, "parts": [3], "tag": "Seed"}', "line 2: weight 3 differs"),
     ('{"n": 2, "parts": [1, 1], "tag": "Seed"}', "line 2: duplicate"),
+    # A repeated field name is refused, not read with the last value.
+    ('{"n": 3, "n": 2, "parts": [1, 1], "tag": "Seed"}',
+     "^line 2: field 'n' appears twice$"),
+    ('{"n": 2, "parts": [2], "parts": [1, 1], "tag": "Seed"}',
+     "^line 2: field 'parts' appears twice$"),
+    ('{"n": 2, "parts": [2], "tag": "Seed", "tag": "Seed"}',
+     "^line 2: field 'tag' appears twice$"),
+    ('{"n": 2, "parts": [2], "tag": "Seed", "extra": {"a": 1, "a": 1}}',
+     "^line 2: field 'a' appears twice$"),
     # A tag must be one that some rule gives those parts.
     ('{"n": 2, "parts": [2], "tag": "AddedUnit"}',
      r"line 2: tag 'AddedUnit' does not fit parts \[2\]"),
