@@ -12,11 +12,18 @@ Every partition of n is a head with no part 1, followed by units: ``h +
 appended-unit successor, which keeps the head, so level n+1 is level n's
 heads plus the new heads of weight exactly n+1.  The step kernels build
 only those.  A step kernel takes ``heads``, where ``heads[w]`` lists the
-heads of weight w for w = 0..n, each list in descending order of last part
-(``""`` only at weight 0).  It returns ``(new, second_count)``: the heads
-of weight n+1 in the same order, of which the last ``second_count`` are of
-the method's second kind and any before them are explicit.  Provenance is
-not recorded; it follows from the parts (see ``level.Level.tags``).
+heads of weight w for w = 0..n (``""`` only at weight 0), each list in
+descending order of last part and, among heads with the same last part, in
+descending (canonical) string order.  It returns ``(new, second_count)``:
+the heads of weight n+1 in the same order, of which the last
+``second_count`` are of the method's second kind and any before them are
+explicit.  Provenance is not recorded; it follows from the parts (see
+``level.Level.tags``).
+
+The order is for speed only.  With it, the grown level reaches the sort
+in ``level.Level.from_raw`` as one sorted run per weight and last part,
+which the sort merges; the sort and the level's check still decide the
+order and refuse duplicates, whatever order a kernel returns.
 
 Each rule's inverse, ``pred_m1`` and ``pred_m2``, takes one member string
 and is written apart from the step kernels, so that ``verify`` can check
@@ -37,15 +44,18 @@ def step_m1(heads: list) -> tuple[list, int]:
     part raised by 1.  Ending in a single unit, that is its head with a 2
     appended, one for each head of weight n-1; ending in a part of 2 or
     more, it is a head of weight n whose last part occurs once, raised.
-    Raising keeps the order of last parts, and every raised part is at
-    least 3.
+    Every raised part is at least 3.  Raising keeps the order of last
+    parts and, within one, the canonical order: two heads of one weight
+    and last part first differ before either's last part.  The heads of
+    weight n-1 with a 2 appended are sorted, a merge of one run per last
+    part.
     """
     n = len(heads) - 1
     if n == 0:
         return [], 0
     out = [h[:-1] + chr(ord(h[-1]) + 1) for h in heads[n]
            if len(h) == 1 or h[-1] < h[-2]]
-    out += [h + "\x02" for h in heads[n - 1]]
+    out += sorted([h + "\x02" for h in heads[n - 1]], reverse=True)
     return out, len(out)
 
 
@@ -60,8 +70,10 @@ def step_m2(heads: list) -> tuple[list, int]:
     grows h + (u+1), so each head of weight n-u with last part above u
     gives one; as the last part is at most the weight, u < n/2.  A weight's
     heads descend by last part, so those heads are a prefix of its list.
-    The single part n+1, which the rule never grows, leads as the one
-    explicit head from weight 2 up ((1) is the empty head's unit).
+    Each block of one u is sorted, a merge of one run per last part of
+    that prefix.  The single part n+1, which the rule never grows, leads
+    as the one explicit head from weight 2 up ((1) is the empty head's
+    unit).
     """
     n = len(heads) - 1
     if n == 0:
@@ -70,8 +82,9 @@ def step_m2(heads: list) -> tuple[list, int]:
     for units in range((n - 1) // 2, 0, -1):
         level = heads[n - units]
         part = chr(units + 1)
-        out += [h + part for h in
-                level[:bisect_left(level, -units, key=_neg_last)]]
+        out += sorted([h + part for h in
+                       level[:bisect_left(level, -units, key=_neg_last)]],
+                      reverse=True)
     return out, len(out) - 1
 
 

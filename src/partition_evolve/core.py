@@ -155,8 +155,9 @@ def make_partition(raw: Iterable[int]) -> Partition:
 def parse_partition(text: str) -> Partition:
     """Parse the canonical text format: ``"a+b+c"`` with positive parts, or ``"0"``.
 
-    Each part is ASCII decimal digits; only whitespace around the whole
-    text is ignored.
+    Each part is ASCII decimal digits, and the parts are non-increasing:
+    ``1+2`` is refused, not read as ``2+1``.  Only whitespace around the
+    whole text is ignored.
     """
     stripped = text.strip()
     if stripped == "0":
@@ -165,10 +166,15 @@ def parse_partition(text: str) -> Partition:
         raise InvalidPartitionError(
             "empty partition text; the weight-0 partition is written '0'")
     values = list(map(decimal_value, stripped.split("+")))
-    if None not in values:
-        return Partition(values)
-    raise InvalidPartitionError(
-        f"cannot parse partition text {quote_text(text)}")
+    if None in values:
+        raise InvalidPartitionError(
+            f"cannot parse partition text {quote_text(text)}")
+    partition = Partition(values)
+    if list(partition.parts) != values:
+        raise InvalidPartitionError(
+            f"the parts of partition text {quote_text(text)} are not "
+            "non-increasing")
+    return partition
 
 
 def decimal_value(text: str) -> int | None:

@@ -17,9 +17,11 @@ from operator import itemgetter
 from .level import SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_EXPLICIT, Level
 
 # step(heads) -> (new, second_count): heads[w] lists the heads of weight w
-# for w = 0..n in descending order of last part; new lists the heads of
-# weight n+1 in that order, explicit ones first, then second_count of the
-# method's second kind (``_pure.step_m1``, ``_pure.step_m2``).
+# for w = 0..n in descending order of last part and, within one last part,
+# in canonical (descending string) order; new lists the heads of weight
+# n+1 in that order, explicit ones first, then second_count of the method's
+# second kind (``_pure.step_m1``, ``_pure.step_m2``).  The order only
+# speeds up the level's one sort, which merges its runs.
 StepFn = Callable[[list], tuple[list, int]]
 ProgressFn = Callable[[int, dict[str, int]], None]
 
@@ -67,7 +69,8 @@ def grown_members(n: int, members: list[str], new: list[list[str]],
     ``new[i]`` lists the new heads of weight ``n + 1 + i``.  The members
     come first with their unit tail appended; they stay canonical, one run
     for the sort.  Then each weight's new heads follow with their tails,
-    and each list is popped from ``new`` as it renders.
+    one run for each last part of the step kernels' order, and each list
+    is popped from ``new`` as it renders.
     """
     tail = "\x01" * (target_n - n)
     grown = [member + tail for member in members]
@@ -78,8 +81,14 @@ def grown_members(n: int, members: list[str], new: list[list[str]],
 
 
 def split_heads(n: int, members: list[str]) -> list[list[str]]:
-    """The members of weight n split into heads, grouped by weight, each
-    weight's heads in descending order of last part."""
+    """The members of weight n split into heads, grouped by weight, in the
+    step kernels' order: each weight's heads in descending order of last
+    part and, within one last part, canonical.
+
+    The members are canonical, so each weight's heads arrive canonical
+    (they share one unit tail), and the stable sort by last part keeps
+    that order within each last part.
+    """
     heads: list[list[str]] = [[] for _ in range(n + 1)]
     for member in members:
         head = member.rstrip("\x01")

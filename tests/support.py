@@ -1,6 +1,9 @@
 """Exhaustive property loops shared by the unit and acceptance tests, and
 sabotaged step kernels."""
 
+import random
+from itertools import groupby
+
 from partition_evolve import (Level, NoPredecessorError, Partition,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               predecessor_m1, predecessor_m2, successors_m1,
@@ -24,6 +27,23 @@ def overweight(step):
         return [chr(ord(head[0]) + 1) + head[1:]
                 for head in new[:1]] + new[1:], second
     return raised
+
+
+def shuffled(step):
+    """``step`` with each last part's block of second-kind heads shuffled
+    (``random.Random(0)``), the explicit head kept first: the order of last
+    parts holds, canonical order within each last part does not."""
+    rng = random.Random(0)
+
+    def shuffle(heads):
+        new, second = step(heads)
+        out = new[:len(new) - second]
+        for _, block in groupby(new[len(out):], key=lambda head: head[-1]):
+            block = list(block)
+            rng.shuffle(block)
+            out += block
+        return out, second
+    return shuffle
 
 
 def assert_m1_bijection(max_n: int) -> None:

@@ -12,14 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from partition_evolve import _pure, cli, count_oracle
+from partition_evolve import _pure, cli, count_oracle, enumerate_oracle
+from partition_evolve.engine import split_heads
 from partition_evolve.level import _read_chunks
 
 from golden import (EVOLVE_50_M2_TEXT_SHA256, M1_GROUP1_5, M1_GROUP2_5,
                     M2_GROUP1_5, M2_GROUP2_5, P_AT, PARTITIONS_5,
                     PARTITIONS_6, RESUME_38_50_M1_SNAPSHOT_SHA256)
 
-from support import duplicating, overweight
+from support import duplicating, overweight, shuffled
 
 
 def classify_text(group1, group2):
@@ -372,6 +373,24 @@ def test_a_duplicating_kernel_is_refused_with_exit_2(run_cli, monkeypatch):
         "error: members out of canonical order or duplicated near 2\n")
 
 
+@pytest.mark.parametrize("method", [1, 2])
+def test_the_kernels_order_within_a_last_part_is_for_speed_only(
+        run_cli, monkeypatch, method):
+    # The level's sort puts shuffled heads in order again; its check, not
+    # the kernels' order, carries correctness.
+    kernel = f"step_m{method}"
+    real = getattr(_pure, kernel)
+    heads = split_heads(19, enumerate_oracle(19).raw_members())
+    new, second = shuffled(real)(heads)
+    expected, expected_second = real(heads)
+    assert new != expected
+    assert (sorted(new), second) == (sorted(expected), expected_second)
+    monkeypatch.setattr(_pure, kernel, shuffled(real))
+    code, out, _ = run_cli("evolve", 0, 20, "--method", method)
+    assert code == 0
+    assert out == run_cli("list", 20)[1]
+
+
 # The messages are those the CLI printed before the weight check was
 # chunked.  At weight 30 the level spans three check chunks.
 @pytest.mark.parametrize("method, to_n, message", [
@@ -539,6 +558,10 @@ def test_predecessor_errors(run_cli):
     code, _, err = run_cli("predecessor", "1_0+2", "--method", 1)
     assert code == 2
     assert "'1_0+2'" in err
+    # Not read as 2+1, whose predecessor is 2 under method 1.
+    code, out, err = run_cli("predecessor", "1+2", "--method", 1)
+    assert (code, out, err) == (2, "", "error: the parts of partition text "
+                                "'1+2' are not non-increasing\n")
 
 
 @pytest.mark.parametrize("method", [1, 2])

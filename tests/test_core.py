@@ -73,6 +73,15 @@ def test_parse_names_text_it_will_not_coerce(text):
         assert len(message) < 100
 
 
+@pytest.mark.parametrize("text", ["1+2", "3+1+2", " 2+2+3 "])
+def test_parse_refuses_increasing_parts_instead_of_sorting_them(text):
+    # Partition([1, 2]) sorts its parts; the text must already be canonical.
+    with pytest.raises(InvalidPartitionError) as info:
+        parse_partition(text)
+    assert str(info.value) == (f"the parts of partition text {text!r} "
+                               "are not non-increasing")
+
+
 @given(st.one_of(st.text(),
                  st.lists(st.sampled_from(["0", "1", "12", "+", " ", "_",
                                            "\u0663", "-", "\n"]))

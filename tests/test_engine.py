@@ -1,6 +1,8 @@
 """Evolution loop mechanics: duplicate refusal, progress reporting, and
 provenance derived from the parts."""
 
+from operator import lt
+
 import pytest
 
 from partition_evolve import (Level, Partition, _pure, enumerate_oracle,
@@ -91,6 +93,19 @@ def test_grown_members_renders_several_weights_and_pops_them():
     assert new == []
     assert members[:len(start)] == [m + "\x01" * 3 for m in start]
     assert sorted(members, reverse=True) == enumerate_oracle(6).raw_members()
+
+
+@pytest.mark.parametrize("step", ["step_m1", "step_m2"])
+def test_grown_members_reach_the_sort_as_few_runs(step):
+    # A speed guard: the kernels' order makes the grown level one sorted
+    # run per (weight, last part), which the sort merges.  Heads kept in
+    # last-part order alone gave 3,718 ascents here.
+    heads = [[""]]
+    for _ in range(30):
+        heads.append(getattr(_pure, step)(heads)[0])
+    groups = sum(len({head[-1] for head in group}) for group in heads[1:])
+    grown = grown_members(0, [""], heads[1:], 30)
+    assert sum(map(lt, grown, grown[1:])) <= groups == 225
 
 
 @pytest.mark.parametrize("step,tagged_successors", [

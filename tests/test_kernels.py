@@ -1,6 +1,8 @@
 """The kernel module: its head kernels, inverses and enumerator, and the
 contract that callers look its kernels up when they run."""
 
+from operator import gt
+
 import pytest
 
 from partition_evolve import (Level, NoPredecessorError, Partition, _pure,
@@ -8,6 +10,7 @@ from partition_evolve import (Level, NoPredecessorError, Partition, _pure,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               tagged_successors_m1, tagged_successors_m2)
 from partition_evolve.core import encode_parts
+from partition_evolve.engine import split_heads
 
 
 def test_python_backend_is_always_available():
@@ -46,6 +49,13 @@ def test_pure_enumeration_is_canonical_and_complete():
         _pure.enumerate_level(-2)
 
 
+def in_kernel_order(heads):
+    """Descending last parts and, within one last part, strictly
+    descending heads: the order the step kernels take and return."""
+    keys = [(head[-1], head) for head in heads]
+    return all(map(gt, keys, keys[1:]))
+
+
 @pytest.mark.parametrize("name", ["step_m1", "step_m2"])
 def test_step_kernels_grow_ordered_unit_free_heads(name):
     step = getattr(_pure, name)
@@ -54,8 +64,7 @@ def test_step_kernels_grow_ordered_unit_free_heads(name):
         new, second = step(heads)
         assert all(sum(map(ord, head)) == n + 1 and "\x01" not in head
                    for head in new), n
-        last_parts = [head[-1] for head in new]
-        assert last_parts == sorted(last_parts, reverse=True), n
+        assert in_kernel_order(new), n
         # Only method 2 adds an explicit head, its single part n+1.
         explicit = 1 if name == "step_m2" and n >= 1 else 0
         assert new[:explicit] == [chr(n + 1)] * explicit, n
@@ -63,6 +72,18 @@ def test_step_kernels_grow_ordered_unit_free_heads(name):
         heads.append(new)
     grown = [head for group in heads for head in group]
     assert len(set(grown)) == len(grown) == count_oracle(20)
+
+
+def test_split_heads_meets_the_kernel_order_and_steps_keep_it():
+    # The resume path: a start level split into heads, then stepped.
+    for k in range(26):
+        heads = split_heads(k, enumerate_oracle(k).raw_members())
+        assert all(map(in_kernel_order, heads[1:])), k
+        for step in (_pure.step_m1, _pure.step_m2):
+            grown = list(heads)
+            for _ in range(4):
+                grown.append(step(grown)[0])
+                assert in_kernel_order(grown[-1]), (k, step.__name__)
 
 
 @pytest.mark.parametrize("evolve,method_tag,tagged_successors", [
