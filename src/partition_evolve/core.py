@@ -155,9 +155,9 @@ def make_partition(raw: Iterable[int]) -> Partition:
 def parse_partition(text: str) -> Partition:
     """Parse the canonical text format: ``"a+b+c"`` with positive parts, or ``"0"``.
 
-    Each part is ASCII decimal digits, and the parts are non-increasing:
-    ``1+2`` is refused, not read as ``2+1``.  Only whitespace around the
-    whole text is ignored.
+    Each part is ASCII decimal digits for a positive value, and the parts
+    are non-increasing: ``1+2`` is refused, not read as ``2+1``.  Only
+    whitespace around the whole text is ignored.
     """
     stripped = text.strip()
     if stripped == "0":
@@ -169,6 +169,10 @@ def parse_partition(text: str) -> Partition:
     if None in values:
         raise InvalidPartitionError(
             f"cannot parse partition text {quote_text(text)}")
+    if 0 in values:
+        raise InvalidPartitionError(
+            f"partition text {quote_text(text)} has a part 0; parts are "
+            "positive, and the weight-0 partition is written '0'")
     partition = Partition(values)
     if list(partition.parts) != values:
         raise InvalidPartitionError(

@@ -1,10 +1,12 @@
 """Independent ground truth: direct enumeration and direct counting.
 
 Neither routine here knows about successor rules or builds a power
-series.  The enumerator descends over largest-part bounds; the counter
-runs Euler's pentagonal-number recurrence, which shares no loop with
-the series module's products.  Both exist so the evolution methods and
-the series module have something honest to be checked against.
+series.  The enumerator chooses the largest part first and takes what
+remains from a table of small levels built the same way, by first part
+(``_pure.enumerate_level``); the counter runs Euler's pentagonal-number
+recurrence, which shares no loop with the series module's products.
+Both exist so the evolution methods and the series module have
+something honest to be checked against.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ bounded by ``min(max_n, cap)``.
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse
-from operator import eq, methodcaller
+from itertools import compress, repeat
+from operator import add, eq, methodcaller, not_
 
 from . import _pure
 from .core import (NoPredecessorError, collectable, member_text,
@@ -87,11 +87,12 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     The four step checks (both bijections, equivalence and mixed) share
     one step per method from the oracle's level n-1, a member list: it is
     split into heads once, and each method's step kernel runs once while
-    any of the four is still open.  The verdicts and counterexamples of
-    the equivalence and mixed checks are those of private chains: a chain
-    reaches step n only after its level n-1 compared equal, member for
-    member, to the oracle's level n-1, and a one-step evolution is a pure
-    function of the level it starts from.
+    any of the four is still open.  The step runs, and the heads are
+    dropped, before level n is enumerated.  The verdicts and
+    counterexamples of the equivalence and mixed checks are those of
+    private chains: a chain reaches step n only after its level n-1
+    compared equal, member for member, to the oracle's level n-1, and a
+    one-step evolution is a pure function of the level it starts from.
     The mixed run reads method 1 at odd n and method 2 at even n:
     alternating the rules must still yield complete levels, since each
     step only needs a complete input.
@@ -104,6 +105,8 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     failures: list[str | None] = [None] * len(names)
     previous = previous_once = None
     for n in range(bound + 1):
+        grown = (_steps(n - 1, previous) if n and None in failures[1:]
+                 else None)
         members = enumerate_oracle(n, cap=cap).raw_members()
         # Q(n) counts these; they are also method 1's second kind, which
         # the method-1 round trip at weight n+1 needs.
@@ -115,8 +118,10 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
             # Evolving the seed to weight 0 returns the seed itself.
             for method in (1, 2):
                 _evolution_check(0, method, [""], [], members, failures)
-        else:
-            _step_checks(n, previous, previous_once, members, failures)
+        elif grown is not None:
+            _step_checks(n, previous, previous_once, members, *grown,
+                         failures)
+        del grown  # before the next weight steps
         previous, previous_once = members, once
     top = f"n=0..{bound}"
     steps = f"n=0..{bound - 1}" if bound else "no step checked"
@@ -125,45 +130,82 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
                 names, (top, steps, steps, top, top), failures)]
 
 
+def _steps(n: int, members: list[str]) -> tuple[tuple[list[str], int],
+                                                 tuple[list[str], int]]:
+    """Each method's ``(new, second)`` from the level of weight n; the
+    heads it splits into are dropped on return."""
+    heads = split_heads(n, members)
+    return _pure.step_m1(heads), _pure.step_m2(heads)
+
+
 def _step_checks(n: int, previous: list[str], previous_once: list[str],
-                 members: list[str], failures: list[str | None]) -> None:
-    # Each helper drops its temporaries on return, before the next one
-    # (and the next weight) builds its own.
-    if None not in failures[1:]:
-        return
-    heads = split_heads(n - 1, previous)
-    grown1 = _pure.step_m1(heads)
-    grown2 = _pure.step_m2(heads)
-    del heads
+                 members: list[str], grown1: tuple[list[str], int],
+                 grown2: tuple[list[str], int],
+                 failures: list[str | None]) -> None:
+    units, tops = _unit_split(members)
     if None in failures[1:3]:
-        _bijection_checks(n, previous, previous_once, members, grown1,
-                          grown2, failures)
-    for method, grown in ((1, grown1), (2, grown2)):
-        _evolution_check(n, method, previous, [grown[0]], members, failures)
+        _bijection_checks(n, previous, previous_once, members, units, tops,
+                          grown1, grown2, failures)
+    # Only a level that does not grow equal is rendered, to word the
+    # mismatch.
+    for method, (new, _) in ((1, grown1), (2, grown2)):
+        if not _grows_level(previous, new, units, tops):
+            _evolution_check(n, method, previous, [new], members, failures)
+
+
+def _unit_split(members: list[str]) -> tuple[list[str], list[str]]:
+    """The members of level n that end in a unit, and the rest, each in
+    canonical order.
+
+    Level n is level n-1 with a unit appended to each member, plus the
+    members with no unit: the heads of weight n.  The step checks read
+    this one split.
+    """
+    # One byte per member, not a pointer.
+    flags = bytes(map(_ends_in_unit, members))
+    return (list(compress(members, flags)),
+            list(compress(members, map(not_, flags))))
+
+
+def _grows_level(previous: list[str], new: list[str], units: list[str],
+                 tops: list[str]) -> bool:
+    """Whether level n-1, ``previous``, with a unit appended to each
+    member, plus the new heads ``new``, is exactly the level whose
+    unit-ending members are ``units`` and whose unit-free members are
+    ``tops``, both in canonical order.
+
+    Appending a unit keeps canonical order, so the first part holds
+    exactly when ``units`` is ``previous`` with a unit appended, member
+    for member.  The rest holds exactly when ``new``, sorted, is ``tops``:
+    a repeated, missing or extra head, and one that ends in a unit or has
+    another weight, makes the lists differ.  Nothing is rendered.
+    """
+    return (len(units) == len(previous)
+            and all(map(eq, units, map(add, previous, repeat("\x01"))))
+            and sorted(new, reverse=True) == tops)
 
 
 def _bijection_checks(n: int, previous: list[str], previous_once: list[str],
-                      members: list[str], grown1: tuple[list[str], int],
+                      members: list[str], units: list[str], tops: list[str],
+                      grown1: tuple[list[str], int],
                       grown2: tuple[list[str], int],
                       failures: list[str | None]) -> None:
-    # Level n is level n-1 with a unit appended to each member, plus the
-    # members with no unit: the heads of weight n.
-    tops = set(filterfalse(_ends_in_unit, members))
+    top_set = set(tops)
     if failures[1] is None:
         failures[1] = _step_failure(n, _pure.step_m1, grown1, _pure.pred_m1,
-                                    previous, members, tops, previous_once,
-                                    [])
+                                    previous, members, units, top_set,
+                                    previous_once, [])
     if failures[2] is None:
         # The single part n enters by the explicit step, and only from
         # weight 2 up ([1] does arise from the rule).
         failures[2] = _step_failure(
             n, _pure.step_m2, grown2, _pure.pred_m2, previous, members,
-            tops, list(filter(collectable, previous)),
+            units, top_set, list(filter(collectable, previous)),
             [chr(n)] if n >= 2 else [])
 
 
-def _step_failure(n, step, grown, pred, previous, members, tops, sources,
-                  explicit):
+def _step_failure(n, step, grown, pred, previous, members, units, tops,
+                  sources, explicit):
     """None if ``grown``, the ``(new, second)`` that ``step`` returned
     from level n-1, grows level n once each, inverted by ``pred``;
     otherwise the counterexample.
@@ -171,10 +213,11 @@ def _step_failure(n, step, grown, pred, previous, members, tops, sources,
     The step returns the new heads of weight n, ``explicit`` ones first,
     which ``pred`` must refuse, then the second block.  The appended
     units keep each member of level n-1 in order, so ``pred`` must map
-    the members of level n that end in a unit back onto level n-1 in
-    order.  The second block must hold each member of level n without a
-    unit once, and ``pred`` must map it one-to-one onto ``sources``, the
-    members of level n-1 of the method's second kind.
+    ``units``, the members of level n that end in a unit, back onto level
+    n-1 in order.  The second block must hold each of ``tops``, the
+    members of level n without a unit, once, and ``pred`` must map it
+    one-to-one onto ``sources``, the members of level n-1 of the method's
+    second kind.
     """
     new, second = grown
     cut = len(new) - second
@@ -184,10 +227,9 @@ def _step_failure(n, step, grown, pred, previous, members, tops, sources,
         try:
             if (len(unique) == len(block)
                     and unique == tops.difference(explicit)
-                    and len(previous) == len(members) - len(tops)
+                    and len(previous) == len(units)
                     and all(_refuses(pred, single) for single in explicit)
-                    and all(map(eq, map(pred, compress(
-                        members, map(_ends_in_unit, members))), previous))
+                    and all(map(eq, map(pred, units), previous))
                     and sorted(map(pred, block), reverse=True) == sources):
                 return None
         except NoPredecessorError:

@@ -68,3 +68,9 @@ EVOLVE_50_M2_TEXT_SHA256 = (
 # the benchmark's pinned digest for its resume workload.
 RESUME_38_50_M1_SNAPSHOT_SHA256 = (
     "7520c411a33a67d09dc84e9c941dc35070bff63362a16e167daa8da5c99104f5")
+
+# SHA-256 of the stdout of `verify 34`, the all-pass report of every check
+# up to weight 34.  It equals the benchmark's pinned digest for its verify
+# workload, so drift in the report's text fails here first.
+VERIFY_34_REPORT_SHA256 = (
+    "b42a9ccfd1b7275a6c1534c3a8b8a8ba47e2f5284e6100fb6d8e9711cd1fbcc2")

@@ -18,7 +18,8 @@ from partition_evolve.level import _read_chunks
 
 from golden import (EVOLVE_50_M2_TEXT_SHA256, M1_GROUP1_5, M1_GROUP2_5,
                     M2_GROUP1_5, M2_GROUP2_5, P_AT, PARTITIONS_5,
-                    PARTITIONS_6, RESUME_38_50_M1_SNAPSHOT_SHA256)
+                    PARTITIONS_6, RESUME_38_50_M1_SNAPSHOT_SHA256,
+                    VERIFY_34_REPORT_SHA256)
 
 from support import duplicating, overweight, shuffled
 
@@ -414,6 +415,20 @@ def test_headline_output_matches_its_digest(run_cli):
     assert hashlib.sha256(out.encode()).hexdigest() == EVOLVE_50_M2_TEXT_SHA256
 
 
+def test_listing_above_the_enumerator_table_matches_the_headline(run_cli):
+    # Level 50 is enumerated mostly from the table's suffixes; it must be
+    # the headline's output byte for byte.
+    code, out, _ = run_cli("list", 50)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EVOLVE_50_M2_TEXT_SHA256
+
+
+def test_verify_report_matches_its_digest(run_cli):
+    code, out, err = run_cli("verify", 34)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_34_REPORT_SHA256
+
+
 def test_resumed_snapshot_matches_its_digest(run_cli, tmp_path):
     code, listing, _ = run_cli("list", 38, "--format", "jsonl")
     assert code == 0
@@ -562,6 +577,11 @@ def test_predecessor_errors(run_cli):
     code, out, err = run_cli("predecessor", "1+2", "--method", 1)
     assert (code, out, err) == (2, "", "error: the parts of partition text "
                                 "'1+2' are not non-increasing\n")
+    for text in ("1+0", "0+1", "00"):
+        code, out, err = run_cli("predecessor", text, "--method", 2)
+        assert (code, out, err) == (
+            2, "", f"error: partition text {text!r} has a part 0; parts "
+            "are positive, and the weight-0 partition is written '0'\n")
 
 
 @pytest.mark.parametrize("method", [1, 2])

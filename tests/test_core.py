@@ -82,6 +82,19 @@ def test_parse_refuses_increasing_parts_instead_of_sorting_them(text):
                                "are not non-increasing")
 
 
+@pytest.mark.parametrize("text", ["1+0", "0+1", "00", " 0+0 ", "3+00+1"])
+def test_parse_names_text_with_a_part_0(text):
+    with pytest.raises(InvalidPartitionError) as info:
+        parse_partition(text)
+    assert str(info.value) == (
+        f"partition text {text!r} has a part 0; parts are positive, and the "
+        "weight-0 partition is written '0'")
+    # The library constructor names the part, as it has no text.
+    with pytest.raises(InvalidPartitionError) as info:
+        Partition([0])
+    assert str(info.value) == "parts must be positive integers, got 0"
+
+
 @given(st.one_of(st.text(),
                  st.lists(st.sampled_from(["0", "1", "12", "+", " ", "_",
                                            "\u0663", "-", "\n"]))

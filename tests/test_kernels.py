@@ -49,6 +49,64 @@ def test_pure_enumeration_is_canonical_and_complete():
         _pure.enumerate_level(-2)
 
 
+def _first_parts(out, prefix, remainder, bound):
+    if remainder == 0:
+        out.append(prefix)
+    for part in range(min(remainder, bound), 0, -1):
+        _first_parts(out, prefix + chr(part), remainder - part, part)
+
+
+def first_part_recursion(n):
+    """The partitions of n by plain recursion on the first part, from the
+    largest down: canonical order, with no table."""
+    out = []
+    _first_parts(out, "", n, n)
+    return out
+
+
+def test_table_backed_enumeration_equals_the_plain_recursion():
+    top = _pure._TABLE_TOP
+    weights = range(46)
+    # Just below, at and above the table's top, and 2*top + 1, the first
+    # weight at which every first part up to the top leaves a remainder
+    # above the table.
+    assert {top - 1, top, top + 1, 2 * top + 1} <= set(weights)
+    for n in weights:
+        assert _pure.enumerate_level(n) == first_part_recursion(n), n
+
+
+def test_each_enumeration_is_a_new_list():
+    top = _pure._TABLE_TOP
+    for n in (0, 5, top, top + 3):
+        out = _pure.enumerate_level(n)
+        out[0] = "changed"
+        out.append("added")
+        assert _pure.enumerate_level(n) == first_part_recursion(n), n
+
+
+@pytest.mark.parametrize("weight", [3, _pure._TABLE_TOP, _pure._TABLE_TOP + 2])
+def test_a_sabotaged_enumerator_leaves_other_weights_complete(monkeypatch,
+                                                              weight):
+    # The table is built afresh under the sabotage; it must not read the
+    # sabotaged module attribute, or the fault would spread to every level
+    # built from the sabotaged one.
+    monkeypatch.setattr(_pure, "_table", [])
+    real = _pure.enumerate_level
+    omitted = "\x02" + "\x01" * (weight - 2)
+
+    def sabotaged(n):
+        out = real(n)
+        return [m for m in out if m != omitted] if n == weight else out
+
+    monkeypatch.setattr(_pure, "enumerate_level", sabotaged)
+    for n in range(_pure._TABLE_TOP + 6):
+        want = first_part_recursion(n)
+        if n == weight:
+            want.remove(omitted)
+        assert _pure.enumerate_level(n) == want, n
+    assert _pure._table
+
+
 def in_kernel_order(heads):
     """Descending last parts and, within one last part, strictly
     descending heads: the order the step kernels take and return."""

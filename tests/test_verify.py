@@ -7,6 +7,9 @@ from partition_evolve import (CheckResult, Level, NoPredecessorError,
                               VerificationReport, run_suite)
 import partition_evolve.cli
 from partition_evolve import _pure, backend, verify
+from partition_evolve.engine import grown_members, split_heads
+
+from support import shuffled
 
 
 EXPECTED_CHECK_NAMES = [
@@ -309,6 +312,46 @@ def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
     monkeypatch.setattr(module, name, sabotage(getattr(module, name)))
     report = run_suite(12)
     assert report.format_text() == _report(failures)
+
+
+def test_suite_passes_with_each_block_of_new_heads_shuffled(monkeypatch):
+    # Neither the bijection checks nor the block comparison may depend on
+    # the order within a block of new heads, only on the heads.
+    for name in ("step_m1", "step_m2"):
+        monkeypatch.setattr(_pure, name, shuffled(getattr(_pure, name)))
+    assert run_suite(12).format_text() == "\n".join(
+        [*_ALL_PASS, "OVERALL PASS (7 checks)"])
+
+
+def _faulty_heads(new):
+    """``new`` with one fault each: a repeated, missing, unit-ending or
+    wrong-weight head; and, faultless, reversed."""
+    first = new[0]
+    yield new + new[:1]
+    yield new[1:]
+    yield new[:-1]
+    yield [first + "\x01", *new[1:]]
+    yield [chr(ord(first[0]) + 1) + first[1:], *new[1:]]
+    if first[-1] > "\x01":
+        lowered = first[:-1] + chr(ord(first[-1]) - 1)
+        yield [lowered + "\x01", *new[1:]]
+        yield [lowered, *new[1:]]
+    yield new[::-1]
+
+
+@pytest.mark.parametrize("step", [_pure.step_m1, _pure.step_m2],
+                         ids=["step_m1", "step_m2"])
+def test_block_comparison_agrees_with_the_rendered_level(step):
+    for n in range(2, 15):
+        previous = _pure.enumerate_level(n - 1)
+        members = _pure.enumerate_level(n)
+        units, tops = verify._unit_split(members)
+        new, _ = step(split_heads(n - 1, previous))
+        for heads in [new, *_faulty_heads(new)]:
+            mismatch = verify._level_mismatch(
+                n, grown_members(n - 1, previous, [heads], n), members)
+            assert verify._grows_level(previous, heads, units, tops) is (
+                mismatch is None), (n, heads)
 
 
 def _counting(monkeypatch, name, module=verify):
