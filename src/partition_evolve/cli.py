@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 enumeration cap exceeded.  Data goes to stdout; progress and error
 messages go to stderr.  Counts are printed in full decimal.  A reader
 that closes stdout early (``list 40 | head``) ends the run quietly with
-exit 0.
+exit 0; a stderr that cannot be written fails a run with exit 2, and a
+refusal keeps its code when its message cannot be written.
 """
 
 from __future__ import annotations
@@ -183,8 +184,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _progress(weight: int, counts: dict[str, int]) -> None:
     total = sum(counts.values())
     breakdown = ", ".join(f"{tag}={count}" for tag, count in counts.items())
-    print(f"level {weight}: {total} partitions ({breakdown})",
-          file=sys.stderr)
+    try:
+        print(f"level {weight}: {total} partitions ({breakdown})",
+              file=sys.stderr)
+    except BrokenPipeError as exc:
+        # stderr's reader is gone, not stdout's: the run fails.
+        raise OSError(f"cannot write progress: {exc.strerror}") from None
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -289,12 +294,18 @@ def main(argv: list[str] | None = None) -> int:
         _discard_stdout()
         return EXIT_OK
     except CapExceededError as exc:
-        print(f"error: {exc}; raise it with --cap or ${ENV_CAP}",
-              file=sys.stderr)
-        return EXIT_CAP_EXCEEDED
+        return _refuse(EXIT_CAP_EXCEEDED,
+                       f"{exc}; raise it with --cap or ${ENV_CAP}")
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, str(exc))
+
+
+def _refuse(code: int, message: str) -> int:
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass  # stderr cannot be written; the code still tells why
+    return code
 
 
 def _discard_stdout() -> None:

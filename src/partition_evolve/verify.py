@@ -6,11 +6,12 @@ exhaustively against brute-force enumeration: disjointness, coverage,
 predecessor round-trips, level-set equivalence, and a mixed-rule run.
 Each check reports its range and, on failure, the first counterexample.
 
-The bijection checks run the step kernels that write the output
-(``_pure.step_m1``, ``_pure.step_m2``) and each rule's inverse
-(``_pure.pred_m1``, ``_pure.pred_m2``) on member strings, with the set
-and sequence work done in C.  Which members are of a method's second kind
-is decided by the kind tests on member strings (``core.smallest_part_once``,
+Each step check runs the step kernels that write the output
+(``_pure.step_m1``, ``_pure.step_m2``) on member strings.  One block
+comparison per method decides whether a step grows the next level; the
+bijection checks add each rule's inverse (``_pure.pred_m1``,
+``_pure.pred_m2``).  Which members are of a method's second kind is
+decided by the kind tests on member strings (``core.smallest_part_once``,
 ``core.collectable``), which share nothing with the kernels.
 
 Series checks run to ``max_n``; anything that enumerates partitions is
@@ -87,12 +88,15 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     The four step checks (both bijections, equivalence and mixed) share
     one step per method from the oracle's level n-1, a member list: it is
     split into heads once, and each method's step kernel runs once while
-    any of the four is still open.  The step runs, and the heads are
-    dropped, before level n is enumerated.  The verdicts and
-    counterexamples of the equivalence and mixed checks are those of
-    private chains: a chain reaches step n only after its level n-1
-    compared equal, member for member, to the oracle's level n-1, and a
-    one-step evolution is a pure function of the level it starts from.
+    any of the four is still open, and before level n is enumerated.
+    Level n's unit-ending members are compared with level n-1 once; then
+    one block comparison per method says whether its step grows level n
+    (``_grows_level``).  That verdict decides the equivalence and mixed
+    checks; the bijection check passes when it holds and the inverse
+    conditions do too (``_inverts``).  The verdicts and counterexamples
+    are those of private chains: a chain reaches step n only after its
+    level n-1 compared equal to the oracle's, and a one-step evolution is
+    a pure function of the level it starts from.
     The mixed run reads method 1 at odd n and method 2 at even n:
     alternating the rules must still yield complete levels, since each
     step only needs a complete input.
@@ -143,99 +147,68 @@ def _step_checks(n: int, previous: list[str], previous_once: list[str],
                  grown2: tuple[list[str], int],
                  failures: list[str | None]) -> None:
     units, tops = _unit_split(members)
-    if None in failures[1:3]:
-        _bijection_checks(n, previous, previous_once, members, units, tops,
-                          grown1, grown2, failures)
-    # Only a level that does not grow equal is rendered, to word the
-    # mismatch.
-    for method, (new, _) in ((1, grown1), (2, grown2)):
-        if not _grows_level(previous, new, units, tops):
+    appended = _appends_unit(previous, units)
+    # The single part n enters method 2's step explicitly, and only from
+    # weight 2 up ([1] does arise from the rule).
+    for method, (new, second), step, pred, explicit in (
+            (1, grown1, _pure.step_m1, _pure.pred_m1, []),
+            (2, grown2, _pure.step_m2, _pure.pred_m2,
+             [chr(n)] if n >= 2 else [])):
+        grows = _grows_level(appended, new, tops)
+        if failures[method] is None and not (grows and _inverts(
+                pred, new, second, previous, units, explicit,
+                previous_once if method == 1
+                else list(filter(collectable, previous)))):
+            failures[method] = _counterexample(
+                n - 1, step, pred, previous, members, new, second, explicit)
+        # Only a level that does not grow equal is rendered, to word the
+        # mismatch.
+        if not grows:
             _evolution_check(n, method, previous, [new], members, failures)
 
 
 def _unit_split(members: list[str]) -> tuple[list[str], list[str]]:
-    """The members of level n that end in a unit, and the rest, each in
-    canonical order.
-
-    Level n is level n-1 with a unit appended to each member, plus the
-    members with no unit: the heads of weight n.  The step checks read
-    this one split.
-    """
+    """The members of level n that end in a unit, and the rest (the heads
+    of weight n), each in canonical order."""
     # One byte per member, not a pointer.
     flags = bytes(map(_ends_in_unit, members))
     return (list(compress(members, flags)),
             list(compress(members, map(not_, flags))))
 
 
-def _grows_level(previous: list[str], new: list[str], units: list[str],
-                 tops: list[str]) -> bool:
-    """Whether level n-1, ``previous``, with a unit appended to each
-    member, plus the new heads ``new``, is exactly the level whose
-    unit-ending members are ``units`` and whose unit-free members are
-    ``tops``, both in canonical order.
-
-    Appending a unit keeps canonical order, so the first part holds
-    exactly when ``units`` is ``previous`` with a unit appended, member
-    for member.  The rest holds exactly when ``new``, sorted, is ``tops``:
-    a repeated, missing or extra head, and one that ends in a unit or has
-    another weight, makes the lists differ.  Nothing is rendered.
-    """
+def _appends_unit(previous: list[str], units: list[str]) -> bool:
+    """Whether ``units`` is level n-1, ``previous``, with a unit appended
+    to each member, member for member; appending keeps canonical order."""
     return (len(units) == len(previous)
-            and all(map(eq, units, map(add, previous, repeat("\x01"))))
-            and sorted(new, reverse=True) == tops)
+            and all(map(eq, units, map(add, previous, repeat("\x01")))))
 
 
-def _bijection_checks(n: int, previous: list[str], previous_once: list[str],
-                      members: list[str], units: list[str], tops: list[str],
-                      grown1: tuple[list[str], int],
-                      grown2: tuple[list[str], int],
-                      failures: list[str | None]) -> None:
-    top_set = set(tops)
-    if failures[1] is None:
-        failures[1] = _step_failure(n, _pure.step_m1, grown1, _pure.pred_m1,
-                                    previous, members, units, top_set,
-                                    previous_once, [])
-    if failures[2] is None:
-        # The single part n enters by the explicit step, and only from
-        # weight 2 up ([1] does arise from the rule).
-        failures[2] = _step_failure(
-            n, _pure.step_m2, grown2, _pure.pred_m2, previous, members,
-            units, top_set, list(filter(collectable, previous)),
-            [chr(n)] if n >= 2 else [])
+def _grows_level(appended: bool, new: list[str], tops: list[str]) -> bool:
+    """Whether level n-1 with a unit appended to each member, plus the new
+    heads ``new``, is level n: ``appended`` (``_appends_unit``) holds, and
+    ``new``, sorted, is ``tops``, level n's unit-free members.  A repeated,
+    missing or extra head, or one that ends in a unit or has another
+    weight, makes the lists differ.  Nothing is rendered."""
+    return appended and sorted(new, reverse=True) == tops
 
 
-def _step_failure(n, step, grown, pred, previous, members, units, tops,
-                  sources, explicit):
-    """None if ``grown``, the ``(new, second)`` that ``step`` returned
-    from level n-1, grows level n once each, inverted by ``pred``;
-    otherwise the counterexample.
+def _inverts(pred, new, second, previous, units, explicit, sources) -> bool:
+    """Whether ``pred`` inverts a step that grows level n (``_grows_level``)
+    from level n-1, ``previous``, with the new heads ``new``.
 
-    The step returns the new heads of weight n, ``explicit`` ones first,
-    which ``pred`` must refuse, then the second block.  The appended
-    units keep each member of level n-1 in order, so ``pred`` must map
-    ``units``, the members of level n that end in a unit, back onto level
-    n-1 in order.  The second block must hold each of ``tops``, the
-    members of level n without a unit, once, and ``pred`` must map it
-    one-to-one onto ``sources``, the members of level n-1 of the method's
-    second kind.
+    The ``explicit`` heads lead, and ``pred`` refuses them.  ``pred`` maps
+    ``units`` onto level n-1 in order, and the last ``second`` heads, which
+    are level n's other unit-free members once each, one-to-one onto
+    ``sources``, the members of level n-1 of the method's second kind.
     """
-    new, second = grown
     cut = len(new) - second
-    if cut == len(explicit) and new[:cut] == explicit:
-        block = new[cut:]
-        unique = set(block)
-        try:
-            if (len(unique) == len(block)
-                    and unique == tops.difference(explicit)
-                    and len(previous) == len(units)
-                    and all(_refuses(pred, single) for single in explicit)
-                    and all(map(eq, map(pred, units), previous))
-                    and sorted(map(pred, block), reverse=True) == sources):
-                return None
-        except NoPredecessorError:
-            pass
-    return _counterexample(n - 1, step, pred, previous, members, new, second,
-                           explicit)
+    try:
+        return (cut == len(explicit) and new[:cut] == explicit
+                and all(_refuses(pred, single) for single in explicit)
+                and all(map(eq, map(pred, units), previous))
+                and sorted(map(pred, new[cut:]), reverse=True) == sources)
+    except NoPredecessorError:
+        return False
 
 
 def _refuses(pred, member: str) -> bool:
@@ -297,12 +270,12 @@ def _counterexample(n, step, pred, previous, members, new, second, explicit):
         else:
             return (f"n={n}: predecessor({member_text(single)}) gave "
                     f"{member_text(wrong)}, expected a refusal")
-    expected = set(members).difference(explicit)
-    if produced.keys() != expected:
+    # The explicit heads are grown too: a level without one holds it extra.
+    union, expected = produced.keys() | set(explicit), set(members)
+    if union != expected:
         # Partition order: weight first, then descending on the parts,
         # which is descending on the member strings.
-        sample = min(sorted(produced.keys() ^ expected, reverse=True),
-                     key=_weight)
+        sample = min(sorted(union ^ expected, reverse=True), key=_weight)
         side = "missing" if sample in expected else "extra"
         return f"n={n}: successor union is {side} {member_text(sample)}"
     if round_trip is not None:

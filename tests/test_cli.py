@@ -364,6 +364,30 @@ def test_closed_pipe_stops_quietly(argv):
     assert all(line.startswith("level ") for line in err.splitlines()), err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("evolve", "0", "5", "--method", "1"), 2),
+    (("evolve", "0", "5", "--method", "1", "--snapshot-out", "F"), 2),
+    (("list", "5", "--cap", "1"), 3),
+], ids=["progress", "progress-snapshot", "cap-refusal"])
+def test_a_stderr_with_no_reader_is_not_taken_for_stdout(tmp_path, argv,
+                                                        code):
+    # Only a closed stdout ends a run quietly with 0.  A progress line that
+    # cannot be written fails the run and leaves no file; a refusal keeps
+    # its code when its message cannot be written.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "partition_evolve", *argv], cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=write, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stdout) == (code, b"")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_duplicating_kernel_is_refused_with_exit_2(run_cli, monkeypatch):
     # A duplicate head keeps its unit tail, so the level's validation
     # refuses it at any target weight.

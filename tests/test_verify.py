@@ -1,12 +1,15 @@
 """The self-check suite: green on the real code, loud on sabotaged
 kernels and inverses, deterministic output."""
 
+from operator import eq
+
 import pytest
 
 from partition_evolve import (CheckResult, Level, NoPredecessorError,
                               VerificationReport, run_suite)
 import partition_evolve.cli
 from partition_evolve import _pure, backend, verify
+from partition_evolve.core import collectable, smallest_part_once
 from partition_evolve.engine import grown_members, split_heads
 
 from support import shuffled
@@ -220,7 +223,13 @@ def _report(failures):
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("module,name,sabotage,failures", [
+def _last_head_repeated(out, second):
+    # The last new head becomes a copy of the one before it, so the block
+    # keeps its length; a step that grows one head keeps it.
+    return (out[:-1] + out[-2:-1] if len(out) > 1 else out), second
+
+
+_SABOTAGE = [
     (_pure, "step_m2", lambda real: _drop_last_second_kind(real, 7), {
         4: "n=6: successor union is missing 3+2+2",
         5: "n=7: method2 vs enumeration, index 8: 3+2+1+1 vs 3+2+2"}),
@@ -298,12 +307,43 @@ def _report(failures):
     (verify, "coefficient_rows", lambda real: _q_off_by_one(real, 5), {
         0: "n=5: P(n+1)=11 but P(n)+Q(n)=12",
         2: "n=5: Q(n)=5 but enumeration finds 4 second-kind partitions"}),
-], ids=["step_m2-odd", "step_m2-even", "step_m1-odd", "predecessor_m2",
-        "successors_m1", "enumerate_level", "step_m1-duplicate",
-        "step_m2-explicit-in-second-block", "pred_m1-round-trip",
-        "pred_m1-refusal", "pred_m2-no-refusal", "step_m2-no-explicit-head",
-        "step_m1-unit-ending-head", "enumerate_level-all-units",
-        "step_m2-wrong-weight", "count_oracle", "coefficient_rows"])
+    (_pure, "step_m1",
+     lambda real: _changed_at(real, 8, _last_head_repeated), {
+        3: "n=7: 3+3+1 and 3+3+1 both produce 3+3+2",
+        5: "n=8: method1 vs enumeration, members out of canonical order or "
+           "duplicated near 3+3+2"}),
+    (_pure, "step_m2",
+     lambda real: _changed_at(real, 8, _last_head_repeated), {
+        4: "n=7: level 7 and level 7 both produce 3+3+2",
+        5: "n=8: method2 vs enumeration, members out of canonical order or "
+           "duplicated near 3+3+2",
+        6: "n=8: members out of canonical order or duplicated near 3+3+2"}),
+    # The oracle's level lacks the single part 6, which method 2's step
+    # grows explicitly: both steps grow it extra.
+    (_pure, "enumerate_level", lambda real: _omit_member(real, 6, "\x06"), {
+        2: "n=6: Q(n)=4 but enumeration finds 3 second-kind partitions",
+        3: "n=5: successor union is extra 6",
+        4: "n=5: successor union is extra 6",
+        5: "n=6: method1 vs enumeration, index 0: 6 vs 5+1",
+        6: "n=6: index 0: 6 vs 5+1"}),
+    # Only the inverse of the unit-ending members is wrong.
+    (_pure, "pred_m1",
+     lambda real: _wrong_predecessor(real, 6, lambda m: m[-1] == "\x01"), {
+        3: "n=5: predecessor(5+1)=1+1+1+1+1 but it was produced by 5"}),
+]
+_SABOTAGE_IDS = [
+    "step_m2-odd", "step_m2-even", "step_m1-odd", "predecessor_m2",
+    "successors_m1", "enumerate_level", "step_m1-duplicate",
+    "step_m2-explicit-in-second-block", "pred_m1-round-trip",
+    "pred_m1-refusal", "pred_m2-no-refusal", "step_m2-no-explicit-head",
+    "step_m1-unit-ending-head", "enumerate_level-all-units",
+    "step_m2-wrong-weight", "count_oracle", "coefficient_rows",
+    "step_m1-repeated-last-head", "step_m2-repeated-last-head",
+    "enumerate_level-no-single-part", "pred_m1-unit-ending"]
+
+
+@pytest.mark.parametrize("module,name,sabotage,failures", _SABOTAGE,
+                         ids=_SABOTAGE_IDS)
 def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
                                      failures):
     # Each check stops at its own first failure; the method-2 fault at an
@@ -312,6 +352,17 @@ def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
     monkeypatch.setattr(module, name, sabotage(getattr(module, name)))
     report = run_suite(12)
     assert report.format_text() == _report(failures)
+
+
+def test_the_pinned_sabotage_cases_cover_every_report_line():
+    failed = {case: failures.keys()
+              for case, (*_, failures) in zip(_SABOTAGE_IDS, _SABOTAGE)}
+    assert set().union(*failed.values()) == set(range(len(_ALL_PASS)))
+    # Some case fails a bijection line while equivalence passes, so the
+    # bijection verdict cannot be folded into the equivalence verdict
+    # unnoticed.
+    assert [case for case, lines in failed.items()
+            if lines & {3, 4} and 5 not in lines]
 
 
 def test_suite_passes_with_each_block_of_new_heads_shuffled(monkeypatch):
@@ -325,7 +376,8 @@ def test_suite_passes_with_each_block_of_new_heads_shuffled(monkeypatch):
 
 def _faulty_heads(new):
     """``new`` with one fault each: a repeated, missing, unit-ending or
-    wrong-weight head; and, faultless, reversed."""
+    wrong-weight head, or the last head a copy of the one before it; and,
+    faultless, reversed."""
     first = new[0]
     yield new + new[:1]
     yield new[1:]
@@ -336,22 +388,60 @@ def _faulty_heads(new):
         lowered = first[:-1] + chr(ord(first[-1]) - 1)
         yield [lowered + "\x01", *new[1:]]
         yield [lowered, *new[1:]]
+    if len(new) > 1:
+        yield new[:-1] + new[-2:-1]
     yield new[::-1]
 
 
-@pytest.mark.parametrize("step", [_pure.step_m1, _pure.step_m2],
-                         ids=["step_m1", "step_m2"])
-def test_block_comparison_agrees_with_the_rendered_level(step):
+def _set_based_bijection(pred, new, second, previous, units, tops, explicit,
+                         sources):
+    # The reference bijection condition, with the block and the unit-free
+    # members compared as sets.
+    cut = len(new) - second
+    if cut != len(explicit) or new[:cut] != explicit:
+        return False
+    block = new[cut:]
+    unique = set(block)
+    try:
+        return (len(unique) == len(block)
+                and unique == set(tops).difference(explicit)
+                and len(previous) == len(units)
+                and all(verify._refuses(pred, single) for single in explicit)
+                and all(map(eq, map(pred, units), previous))
+                and sorted(map(pred, block), reverse=True) == sources)
+    except NoPredecessorError:
+        return False
+
+
+@pytest.mark.parametrize("method", [1, 2], ids=["step_m1", "step_m2"])
+def test_block_comparison_agrees_with_the_rendered_level(method):
+    # The suite's verdicts for each faulty block agree with the grown
+    # level, rendered and compared, and with the set-based bijection
+    # condition.
+    step, pred, kind = ((_pure.step_m1, _pure.pred_m1, smallest_part_once)
+                        if method == 1 else
+                        (_pure.step_m2, _pure.pred_m2, collectable))
     for n in range(2, 15):
         previous = _pure.enumerate_level(n - 1)
         members = _pure.enumerate_level(n)
         units, tops = verify._unit_split(members)
-        new, _ = step(split_heads(n - 1, previous))
+        appended = verify._appends_unit(previous, units)
+        sources = list(filter(kind, previous))
+        explicit = [chr(n)] if method == 2 else []
+        new, second = step(split_heads(n - 1, previous))
+        cut = len(new) - second
         for heads in [new, *_faulty_heads(new)]:
+            # The explicit heads keep their count, so that the block's
+            # own faults decide.
+            second = len(heads) - cut
             mismatch = verify._level_mismatch(
                 n, grown_members(n - 1, previous, [heads], n), members)
-            assert verify._grows_level(previous, heads, units, tops) is (
-                mismatch is None), (n, heads)
+            grows = verify._grows_level(appended, heads, tops)
+            assert grows is (mismatch is None), (n, heads)
+            assert (grows and verify._inverts(
+                pred, heads, second, previous, units, explicit, sources)) is \
+                _set_based_bijection(pred, heads, second, previous, units,
+                                     tops, explicit, sources), (n, heads)
 
 
 def _counting(monkeypatch, name, module=verify):
