@@ -9,8 +9,7 @@ everything against everything.
 
 from .backend import default_backend_name
 from .core import (InvalidPartitionError, Kind, NoPredecessorError, Partition,
-                   classify_m1, classify_m2, compare, make_partition,
-                   parse_partition)
+                   classify_m1, classify_m2, parse_partition)
 from .level import (TAG_ADDED_UNIT, TAG_AUGMENTED, TAG_COLLECTED,
                     TAG_EXPLICIT, TAG_ORDER, TAG_SEED, Level, SnapshotError,
                     read_snapshot, write_snapshot)
@@ -47,14 +46,12 @@ __all__ = [
     "classify_m2",
     "coefficient_csv",
     "coefficient_rows",
-    "compare",
     "count_oracle",
     "default_backend_name",
     "enumerate_oracle",
     "euler_p_coeffs",
     "evolve_m1",
     "evolve_m2",
-    "make_partition",
     "parse_partition",
     "predecessor_m1",
     "predecessor_m2",

@@ -4,9 +4,10 @@ verify.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 enumeration cap exceeded.  Data goes to stdout; progress and error
 messages go to stderr.  Counts are printed in full decimal.  A reader
-that closes stdout early (``list 40 | head``) ends the run quietly with
-exit 0; a stderr that cannot be written fails a run with exit 2, and a
-refusal keeps its code when its message cannot be written.
+that closes stdout early (``list 40 | head``) ends the run quietly, and
+the run keeps its exit code: 0, or 1 when ``verify`` has found a failure.
+A stderr that cannot be written fails a run with exit 2, and a refusal
+keeps its code when its message cannot be written.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _file_name(text: str) -> str:
+    # An empty name would resolve to the working directory.
+    if not text:
+        raise argparse.ArgumentTypeError("the file name is empty")
+    return text
+
+
 def _add_cap_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=_nonneg_int, default=None,
                      help=f"enumeration cap (default {DEFAULT_CAP}; "
@@ -99,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("to_n", type=_nonneg_int)
     evolve.add_argument("--method", type=_nonneg_int, choices=(1, 2),
                         required=True)
-    evolve.add_argument("--snapshot-in", metavar="FILE",
+    evolve.add_argument("--snapshot-in", metavar="FILE", type=_file_name,
                         help="JSONL snapshot holding the complete start level")
-    evolve.add_argument("--snapshot-out", metavar="FILE",
+    evolve.add_argument("--snapshot-out", metavar="FILE", type=_file_name,
                         help="write the final level as JSONL instead of text")
     _add_cap_flag(evolve)
     evolve.set_defaults(func=cmd_evolve)
@@ -275,8 +283,10 @@ def cmd_predecessor(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     report = run_suite(args.max_n, cap=cap)
+    # Decided before the report is written, so a closed stdout keeps it.
+    args.verdict = EXIT_OK if report.overall else EXIT_VERIFY_FAILED
     print(report.format_text())
-    return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
+    return args.verdict
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -292,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         _discard_stdout()
-        return EXIT_OK
+        return getattr(args, "verdict", EXIT_OK)
     except CapExceededError as exc:
         return _refuse(EXIT_CAP_EXCEEDED,
                        f"{exc}; raise it with --cap or ${ENV_CAP}")

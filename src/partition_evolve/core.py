@@ -102,7 +102,8 @@ class Partition:
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return compare(self, other) < 0
+        # The parts are swapped: within one weight, larger parts lead.
+        return (self._weight, other._parts) < (other._weight, self._parts)
 
     def __str__(self) -> str:
         return format_parts(self._parts)
@@ -145,11 +146,6 @@ def decode_member(member: str) -> tuple[int, ...]:
 def member_text(member: str) -> str:
     """Canonical text of a member string, as ``str`` of its Partition."""
     return format_parts(decode_member(member))
-
-
-def make_partition(raw: Iterable[int]) -> Partition:
-    """Canonicalize any finite sequence of positive integers into a Partition."""
-    return Partition(raw)
 
 
 def parse_partition(text: str) -> Partition:
@@ -202,20 +198,6 @@ def quote_text(text: str) -> str:
     if len(text) <= _QUOTED_CHARS:
         return repr(text)
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
-
-
-def compare(a: Partition, b: Partition) -> int:
-    """Total order: weight ascending, then parts descending-lexicographic.
-
-    Returns -1, 0 or 1.  Within one weight no parts tuple is a prefix of
-    another (their sums would differ), so the lexicographic comparison
-    always resolves.
-    """
-    if a._weight != b._weight:
-        return -1 if a._weight < b._weight else 1
-    if a._parts == b._parts:
-        return 0
-    return -1 if a._parts > b._parts else 1
 
 
 def smallest_part_once(member: str) -> bool:

@@ -16,12 +16,8 @@ from operator import itemgetter
 
 from .level import SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_EXPLICIT, Level
 
-# step(heads) -> (new, second_count): heads[w] lists the heads of weight w
-# for w = 0..n in descending order of last part and, within one last part,
-# in canonical (descending string) order; new lists the heads of weight
-# n+1 in that order, explicit ones first, then second_count of the method's
-# second kind (``_pure.step_m1``, ``_pure.step_m2``).  The order only
-# speeds up the level's one sort, which merges its runs.
+# A step kernel, ``_pure.step_m1`` or ``_pure.step_m2``; the ``_pure``
+# module docstring states the contract.
 StepFn = Callable[[list], tuple[list, int]]
 ProgressFn = Callable[[int, dict[str, int]], None]
 
@@ -36,7 +32,8 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         return start
 
     second_tag = SECOND_KIND_TAG[method_tag]
-    heads = split_heads(start.n, start.raw_members())
+    members = start.raw_members()
+    heads = split_heads(start.n, members)
     # Every member grows exactly one appended-unit successor.
     added = len(start)
     for weight in range(start.n + 1, target_n + 1):
@@ -50,8 +47,8 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         added += len(new)
     # The start's members are rendered whole; its heads are not needed.
     del heads[:start.n + 1]
-    grown = grown_members(start.n, start.raw_members(), heads, target_n)
-    return Level.from_raw(target_n, grown, None, method_tag)
+    return Level.from_raw(target_n, grown_members(start.n, members, heads),
+                          None, method_tag)
 
 
 def check_upward(start_n: int, target_n: int) -> None:
@@ -61,10 +58,10 @@ def check_upward(start_n: int, target_n: int) -> None:
             f"cannot evolve downward: start weight {start_n}, target {target_n}")
 
 
-def grown_members(n: int, members: list[str], new: list[list[str]],
-                  target_n: int) -> list[str]:
-    """The members of level ``target_n`` grown from ``members``, the
-    level of weight n, unsorted.
+def grown_members(n: int, members: list[str],
+                  new: list[list[str]]) -> list[str]:
+    """The members of level ``n + len(new)`` grown from ``members``, the
+    level of weight n, unsorted; with ``new`` empty, a copy of ``members``.
 
     ``new[i]`` lists the new heads of weight ``n + 1 + i``.  The members
     come first with their unit tail appended; they stay canonical, one run
@@ -72,10 +69,11 @@ def grown_members(n: int, members: list[str], new: list[list[str]],
     one run for each last part of the step kernels' order, and each list
     is popped from ``new`` as it renders.
     """
-    tail = "\x01" * (target_n - n)
+    weights = len(new)
+    tail = "\x01" * weights
     grown = [member + tail for member in members]
     while new:
-        tail = "\x01" * (target_n - n - len(new))
+        tail = "\x01" * (weights - len(new))
         grown += [head + tail for head in new.pop()]
     return grown
 

@@ -28,7 +28,6 @@ TAG_EXPLICIT = "Explicit"
 
 # Fixed display/reporting order for tag breakdowns.
 TAG_ORDER = (TAG_SEED, TAG_ADDED_UNIT, TAG_AUGMENTED, TAG_COLLECTED, TAG_EXPLICIT)
-SNAPSHOT_TAGS = frozenset(TAG_ORDER)
 # Both snapshot readers build a new string for every tag they read; a read
 # level holds these constants instead, one object per tag.
 _SHARED_TAG = {tag: tag for tag in TAG_ORDER}.__getitem__
@@ -178,11 +177,9 @@ def rule_tags(n: int, members: list[str],
     if n == 0 or method_tag == "oracle":
         return (TAG_SEED,) * len(members)
     second = SECOND_KIND_TAG[method_tag]
-    if method_tag == "method1":
-        return tuple([TAG_ADDED_UNIT if member[-1] == "\x01" else second
-                      for member in members])
+    single = TAG_EXPLICIT if method_tag == "method2" else second
     return tuple([TAG_ADDED_UNIT if member[-1] == "\x01"
-                  else TAG_EXPLICIT if len(member) == 1 else second
+                  else single if len(member) == 1 else second
                   for member in members])
 
 
@@ -249,13 +246,16 @@ def _canonical(n: int, raw: list[str]) -> bool:
 _PAD = b"\xff"
 # Translate table marking the member separator NUL with 1, parts with 0.
 _IS_END = b"\x01" + bytes(255)
+# What ``_render`` formats with: ``_cell_tables``'s translate tables, then
+# its separator and end marker as text.
+_Tables = tuple[list[bytes], list[bytes], str, str]
 
 
-def _cell_tables(n: int, sep: bytes,
-                 end: bytes) -> tuple[list[bytes], list[bytes]]:
+def _cell_tables(n: int, sep: bytes, end: bytes) -> _Tables:
     """``bytes.translate`` tables, one per byte of a rendered cell: those
     of its separator slot, looked up by a code's pair value (see
-    ``_render``), then those of its digit slot, looked up by the code.
+    ``_render``), then those of its digit slot, looked up by the code;
+    then ``sep`` and ``end`` decoded.
 
     The separator slot holds ``sep`` between two parts, ``end`` at each
     member separator NUL, and nothing before a member's first part.  The
@@ -272,30 +272,33 @@ def _cell_tables(n: int, sep: bytes,
     parts = [_PAD * digits]
     parts += [(b"%d" % part).rjust(digits, _PAD) for part in range(1, 256)]
     return ([bytes(column) for column in zip(*slots)],
-            [bytes(column) for column in zip(*parts)])
+            [bytes(column) for column in zip(*parts)],
+            sep.decode("ascii"), end.decode("ascii"))
 
 
-def _render(chunk: list[str],
-            tables: tuple[list[bytes], list[bytes]]) -> str | None:
-    """The members of ``chunk`` rendered with ``_cell_tables``, each
-    followed by its end marker; None when some part is past 255.
+def _render(chunk: list[str], tables: _Tables) -> str:
+    """The members of ``chunk`` rendered with ``_cell_tables``: the parts
+    in decimal with the separator between them, each member followed by
+    the end marker.  A chunk with some part past 255 has no Latin-1 form,
+    and its members are formatted one at a time, to the same text.
 
-    The chunk is encoded once, one Latin-1 code per part and a NUL after
-    each member.  A code's pair value is 1 if it is a NUL, plus 2 if the
-    code before it is (or it is the first).  The pair values come from one
-    sum of big-endian integers, whose bytes are 0, 1 or 2 and never carry.
-    Each byte position of the fixed-width cells is then filled by one
-    strided slice assignment from the translated pair values or codes, and
-    dropping the padding finishes the text.
+    Otherwise the chunk is encoded once, one Latin-1 code per part and a
+    NUL after each member.  A code's pair value is 1 if it is a NUL, plus
+    2 if the code before it is (or it is the first).  The pair values come
+    from one sum of big-endian integers, whose bytes are 0, 1 or 2 and
+    never carry.  Each byte position of the fixed-width cells is then
+    filled by one strided slice assignment from the translated pair values
+    or codes, and dropping the padding finishes the text.
     """
+    slot_tables, part_tables, sep, end = tables
     try:
         codes = ("\0".join(chunk) + "\0").encode("latin-1")
     except UnicodeEncodeError:
-        return None
+        return "".join([sep.join(map(str, map(ord, member))) + end
+                        for member in chunk])
     ends = int.from_bytes(codes.translate(_IS_END), "big")
     before = (ends >> 8) + (1 << 8 * (len(codes) - 1))
     pairs = (ends + 2 * before).to_bytes(len(codes), "big")
-    slot_tables, part_tables = tables
     width = len(slot_tables) + len(part_tables)
     cells = bytearray(width * len(codes))
     for i, table in enumerate(slot_tables):
@@ -309,9 +312,8 @@ def write_text(level: Level, stream: IO[str]) -> None:
     """Write one canonical text line per member (``3+2+1``, or ``0`` for
     the empty partition), in level order.
 
-    Each chunk of members is rendered in bulk (see ``_render``), with
-    ``+`` between parts and a newline after each member; a chunk with a
-    part past 255 is formatted a member at a time.
+    Each chunk of members is rendered by ``_render``, with ``+``
+    between parts and a newline after each member.
     """
     raw = level._raw
     if level.n == 0:
@@ -319,27 +321,20 @@ def write_text(level: Level, stream: IO[str]) -> None:
         return
     tables = _cell_tables(level.n, b"+", b"\n")
     for start in range(0, len(raw), _TEXT_CHUNK):
-        chunk = raw[start:start + _TEXT_CHUNK]
-        stream.write(_render(chunk, tables) or "".join(
-            [member_text(member) + "\n" for member in chunk]))
+        stream.write(_render(raw[start:start + _TEXT_CHUNK], tables))
 
 
-def _snapshot_lines(n: int, tables: tuple[list[bytes], list[bytes]],
-                    members: list[str], tags: Sequence[str]) -> str:
+def _snapshot_lines(n: int, tables: _Tables, members: list[str],
+                    tags: Sequence[str]) -> str:
     """The snapshot lines of ``members`` of weight n, tagged by ``tags``:
     the one definition of the line layout, with the bytes of ``json.dumps(
     {"n": ..., "parts": [...], "tag": ...})`` and a newline per member.
 
-    The parts are rendered with ``tables``, ``_cell_tables(n, b", ",
-    b"\\0")``, or a member at a time when some part is past 255.  The
-    pieces (head, parts, tail by tag) are placed by strided slice
-    assignment and joined once.
+    The parts are rendered by ``_render`` with ``tables``,
+    ``_cell_tables(n, b", ", b"\\0")``.  The pieces (head, parts, tail
+    by tag) are placed by strided slice assignment and joined once.
     """
-    rendered = _render(members, tables)
-    if rendered is None:
-        parts = [", ".join(map(str, map(ord, member))) for member in members]
-    else:
-        parts = rendered.split("\0")[:-1]
+    parts = _render(members, tables).split("\0")[:-1]
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
     pieces = ['{"n": %d, "parts": [' % n] * (3 * len(parts))
     pieces[1::3] = parts
@@ -528,7 +523,7 @@ def _scan_lines(lines: Iterable[str], method_tag: str,
         # an int subclass, and must not pass for 1 and 0.
         if type(n) is not int or n < 0:
             raise SnapshotError(f"line {lineno}: bad weight {n!r}")
-        if type(tag) is not str or tag not in SNAPSHOT_TAGS:
+        if type(tag) is not str or tag not in TAG_ORDER:
             raise SnapshotError(f"line {lineno}: unknown tag {tag!r}")
         if not isinstance(parts, list) or any(
                 type(x) is not int or x < 1 for x in parts):

@@ -33,11 +33,8 @@ def successors_m1(p: Partition) -> frozenset[Partition]:
 
 
 def predecessor_m1(p: Partition) -> Partition:
-    """The unique partition this rule grew ``p`` from (``_pure.pred_m1``).
-
-    Last part 1: drop it.  Last part above 1: decrement it.  Only the
-    empty partition has no predecessor.
-    """
+    """The unique partition this rule grew ``p`` from: ``_pure.pred_m1``
+    on ``p``'s member, which states the rule and its refusals."""
     return Partition._from_canonical(
         decode_member(_pure.pred_m1(partition_member(p))), p.weight - 1)
 

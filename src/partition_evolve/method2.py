@@ -36,14 +36,9 @@ def successors_m2(p: Partition) -> frozenset[Partition]:
 
 
 def predecessor_m2(p: Partition) -> Partition:
-    """The unique partition the second rule grew ``p`` from
-    (``_pure.pred_m2``).
-
-    Last part 1: drop it.  Last part a > 1 in a multi-part partition:
-    replace it by a-1 units.  Single-part partitions of weight 2 or more
-    are never generated (they enter by the explicit step), and the empty
-    partition has no predecessor; both raise NoPredecessorError.
-    """
+    """The unique partition the second rule grew ``p`` from:
+    ``_pure.pred_m2`` on ``p``'s member, which states the rule and its
+    refusals (NoPredecessorError)."""
     return Partition._from_canonical(
         decode_member(_pure.pred_m2(partition_member(p))), p.weight - 1)
 

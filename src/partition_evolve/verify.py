@@ -312,7 +312,7 @@ def _evolution_check(n: int, method: int, start: list[str],
     if not (equivalence or mixed):
         return
     mismatch = _level_mismatch(
-        n, grown_members(n - len(new), start, new, n), reference)
+        n, grown_members(n - len(new), start, new), reference)
     if mismatch is not None:
         if equivalence:
             failures[3] = f"n={n}: method{method} vs enumeration, {mismatch}"

@@ -364,6 +364,39 @@ def test_closed_pipe_stops_quietly(argv):
     assert all(line.startswith("level ") for line in err.splitlines()), err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sabotage,code", [("", 0),
+                                           ("_pure.step_m1 = _no_heads", 1)],
+                         ids=["passing", "failing"])
+def test_closed_pipe_keeps_the_verify_verdict(sabotage, code, unbuffered):
+    # The reader is gone before the report is written, at the final flush
+    # (PYTHONUNBUFFERED is dropped for that) or, with -u, at the print
+    # itself; the run still ends quietly, with the exit code of its
+    # verdict.  The same run to an open stdout shows the verdict reached.
+    script = ("import sys\n"
+              "from partition_evolve import _pure, cli\n"
+              "def _no_heads(heads):\n"
+              "    return [], 0\n"
+              f"{sabotage}\n"
+              "sys.exit(cli.main(['verify', '12']))\n")
+    argv = [sys.executable, *(["-u"] if unbuffered else []), "-c", script]
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    shown = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    verdict = "OVERALL FAIL" if code else "OVERALL PASS"
+    assert shown.returncode == code and verdict in shown.stdout.decode()
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
+                                env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (code, b"")
+
+
 @pytest.mark.parametrize("argv,code", [
     (("evolve", "0", "5", "--method", "1"), 2),
     (("evolve", "0", "5", "--method", "1", "--snapshot-out", "F"), 2),
@@ -567,6 +600,18 @@ def test_evolve_rejects_weight_mismatch_and_downward_runs(run_cli, tmp_path):
                            "--snapshot-in", snap)
     assert code == 2
     assert "downward" in err
+
+
+@pytest.mark.parametrize("flag", ["--snapshot-in", "--snapshot-out"])
+def test_an_empty_snapshot_file_name_is_refused_before_evolving(
+        run_cli, tmp_path, monkeypatch, flag):
+    # An empty name would resolve to the working directory.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli("evolve", 0, 3, "--method", 1, flag, "")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: the file name is empty\n")
+    assert "level " not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_snapshot_file_is_a_usage_error(run_cli, tmp_path):

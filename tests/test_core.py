@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_evolve import (InvalidPartitionError, Kind, Partition,
-                              classify_m1, classify_m2, compare,
-                              enumerate_oracle, make_partition,
+                              classify_m1, classify_m2, enumerate_oracle,
                               parse_partition, predecessor_m1)
 from partition_evolve.core import MAX_PART, decode_member, encode_parts
 
@@ -17,21 +16,21 @@ from golden import M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5
 
 
 def test_make_partition_canonicalizes():
-    p = make_partition([1, 3, 2])
+    p = Partition([1, 3, 2])
     assert p.parts == (3, 2, 1)
     assert p.weight == 6
-    assert make_partition([]).parts == ()
-    assert make_partition([]).weight == 0
-    assert make_partition([5]).parts == (5,)
+    assert Partition([]).parts == ()
+    assert Partition([]).weight == 0
+    assert Partition([5]).parts == (5,)
 
 
 def test_validation_names_the_offender():
     with pytest.raises(InvalidPartitionError, match="0"):
-        make_partition([3, 0, 1])
+        Partition([3, 0, 1])
     with pytest.raises(InvalidPartitionError, match="-2"):
-        make_partition([4, -2])
+        Partition([4, -2])
     with pytest.raises(InvalidPartitionError, match="'x'"):
-        make_partition([2, "x"])
+        Partition([2, "x"])
     with pytest.raises(InvalidPartitionError, match="True"):
         Partition([True, 2])
 
@@ -113,12 +112,12 @@ def test_parse_accepts_only_ascii_digit_parts(text):
 
 @given(st.lists(st.integers(1, 60), max_size=40))
 def test_canonicalization_roundtrip(raw):
-    p = make_partition(raw)
+    p = Partition(raw)
     assert list(p.parts) == sorted(raw, reverse=True)
     assert p.weight == sum(raw)
     assert parse_partition(str(p)) == p
     # Idempotence: rebuilding from canonical parts changes nothing.
-    assert make_partition(p.parts) == p
+    assert Partition(p.parts) == p
 
 
 _PARTS = st.lists(st.integers(1, 2**20), max_size=12)
@@ -134,12 +133,21 @@ def test_member_encoding_roundtrips_and_keeps_order(a, b):
     assert (encode_parts(a) == encode_parts(b)) == (a == b)
 
 
+def _operators(a, b):
+    return (a < b, a <= b, a == b, a > b, a >= b, a != b)
+
+
+def _expected(order):
+    # What the six operators give for a pair whose order is -1, 0 or 1.
+    return (order < 0, order <= 0, order == 0, order > 0, order >= 0,
+            order != 0)
+
+
 def test_compare_spot_examples():
-    assert compare(Partition([5]), Partition([4, 1])) == -1
-    assert compare(Partition([3, 2]), Partition([3, 1, 1])) == -1
-    assert compare(Partition([1, 1]), Partition([3])) == -1
-    assert compare(Partition([2, 2]), Partition([2, 2])) == 0
-    assert compare(Partition([4, 1]), Partition([5])) == 1
+    for a, b, order in [([5], [4, 1], -1), ([3, 2], [3, 1, 1], -1),
+                        ([1, 1], [3], -1), ([2, 2], [2, 2], 0),
+                        ([4, 1], [5], 1)]:
+        assert _operators(Partition(a), Partition(b)) == _expected(order)
 
 
 def test_compare_is_a_total_order_up_to_12():
@@ -151,25 +159,22 @@ def test_compare_is_a_total_order_up_to_12():
     shuffled = canonical[:]
     random.Random(12).shuffle(shuffled)
     assert sorted(shuffled) == canonical
-    # compare agrees with list position on every pair, which gives
+    # The operators agree with list position on every pair, which gives
     # totality, antisymmetry, and transitivity all at once.
     for a in canonical:
         for b in canonical:
-            expected = (index[a] > index[b]) - (index[a] < index[b])
-            assert compare(a, b) == expected
+            order = (index[a] > index[b]) - (index[a] < index[b])
+            assert _operators(a, b) == _expected(order)
 
 
 def test_partition_operators_agree_with_compare():
     # Sorting every partition of weights 0..6 gives the oracle's listing,
-    # and each comparison operator agrees with compare on every pair.
+    # and each comparison operator agrees with the listing on every pair.
     listing = [p for n in range(7) for p in enumerate_oracle(n).partitions]
     assert sorted(reversed(listing)) == listing
-    for a in listing:
-        for b in listing:
-            order = compare(a, b)
-            assert (a < b, a <= b, a == b, a > b, a >= b, a != b) == (
-                order < 0, order <= 0, order == 0, order > 0, order >= 0,
-                order != 0)
+    for i, a in enumerate(listing):
+        for j, b in enumerate(listing):
+            assert _operators(a, b) == _expected((i > j) - (i < j))
     # Against another type, ordering is refused as for any unrelated types.
     p = Partition([1])
     for other in ((1,), 1, "1"):

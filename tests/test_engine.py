@@ -78,7 +78,7 @@ def test_grown_members_sort_into_the_evolved_level(evolve, step):
         start = enumerate_oracle(n - 1)
         previous = start.raw_members()
         new, _ = getattr(_pure, step)(split_heads(n - 1, previous))
-        members = grown_members(n - 1, previous, [new], n)
+        members = grown_members(n - 1, previous, [new])
         assert sorted(members, reverse=True) == \
             evolve(start, n).raw_members(), n
 
@@ -89,10 +89,17 @@ def test_grown_members_renders_several_weights_and_pops_them():
     new = []
     for _ in range(3):
         new.append(_pure.step_m1(heads + new)[0])
-    members = grown_members(3, start, new, 6)
+    members = grown_members(3, start, new)
     assert new == []
     assert members[:len(start)] == [m + "\x01" * 3 for m in start]
     assert sorted(members, reverse=True) == enumerate_oracle(6).raw_members()
+
+
+def test_grown_members_of_no_new_weights_are_the_members():
+    # verify grows level 0 from itself this way.
+    for n in (0, 1, 7):
+        members = enumerate_oracle(n).raw_members()
+        assert grown_members(n, members, []) == members
 
 
 @pytest.mark.parametrize("step", ["step_m1", "step_m2"])
@@ -104,7 +111,7 @@ def test_grown_members_reach_the_sort_as_few_runs(step):
     for _ in range(30):
         heads.append(getattr(_pure, step)(heads)[0])
     groups = sum(len({head[-1] for head in group}) for group in heads[1:])
-    grown = grown_members(0, [""], heads[1:], 30)
+    grown = grown_members(0, [""], heads[1:])
     assert sum(map(lt, grown, grown[1:])) <= groups == 225
 
 

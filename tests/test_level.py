@@ -149,8 +149,9 @@ def _assert_writers_match_their_reference_formats(level):
 # Weight 35 holds 14,883 members, several write chunks; the evolved levels
 # of weight 35 derive their tags, and the oracle's level with tags cycling
 # through TAG_ORDER stores tags that no rule gives.  Weights 231 and 303
-# take parts past code points 127 and 255; a part past 255 is formatted a
-# member at a time.
+# take parts past code points 127 and 255; a chunk holding a part past 255
+# is formatted a member at a time, and the second level of weight 300
+# mixes such a member with members that the bulk rendering could take.
 # Weights 9, 10, 99, 100 and 255 are the edges of the rendered cell
 # widths, and 300 renders parts of up to 255 in cells three digits wide.
 @pytest.mark.parametrize("make", [
@@ -170,6 +171,7 @@ def _assert_writers_match_their_reference_formats(level):
     lambda: _level(100, [(100,), (99, 1), (10,) * 10, (1,) * 100]),
     lambda: _level(255, [(255,), (128, 127), (100, 100, 55), (1,) * 255]),
     lambda: _level(300, [(255, 45), (255,) + (1,) * 45, (100,) * 3]),
+    lambda: _level(300, [(300,), (255, 45), (255,) + (1,) * 45, (100,) * 3]),
 ])
 def test_writers_match_their_reference_formats(make):
     _assert_writers_match_their_reference_formats(make())

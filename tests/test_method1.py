@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
                               classify_m1, count_oracle, enumerate_oracle,
-                              evolve_m1, make_partition, predecessor_m1,
-                              successors_m1, tagged_successors_m1)
+                              evolve_m1, predecessor_m1, successors_m1,
+                              tagged_successors_m1)
 
 from golden import M1_AUGMENTED_6, PARTITIONS_5, PARTITIONS_6
 
@@ -61,7 +61,7 @@ def test_every_nonempty_partition_is_its_predecessors_successor():
 
 @given(st.lists(st.integers(1, 30), max_size=20))
 def test_roundtrip_property(raw):
-    p = make_partition(raw)
+    p = Partition(raw)
     for s in successors_m1(p):
         assert predecessor_m1(s) == p
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
                               classify_m2, enumerate_oracle, evolve_m1,
-                              evolve_m2, make_partition, predecessor_m2,
-                              successors_m2, tagged_successors_m2)
+                              evolve_m2, predecessor_m2, successors_m2,
+                              tagged_successors_m2)
 
 from golden import M2_COLLECTED_6, PARTITIONS_5, PARTITIONS_6
 
@@ -72,7 +72,7 @@ def test_rule_never_produces_the_single_part_partition():
 
 @given(st.lists(st.integers(1, 30), max_size=20))
 def test_roundtrip_property(raw):
-    p = make_partition(raw)
+    p = Partition(raw)
     for s in successors_m2(p):
         assert predecessor_m2(s) == p
 

@@ -435,7 +435,7 @@ def test_block_comparison_agrees_with_the_rendered_level(method):
             # own faults decide.
             second = len(heads) - cut
             mismatch = verify._level_mismatch(
-                n, grown_members(n - 1, previous, [heads], n), members)
+                n, grown_members(n - 1, previous, [heads]), members)
             grows = verify._grows_level(appended, heads, tops)
             assert grows is (mismatch is None), (n, heads)
             assert (grows and verify._inverts(
