@@ -213,8 +213,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         # reader refuses by line.
         with open(args.snapshot_in, encoding="utf-8",
                   errors="surrogateescape") as stream:
-            start = read_snapshot(stream, method_tag=method_tag,
-                                  expected_n=args.from_n)
+            start = read_snapshot(stream, expected_n=args.from_n)
         expected = count_oracle(args.from_n)
         if len(start) != expected:
             raise ValueError(

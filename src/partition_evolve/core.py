@@ -200,6 +200,14 @@ def quote_text(text: str) -> str:
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
+def quote_value(value: object) -> str:
+    """``value``'s repr for an error message, cut as ``quote_text`` is."""
+    text = repr(value)
+    if len(text) <= _QUOTED_CHARS:
+        return text
+    return f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
+
+
 def smallest_part_once(member: str) -> bool:
     """Method 1's second kind, and the partitions Q(n) counts: the
     smallest part occurs once, so a single part, or a last part below the

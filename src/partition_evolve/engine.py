@@ -48,7 +48,7 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
     # The start's members are rendered whole; its heads are not needed.
     del heads[:start.n + 1]
     return Level.from_raw(target_n, grown_members(start.n, members, heads),
-                          None, method_tag)
+                          method_tag)
 
 
 def check_upward(start_n: int, target_n: int) -> None:

@@ -4,21 +4,22 @@ A snapshot file holds one JSON object per line::
 
     {"n": 6, "parts": [3, 2, 1], "tag": "AddedUnit"}
 
-Tags record which rule emitted each partition; a snapshot written after an
-evolution run is valid input for resuming it.
+Tags record which rule emitted each partition.  One rule tags a whole
+level (see ``rule_tags``), so a level stores no tags; a snapshot written
+after an evolution run is valid input for resuming it.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, filterfalse, islice, repeat
-from operator import gt, itemgetter, lt
+from operator import gt, lt
 from struct import pack
 from typing import IO, Iterable, Sequence
 from zlib import adler32
 
 from .core import (MAX_PART, Partition, decode_member, encode_parts,
-                   member_text, quote_text)
+                   member_text, quote_text, quote_value)
 
 TAG_SEED = "Seed"
 TAG_ADDED_UNIT = "AddedUnit"
@@ -28,9 +29,6 @@ TAG_EXPLICIT = "Explicit"
 
 # Fixed display/reporting order for tag breakdowns.
 TAG_ORDER = (TAG_SEED, TAG_ADDED_UNIT, TAG_AUGMENTED, TAG_COLLECTED, TAG_EXPLICIT)
-# Both snapshot readers build a new string for every tag they read; a read
-# level holds these constants instead, one object per tag.
-_SHARED_TAG = {tag: tag for tag in TAG_ORDER}.__getitem__
 
 METHOD_TAGS = ("method1", "method2", "oracle")
 
@@ -64,36 +62,31 @@ class SnapshotError(ValueError):
 class Level:
     """All partitions of one weight, unique and in canonical order.
 
-    ``tags`` is parallel to the members and records provenance;
-    ``method_tag`` records which pipeline produced the level.
+    ``method_tag`` records which pipeline produced the level, and so the
+    rule whose tags ``tags`` derives from the parts on each access (see
+    ``rule_tags``).  Levels are equal when their weights, members and
+    tags are: at weights 0 and 1 several rules give the same tags.
 
     Members are held as member strings, one code point per part (see
     ``core.encode_parts``).  ``partitions`` wraps them anew on each
     access.  The level checks each member's weight, that no part is 0,
     and the strict descent of the members; the order of the parts within
-    each member is the caller's promise and is not checked.  A level built
-    with tags (by ``seed`` or from a snapshot) keeps them; one built
-    without (by ``from_raw`` after evolving, or by the oracle) derives
-    them on each access with ``rule_tags``.
+    each member is the caller's promise and is not checked.
     """
 
-    __slots__ = ("_n", "_method_tag", "_raw", "_tags")
+    __slots__ = ("_n", "_method_tag", "_raw")
 
-    def __init__(self, n: int, members: list[str],
-                 tags: tuple[str, ...] | None, method_tag: str) -> None:
+    def __init__(self, n: int, members: list[str], method_tag: str) -> None:
         """A Level over ``members``, which must already be in canonical
         order; the order is checked, not restored."""
         if n < 0:
             raise ValueError(f"level weight must be nonnegative, got {n}")
         if method_tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {method_tag!r}")
-        if tags is not None and len(tags) != len(members):
-            raise ValueError("tags and partitions must be parallel")
         check_members(n, members)
         self._n = n
         self._method_tag = method_tag
         self._raw = members
-        self._tags = tags
 
     @property
     def n(self) -> int:
@@ -110,9 +103,7 @@ class Level:
 
     @property
     def tags(self) -> tuple[str, ...]:
-        if self._tags is None:
-            return rule_tags(self._n, self._raw, self._method_tag)
-        return self._tags
+        return rule_tags(self._n, self._raw, self._method_tag)
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -120,11 +111,12 @@ class Level:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Level):
             return NotImplemented
-        return (self._n == other._n and self._method_tag == other._method_tag
-                and self._raw == other._raw and self.tags == other.tags)
+        return (self._n == other._n and self._raw == other._raw
+                and (self._method_tag == other._method_tag
+                     or self.tags == other.tags))
 
     def __hash__(self) -> int:
-        return hash((self._n, self._method_tag, len(self._raw)))
+        return hash((self._n, len(self._raw)))
 
     def __repr__(self) -> str:
         return (f"Level(n={self._n}, members={len(self._raw)}, "
@@ -133,26 +125,13 @@ class Level:
     @classmethod
     def seed(cls, method_tag: str) -> "Level":
         """The weight-0 level: just the empty partition."""
-        return cls(0, [""], None, method_tag)
+        return cls(0, [""], method_tag)
 
     @classmethod
     def from_raw(cls, n: int, members: Iterable[str],
-                 tags: Iterable[str] | None, method_tag: str) -> "Level":
-        """Sort raw kernel output into a validated Level.
-
-        With ``tags`` None the level derives its tags from its parts (see
-        the class docstring); otherwise each tag stays attached to its
-        member through the sort, and there must be one tag per member.
-        """
-        if tags is None:
-            return cls(n, sorted(members, reverse=True), None, method_tag)
-        try:
-            pairs = sorted(zip(members, tags, strict=True), key=itemgetter(0),
-                           reverse=True)
-        except ValueError:
-            raise ValueError("tags and partitions must be parallel") from None
-        return cls(n, [member for member, _ in pairs],
-                   tuple([tag for _, tag in pairs]), method_tag)
+                 method_tag: str) -> "Level":
+        """Sort raw kernel output into a validated Level."""
+        return cls(n, sorted(members, reverse=True), method_tag)
 
     def raw_members(self) -> list[str]:
         """Member strings in level order."""
@@ -344,53 +323,42 @@ def _snapshot_lines(n: int, tables: _Tables, members: list[str],
 
 def write_snapshot(level: Level, stream: IO[str]) -> None:
     """Write one JSONL line per member, in level order (see
-    ``_snapshot_lines``), deriving or slicing the tags a chunk at a time."""
+    ``_snapshot_lines``), deriving the tags a chunk at a time."""
     n = level.n
     raw = level._raw
     tables = _cell_tables(n, b", ", b"\0")
     for start in range(0, len(raw), _CHUNK):
-        stop = start + _CHUNK
-        chunk = raw[start:stop]
-        tags = (rule_tags(n, chunk, level.method_tag) if level._tags is None
-                else level._tags[start:stop])
-        stream.write(_snapshot_lines(n, tables, chunk, tags))
+        chunk = raw[start:start + _CHUNK]
+        stream.write(_snapshot_lines(n, tables, chunk,
+                                     rule_tags(n, chunk, level.method_tag)))
 
 
-def _tags_fit(n: int, members: list[str], tags: Iterable[str]) -> bool:
-    """Whether each tag is Seed or the tag that either rule gives its
-    member (see ``rule_tags``): evolving a level grown by the other rule
-    is valid."""
-    shapes = set(zip(tags, rule_tags(n, members, "method1"),
-                     rule_tags(n, members, "method2")))
-    return all(tag in (TAG_SEED, one, two) for tag, one, two in shapes)
-
-
-def read_snapshot(stream: Iterable[str], *, method_tag: str,
+def read_snapshot(stream: Iterable[str], *,
                   expected_n: int | None = None) -> Level:
     """Read and validate a snapshot, returning the Level it describes.
 
     Every line must be text with a UTF-8 form, and carry the same weight
     (and match ``expected_n`` when given), canonical non-increasing
-    positive parts, and a known tag that fits those parts (see
-    ``_tags_fit``); no partition may repeat.  Violations raise
-    SnapshotError naming the line.
+    positive parts, and a known tag; no partition may repeat.  The tags
+    must all be those that one rule of ``METHOD_TAGS`` gives the members
+    (see ``rule_tags``), and the level carries the first such rule: at
+    weight 0 every rule gives Seed, and at weight 1 both methods give
+    AddedUnit.  Violations raise SnapshotError naming the line.
 
     The lines are parsed in bulk, a chunk of ``_CHUNK`` nonblank lines at
     a time, without a JSON record per line, into a Level, which checks the
-    weights and the uniqueness of its members; then its tags are checked.
-    A chunk is taken only when the writer writes its members and tags back
-    byte for byte (see ``_read_chunks``).  On any failure, the per-line
-    scan reruns over the lines; it alone words errors and reads the other
-    layouts JSON allows.
+    weights and the uniqueness of its members.  A chunk is taken only when
+    its tags are those of a rule that the chunks before it left, and the
+    writer writes it back byte for byte (see ``_read_chunks``).  On any
+    failure, the per-line scan reruns over the lines; it alone words
+    errors and reads the other layouts JSON allows.
     """
     lines = list(stream)
     try:
-        level = Level.from_raw(*_read_chunks(lines, expected_n), method_tag)
+        return Level.from_raw(*_read_chunks(lines, expected_n))
     except ValueError:
-        level = None
-    if level is None or not _tags_fit(level.n, level._raw, level.tags):
-        return _scan_lines(lines, method_tag, expected_n)
-    return level
+        pass
+    return _scan_lines(lines, expected_n)
 
 
 # The text of each part the bulk reader reads, to its code; the member
@@ -401,26 +369,27 @@ _TAG_KEY = '], "tag": "'
 
 
 def _read_chunks(lines: list[str], expected_n: int | None
-                 ) -> tuple[int, list[str], list[str]]:
-    """The weight, members and tags of the nonblank lines, parsed a chunk
-    at a time with whole-chunk built-ins.
+                 ) -> tuple[int, list[str], str]:
+    """The weight, members and method tag of the nonblank lines, parsed a
+    chunk at a time with whole-chunk built-ins.
 
     The weight is ``expected_n``, or the first line's.  Each chunk's text
     is cut into its lines' parts and tags by one ``replace`` and one
     ``split``: where a line meets the next, its tag's close and the next
     line's head become one more ``_TAG_KEY``.  Each line's parts, split at
     ``", "`` and followed by a part 0 between members, are parsed by one
-    ``bytes`` of a ``_PART_CODE`` lookup per part for the whole chunk, and
-    the tags by one ``_SHARED_TAG`` lookup each.  The chunk is taken only
-    when ``_snapshot_lines`` writes the parsed members and tags back as
-    exactly its text (its last line may lack the newline), so its lines
-    are canonical records, one to a line.  Beside that, each line must
-    give one member and its parts descend.  Any failure raises
-    ValueError.  The members' weights and uniqueness are left to the
-    Level, and the tags' fit to ``_tags_fit``.
+    ``bytes`` of a ``_PART_CODE`` lookup per part for the whole chunk.
+    Each line must give one member and its parts descend.  The rules of
+    ``METHOD_TAGS`` whose ``rule_tags`` are the chunk's tags remain, and
+    the chunk is taken only when one does and ``_snapshot_lines`` writes
+    the parsed members and tags back as exactly its text (its last line
+    may lack the newline), so its lines are canonical records, one to a
+    line.  The method tag is the first rule left after the last chunk.
+    Any failure raises ValueError.  The members' weights and uniqueness
+    are left to the Level.
     """
     members: list[str] = []
-    tags: list[str] = []
+    rules = METHOD_TAGS
     level_n = expected_n
     tables = None
     nonblank = filterfalse(str.isspace, lines)
@@ -443,25 +412,27 @@ def _read_chunks(lines: list[str], expected_n: int | None
         try:
             codes = (bytes(map(_PART_CODE, parts)) if level_n
                      else bytes(len(chunk)))
-            chunk_tags = list(map(_SHARED_TAG, fields[1::2]))
         except KeyError:
-            raise ValueError("a part or tag that the writer never writes"
-                             ) from None
+            raise ValueError("a part that the writer never writes") from None
         chunk_members = codes.decode("latin-1").split("\0")[:-1]
         # The parts descend when the only ascents are from each separator
         # into the next member's first part (a level of weight 0 holds
         # one member).
-        if not len(chunk) == len(chunk_members) == len(chunk_tags) or sum(
+        if len(chunk) != len(chunk_members) or sum(
                 map(lt, codes, codes[1:])) != len(chunk) - 1:
             raise ValueError("not one member of descending parts a line")
+        tags = tuple(fields[1::2])
+        rules = [rule for rule in rules
+                 if rule_tags(level_n, chunk_members, rule) == tags]
+        if not rules:
+            raise ValueError("not the tags of one rule")
         tables = tables or _cell_tables(level_n, b", ", b"\0")
-        if _snapshot_lines(level_n, tables, chunk_members, chunk_tags) != text:
+        if _snapshot_lines(level_n, tables, chunk_members, tags) != text:
             raise ValueError("not the lines the writer writes")
         members += chunk_members
-        tags += chunk_tags
     if not members:
         raise ValueError("no members")
-    return level_n, members, tags
+    return level_n, members, rules[0]
 
 
 class _RepeatedName(Exception):
@@ -482,13 +453,12 @@ def _unique_names(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return record
 
 
-def _scan_lines(lines: Iterable[str], method_tag: str,
-                expected_n: int | None) -> Level:
+def _scan_lines(lines: Iterable[str], expected_n: int | None) -> Level:
     """``read_snapshot`` one line at a time, raising SnapshotError at the
-    first line that fails a check."""
+    first line that fails a check; messages quote values cut short."""
     members: list[str] = []
-    tags: list[str] = []
     seen: set[str] = set()
+    rules = METHOD_TAGS
     level_n = expected_n
 
     for lineno, line in enumerate(lines, start=1):
@@ -522,39 +492,47 @@ def _scan_lines(lines: Iterable[str], method_tag: str,
         # type() and not isinstance(): JSON true and false load as bool,
         # an int subclass, and must not pass for 1 and 0.
         if type(n) is not int or n < 0:
-            raise SnapshotError(f"line {lineno}: bad weight {n!r}")
+            raise SnapshotError(f"line {lineno}: bad weight {quote_value(n)}")
         if type(tag) is not str or tag not in TAG_ORDER:
-            raise SnapshotError(f"line {lineno}: unknown tag {tag!r}")
+            raise SnapshotError(
+                f"line {lineno}: unknown tag {quote_value(tag)}")
         if not isinstance(parts, list) or any(
                 type(x) is not int or x < 1 for x in parts):
             raise SnapshotError(
                 f"line {lineno}: parts must be a list of positive integers")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise SnapshotError(
-                f"line {lineno}: parts {parts} are not non-increasing")
+            raise SnapshotError(f"line {lineno}: parts {quote_value(parts)} "
+                                "are not non-increasing")
         if sum(parts) != n:
             raise SnapshotError(
-                f"line {lineno}: parts {parts} sum to {sum(parts)}, not {n}")
+                f"line {lineno}: parts {quote_value(parts)} sum to "
+                f"{quote_value(sum(parts))}, not {quote_value(n)}")
         if parts and parts[0] > MAX_PART:
             raise SnapshotError(
-                f"line {lineno}: part {parts[0]} is past the largest "
-                f"supported part {MAX_PART}")
+                f"line {lineno}: part {quote_value(parts[0])} is past the "
+                f"largest supported part {MAX_PART}")
         key = encode_parts(parts)
-        if not _tags_fit(n, [key], [tag]):
-            raise SnapshotError(
-                f"line {lineno}: tag {tag!r} does not fit parts {parts}")
+        fits = [rule for rule in METHOD_TAGS
+                if rule_tags(n, [key], rule) == (tag,)]
+        if not fits:
+            raise SnapshotError(f"line {lineno}: tag {tag!r} does not fit "
+                                f"parts {quote_value(parts)}")
         if level_n is None:
             level_n = n
         elif n != level_n:
             raise SnapshotError(
                 f"line {lineno}: weight {n} differs from expected {level_n}")
         if key in seen:
-            raise SnapshotError(f"line {lineno}: duplicate partition {parts}")
+            raise SnapshotError(
+                f"line {lineno}: duplicate partition {quote_value(parts)}")
+        rules = [rule for rule in rules if rule in fits]
+        if not rules:
+            raise SnapshotError(f"line {lineno}: tag {tag!r} is not of the "
+                                "rule that tags the lines before it")
         seen.add(key)
         members.append(key)
-        tags.append(_SHARED_TAG(tag))
 
     if not members:
         raise SnapshotError("snapshot is empty")
     assert level_n is not None
-    return Level.from_raw(level_n, members, tags, method_tag)
+    return Level.from_raw(level_n, members, rules[0])

@@ -39,7 +39,7 @@ def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP) -> Level:
     check_cap(n, cap)
     # The enumerator emits canonical order; the level checks it, and wraps
     # and tags its members only when asked.
-    return Level(n, _pure.enumerate_level(n), None, "oracle")
+    return Level(n, _pure.enumerate_level(n), "oracle")
 
 
 def count_oracle(n: int, *, every_weight: bool = False) -> int | list[int]:

@@ -119,9 +119,8 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
             failures[0] = (f"n={n}: Q(n)={q[n]} but enumeration finds "
                            f"{len(once)} second-kind partitions")
         if n == 0:
-            # Evolving the seed to weight 0 returns the seed itself.
-            for method in (1, 2):
-                _evolution_check(0, method, [""], [], members, failures)
+            # Either method evolves the seed to weight 0 as the seed itself.
+            _evolution_check(0, 1, [""], [], members, failures)
         elif grown is not None:
             _step_checks(n, previous, previous_once, members, *grown,
                          failures)

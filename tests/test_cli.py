@@ -14,7 +14,7 @@ import pytest
 
 from partition_evolve import _pure, cli, count_oracle, enumerate_oracle
 from partition_evolve.engine import split_heads
-from partition_evolve.level import _read_chunks
+from partition_evolve.level import _CHUNK, _read_chunks
 
 from golden import (EVOLVE_50_M2_TEXT_SHA256, M1_GROUP1_5, M1_GROUP2_5,
                     M2_GROUP1_5, M2_GROUP2_5, P_AT, PARTITIONS_5,
@@ -585,6 +585,85 @@ def test_snapshot_that_is_not_utf8_names_the_line(run_cli, tmp_path):
                              "--snapshot-in", snap)
     assert (code, out) == (2, "")
     assert err == "error: line 2: not valid UTF-8\n"
+
+
+_ONE_RULE = "is not of the rule that tags the lines before it"
+
+
+@pytest.mark.parametrize("to_n", [3, 2])
+def test_a_snapshot_of_two_rules_is_refused(run_cli, tmp_path, to_n):
+    # A seeded line beside a grown one: no one rule grew that level.
+    snap = tmp_path / "mixed.jsonl"
+    snap.write_text('{"n": 2, "parts": [2], "tag": "Seed"}\n'
+                    '{"n": 2, "parts": [1, 1], "tag": "AddedUnit"}\n')
+    out_file = tmp_path / "out.jsonl"
+    code, out, err = run_cli("evolve", 2, to_n, "--method", 1,
+                             "--snapshot-in", snap, "--snapshot-out", out_file)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: tag 'AddedUnit' {_ONE_RULE}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["mixed.jsonl"]
+
+
+def test_a_rule_broken_past_the_first_read_chunk_is_refused(run_cli,
+                                                            tmp_path):
+    snap = tmp_path / "level26.jsonl"
+    code, _, _ = run_cli("evolve", 0, 26, "--method", 1,
+                         "--snapshot-out", snap)
+    assert code == 0
+    lines = snap.read_text().splitlines(keepends=True)
+    assert len(lines) == 2436 > _CHUNK
+    lineno = _CHUNK + 100
+    record = json.loads(lines[lineno - 1])
+    assert record["tag"] != "Seed"
+    lines[lineno - 1] = json.dumps({**record, "tag": "Seed"}) + "\n"
+    snap.write_text("".join(lines))
+    code, out, err = run_cli("evolve", 26, 27, "--method", 1,
+                             "--snapshot-in", snap,
+                             "--snapshot-out", tmp_path / "out.jsonl")
+    assert (code, out) == (2, "")
+    assert err == f"error: line {lineno}: tag 'Seed' {_ONE_RULE}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["level26.jsonl"]
+
+
+@pytest.mark.parametrize("write", [
+    ("list", 9, "--format", "jsonl"),
+    ("evolve", 0, 9, "--method", 1),
+    ("evolve", 0, 9, "--method", 2),
+], ids=["oracle", "method1", "method2"])
+def test_a_snapshot_is_written_back_byte_for_byte(run_cli, tmp_path, write):
+    snap = tmp_path / "level9.jsonl"
+    if write[0] == "list":
+        code, listing, _ = run_cli(*write)
+        snap.write_text(listing)
+    else:
+        code, _, _ = run_cli(*write, "--snapshot-out", snap)
+    assert code == 0
+    # The level read carries the snapshot's rule, whichever method runs.
+    for method in (1, 2):
+        again = tmp_path / f"again{method}.jsonl"
+        code, _, _ = run_cli("evolve", 9, 9, "--method", method,
+                             "--snapshot-in", snap, "--snapshot-out", again)
+        assert code == 0
+        assert again.read_bytes() == snap.read_bytes()
+
+
+# Values of 100,000 characters, and 5,000 parts: each error message quotes
+# a cut text of the value, and still names the line.
+@pytest.mark.parametrize("record,complaint", [
+    ({"n": 2, "parts": [2], "tag": "x" * 100_000}, "unknown tag 'xxx"),
+    ({"n": "9" * 100_000, "parts": [2], "tag": "Seed"}, "bad weight '999"),
+    ({"n": 2, "parts": [1] * 5000, "tag": "Seed"}, "parts [1, 1, 1"),
+])
+def test_snapshot_errors_quote_long_values_cut(run_cli, tmp_path, record,
+                                               complaint):
+    snap = tmp_path / "long.jsonl"
+    snap.write_text('{"n": 2, "parts": [2], "tag": "Seed"}\n'
+                    + json.dumps(record) + "\n")
+    code, out, err = run_cli("evolve", 2, 3, "--method", 1,
+                             "--snapshot-in", snap)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line 2: {complaint}")
+    assert "characters)" in err and len(err.encode()) < 200
 
 
 def test_evolve_rejects_weight_mismatch_and_downward_runs(run_cli, tmp_path):

@@ -2,7 +2,6 @@
 
 import io
 import json
-from itertools import cycle, islice
 
 import pytest
 from hypothesis import given
@@ -18,12 +17,9 @@ from partition_evolve.level import (_CHUNK, METHOD_TAGS, _canonical,
                                     rule_tags, write_text)
 
 
-def _level(n, raw, tags=None, method_tag="oracle"):
+def _level(n, raw, method_tag="oracle"):
     members = [encode_parts(parts) for parts in raw]
-    if tags is None:
-        tags = ("Seed",) * len(members)
-    return Level(n=n, members=members, tags=tuple(tags),
-                 method_tag=method_tag)
+    return Level(n=n, members=members, method_tag=method_tag)
 
 
 def test_seed_level():
@@ -37,14 +33,19 @@ def test_seed_level():
 def test_level_value_semantics():
     level = evolve_m2(Level.seed("method2"), 6)
     assert repr(level) == "Level(n=6, members=11, method_tag='method2')"
-    # Equal levels hash alike: the tags derived from the parts and the
-    # same tags stored count as equal.
-    stored = Level(6, level.raw_members(), level.tags, "method2")
-    assert stored == level and hash(stored) == hash(level)
-    assert len({level, stored}) == 1
-    assert stored != Level(6, level.raw_members(), None, "oracle")
+    # Equal levels hash alike.
+    same = Level(6, level.raw_members(), "method2")
+    assert same == level and hash(same) == hash(level)
+    assert len({level, same}) == 1
+    assert same != Level(6, level.raw_members(), "oracle")
     assert level.__eq__(level.raw_members()) is NotImplemented
     assert level != level.raw_members()
+    # Levels of different rules are equal where their tags are: every rule
+    # gives Seed at weight 0, and both methods give AddedUnit at weight 1.
+    for n, distinct in ((0, 1), (1, 2), (2, 3)):
+        members = enumerate_oracle(n).raw_members()
+        levels = {Level(n, members, rule) for rule in METHOD_TAGS}
+        assert len(levels) == distinct
 
 
 def test_level_rejects_bad_shapes():
@@ -59,35 +60,24 @@ def test_level_rejects_bad_shapes():
         _level(300, [(300,), (299, 2)])
     with pytest.raises(ValueError, match=r"duplicated near 299\+1"):
         _level(300, [(299, 1), (299, 1)])
-    with pytest.raises(ValueError, match="parallel"):
-        _level(2, [(2,)], tags=("Seed", "Seed"))
     with pytest.raises(ValueError, match="method tag"):
         _level(2, [(2,)], method_tag="bogus")
     with pytest.raises(ValueError, match="nonnegative"):
         _level(-1, [])
 
 
-def test_from_raw_sorts_and_keeps_tags_attached():
+def test_from_raw_sorts():
     level = Level.from_raw(
-        3, ["\x01\x01\x01", "\x03", "\x02\x01"], ["a3", "a1", "a2"],
-        "oracle")
+        3, iter(["\x01\x01\x01", "\x03", "\x02\x01"]), "method2")
     assert [str(p) for p in level.partitions] == ["3", "2+1", "1+1+1"]
-    assert level.tags == ("a1", "a2", "a3")
-
-
-def test_from_raw_refuses_tags_not_parallel_to_its_members():
-    for tags in (["Seed"], ["Seed"] * 3):
-        with pytest.raises(ValueError,
-                           match="^tags and partitions must be parallel$"):
-            Level.from_raw(3, iter(["\x03", "\x02\x01"]), iter(tags),
-                           "oracle")
+    assert level.tags == ("Explicit", "AddedUnit", "AddedUnit")
 
 
 def test_snapshot_parts_must_fit_a_member():
     text = '{"n": 1114112, "parts": [1114112], "tag": "Seed"}\n'
     with pytest.raises(SnapshotError,
                        match="line 1: part 1114112 is past the largest"):
-        read_snapshot(io.StringIO(text), method_tag="oracle")
+        read_snapshot(io.StringIO(text))
 
 
 def test_tag_counts_follow_fixed_order():
@@ -102,8 +92,8 @@ def test_snapshot_roundtrip():
     buffer = io.StringIO()
     write_snapshot(level, buffer)
     buffer.seek(0)
-    back = read_snapshot(buffer, method_tag="method2", expected_n=7)
-    assert back == level
+    back = read_snapshot(buffer, expected_n=7)
+    assert back == level and back.method_tag == "method2"
 
 
 def test_snapshot_roundtrip_weight_zero():
@@ -111,14 +101,42 @@ def test_snapshot_roundtrip_weight_zero():
     write_snapshot(Level.seed("oracle"), buffer)
     assert buffer.getvalue() == '{"n": 0, "parts": [], "tag": "Seed"}\n'
     buffer.seek(0)
-    assert read_snapshot(buffer, method_tag="oracle") == Level.seed("oracle")
+    # Every rule gives Seed at weight 0: the reader takes the first.
+    back = read_snapshot(buffer)
+    assert back == Level.seed("oracle") and back.method_tag == "method1"
 
 
-def _with_cycled_tags(level):
-    """``level`` with stored tags that cycle through TAG_ORDER."""
-    members = level.raw_members()
-    tags = tuple(islice(cycle(TAG_ORDER), len(members)))
-    return Level(level.n, members, tags, level.method_tag)
+@pytest.mark.parametrize("n", [0, 1, 2, 10])
+@pytest.mark.parametrize("rule", METHOD_TAGS)
+def test_a_read_level_writes_back_and_reads_equal(rule, n):
+    level = Level(n, enumerate_oracle(n).raw_members(), rule)
+    first = io.StringIO()
+    write_snapshot(level, first)
+    back = read_snapshot(first.getvalue().splitlines(keepends=True))
+    again = io.StringIO()
+    write_snapshot(back, again)
+    assert again.getvalue() == first.getvalue()
+    assert back == level
+    assert read_snapshot(again.getvalue().splitlines(keepends=True)) == level
+
+
+def test_the_bulk_reader_narrows_the_rules_across_chunks():
+    # Each read chunk alone holds one rule's tags, the first method 1's
+    # and the second the oracle's, but no one rule gives the file's tags.
+    members = evolve_m1(Level.seed("method1"), 26).raw_members()
+    assert _CHUNK < len(members)
+    buffer = io.StringIO()
+    write_snapshot(Level(26, members[:_CHUNK], "method1"), buffer)
+    write_snapshot(Level(26, members[_CHUNK:], "oracle"), buffer)
+    lines = buffer.getvalue().splitlines(keepends=True)
+    with pytest.raises(ValueError, match="^not the tags of one rule$"):
+        _read_chunks(lines, 26)
+    for read in (read_snapshot, lambda lines: _scan_lines(lines, None)):
+        with pytest.raises(SnapshotError) as refused:
+            read(lines)
+        assert str(refused.value) == (
+            f"line {_CHUNK + 1}: tag 'Seed' is not of the rule that tags "
+            "the lines before it")
 
 
 def _reference_snapshot(level):
@@ -135,20 +153,23 @@ def _assert_writers_match_their_reference_formats(level):
     snapshot = io.StringIO()
     write_snapshot(level, snapshot)
     assert snapshot.getvalue() == _reference_snapshot(level)
-    # The bulk reader takes every snapshot it can hold (parts up to 255,
-    # known tags) as the writer wrote it, with or without a newline on the
-    # last line, so none of them falls to the per-line scan.
-    if set(level.tags) <= set(TAG_ORDER) and all(
-            member[:1] <= "\xff" for member in level.raw_members()):
+    # The bulk reader takes every snapshot it can hold (parts up to 255)
+    # as the writer wrote it, with or without a newline on the last line,
+    # so none of them falls to the per-line scan.  It reads the first rule
+    # that gives the level's tags.
+    if all(member[:1] <= "\xff" for member in level.raw_members()):
+        rule = next(rule for rule in METHOD_TAGS if rule_tags(
+            level.n, level.raw_members(), rule) == level.tags)
         lines = snapshot.getvalue().splitlines(keepends=True)
         for copy in (lines, lines[:-1] + [lines[-1].rstrip("\n")]):
             assert _read_chunks(copy, None) == (
-                level.n, level.raw_members(), list(level.tags))
+                level.n, level.raw_members(), rule)
 
 
-# Weight 35 holds 14,883 members, several write chunks; the evolved levels
-# of weight 35 derive their tags, and the oracle's level with tags cycling
-# through TAG_ORDER stores tags that no rule gives.  Weights 231 and 303
+# Weight 35 holds 14,883 members, several write chunks, in a level of each
+# rule.  At weight 1 both methods give AddedUnit, and a level of method 2
+# reads back as method 1's.  The hand-built levels are of every rule, and
+# with the others give all five tags.  Weights 231 and 303
 # take parts past code points 127 and 255; a chunk holding a part past 255
 # is formatted a member at a time, and the second level of weight 300
 # mixes such a member with members that the bulk rendering could take.
@@ -156,22 +177,27 @@ def _assert_writers_match_their_reference_formats(level):
 # widths, and 300 renders parts of up to 255 in cells three digits wide.
 @pytest.mark.parametrize("make", [
     lambda: enumerate_oracle(35),
-    lambda: _with_cycled_tags(enumerate_oracle(35)),
+    lambda: evolve_m2(Level.seed("method2"), 1),
     lambda: evolve_m1(Level.seed("method1"), 13),
     lambda: evolve_m2(Level.seed("method2"), 13),
     lambda: evolve_m1(Level.seed("method1"), 35),
     lambda: evolve_m2(Level.seed("method2"), 35),
     lambda: Level.seed("method2"),
-    lambda: _level(3, [(3,), (2, 1)], tags=('odd "tag"', "t\u00e4g")),
-    lambda: _level(231, [(120, 100, 11), (99, 99, 33), (10,) * 23 + (1,)]),
-    lambda: evolve_m2(Level(300, [chr(300)], ("Seed",), "method2"), 303),
+    lambda: _level(3, [(3,), (2, 1)], "method2"),
+    lambda: _level(231, [(120, 100, 11), (99, 99, 33), (10,) * 23 + (1,)],
+                   "method1"),
+    lambda: evolve_m2(Level(300, [chr(300)], "oracle"), 303),
     lambda: enumerate_oracle(9),
     lambda: enumerate_oracle(10),
-    lambda: _level(99, [(99,), (90, 9), (10,) * 9 + (9,), (1,) * 99]),
-    lambda: _level(100, [(100,), (99, 1), (10,) * 10, (1,) * 100]),
-    lambda: _level(255, [(255,), (128, 127), (100, 100, 55), (1,) * 255]),
+    lambda: _level(99, [(99,), (90, 9), (10,) * 9 + (9,), (1,) * 99],
+                   "method2"),
+    lambda: _level(100, [(100,), (99, 1), (10,) * 10, (1,) * 100],
+                   "method1"),
+    lambda: _level(255, [(255,), (128, 127), (100, 100, 55), (1,) * 255],
+                   "method2"),
     lambda: _level(300, [(255, 45), (255,) + (1,) * 45, (100,) * 3]),
-    lambda: _level(300, [(300,), (255, 45), (255,) + (1,) * 45, (100,) * 3]),
+    lambda: _level(300, [(300,), (255, 45), (255,) + (1,) * 45, (100,) * 3],
+                   "method1"),
 ])
 def test_writers_match_their_reference_formats(make):
     _assert_writers_match_their_reference_formats(make())
@@ -205,15 +231,13 @@ def _fill(parts, n):
 
 @st.composite
 def _small_levels(draw):
-    """A valid level of a few members with parts in 1..300."""
+    """A valid level of a few members with parts in 1..300, of any rule."""
     parts = st.lists(st.integers(1, 300), max_size=5)
     n = sum(draw(parts))
     members = {encode_parts(_fill(draw(parts), n))
                for _ in range(draw(st.integers(1, 6)))}
     members = sorted(members, reverse=True)
-    tags = draw(st.lists(st.sampled_from(TAG_ORDER), min_size=len(members),
-                         max_size=len(members)))
-    return Level(n, members, tuple(tags), "oracle")
+    return Level(n, members, draw(st.sampled_from(METHOD_TAGS)))
 
 
 @given(_small_levels())
@@ -229,7 +253,7 @@ def test_a_member_holding_nul_never_passes_the_weight_check():
         check_members(2, ["\x02\x00\x02"])
     # With the right weight, the scan names the part 0.
     with pytest.raises(ValueError, match=r"^member 2\+0 has a part 0$"):
-        Level(2, ["\x02\x00"], None, "oracle")
+        Level(2, ["\x02\x00"], "oracle")
     with pytest.raises(ValueError, match=r"^member 300\+0 has a part 0$"):
         check_members(300, [chr(300) + "\x00"])
 
@@ -308,7 +332,7 @@ def test_weight_check_takes_members_up_to_256_bytes():
 def test_snapshot_tolerates_blank_lines():
     text = '{"n": 2, "parts": [2], "tag": "Seed"}\n\n' \
            '{"n": 2, "parts": [1, 1], "tag": "Seed"}\n'
-    level = read_snapshot(io.StringIO(text), method_tag="oracle")
+    level = read_snapshot(io.StringIO(text))
     assert len(level) == 2
 
 
@@ -363,7 +387,7 @@ def test_snapshot_tolerates_blank_lines():
 def test_snapshot_errors_name_the_line(line, complaint):
     text = '{"n": 2, "parts": [1, 1], "tag": "Seed"}\n' + line + "\n"
     with pytest.raises(SnapshotError, match=complaint):
-        read_snapshot(io.StringIO(text), method_tag="oracle")
+        read_snapshot(io.StringIO(text))
 
 
 def _second_chunk_fault(fault):
@@ -386,7 +410,7 @@ def test_multi_chunk_snapshot_with_blank_lines_reads_back():
     lines, _ = _second_chunk_fault(lambda record, first: record)
     # The bulk checks pass it whole, with no rerun of the scan.
     assert _read_chunks(lines, 30) is not None
-    assert read_snapshot(lines, method_tag="oracle", expected_n=30) == level
+    assert read_snapshot(lines, expected_n=30) == level
 
 
 @pytest.mark.parametrize("fault,complaint", [
@@ -406,15 +430,15 @@ def test_snapshot_errors_at_a_chunk_boundary_name_the_line(fault, complaint):
     lines, lineno = _second_chunk_fault(fault)
     with pytest.raises(SnapshotError, match=f"^line {lineno}: .*{complaint}"
                        ) as bulk:
-        read_snapshot(lines, method_tag="oracle", expected_n=30)
+        read_snapshot(lines, expected_n=30)
     with pytest.raises(SnapshotError) as scan:
-        _scan_lines(lines, "oracle", 30)
+        _scan_lines(lines, 30)
     assert str(bulk.value) == str(scan.value)
 
 
 @pytest.mark.parametrize("read", [
-    lambda lines: read_snapshot(lines, method_tag="oracle"),
-    lambda lines: _scan_lines(lines, "oracle", None),
+    lambda lines: read_snapshot(lines),
+    lambda lines: _scan_lines(lines, None),
 ], ids=["bulk", "scan"])
 def test_read_levels_share_the_tag_constants(run_cli, read):
     code, listing, _ = run_cli("list", 12, "--format", "jsonl")
@@ -427,26 +451,27 @@ def test_read_levels_share_the_tag_constants(run_cli, read):
 @pytest.mark.parametrize("evolve,method_tag", [
     (evolve_m1, "method1"), (evolve_m2, "method2")])
 def test_snapshot_tags_of_either_rule_are_read_under_both(evolve, method_tag):
-    # Every tag a rule writes fits its parts, and evolving a level grown
-    # by the other rule is valid, so either method reads it back.
+    # The level read back carries the rule that wrote it, and evolving a
+    # level grown by the other rule is valid, so either method resumes it.
     level = evolve(Level.seed(method_tag), 9)
     buffer = io.StringIO()
     write_snapshot(level, buffer)
-    for reader_tag in ("method1", "method2"):
-        buffer.seek(0)
-        back = read_snapshot(buffer, method_tag=reader_tag, expected_n=9)
-        assert back.tags == level.tags
+    buffer.seek(0)
+    back = read_snapshot(buffer, expected_n=9)
+    assert back.method_tag == method_tag and back.tags == level.tags
+    for resume in (evolve_m1, evolve_m2):
+        assert resume(back, 11) == resume(level, 11)
 
 
 def test_snapshot_expected_weight_is_enforced():
     text = '{"n": 2, "parts": [2], "tag": "Seed"}\n'
     with pytest.raises(SnapshotError, match="line 1: weight 2 differs"):
-        read_snapshot(io.StringIO(text), method_tag="oracle", expected_n=3)
+        read_snapshot(io.StringIO(text), expected_n=3)
 
 
 def test_empty_snapshot_is_an_error():
     with pytest.raises(SnapshotError, match="empty"):
-        read_snapshot(io.StringIO(""), method_tag="oracle")
+        read_snapshot(io.StringIO(""))
 
 
 # A first line that gives the bulk reader no weight to render lines with:
@@ -460,7 +485,7 @@ def test_empty_snapshot_is_an_error():
 def test_a_first_line_without_a_weight_to_render_falls_to_the_scan(
         line, message):
     with pytest.raises(SnapshotError) as refused:
-        read_snapshot([line], method_tag="oracle")
+        read_snapshot([line])
     assert str(refused.value) == message
 
 
@@ -477,7 +502,7 @@ def test_a_first_line_without_a_weight_to_render_falls_to_the_scan(
 ])
 def test_weight_zero_snapshot_errors_name_the_line(lines, message):
     with pytest.raises(SnapshotError) as refused:
-        read_snapshot(lines, method_tag="oracle")
+        read_snapshot(lines)
     assert str(refused.value) == message
 
 
@@ -509,8 +534,8 @@ def test_a_written_snapshot_is_read_without_json_records(monkeypatch,
     monkeypatch.setattr(partition_evolve.level.json, "loads", loads)
     monkeypatch.setattr(partition_evolve.level, "_scan_lines", scan)
     buffer.seek(0)
-    back = read_snapshot(buffer, method_tag="method1", expected_n=expected_n)
-    assert back == level and back.tags == level.tags
+    back = read_snapshot(buffer, expected_n=expected_n)
+    assert back == level and back.method_tag == "method1"
     assert not _holds_a_record(loaded)
 
 
@@ -535,7 +560,7 @@ def test_snapshot_reader_fails_only_with_snapshot_errors(lines):
     # Lines never hold a newline: the reader would split them further.
     lines = [line.replace("\n", " ") + "\n" for line in lines]
     try:
-        level = read_snapshot(lines, method_tag="oracle")
+        level = read_snapshot(lines)
     except SnapshotError as exc:
         message = str(exc)
         if message == "snapshot is empty":
@@ -546,20 +571,20 @@ def test_snapshot_reader_fails_only_with_snapshot_errors(lines):
         # The complaint is about that line: reading only the lines up to
         # it gives the same error.
         with pytest.raises(SnapshotError) as again:
-            read_snapshot(lines[:lineno], method_tag="oracle")
+            read_snapshot(lines[:lineno])
         assert str(again.value) == message
     else:
         assert 0 < len(level) == len(set(level.partitions))
 
 
 def _outcome(read):
-    """What a reader makes of some lines: the level's weight, members and
-    tags, or its error text."""
+    """What a reader makes of some lines: the level's weight, members,
+    tags and method tag, or its error text."""
     try:
         level = read()
     except SnapshotError as exc:
         return str(exc)
-    return level.n, level.raw_members(), level.tags
+    return level.n, level.raw_members(), level.tags, level.method_tag
 
 
 def _mostly(common, rare):
@@ -633,12 +658,13 @@ def _snapshots(draw):
     return lines, draw(st.sampled_from([None, n, n + 1]))
 
 
-@given(_snapshots(), st.sampled_from(METHOD_TAGS))
-def test_bulk_reader_and_scan_agree(snapshot, method_tag):
+@given(_snapshots())
+def test_bulk_reader_and_scan_agree(snapshot):
+    # Tags of more than one rule are refused by both, with one message.
     lines, expected_n = snapshot
     assert _outcome(lambda: read_snapshot(
-        lines, method_tag=method_tag, expected_n=expected_n)) == _outcome(
-        lambda: _scan_lines(lines, method_tag, expected_n))
+        lines, expected_n=expected_n)) == _outcome(
+        lambda: _scan_lines(lines, expected_n))
 
 
 # Lines whose records do not fall one to a line, though the lines joined
@@ -665,12 +691,13 @@ def test_records_not_one_to_a_line_are_refused_by_the_scan(lines, message):
     # The lines joined into an array parse: the bulk reader refuses them.
     json.loads("[" + ",".join(lines) + "]")
     with pytest.raises(SnapshotError) as refused:
-        read_snapshot(lines, method_tag="method1")
+        read_snapshot(lines)
     assert str(refused.value) == message
 
 
-# Which tags a reader accepts on a member of each shape: Seed always, and
-# the tag that either rule gives the member.
+# Which tags a reader accepts on the one line of a snapshot, by the shape
+# of its member: Seed always, and the tag that either method's rule gives
+# the member.
 _ACCEPTED_TAGS = [
     ([], {"Seed"}),
     ([2, 1], {"Seed", "AddedUnit"}),
@@ -685,15 +712,22 @@ _ACCEPTED_TAGS = [
 @pytest.mark.parametrize("parts,accepted", _ACCEPTED_TAGS)
 @pytest.mark.parametrize("method_tag", METHOD_TAGS)
 def test_readers_accept_the_tags_a_rule_gives(parts, accepted, method_tag):
+    # The tag that the rule of ``method_tag`` gives is accepted, and the
+    # level read carries that rule, or one before it in METHOD_TAGS that
+    # gives the same tag.
+    own = rule_tags(sum(parts), [encode_parts(parts)], method_tag)[0]
+    assert own in accepted
     for tag in TAG_ORDER:
         line = json.dumps({"n": sum(parts), "parts": parts, "tag": tag})
-        for read in (lambda lines: read_snapshot(lines, method_tag=method_tag),
-                     lambda lines: _scan_lines(lines, method_tag, None)):
+        for read in (read_snapshot, lambda lines: _scan_lines(lines, None)):
             try:
-                read([line + "\n"])
+                level = read([line + "\n"])
             except SnapshotError as exc:
                 assert tag not in accepted
                 assert str(exc) == (
                     f"line 1: tag {tag!r} does not fit parts {parts}")
             else:
-                assert tag in accepted
+                assert tag in accepted and level.tags == (tag,)
+                if tag == own:
+                    assert (METHOD_TAGS.index(level.method_tag)
+                            <= METHOD_TAGS.index(method_tag))

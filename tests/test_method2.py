@@ -128,7 +128,7 @@ def test_parts_past_255_evolve_like_the_per_partition_rule():
     # Parts past 255 have no Latin-1 byte, so the level's one-pass check
     # falls back to its per-member scan; members must come out as the
     # rule grows them all the same.
-    start = Level(300, [chr(300)], ("Seed",), "method2")
+    start = Level(300, [chr(300)], "oracle")
     expected = {Partition((300,)): "Seed"}
     for n in range(301, 304):
         expected = {successor: tag for member in expected

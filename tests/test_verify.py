@@ -330,6 +330,14 @@ _SABOTAGE = [
     (_pure, "pred_m1",
      lambda real: _wrong_predecessor(real, 6, lambda m: m[-1] == "\x01"), {
         3: "n=5: predecessor(5+1)=1+1+1+1+1 but it was produced by 5"}),
+    # Level 0 is empty: one evolution check at weight 0 finds it for
+    # equivalence, and the mixed run, which starts at weight 1, fails there.
+    (_pure, "enumerate_level", lambda real: (
+        lambda n: [] if n == 0 else real(n)), {
+        3: "n=0: successor union is missing 1",
+        4: "n=0: successor union is missing 1",
+        5: "n=0: method1 vs enumeration, lengths differ: 1 vs 0",
+        6: "n=1: lengths differ: 0 vs 1"}),
 ]
 _SABOTAGE_IDS = [
     "step_m2-odd", "step_m2-even", "step_m1-odd", "predecessor_m2",
@@ -339,7 +347,8 @@ _SABOTAGE_IDS = [
     "step_m1-unit-ending-head", "enumerate_level-all-units",
     "step_m2-wrong-weight", "count_oracle", "coefficient_rows",
     "step_m1-repeated-last-head", "step_m2-repeated-last-head",
-    "enumerate_level-no-single-part", "pred_m1-unit-ending"]
+    "enumerate_level-no-single-part", "pred_m1-unit-ending",
+    "enumerate_level-empty-level-0"]
 
 
 @pytest.mark.parametrize("module,name,sabotage,failures", _SABOTAGE,
