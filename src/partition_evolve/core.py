@@ -192,20 +192,22 @@ def decimal_value(text: str) -> int | None:
         return None
 
 
+def _cut(text: str, shown: str) -> str:
+    """``shown``, then the length of ``text`` if past 40 characters."""
+    return (shown if len(text) <= _QUOTED_CHARS
+            else f"{shown}... ({len(text)} characters)")
+
+
 def quote_text(text: str) -> str:
     """``text`` quoted for an error message: its repr, cut to the first
     40 characters and followed by its length when longer."""
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+    return _cut(text, repr(text[:_QUOTED_CHARS]))
 
 
 def quote_value(value: object) -> str:
     """``value``'s repr for an error message, cut as ``quote_text`` is."""
     text = repr(value)
-    if len(text) <= _QUOTED_CHARS:
-        return text
-    return f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
+    return _cut(text, text[:_QUOTED_CHARS])
 
 
 def smallest_part_once(member: str) -> bool:

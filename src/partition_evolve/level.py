@@ -415,13 +415,13 @@ def _read_chunks(lines: list[str], expected_n: int | None
         except KeyError:
             raise ValueError("a part that the writer never writes") from None
         chunk_members = codes.decode("latin-1").split("\0")[:-1]
-        # The parts descend when the only ascents are from each separator
-        # into the next member's first part (a level of weight 0 holds
-        # one member).
-        if len(chunk) != len(chunk_members) or sum(
-                map(lt, codes, codes[1:])) != len(chunk) - 1:
-            raise ValueError("not one member of descending parts a line")
         tags = tuple(fields[1::2])
+        # The parts descend when the only ascents are from each separator
+        # into the next member's first part (a level of weight 0 holds one
+        # member); with a tag a line, no member past weight 0 is empty.
+        if not len(chunk) == len(chunk_members) == len(tags) or sum(
+                map(lt, codes, codes[1:])) != len(chunk) - 1:
+            raise ValueError("not one descending member and tag a line")
         rules = [rule for rule in rules
                  if rule_tags(level_n, chunk_members, rule) == tags]
         if not rules:

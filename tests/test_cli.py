@@ -604,6 +604,18 @@ def test_a_snapshot_of_two_rules_is_refused(run_cli, tmp_path, to_n):
     assert [p.name for p in tmp_path.iterdir()] == ["mixed.jsonl"]
 
 
+def test_a_member_without_a_tag_is_refused(run_cli, tmp_path):
+    # A part 0 splits line 1 into two members, with line 2's text after
+    # its head read as line 1's tag: one tag for two members.
+    snap = tmp_path / "cut.jsonl"
+    snap.write_text('{"n": 3, "parts": [1, 2, 0"}\n'
+                    '{"n": 3, "parts": [x"}\n')
+    code, out, err = run_cli("evolve", 3, 4, "--method", 1,
+                             "--snapshot-in", snap)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: not valid JSON")
+
+
 def test_a_rule_broken_past_the_first_read_chunk_is_refused(run_cli,
                                                             tmp_path):
     snap = tmp_path / "level26.jsonl"

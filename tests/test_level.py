@@ -593,28 +593,36 @@ def _mostly(common, rare):
 
 
 @st.composite
-def _records(draw, n):
-    """A JSON record near one of weight n: parts 0 and past 255 among its
-    parts, and now and then a junk weight, parts list or tag."""
+def _records(draw, n, rule, faults=True):
+    """A JSON record near one of weight n, tagged mostly as ``rule`` tags
+    its parts: with ``faults``, parts 0 and past 255 among its parts, and
+    now and then a junk weight, parts list or tag."""
+    mostly = _mostly if faults else lambda common, rare: common
     part = st.one_of(st.integers(1, 5), st.integers(250, 300))
-    parts = draw(st.lists(_mostly(part, st.just(0)), max_size=4))
-    if draw(_mostly(st.just(True), st.just(False))):
+    parts = draw(st.lists(mostly(part, st.just(0)), max_size=4))
+    if draw(mostly(st.just(True), st.just(False))):
         parts = _fill(parts, n)
-    # Seed fits every member, and one tag in two fits a given member.
-    tags = st.one_of(st.just("Seed"), st.sampled_from(TAG_ORDER))
+        # Or the units as one part, so that members end in other parts.
+        units = parts.count(1)
+        if units > 1 and draw(st.booleans()):
+            parts = sorted(parts[:-units] + [units], reverse=True)
+    # The rule's tag; or a random one, which may be another rule's.
+    member = "".join(map(chr, parts))
+    own = rule_tags(n, [member], rule)[0] if member else "Seed"
+    tags = _mostly(st.just(own), st.sampled_from(TAG_ORDER))
     # Tags holding the texts at which the bulk reader cuts a line.
     cut = st.sampled_from(['x], "tag": "Seed', 'Seed"}\n{"n": %d, "parts": ['
                            % n, "Seed\"}\n"])
     return json.dumps({
-        "n": draw(_mostly(st.just(n), st.one_of(st.just(n + 1),
-                                                _JSON_SCALARS))),
-        "parts": draw(_mostly(st.just(parts), _JSON_SCALARS)),
-        "tag": draw(_mostly(tags, st.one_of(st.just("Odd"), cut,
-                                            _JSON_SCALARS)))})
+        "n": draw(mostly(st.just(n), st.one_of(st.just(n + 1),
+                                               _JSON_SCALARS))),
+        "parts": draw(mostly(st.just(parts), _JSON_SCALARS)),
+        "tag": draw(mostly(tags, st.one_of(st.just("Odd"), cut,
+                                           _JSON_SCALARS)))})
 
 
 @st.composite
-def _misaligned(draw, n):
+def _misaligned(draw, n, rule):
     """Lines near records of weight n that are not one canonical record per
     line, the layout the bulk reader takes a chunk at a time: a record
     split across two lines beside a line of two records, and a brace in a
@@ -622,8 +630,8 @@ def _misaligned(draw, n):
     records or braces as lines; a nested object; a brace in a string;
     leading spaces; trailing whitespace that str.strip removes but JSON
     refuses; a first part with a leading zero, which JSON refuses."""
-    record = draw(_records(n))
-    other = draw(_records(n))
+    record = draw(_records(n, rule))
+    other = draw(_records(n, rule))
     cut = record.index(', "tag"')
     return draw(st.sampled_from([
         [record[:cut], record[cut + 2:], other + ", " + other],
@@ -640,17 +648,24 @@ def _misaligned(draw, n):
 
 @st.composite
 def _snapshots(draw):
-    """A few lines near a snapshot of one weight, some of them no record
-    at all or not one canonical record per line, and the weight the reader
-    expects.  The lines end in a newline, or in nothing, as a caller may
-    pass them; only then can a string run from one line into the next.  Or
+    """A few lines near a snapshot of one weight and rule, and the weight
+    the reader expects.  One file in two has faults: records with faults,
+    and lines that are no record at all or not one canonical record per
+    line.  The lines end in a newline, or in nothing, as a caller may pass
+    them; only then can a string run from one line into the next.  Or
     only the last line lacks its newline, as in a file cut short."""
     n = draw(st.sampled_from([0, 1, 3, 5, 300]))
+    rule = draw(st.sampled_from(METHOD_TAGS))
     junk = st.sampled_from(["{}", "[]", "null", "", "7"]).map(
         lambda line: [line])
-    groups = draw(st.lists(_mostly(_records(n).map(lambda line: [line]),
-                                   st.one_of(junk, _misaligned(n))),
-                           max_size=6))
+    if draw(st.booleans()):
+        groups = draw(st.lists(_mostly(
+            _records(n, rule).map(lambda line: [line]),
+            st.one_of(junk, _misaligned(n, rule))), max_size=6))
+    else:
+        groups = [[line] for line in draw(st.lists(
+            _records(n, rule, faults=False), min_size=1, max_size=6,
+            unique_by=lambda line: line[:line.index("]")]))]
     end = draw(st.sampled_from(["\n", ""]))
     lines = [line + end for group in groups for line in group]
     if lines and draw(st.booleans()):
@@ -660,7 +675,9 @@ def _snapshots(draw):
 
 @given(_snapshots())
 def test_bulk_reader_and_scan_agree(snapshot):
-    # Tags of more than one rule are refused by both, with one message.
+    # Most lines carry their file's rule's tag, so that files of each rule
+    # are accepted; tags of more than one rule are refused by both, with
+    # one message.
     lines, expected_n = snapshot
     assert _outcome(lambda: read_snapshot(
         lines, expected_n=expected_n)) == _outcome(
@@ -693,6 +710,25 @@ def test_records_not_one_to_a_line_are_refused_by_the_scan(lines, message):
     with pytest.raises(SnapshotError) as refused:
         read_snapshot(lines)
     assert str(refused.value) == message
+
+
+# A part 0 splits line 1 into two members, and line 2's text after its
+# head reads as line 1's tag: as many members as lines, but one tag.  The
+# bulk reader must refuse it before it derives the tags of the empty
+# member, which ``rule_tags`` cannot at a weight past 0.
+_MEMBER_WITHOUT_A_TAG = ['{"n": 3, "parts": [1, 2, 0"}\n',
+                         '{"n": 3, "parts": [x"}\n']
+
+
+def test_a_member_without_a_tag_is_refused_by_both_readers():
+    with pytest.raises(ValueError):
+        _read_chunks(_MEMBER_WITHOUT_A_TAG, None)
+    message = ("line 1: not valid JSON (Expecting ',' delimiter: line 1 "
+               "column 27 (char 26))")
+    for read in (read_snapshot, lambda lines: _scan_lines(lines, None)):
+        with pytest.raises(SnapshotError) as refused:
+            read(_MEMBER_WITHOUT_A_TAG)
+        assert str(refused.value) == message
 
 
 # Which tags a reader accepts on the one line of a snapshot, by the shape
