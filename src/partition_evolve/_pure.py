@@ -137,35 +137,30 @@ def enumerate_level(n: int) -> list:
     TAOCP 4A, 7.2.1.4: descending-lexicographic within one weight).
 
     Canonical order falls out of choosing the largest part from
-    min(remainder, bound) down to 1; no sort is needed.  Levels 0..
-    ``_TABLE_TOP`` come from a table that is built the same way on the
-    first call.  Above it, the largest parts are chosen one at a time while
-    the remainder exceeds the table, and the rest of each member is the
-    suffix of the remainder's tabled level whose first part is within the
-    bound.  A remainder with bound 1 can only be filled with units, so
-    that branch is written out.  Each call returns a new list.
+    min(remainder, bound) down to 1; no sort is needed.  The largest parts
+    are chosen one at a time while the remainder exceeds the table of
+    levels 0..``_TABLE_TOP``, and the rest of each member is the suffix of
+    the remainder's tabled level whose first part is within the bound.  A
+    remainder with bound 1 can only be filled with units, so that branch
+    is written out.  The same descent builds the table on the first call.
+    Each call returns a new list.
     """
     if n < 0:
         raise ValueError(f"cannot enumerate partitions of {n}")
-    table = _table or _build_table()
-    if n <= _TABLE_TOP:
-        return list(table[n])
     out: list = []
-    _descend(out, table, "", n, n)
+    _descend(out, _table or _build_table(), "", n, n)
     return out
 
 
 def _build_table() -> list:
-    # Level k is, for each first part p from k down to 1, p followed by the
-    # members of level k-p whose first part is at most p.  The loop reads
-    # only the levels it has built, never enumerate_level.
+    # Level k is the descent from k over levels 0..k-1, the only ones
+    # tabled yet: first parts k..2, each followed by a tabled suffix, then
+    # the all-units member.  The build reads only the levels it has built,
+    # never enumerate_level.
     levels: list = [("",)]
     for k in range(1, _TABLE_TOP + 1):
         level: list = []
-        for part in range(k, 0, -1):
-            first = chr(part)
-            level += [first + rest
-                      for rest in _within(levels[k - part], k - part, part)]
+        _descend(level, levels, "", k, k)
         levels.append(tuple(level))
     _table[:] = levels
     return _table
@@ -188,7 +183,7 @@ def _descend(out: list, table: list, prefix: str, remainder: int,
     # A module-level function, not a closure: a nested function that calls
     # itself is a reference cycle, which would hold every finished level
     # until the cyclic garbage collector ran.
-    if remainder <= _TABLE_TOP:
+    if remainder < len(table):
         out += [prefix + rest
                 for rest in _within(table[remainder], remainder, bound)]
         return

@@ -2,7 +2,7 @@
 
 Neither routine here knows about successor rules or builds a power
 series.  The enumerator chooses the largest part first and takes what
-remains from a table of small levels built the same way, by first part
+remains from a table of small levels that the same descent builds
 (``_pure.enumerate_level``); the counter runs Euler's pentagonal-number
 recurrence, which shares no loop with the series module's products.
 Both exist so the evolution methods and the series module have

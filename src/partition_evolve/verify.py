@@ -44,6 +44,8 @@ def run_suite(max_n: int, *, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Run every check up to ``max_n`` and return the combined report."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     bound = min(max_n, cap)
     rows = coefficient_rows(max_n)
     p = [row[1] for row in rows]
@@ -203,19 +205,19 @@ def _inverts(pred, new, second, previous, units, explicit, sources) -> bool:
     cut = len(new) - second
     try:
         return (cut == len(explicit) and new[:cut] == explicit
-                and all(_refuses(pred, single) for single in explicit)
+                and all(_back(pred, single) is None for single in explicit)
                 and all(map(eq, map(pred, units), previous))
                 and sorted(map(pred, new[cut:]), reverse=True) == sources)
     except NoPredecessorError:
         return False
 
 
-def _refuses(pred, member: str) -> bool:
+def _back(pred, member: str) -> str | None:
+    """``pred(member)``, or None when ``pred`` refuses ``member``."""
     try:
-        pred(member)
+        return pred(member)
     except NoPredecessorError:
-        return True
-    return False
+        return None
 
 
 def _second_block(new: list[str], second: int) -> list[str]:
@@ -262,11 +264,8 @@ def _counterexample(n, step, pred, previous, members, new, second, explicit):
         if single in produced:
             return (f"n={n}: rule produced the excluded single-part "
                     f"{member_text(single)} from {produced[single]}")
-        try:
-            wrong = pred(single)
-        except NoPredecessorError:
-            pass
-        else:
+        wrong = _back(pred, single)
+        if wrong is not None:
             return (f"n={n}: predecessor({member_text(single)}) gave "
                     f"{member_text(wrong)}, expected a refusal")
     # The explicit heads are grown too: a level without one holds it extra.
@@ -289,14 +288,10 @@ def _counterexample(n, step, pred, previous, members, new, second, explicit):
 
 
 def _round_trip(n: int, pred, successor: str, source: str) -> str | None:
-    try:
-        back = pred(successor)
-    except NoPredecessorError:
-        got = " refused"
-    else:
-        if back == source:
-            return None
-        got = f"={member_text(back)}"
+    back = _back(pred, successor)
+    if back == source:
+        return None
+    got = " refused" if back is None else f"={member_text(back)}"
     return (f"n={n}: predecessor({member_text(successor)}){got} but it was "
             f"produced by {member_text(source)}")
 

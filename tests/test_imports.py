@@ -1,9 +1,10 @@
-"""An import guard: every name a module of the package imports is used in
-that module, so an edit that orphans an import fails here.
+"""An import guard: every name a module of the package or of these tests
+imports is used in that module, so an edit that orphans an import fails
+here.
 
-The exceptions are names the benchmark looks up on a module (see
-``test_verify.BENCHMARK_HOOKS``) and the package's re-exports, which must
-be exactly ``__all__``.
+The exceptions, in the package only, are names the benchmark looks up on a
+module (see ``test_verify.BENCHMARK_HOOKS``) and the package's re-exports,
+which must be exactly ``__all__``.
 """
 
 import ast
@@ -16,8 +17,10 @@ import partition_evolve
 
 from test_verify import BENCHMARK_HOOKS
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "partition_evolve"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "partition_evolve"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(path.stem for path in TESTS.glob("*.py"))
 
 # The names the benchmark looks up on each module, which may stay unused.
 _HOOKED = defaultdict(set)
@@ -26,8 +29,8 @@ for _path in BENCHMARK_HOOKS:
     _HOOKED[_module or "__init__"].add(_name)
 
 
-def _tree(module):
-    return ast.parse((PACKAGE / f"{module}.py").read_text(), module)
+def _tree(module, directory=PACKAGE):
+    return ast.parse((directory / f"{module}.py").read_text(), module)
 
 
 def _imported(tree):
@@ -61,6 +64,13 @@ def test_every_imported_name_is_used(module):
     tree = _tree(module)
     unused = _imported(tree) - _used(tree) - _all(tree)
     assert unused <= _HOOKED[module], sorted(unused - _HOOKED[module])
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_every_name_a_test_module_imports_is_used(module):
+    tree = _tree(module, TESTS)
+    unused = _imported(tree) - _used(tree)
+    assert not unused, sorted(unused)
 
 
 def test_the_package_reexports_exactly_its_all():

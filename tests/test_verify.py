@@ -44,6 +44,12 @@ def test_max_n_must_be_positive():
         run_suite(0)
 
 
+def test_cap_must_be_nonnegative():
+    # A negative cap would enumerate nothing and still report PASS.
+    with pytest.raises(ValueError, match="cap"):
+        run_suite(5, cap=-1)
+
+
 def test_cap_bounds_the_enumeration_checks():
     report = run_suite(10, cap=4)
     scopes = {c.name: c.scope for c in report.checks}
@@ -338,6 +344,12 @@ _SABOTAGE = [
         4: "n=0: successor union is missing 1",
         5: "n=0: method1 vs enumeration, lengths differ: 1 vs 0",
         6: "n=1: lengths differ: 0 vs 1"}),
+    # The kind test drops 3+1 while the step still grows level 5: only the
+    # inverse's image of the new heads disagrees.
+    (verify, "collectable",
+     lambda real: lambda m: real(m) and m != "\x03\x01", {
+        4: "n=4: the new heads' predecessors are not the second-kind "
+           "partitions of 4"}),
 ]
 _SABOTAGE_IDS = [
     "step_m2-odd", "step_m2-even", "step_m1-odd", "predecessor_m2",
@@ -348,7 +360,7 @@ _SABOTAGE_IDS = [
     "step_m2-wrong-weight", "count_oracle", "coefficient_rows",
     "step_m1-repeated-last-head", "step_m2-repeated-last-head",
     "enumerate_level-no-single-part", "pred_m1-unit-ending",
-    "enumerate_level-empty-level-0"]
+    "enumerate_level-empty-level-0", "collectable"]
 
 
 @pytest.mark.parametrize("module,name,sabotage,failures", _SABOTAGE,
@@ -415,7 +427,8 @@ def _set_based_bijection(pred, new, second, previous, units, tops, explicit,
         return (len(unique) == len(block)
                 and unique == set(tops).difference(explicit)
                 and len(previous) == len(units)
-                and all(verify._refuses(pred, single) for single in explicit)
+                and all(verify._back(pred, single) is None
+                        for single in explicit)
                 and all(map(eq, map(pred, units), previous))
                 and sorted(map(pred, block), reverse=True) == sources)
     except NoPredecessorError:
