@@ -25,16 +25,19 @@ in ``level.Level.from_raw`` as one sorted run per weight and last part,
 which the sort merges; the sort and the level's check still decide the
 order and refuse duplicates, whatever order a kernel returns.
 
-Each rule's inverse, ``pred_m1`` and ``pred_m2``, takes one member string
-and is written apart from the step kernels, so that ``verify`` can check
-one against the other.  The enumerator, ``enumerate_level``, shares no
-code with either: it lists a level by first part, from a table of the
-small levels that it builds itself.
+Each rule's inverse, ``pred_m1`` and ``pred_m2``, maps a list of member
+strings to their predecessors in one comprehension, so that ``verify``
+asks it about a whole block of a level in one call; a single member is a
+one-member list.  The inverses are written apart from the step kernels,
+so that ``verify`` can check one against the other.  The enumerator,
+``enumerate_level``, shares no code with either: it lists a level by
+first part, from a table of the small levels that it builds itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NoReturn
 
 from .core import NoPredecessorError
 
@@ -90,37 +93,44 @@ def step_m2(heads: list) -> tuple[list, int]:
     return out, len(out) - 1
 
 
-def pred_m1(member: str) -> str:
-    """The member the first rule grew ``member`` from.
+def pred_m1(members: list) -> list:
+    """The members the first rule grew ``members`` from, in order.
 
     Last part 1: drop it.  Any other last part: lower it by 1.  Only the
-    empty partition has no predecessor.
+    empty partition has no predecessor; it raises NoPredecessorError.
     """
-    if not member:
-        raise NoPredecessorError("the empty partition has no predecessor")
-    last = ord(member[-1])
-    if last == 1:
-        return member[:-1]
-    return member[:-1] + chr(last - 1)
+    try:
+        return [m[:-1] if m[-1] == "\x01" else m[:-1] + chr(ord(m[-1]) - 1)
+                for m in members]
+    except IndexError:
+        # m[-1] of the empty member.
+        raise NoPredecessorError(
+            "the empty partition has no predecessor") from None
 
 
-def pred_m2(member: str) -> str:
-    """The member the second rule grew ``member`` from.
+def pred_m2(members: list) -> list:
+    """The members the second rule grew ``members`` from, in order.
 
     Last part 1: drop it.  Last part a > 1 after other parts: replace it
     by a-1 units.  A single part of 2 or more is added explicitly, never
-    grown, and the empty partition has no predecessor; both refuse.
+    grown, and the empty partition has no predecessor; the first member
+    of either sort raises NoPredecessorError.
     """
-    if not member:
-        raise NoPredecessorError("the empty partition has no predecessor")
-    last = ord(member[-1])
-    if last == 1:
-        return member[:-1]
-    if len(member) == 1:
+    try:
+        return [m[:-1] if m[-1] == "\x01"
+                else (m[:-1] or _single_part(m)) + "\x01" * (ord(m[-1]) - 1)
+                for m in members]
+    except IndexError:
         raise NoPredecessorError(
-            f"{last} is the single-part partition of {last}; it is added "
-            "explicitly at its weight, not grown from a predecessor")
-    return member[:-1] + "\x01" * (last - 1)
+            "the empty partition has no predecessor") from None
+
+
+def _single_part(member: str) -> NoReturn:
+    # pred_m2 reaches this only for a single part of 2 or more.
+    part = ord(member)
+    raise NoPredecessorError(
+        f"{part} is the single-part partition of {part}; it is added "
+        "explicitly at its weight, not grown from a predecessor")
 
 
 # The enumerator's table holds levels 0.._TABLE_TOP, built on the first

@@ -179,10 +179,13 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     members = enumerate_oracle(args.n, cap=cap).raw_members()
-    second = smallest_part_once if args.method == 1 else collectable
+    second = (smallest_part_once if args.method == 1
+              else collectable)(members)
+    chosen = set(second)
     for label, kind, group in (
-            ("Group 1", Kind.FIRST, list(filterfalse(second, members))),
-            ("Group 2", Kind.SECOND, list(filter(second, members)))):
+            ("Group 1", Kind.FIRST,
+             list(filterfalse(chosen.__contains__, members))),
+            ("Group 2", Kind.SECOND, second)):
         print(f"{label} ({kind.value}): {len(group)} partitions")
         for member in group:
             print(f"  {member_text(member)}")

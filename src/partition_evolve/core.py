@@ -1,6 +1,6 @@
 """Canonical partition values, their text format, ordering, the member
 encoding that levels and kernels work in, and the two kind tests on
-member strings that drive the successor rules.
+lists of member strings that drive the successor rules.
 
 Everything here is an immutable value; instances can be shared freely
 across threads.
@@ -210,30 +210,29 @@ def quote_value(value: object) -> str:
     return _cut(text, text[:_QUOTED_CHARS])
 
 
-def smallest_part_once(member: str) -> bool:
-    """Method 1's second kind, and the partitions Q(n) counts: the
-    smallest part occurs once, so a single part, or a last part below the
-    one before it.  The empty partition is not one, so that evolving
-    weight 0 yields exactly the one partition of 1."""
-    return len(member) == 1 or len(member) > 1 and member[-1] < member[-2]
+def smallest_part_once(members: list[str]) -> list[str]:
+    """The members of method 1's second kind, in order; Q(n) counts them
+    in level n.  The smallest part occurs once: a single part, or a last
+    part below the one before it.  The empty partition is not one, so
+    that evolving weight 0 yields exactly the one partition of 1."""
+    return [m for m in members if m[-1:] < m[-2:-1] or len(m) == 1]
 
 
-def collectable(member: str) -> bool:
-    """Method 2's second kind: u units, 1 <= u < the smallest non-unit
-    part.  Partitions with no units, with nothing but units, and the empty
-    partition are not."""
-    head = member.rstrip("\x01")
-    units = len(member) - len(head)
-    return head != "" and 0 < units < ord(head[-1])
+def collectable(members: list[str]) -> list[str]:
+    """The members of method 2's second kind, in order: u units, 1 <= u <
+    the smallest non-unit part.  Partitions with no units, with nothing
+    but units, and the empty partition are not."""
+    return [m for m in members if (head := m.rstrip("\x01"))
+            and 0 < len(m) - len(head) < ord(head[-1])]
 
 
 def classify_m1(p: Partition) -> Kind:
     """Method-1 kind of ``p``: SECOND iff ``smallest_part_once``."""
-    second = smallest_part_once(partition_member(p))
+    second = smallest_part_once([partition_member(p)])
     return Kind.SECOND if second else Kind.FIRST
 
 
 def classify_m2(p: Partition) -> Kind:
     """Method-2 kind of ``p``: SECOND iff ``collectable``."""
-    second = collectable(partition_member(p))
+    second = collectable([partition_member(p)])
     return Kind.SECOND if second else Kind.FIRST

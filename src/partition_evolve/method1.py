@@ -34,9 +34,11 @@ def successors_m1(p: Partition) -> frozenset[Partition]:
 
 def predecessor_m1(p: Partition) -> Partition:
     """The unique partition this rule grew ``p`` from: ``_pure.pred_m1``
-    on ``p``'s member, which states the rule and its refusals."""
+    on the one-member list of ``p``'s member, which states the rule and
+    its refusals."""
     return Partition._from_canonical(
-        decode_member(_pure.pred_m1(partition_member(p))), p.weight - 1)
+        decode_member(_pure.pred_m1([partition_member(p)])[0]),
+        p.weight - 1)
 
 
 def evolve_m1(start: Level, target_n: int, *,

@@ -37,10 +37,11 @@ def successors_m2(p: Partition) -> frozenset[Partition]:
 
 def predecessor_m2(p: Partition) -> Partition:
     """The unique partition the second rule grew ``p`` from:
-    ``_pure.pred_m2`` on ``p``'s member, which states the rule and its
-    refusals (NoPredecessorError)."""
+    ``_pure.pred_m2`` on the one-member list of ``p``'s member, which
+    states the rule and its refusals (NoPredecessorError)."""
     return Partition._from_canonical(
-        decode_member(_pure.pred_m2(partition_member(p))), p.weight - 1)
+        decode_member(_pure.pred_m2([partition_member(p)])[0]),
+        p.weight - 1)
 
 
 def evolve_m2(start: Level, target_n: int, *,

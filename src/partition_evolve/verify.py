@@ -10,8 +10,9 @@ Each step check runs the step kernels that write the output
 (``_pure.step_m1``, ``_pure.step_m2``) on member strings.  One block
 comparison per method decides whether a step grows the next level; the
 bijection checks add each rule's inverse (``_pure.pred_m1``,
-``_pure.pred_m2``).  Which members are of a method's second kind is
-decided by the kind tests on member strings (``core.smallest_part_once``,
+``_pure.pred_m2``), asked about whole blocks of members, never one member
+per call.  Which members are of a method's second kind is decided by the
+kind tests on member lists (``core.smallest_part_once``,
 ``core.collectable``), which share nothing with the kernels.
 
 Series checks run to ``max_n``; anything that enumerates partitions is
@@ -20,8 +21,8 @@ bounded by ``min(max_n, cap)``.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import add, eq, methodcaller, not_
+from itertools import repeat
+from operator import add, eq
 
 from . import _pure
 from .core import (NoPredecessorError, collectable, member_text,
@@ -37,7 +38,9 @@ from .oracle import DEFAULT_CAP, count_oracle, enumerate_oracle
 from .report import CheckResult, VerificationReport
 from .series import coefficient_rows, recurrence_violations
 
-_ends_in_unit = methodcaller("endswith", "\x01")
+# Level n's unit-ending members are inverted this many at a time, so that
+# no list of a whole level's predecessors is held.
+_CHUNK = 8192
 
 
 def run_suite(max_n: int, *, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -116,7 +119,7 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
         members = enumerate_oracle(n, cap=cap).raw_members()
         # Q(n) counts these; they are also method 1's second kind, which
         # the method-1 round trip at weight n+1 needs.
-        once = list(filter(smallest_part_once, members))
+        once = smallest_part_once(members)
         if failures[0] is None and len(once) != q[n]:
             failures[0] = (f"n={n}: Q(n)={q[n]} but enumeration finds "
                            f"{len(once)} second-kind partitions")
@@ -159,7 +162,7 @@ def _step_checks(n: int, previous: list[str], previous_once: list[str],
         if failures[method] is None and not (grows and _inverts(
                 pred, new, second, previous, units, explicit,
                 previous_once if method == 1
-                else list(filter(collectable, previous)))):
+                else collectable(previous))):
             failures[method] = _counterexample(
                 n - 1, step, pred, previous, members, new, second, explicit)
         # Only a level that does not grow equal is rendered, to word the
@@ -171,10 +174,12 @@ def _step_checks(n: int, previous: list[str], previous_once: list[str],
 def _unit_split(members: list[str]) -> tuple[list[str], list[str]]:
     """The members of level n that end in a unit, and the rest (the heads
     of weight n), each in canonical order."""
-    # One byte per member, not a pointer.
-    flags = bytes(map(_ends_in_unit, members))
-    return (list(compress(members, flags)),
-            list(compress(members, map(not_, flags))))
+    # One pass over the level: two comprehensions measured slower.
+    units: list[str] = []
+    tops: list[str] = []
+    for m in members:
+        (units if m[-1:] == "\x01" else tops).append(m)
+    return units, tops
 
 
 def _appends_unit(previous: list[str], units: list[str]) -> bool:
@@ -198,24 +203,27 @@ def _inverts(pred, new, second, previous, units, explicit, sources) -> bool:
     from level n-1, ``previous``, with the new heads ``new``.
 
     The ``explicit`` heads lead, and ``pred`` refuses them.  ``pred`` maps
-    ``units`` onto level n-1 in order, and the last ``second`` heads, which
-    are level n's other unit-free members once each, one-to-one onto
-    ``sources``, the members of level n-1 of the method's second kind.
+    ``units`` onto level n-1 in order, a chunk at a time, and the last
+    ``second`` heads, which are level n's other unit-free members once
+    each, one-to-one onto ``sources``, the members of level n-1 of the
+    method's second kind.
     """
     cut = len(new) - second
     try:
         return (cut == len(explicit) and new[:cut] == explicit
                 and all(_back(pred, single) is None for single in explicit)
-                and all(map(eq, map(pred, units), previous))
-                and sorted(map(pred, new[cut:]), reverse=True) == sources)
+                and all(pred(units[i:i + _CHUNK]) == previous[i:i + _CHUNK]
+                        for i in range(0, len(units), _CHUNK))
+                and sorted(pred(new[cut:]), reverse=True) == sources)
     except NoPredecessorError:
         return False
 
 
 def _back(pred, member: str) -> str | None:
-    """``pred(member)``, or None when ``pred`` refuses ``member``."""
+    """The predecessor ``pred`` gives ``member``, or None when it refuses
+    ``member``."""
     try:
-        return pred(member)
+        return pred([member])[0]
     except NoPredecessorError:
         return None
 

@@ -74,3 +74,11 @@ RESUME_38_50_M1_SNAPSHOT_SHA256 = (
 # workload, so drift in the report's text fails here first.
 VERIFY_34_REPORT_SHA256 = (
     "b42a9ccfd1b7275a6c1534c3a8b8a8ba47e2f5284e6100fb6d8e9711cd1fbcc2")
+
+# SHA-256 of the stdout of `classify 20 --method 1` and `--method 2`: all
+# 627 partitions of 20 split into the two kinds of each rule, taken from
+# the CLI while each kind test still ran once per member.
+CLASSIFY_20_SHA256 = {
+    1: "3f4e2a7228279d6eca90ff9fe0df16b495ad382addf767f50f50f38d3a8c59b4",
+    2: "78046c14b37fb155af8e106b91bae174f2334c04406c7a26e39eab94d468c7a7",
+}

@@ -16,10 +16,10 @@ from partition_evolve import _pure, cli, count_oracle, enumerate_oracle
 from partition_evolve.engine import split_heads
 from partition_evolve.level import _CHUNK, _read_chunks
 
-from golden import (EVOLVE_50_M2_TEXT_SHA256, M1_GROUP1_5, M1_GROUP2_5,
-                    M2_GROUP1_5, M2_GROUP2_5, P_AT, PARTITIONS_5,
-                    PARTITIONS_6, RESUME_38_50_M1_SNAPSHOT_SHA256,
-                    VERIFY_34_REPORT_SHA256)
+from golden import (CLASSIFY_20_SHA256, EVOLVE_50_M2_TEXT_SHA256,
+                    M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5, P_AT,
+                    PARTITIONS_5, PARTITIONS_6,
+                    RESUME_38_50_M1_SNAPSHOT_SHA256, VERIFY_34_REPORT_SHA256)
 
 from support import duplicating, overweight, shuffled
 
@@ -102,6 +102,14 @@ def test_classify_weight_zero_prints_the_empty_member_as_0(run_cli, method):
     code, out, _ = run_cli("classify", 0, "--method", method)
     assert code == 0
     assert out == classify_text(["0"], [])
+
+
+@pytest.mark.parametrize("method", [1, 2])
+def test_classify_output_matches_its_digest(run_cli, method):
+    code, out, err = run_cli("classify", 20, "--method", method)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        CLASSIFY_20_SHA256[method]
 
 
 def test_evolve_from_seed(run_cli):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from partition_evolve import (InvalidPartitionError, Kind, Partition,
                               classify_m1, classify_m2, enumerate_oracle,
                               parse_partition, predecessor_m1)
-from partition_evolve.core import MAX_PART, decode_member, encode_parts
+from partition_evolve.core import (MAX_PART, collectable, decode_member,
+                                   encode_parts, smallest_part_once)
 
 from golden import M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5
 
@@ -239,22 +240,34 @@ def test_classifiers_are_genuinely_different():
 
 def test_classify_m1_means_smallest_part_occurs_once():
     for n in range(26):
-        for p in enumerate_oracle(n).partitions:
+        level = enumerate_oracle(n)
+        second = []
+        for p in level.partitions:
             parts = p.parts
             occurs_once = bool(parts) and parts.count(min(parts)) == 1
             assert (classify_m1(p) is Kind.SECOND) == occurs_once, str(p)
+            if occurs_once:
+                second.append(encode_parts(parts))
+        # The list kind test picks the same members of the whole level.
+        assert smallest_part_once(level.raw_members()) == second, n
 
 
 def test_classify_m2_means_units_below_the_smallest_non_unit_part():
     # The paper's definition on part tuples: with u = parts.count(1),
     # second kind iff 1 <= u < the smallest part above 1.
     for n in range(26):
-        for p in enumerate_oracle(n).partitions:
+        level = enumerate_oracle(n)
+        second = []
+        for p in level.partitions:
             parts = p.parts
             units = parts.count(1)
             non_units = [part for part in parts if part > 1]
-            collectable = bool(non_units) and 1 <= units < min(non_units)
-            assert (classify_m2(p) is Kind.SECOND) == collectable, str(p)
+            is_second = bool(non_units) and 1 <= units < min(non_units)
+            assert (classify_m2(p) is Kind.SECOND) == is_second, str(p)
+            if is_second:
+                second.append(encode_parts(parts))
+        # The list kind test picks the same members of the whole level.
+        assert collectable(level.raw_members()) == second, n
 
 
 @pytest.mark.parametrize("classify", [classify_m1, classify_m2])

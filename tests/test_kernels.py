@@ -170,12 +170,15 @@ def test_head_kernels_grow_the_complete_level_from_any_start(
     (_pure.pred_m2, tagged_successors_m2),
 ])
 def test_string_inverses_undo_the_per_partition_rules(pred, tagged_successors):
+    # Every member of levels 1..20 that a rule grows, inverted one level
+    # at a time.
     for n in range(20):
+        sources, successors = [], []
         for member in enumerate_oracle(n).partitions:
-            source = encode_parts(member.parts)
             for successor, _tag in tagged_successors(member):
-                assert pred(encode_parts(successor.parts)) == source, (
-                    str(successor))
+                sources.append(encode_parts(member.parts))
+                successors.append(encode_parts(successor.parts))
+        assert pred(successors) == sources, n
 
 
 @pytest.mark.parametrize("pred,member", [
@@ -184,4 +187,29 @@ def test_string_inverses_undo_the_per_partition_rules(pred, tagged_successors):
 ])
 def test_string_inverses_refuse_what_no_rule_grows(pred, member):
     with pytest.raises(NoPredecessorError):
-        pred(member)
+        pred([member])
+
+
+_NO_PREDECESSOR = "the empty partition has no predecessor"
+_SINGLE_5 = ("5 is the single-part partition of 5; it is added explicitly "
+             "at its weight, not grown from a predecessor")
+
+
+@pytest.mark.parametrize("pred,members,message", [
+    (_pure.pred_m2, ["\x03\x01", "\x05", "\x02\x01"], _SINGLE_5),
+    (_pure.pred_m1, ["\x03\x01", "", "\x02\x01"], _NO_PREDECESSOR),
+    (_pure.pred_m2, ["\x03\x01", "", "\x02\x01"], _NO_PREDECESSOR),
+    # The first member without a predecessor names the refusal.
+    (_pure.pred_m2, ["\x02\x01", "\x05", ""], _SINGLE_5),
+    (_pure.pred_m2, ["\x02\x01", "", "\x05"], _NO_PREDECESSOR),
+])
+def test_a_refusing_member_inside_a_list_names_itself(pred, members,
+                                                      message):
+    with pytest.raises(NoPredecessorError) as refused:
+        pred(members)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("pred", [_pure.pred_m1, _pure.pred_m2])
+def test_string_inverses_of_no_members_are_no_members(pred):
+    assert pred([]) == []

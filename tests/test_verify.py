@@ -1,8 +1,6 @@
 """The self-check suite: green on the real code, loud on sabotaged
 kernels and inverses, deterministic output."""
 
-from operator import eq
-
 import pytest
 
 from partition_evolve import (CheckResult, Level, NoPredecessorError,
@@ -171,27 +169,33 @@ def _changed_at(step, weight, change):
     return sabotaged
 
 
+def _each(pred, fault):
+    # The list inverse ``pred`` with ``fault(member)`` in place of the
+    # inverse of each member it picks, in order: ``fault`` returns None to
+    # keep the member's own inverse, a wrong predecessor, or raises.
+    def one(member):
+        wrong = fault(member)
+        return pred([member])[0] if wrong is None else wrong
+    return lambda members: list(map(one, members))
+
+
 def _refusing(pred, weight, applies):
-    def sabotaged(member):
+    def fault(member):
         if sum(map(ord, member)) == weight and applies(member):
             raise NoPredecessorError("sabotaged")
-        return pred(member)
-    return sabotaged
+    return _each(pred, fault)
 
 
 def _grows_the_single_part(pred, weight):
-    def sabotaged(member):
-        return chr(weight - 1) if member == chr(weight) else pred(member)
-    return sabotaged
+    return _each(pred, lambda member: chr(weight - 1)
+                 if member == chr(weight) else None)
 
 
 def _wrong_predecessor(pred, weight, applies):
     # Members of ``weight`` that ``applies`` picks map to all units.
-    def sabotaged(member):
-        if sum(map(ord, member)) == weight and applies(member):
-            return "\x01" * (weight - 1)
-        return pred(member)
-    return sabotaged
+    return _each(pred, lambda member: "\x01" * (weight - 1)
+                 if sum(map(ord, member)) == weight and applies(member)
+                 else None)
 
 
 def _count_off_by_one(count_oracle, weight):
@@ -347,7 +351,8 @@ _SABOTAGE = [
     # The kind test drops 3+1 while the step still grows level 5: only the
     # inverse's image of the new heads disagrees.
     (verify, "collectable",
-     lambda real: lambda m: real(m) and m != "\x03\x01", {
+     lambda real: lambda members: [m for m in real(members)
+                                   if m != "\x03\x01"], {
         4: "n=4: the new heads' predecessors are not the second-kind "
            "partitions of 4"}),
 ]
@@ -373,6 +378,26 @@ def test_sabotage_reports_are_pinned(monkeypatch, module, name, sabotage,
     monkeypatch.setattr(module, name, sabotage(getattr(module, name)))
     report = run_suite(12)
     assert report.format_text() == _report(failures)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 8192])
+@pytest.mark.parametrize("name,sabotage,failures", [
+    ("pred_m1", lambda real: _refusing(real, 6, lambda m: m == "\x01" * 6),
+     {3: "n=5: predecessor(1+1+1+1+1+1) refused but it was produced by "
+         "1+1+1+1+1"}),
+    ("pred_m2", lambda real: _wrong_predecessor(
+        real, 6, lambda m: m == "\x02\x01\x01\x01\x01"),
+     {4: "n=5: predecessor(2+1+1+1+1)=1+1+1+1+1 but it was produced by "
+         "2+1+1+1"}),
+], ids=["pred_m1-last-unit-ending", "pred_m2-late-unit-ending"])
+def test_every_chunk_of_the_unit_ending_block_is_inverted(monkeypatch, chunk,
+                                                          name, sabotage,
+                                                          failures):
+    # The fault sits on one of the last unit-ending members of weight 6,
+    # past the first chunk when chunks are small.
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    monkeypatch.setattr(_pure, name, sabotage(getattr(_pure, name)))
+    assert run_suite(12).format_text() == _report(failures)
 
 
 def test_the_pinned_sabotage_cases_cover_every_report_line():
@@ -429,8 +454,8 @@ def _set_based_bijection(pred, new, second, previous, units, tops, explicit,
                 and len(previous) == len(units)
                 and all(verify._back(pred, single) is None
                         for single in explicit)
-                and all(map(eq, map(pred, units), previous))
-                and sorted(map(pred, block), reverse=True) == sources)
+                and pred(units) == previous
+                and sorted(pred(block), reverse=True) == sources)
     except NoPredecessorError:
         return False
 
@@ -448,7 +473,7 @@ def test_block_comparison_agrees_with_the_rendered_level(method):
         members = _pure.enumerate_level(n)
         units, tops = verify._unit_split(members)
         appended = verify._appends_unit(previous, units)
-        sources = list(filter(kind, previous))
+        sources = kind(previous)
         explicit = [chr(n)] if method == 2 else []
         new, second = step(split_heads(n - 1, previous))
         cut = len(new) - second
@@ -497,6 +522,18 @@ def test_each_weight_is_split_and_stepped_once_per_method(monkeypatch):
     assert run_suite(15).overall
     assert {name: len(args) for name, args in calls.items()} == {
         "split_heads": 15, "step_m1": 15, "step_m2": 15}
+
+
+def test_the_inverses_are_asked_about_blocks_not_members(monkeypatch):
+    # Per step checked, each inverse is asked about level n's unit-ending
+    # members a chunk at a time (one chunk up to weight 20), its block of
+    # second-kind heads once and each explicit head once: at most three
+    # calls per weight, where one call per member would make thousands.
+    calls = {name: _counting(monkeypatch, name, _pure)
+             for name in ("pred_m1", "pred_m2")}
+    assert run_suite(20).overall
+    assert all(1 <= len(args) <= 3 * 20 for args in calls.values()), {
+        name: len(args) for name, args in calls.items()}
 
 
 def test_the_suite_builds_only_the_oracle_levels(monkeypatch):
