@@ -21,8 +21,8 @@ from contextlib import contextmanager, nullcontext
 from itertools import filterfalse
 from typing import TextIO
 
-from .core import (Kind, collectable, decimal_value, member_text,
-                   parse_partition, quote_text, smallest_part_once)
+from .core import (Kind, collectable, decimal_value, parse_partition,
+                   quote_text, smallest_part_once)
 from .engine import check_upward
 from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1, predecessor_m1
@@ -187,8 +187,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
              list(filterfalse(chosen.__contains__, members))),
             ("Group 2", Kind.SECOND, second)):
         print(f"{label} ({kind.value}): {len(group)} partitions")
-        for member in group:
-            print(f"  {member_text(member)}")
+        write_text(Level(args.n, group, "oracle"), sys.stdout, lead="  ")
     return EXIT_OK
 
 

@@ -134,8 +134,8 @@ class Level:
         return cls(n, sorted(members, reverse=True), method_tag)
 
     def raw_members(self) -> list[str]:
-        """Member strings in level order."""
-        return list(self._raw)
+        """The level's own list of member strings, in order; read-only."""
+        return self._raw
 
     def tag_counts(self) -> dict[str, int]:
         """Provenance breakdown in fixed TAG_ORDER, zero counts omitted."""
@@ -226,40 +226,41 @@ _PAD = b"\xff"
 # Translate table marking the member separator NUL with 1, parts with 0.
 _IS_END = b"\x01" + bytes(255)
 # What ``_render`` formats with: ``_cell_tables``'s translate tables, then
-# its separator and end marker as text.
-_Tables = tuple[list[bytes], list[bytes], str, str]
+# its separator, end marker and lead as text.
+_Tables = tuple[list[bytes], list[bytes], str, str, str]
 
 
-def _cell_tables(n: int, sep: bytes, end: bytes) -> _Tables:
+def _cell_tables(n: int, sep: bytes, end: bytes, lead: bytes = b"") -> _Tables:
     """``bytes.translate`` tables, one per byte of a rendered cell: those
     of its separator slot, looked up by a code's pair value (see
     ``_render``), then those of its digit slot, looked up by the code;
-    then ``sep`` and ``end`` decoded.
+    then ``sep``, ``end`` and ``lead`` decoded.
 
     The separator slot holds ``sep`` between two parts, ``end`` at each
-    member separator NUL, and nothing before a member's first part.  The
+    member separator NUL, and ``lead`` before a member's first part.  The
     digit slot holds a part's digits, right-aligned to the largest part a
     member of weight n holds, and nothing for NUL.  Every unused byte of a
-    cell is ``_PAD``.
+    cell is ``_PAD``; with an empty lead the slot is as wide as ``sep``.
     """
-    width = len(sep)
+    width = max(len(sep), len(lead))
     digits = len(str(min(n, 255)))
     # By pair value: a part after a part, a NUL after a part, a part after
     # a NUL, a NUL after a NUL (the empty member).
-    slots = [sep, end.ljust(width, _PAD), _PAD * width, end.ljust(width, _PAD)]
+    slots = [slot.ljust(width, _PAD) for slot in (sep, end, lead, end)]
     slots += [_PAD * width] * (256 - len(slots))
     parts = [_PAD * digits]
     parts += [(b"%d" % part).rjust(digits, _PAD) for part in range(1, 256)]
     return ([bytes(column) for column in zip(*slots)],
             [bytes(column) for column in zip(*parts)],
-            sep.decode("ascii"), end.decode("ascii"))
+            sep.decode("ascii"), end.decode("ascii"), lead.decode("ascii"))
 
 
 def _render(chunk: list[str], tables: _Tables) -> str:
-    """The members of ``chunk`` rendered with ``_cell_tables``: the parts
-    in decimal with the separator between them, each member followed by
-    the end marker.  A chunk with some part past 255 has no Latin-1 form,
-    and its members are formatted one at a time, to the same text.
+    """The members of ``chunk`` rendered with ``_cell_tables``: each
+    member's lead, then its parts in decimal with the separator between
+    them, then the end marker.  A chunk with some part past 255 has no
+    Latin-1 form, and its members are formatted one at a time, to the same
+    text.
 
     Otherwise the chunk is encoded once, one Latin-1 code per part and a
     NUL after each member.  A code's pair value is 1 if it is a NUL, plus
@@ -269,11 +270,11 @@ def _render(chunk: list[str], tables: _Tables) -> str:
     filled by one strided slice assignment from the translated pair values
     or codes, and dropping the padding finishes the text.
     """
-    slot_tables, part_tables, sep, end = tables
+    slot_tables, part_tables, sep, end, lead = tables
     try:
         codes = ("\0".join(chunk) + "\0").encode("latin-1")
     except UnicodeEncodeError:
-        return "".join([sep.join(map(str, map(ord, member))) + end
+        return "".join([lead + sep.join(map(str, map(ord, member))) + end
                         for member in chunk])
     ends = int.from_bytes(codes.translate(_IS_END), "big")
     before = (ends >> 8) + (1 << 8 * (len(codes) - 1))
@@ -287,18 +288,18 @@ def _render(chunk: list[str], tables: _Tables) -> str:
     return cells.translate(None, _PAD).decode("ascii")
 
 
-def write_text(level: Level, stream: IO[str]) -> None:
+def write_text(level: Level, stream: IO[str], lead: str = "") -> None:
     """Write one canonical text line per member (``3+2+1``, or ``0`` for
-    the empty partition), in level order.
+    the empty partition), in level order, each after ``lead``.
 
-    Each chunk of members is rendered by ``_render``, with ``+``
-    between parts and a newline after each member.
+    Each chunk of members is rendered by ``_render``, with ``lead``
+    before each member, ``+`` between parts and a newline after each.
     """
     raw = level._raw
     if level.n == 0:
-        stream.write("0\n" * len(raw))
+        stream.write(f"{lead}0\n" * len(raw))
         return
-    tables = _cell_tables(level.n, b"+", b"\n")
+    tables = _cell_tables(level.n, b"+", b"\n", lead.encode("ascii"))
     for start in range(0, len(raw), _TEXT_CHUNK):
         stream.write(_render(raw[start:start + _TEXT_CHUNK], tables))
 

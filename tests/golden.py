@@ -82,3 +82,12 @@ CLASSIFY_20_SHA256 = {
     1: "3f4e2a7228279d6eca90ff9fe0df16b495ad382addf767f50f50f38d3a8c59b4",
     2: "78046c14b37fb155af8e106b91bae174f2334c04406c7a26e39eab94d468c7a7",
 }
+
+# SHA-256 of the stdout of `classify 42 --method 1` and `--method 2`: the
+# 53,174 partitions of 42, whose groups (43,087 and 10,087 members under
+# method 1, 43,088 and 10,086 under method 2) each pass one 8,192-member
+# write of text.  Taken from the CLI while it printed one member a line.
+CLASSIFY_42_SHA256 = {
+    1: "92665bb083cd8d667ad0c5ac97123a90a85293b3265d51bf8cda44a299589b32",
+    2: "f239ad36052452468dbae34f28d39fdf23787af3ecdc3fc454d6735fa8832655",
+}

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from partition_evolve import _pure, cli, count_oracle, enumerate_oracle
+from partition_evolve import _pure, cli, core, count_oracle, enumerate_oracle
 from partition_evolve.engine import split_heads
 from partition_evolve.level import _CHUNK, _read_chunks
 
-from golden import (CLASSIFY_20_SHA256, EVOLVE_50_M2_TEXT_SHA256,
+from golden import (CLASSIFY_20_SHA256, CLASSIFY_42_SHA256,
+                    EVOLVE_50_M2_TEXT_SHA256,
                     M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5, P_AT,
                     PARTITIONS_5, PARTITIONS_6,
                     RESUME_38_50_M1_SNAPSHOT_SHA256, VERIFY_34_REPORT_SHA256)
@@ -106,10 +108,28 @@ def test_classify_weight_zero_prints_the_empty_member_as_0(run_cli, method):
 
 @pytest.mark.parametrize("method", [1, 2])
 def test_classify_output_matches_its_digest(run_cli, method):
-    code, out, err = run_cli("classify", 20, "--method", method)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        CLASSIFY_20_SHA256[method]
+    # At weight 42 each group passes one write of text.
+    for n, digests in ((20, CLASSIFY_20_SHA256), (42, CLASSIFY_42_SHA256)):
+        code, out, err = run_cli("classify", n, "--method", method)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[method]
+
+
+@pytest.mark.parametrize("method", [1, 2])
+def test_classify_formats_no_member_alone(run_cli, monkeypatch, method):
+    # Both groups go through the level text writer, which renders whole
+    # chunks; a per-member formatter would call format_parts 627 times.
+    calls = []
+    format_parts = core.format_parts
+
+    def counting(parts):
+        calls.append(parts)
+        return format_parts(parts)
+
+    monkeypatch.setattr(core, "format_parts", counting)
+    code, out, _ = run_cli("classify", 20, "--method", method)
+    assert (code, len(out.splitlines())) == (0, 629)
+    assert calls == []
 
 
 def test_evolve_from_seed(run_cli):
@@ -825,6 +845,41 @@ def test_readme_synopsis_names_every_subcommand():
     usage = re.search(r"\{(.*?)\}", cli.build_parser().format_usage())
     assert len(synopsis) == 1
     assert synopsis[0].split("|") == usage.group(1).split(",")
+
+
+def _readme_examples():
+    """The ``$ partition-evolve`` examples of the README's CLI section as
+    (arguments, output) pairs, from the blocks that show their output in
+    full: a block with a line ``...`` is elided and left out, as is one
+    that shows no prompt."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", section,
+                            re.MULTILINE | re.DOTALL):
+        lines = block.splitlines()
+        if "..." in lines or not lines[0].startswith("$ "):
+            continue
+        for line in lines:
+            if line.startswith("$ "):
+                argv = shlex.split(line[2:], comments=True)
+                assert argv[0] == "partition-evolve"
+                examples.append((argv[1:], []))
+            else:
+                examples[-1][1].append(line + "\n")
+    return [(argv, "".join(output)) for argv, output in examples]
+
+
+def test_readme_examples_print_what_they_show(run_cli):
+    # An example that shows an error shows stderr, and its run exits 2.
+    examples = _readme_examples()
+    assert {argv[0] for argv, _ in examples} == {
+        "count", "list", "classify", "predecessor"}
+    assert len(examples) == 9
+    for argv, shown in examples:
+        expected = ((2, "", shown) if shown.startswith("error: ")
+                    else (0, shown, ""))
+        assert run_cli(*argv) == expected, argv
 
 
 def test_usage_errors(run_cli):

@@ -11,7 +11,7 @@ from partition_evolve import (Level, SnapshotError, TAG_ORDER,
                               enumerate_oracle, evolve_m1, evolve_m2,
                               read_snapshot, write_snapshot)
 import partition_evolve.level
-from partition_evolve.core import encode_parts
+from partition_evolve.core import encode_parts, member_text
 from partition_evolve.level import (_CHUNK, METHOD_TAGS, _canonical,
                                     _read_chunks, _scan_lines, check_members,
                                     rule_tags, write_text)
@@ -201,6 +201,18 @@ def _assert_writers_match_their_reference_formats(level):
 ])
 def test_writers_match_their_reference_formats(make):
     _assert_writers_match_their_reference_formats(make())
+
+
+@pytest.mark.parametrize("lead", ["", "  "])
+def test_text_lead_comes_before_every_member(lead):
+    # A part of 300 has no Latin-1 byte, so that level is formatted a
+    # member at a time; weight 0 is written without rendering.
+    for level in (Level(301, ["\u012c\x01", "\xff\x2e"], "oracle"),
+                  Level.seed("oracle"), enumerate_oracle(12)):
+        text = io.StringIO()
+        write_text(level, text, lead=lead)
+        assert text.getvalue() == "".join(
+            f"{lead}{member_text(member)}\n" for member in level.raw_members())
 
 
 def test_writer_derives_tags_a_chunk_at_a_time(monkeypatch):
