@@ -5,8 +5,15 @@ partition of n is a head h followed by n - |h| units, and the
 appended-unit successor keeps its head, so a step only adds the new heads
 of weight n+1.  The start level is split into heads once; at the target
 weight the start's members and each new head are rendered with their
-units, and the level is sorted once and validated.  Its members are
-wrapped and tagged only when asked for.
+units.  The loop neither sorts nor checks what it grows; each method
+does.  Method 2 sorts and checks the target's
+members at once (``Level.from_raw``).  Method 1 grows a lower level and
+small tables, and assembles the target from them in canonical order (see
+``method1``): text output checks that level whole before writing it, as
+before, and a snapshot is written a checked chunk at a time.  Either way
+the CLI refuses a target whose count is not P(N).  A step works on any
+canonical level, complete or not: method 1's tables are grown from
+one-member levels.
 """
 
 from __future__ import annotations
@@ -23,16 +30,22 @@ ProgressFn = Callable[[int, dict[str, int]], None]
 
 
 def run_evolution(start: Level, target_n: int, *, method_tag: str,
-                  step: StepFn, progress: ProgressFn | None = None) -> Level:
-    """Evolve a complete level up to ``target_n``, one weight at a time."""
+                  step: StepFn, progress: ProgressFn | None = None
+                  ) -> list[str]:
+    """The members of level ``target_n`` grown from ``start`` one weight at
+    a time by ``step``, unsorted and unchecked (see ``grown_members``).
+
+    ``progress`` hears of the start and of each grown weight, with the
+    tags of ``method_tag``'s rule.
+    """
     check_upward(start.n, target_n)
     if progress is not None:
         progress(start.n, start.tag_counts())
+    members = start.raw_members()
     if target_n == start.n:
-        return start
+        return members[:]
 
     second_tag = SECOND_KIND_TAG[method_tag]
-    members = start.raw_members()
     heads = split_heads(start.n, members)
     # Every member grows exactly one appended-unit successor.
     added = len(start)
@@ -47,8 +60,7 @@ def run_evolution(start: Level, target_n: int, *, method_tag: str,
         added += len(new)
     # The start's members are rendered whole; its heads are not needed.
     del heads[:start.n + 1]
-    return Level.from_raw(target_n, grown_members(start.n, members, heads),
-                          method_tag)
+    return grown_members(start.n, members, heads)
 
 
 def check_upward(start_n: int, target_n: int) -> None:

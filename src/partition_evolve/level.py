@@ -144,6 +144,21 @@ class Level:
         return {tag: count for tag, count in counts.items() if count}
 
 
+class LevelChunks:
+    """The members of a level of weight n that ``method_tag``'s rule grew,
+    in canonical order, as chunks that no check has seen yet:
+    ``write_snapshot`` checks them as it writes them, so that the whole
+    level is never held."""
+
+    __slots__ = ("n", "method_tag", "chunks")
+
+    def __init__(self, n: int, method_tag: str,
+                 chunks: Iterable[list[str]]) -> None:
+        self.n = n
+        self.method_tag = method_tag
+        self.chunks = chunks
+
+
 def rule_tags(n: int, members: list[str],
               method_tag: str) -> tuple[str, ...]:
     """The tags that the rule of ``method_tag`` gives the members of a
@@ -322,16 +337,32 @@ def _snapshot_lines(n: int, tables: _Tables, members: list[str],
     return "".join(pieces)
 
 
-def write_snapshot(level: Level, stream: IO[str]) -> None:
+def write_snapshot(level: Level | LevelChunks, stream: IO[str]) -> int:
     """Write one JSONL line per member, in level order (see
-    ``_snapshot_lines``), deriving the tags a chunk at a time."""
+    ``_snapshot_lines``), deriving the tags ``_CHUNK`` members at a time;
+    return the number of lines written.
+
+    A ``LevelChunks`` is checked as it is written: each chunk by
+    ``check_members``, after the last member of the chunks before it, so
+    that the strict descent holds across chunk boundaries too.  A chunk
+    that fails raises ValueError before any of it is written; the lines
+    of the chunks before it are the caller's to discard.
+    """
     n = level.n
-    raw = level._raw
     tables = _cell_tables(n, b", ", b"\0")
-    for start in range(0, len(raw), _CHUNK):
-        chunk = raw[start:start + _CHUNK]
-        stream.write(_snapshot_lines(n, tables, chunk,
-                                     rule_tags(n, chunk, level.method_tag)))
+    checked = isinstance(level, Level)
+    last: list[str] = []
+    written = 0
+    for chunk in (level._raw,) if checked else level.chunks:
+        if not checked:
+            check_members(n, last + chunk)
+            last = chunk[-1:] or last
+        for start in range(0, len(chunk), _CHUNK):
+            part = chunk[start:start + _CHUNK]
+            stream.write(_snapshot_lines(n, tables, part,
+                                         rule_tags(n, part, level.method_tag)))
+        written += len(chunk)
+    return written
 
 
 def read_snapshot(stream: Iterable[str], *,

@@ -51,5 +51,8 @@ def evolve_m2(start: Level, target_n: int, *,
     Adds the single-part partition explicitly at every weight above 1.
     Contract otherwise as for ``evolve_m1``.
     """
-    return run_evolution(start, target_n, method_tag="method2",
-                         step=_pure.step_m2, progress=progress)
+    grown = run_evolution(start, target_n, method_tag="method2",
+                          step=_pure.step_m2, progress=progress)
+    if target_n == start.n:
+        return start
+    return Level.from_raw(target_n, grown, "method2")

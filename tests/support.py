@@ -29,6 +29,17 @@ def overweight(step):
     return raised
 
 
+def dropping(step, weight):
+    """``step`` with the last of its new heads of ``weight`` dropped: at
+    weight 8 under either rule, a head of the second kind."""
+    def dropped(heads):
+        new, second = step(heads)
+        if len(heads) == weight:
+            return new[:-1], second - 1
+        return new, second
+    return dropped
+
+
 def shuffled(step):
     """``step`` with each last part's block of second-kind heads shuffled
     (``random.Random(0)``), the explicit head kept first: the order of last

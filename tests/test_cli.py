@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, cap handling, snapshots."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,17 +14,21 @@ from pathlib import Path
 
 import pytest
 
-from partition_evolve import _pure, cli, core, count_oracle, enumerate_oracle
+from partition_evolve import (Level, _pure, cli, core, count_oracle,
+                              enumerate_oracle, evolve_m1, method1,
+                              write_snapshot)
+from partition_evolve.core import member_text
 from partition_evolve.engine import split_heads
 from partition_evolve.level import _CHUNK, _read_chunks
+from partition_evolve.method1 import evolve_m1_chunks
 
 from golden import (CLASSIFY_20_SHA256, CLASSIFY_42_SHA256,
                     EVOLVE_50_M2_TEXT_SHA256,
                     M1_GROUP1_5, M1_GROUP2_5, M2_GROUP1_5, M2_GROUP2_5, P_AT,
-                    PARTITIONS_5, PARTITIONS_6,
+                    P_SMALL, PARTITIONS_5, PARTITIONS_6,
                     RESUME_38_50_M1_SNAPSHOT_SHA256, VERIFY_34_REPORT_SHA256)
 
-from support import duplicating, overweight, shuffled
+from support import dropping, duplicating, overweight, shuffled
 
 
 def classify_text(group1, group2):
@@ -177,17 +182,21 @@ def test_evolve_progress_stream_is_pinned_to_the_counts(run_cli, method):
     assert err == _progress_lines(method, 0, 20, "Seed=1")
 
 
-def test_resumed_progress_stream_is_pinned_to_the_counts(run_cli, tmp_path):
+@pytest.mark.parametrize("method", [1, 2])
+def test_resumed_progress_stream_is_pinned_to_the_counts(run_cli, tmp_path,
+                                                         method):
+    # Under method 1, levels 13 and 14 are stepped and levels 15 to 20 are
+    # counted from the tables' sizes.
     code, listing, _ = run_cli("list", 12, "--format", "jsonl")
     assert code == 0
     lines = listing.splitlines(keepends=True)
     random.Random(7).shuffle(lines)
     snapshot = tmp_path / "level12.jsonl"
     snapshot.write_text("".join(lines))
-    code, _, err = run_cli("evolve", 12, 20, "--method", 2,
+    code, _, err = run_cli("evolve", 12, 20, "--method", method,
                            "--snapshot-in", snapshot)
     assert code == 0
-    assert err == _progress_lines(2, 12, 20, "Seed=77")
+    assert err == _progress_lines(method, 12, 20, "Seed=77")
 
 
 def test_evolve_snapshot_roundtrip(run_cli, tmp_path):
@@ -326,7 +335,9 @@ def test_failure_while_evolving_removes_the_temporary_file(run_cli, tmp_path,
             f".x.jsonl.{os.getpid()}.tmp"]
         raise ValueError("evolution failed")
 
-    monkeypatch.setattr(cli, "evolve_m1", fail)
+    # A method-1 snapshot is written from the chunks that
+    # evolve_m1_chunks assembles.
+    monkeypatch.setattr(cli, "evolve_m1_chunks", fail)
     code, _, err = run_cli("evolve", 0, 3, "--method", 1,
                            "--snapshot-out", tmp_path / "x.jsonl")
     assert code == 2
@@ -457,6 +468,105 @@ def test_a_duplicating_kernel_is_refused_with_exit_2(run_cli, monkeypatch):
     assert (code, out) == (2, "")
     assert err.endswith(
         "error: members out of canonical order or duplicated near 2\n")
+
+
+@pytest.mark.parametrize("sabotage,message", [
+    (duplicating, "members out of canonical order or duplicated near 30"),
+    (overweight, "member 59 has weight 59, level holds weight 30"),
+], ids=["duplicating", "overweight"])
+def test_a_faulty_kernel_is_refused_in_text_and_in_a_streamed_snapshot(
+        run_cli, tmp_path, monkeypatch, sabotage, message):
+    # The snapshot's chunk check words the fault as the text path's check
+    # of the whole level does.
+    monkeypatch.setattr(_pure, "step_m1", sabotage(_pure.step_m1))
+    for output in ((), ("--snapshot-out", tmp_path / "x.jsonl")):
+        code, out, err = run_cli("evolve", 0, 30, "--method", 1, *output)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method,to_n,held", [(1, 8, 21), (2, 10, 40)])
+@pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
+def test_an_incomplete_evolution_is_refused(run_cli, tmp_path, monkeypatch,
+                                            method, to_n, held, snapshot):
+    # A kernel that loses a head of weight 8 grows a level that passes
+    # every check of its members; only the count against P(n) refuses it.
+    kernel = f"step_m{method}"
+    monkeypatch.setattr(_pure, kernel, dropping(getattr(_pure, kernel), 8))
+    output = ("--snapshot-out", tmp_path / "x.jsonl") if snapshot else ()
+    code, out, err = run_cli("evolve", 0, to_n, "--method", method, *output)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: evolved level is incomplete for weight {to_n}: holds "
+        f"{held} of {P_SMALL[to_n]} partitions\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _misordered(assemble):
+    """``assemble`` with the last member of its first chunk and the first
+    of its second swapped: each chunk descends, the boundary does not."""
+    def swapped(*args):
+        chunks = assemble(*args)
+        first, second = next(chunks), next(chunks)
+        first[-1], second[0] = second[0], first[-1]
+        yield from (first, second, *chunks)
+    return swapped
+
+
+def _short(assemble):
+    """``assemble`` without the first member of its second chunk."""
+    def dropped(*args):
+        chunks = assemble(*args)
+        first, second = next(chunks), next(chunks)
+        yield from (first, second[1:], *chunks)
+    return dropped
+
+
+def test_a_faulty_assembly_is_refused_and_leaves_no_snapshot(run_cli,
+                                                            tmp_path,
+                                                            monkeypatch):
+    first = next(iter(evolve_m1_chunks(Level.seed("method1"), 30).chunks))
+    target = tmp_path / "x.jsonl"
+    for sabotage, message in (
+            (_misordered, "members out of canonical order or duplicated "
+                          f"near {member_text(first[-1])}"),
+            (_short, "evolved level is incomplete for weight 30: holds "
+                     "5603 of 5604 partitions")):
+        with monkeypatch.context() as patch:
+            patch.setattr(method1, "_assemble", sabotage(method1._assemble))
+            code, out, err = run_cli("evolve", 0, 30, "--method", 1,
+                                     "--snapshot-out", target)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_method1_snapshot_is_streamed_without_its_level(run_cli, tmp_path,
+                                                         monkeypatch):
+    # The chunks are written as they are assembled: no Level of weight 30
+    # is built, and nothing is enumerated.  The file is what the writer
+    # writes for the checked level.
+    whole = io.StringIO()
+    write_snapshot(evolve_m1(Level.seed("method1"), 30), whole)
+    built = []
+    init = Level.__init__
+
+    def counted(self, n, *args):
+        built.append(n)
+        init(self, n, *args)
+
+    def never(n):
+        raise AssertionError("the enumerator was called")
+
+    monkeypatch.setattr(Level, "__init__", counted)
+    monkeypatch.setattr(_pure, "enumerate_level", never)
+    target = tmp_path / "level30.jsonl"
+    code, out, _ = run_cli("evolve", 0, 30, "--method", 1,
+                           "--snapshot-out", target)
+    assert (code, out) == (0, "")
+    assert built and max(built) < 30
+    assert target.read_text() == whole.getvalue()
 
 
 @pytest.mark.parametrize("method", [1, 2])

@@ -1,13 +1,16 @@
 """First successor rule: examples, bijection properties, evolution."""
 
+from itertools import chain
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
-                              classify_m1, count_oracle, enumerate_oracle,
-                              evolve_m1, predecessor_m1, successors_m1,
-                              tagged_successors_m1)
+                              _pure, classify_m1, count_oracle,
+                              enumerate_oracle, evolve_m1, predecessor_m1,
+                              successors_m1, tagged_successors_m1)
+from partition_evolve.method1 import evolve_m1_chunks
 
 from golden import M1_AUGMENTED_6, PARTITIONS_5, PARTITIONS_6
 
@@ -83,3 +86,33 @@ def test_evolve_count_matches_oracle_up_to_40():
     for n in range(1, 41):
         level = evolve_m1(level, n)
         assert len(level) == count_oracle(n), f"n={n}"
+
+
+def _assembled(start, target_n):
+    grown = evolve_m1_chunks(start, target_n)
+    assert (grown.n, grown.method_tag) == (target_n, "method1")
+    return list(chain.from_iterable(grown.chunks))
+
+
+def test_assembly_is_the_oracle_level_from_every_start():
+    # From the oracle's level of every weight n < N <= 30, and from the
+    # seed up to 40: the prefixes and table suffixes, read in level k's
+    # order, are level N in canonical order.
+    for target_n in range(1, 31):
+        expected = enumerate_oracle(target_n).raw_members()
+        for n in range(1, target_n):
+            assert _assembled(enumerate_oracle(n), target_n) == expected, (
+                n, target_n)
+    for target_n in range(41):
+        assert _assembled(Level.seed("method1"), target_n) == (
+            enumerate_oracle(target_n).raw_members()), target_n
+
+
+def test_evolution_enumerates_nothing(monkeypatch):
+    expected = enumerate_oracle(35).raw_members()
+
+    def never(n):
+        raise AssertionError("the enumerator was called")
+
+    monkeypatch.setattr(_pure, "enumerate_level", never)
+    assert evolve_m1(Level.seed("method1"), 35).raw_members() == expected

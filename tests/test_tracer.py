@@ -22,18 +22,25 @@ def _run(argv, cwd):
     return result.returncode, result.stdout, result.stderr
 
 
-@pytest.mark.parametrize("argv,spans", [
+# Each case's spans, and the spans its benchmark workload must not enter.
+@pytest.mark.parametrize("argv,spans,bypassed", [
     (["evolve", "0", "12", "--method", "2"],
-     ["kernel.step_m2", "level.from_raw", "engine.evolve"]),
+     ["kernel.step_m2", "level.from_raw", "engine.evolve"],
+     ["kernel.step_m1", "kernel.enumerate_level", "oracle.enumerate_oracle",
+      "oracle.count_oracle", "level.read_snapshot", "level.write_snapshot",
+      "verify.run_suite"]),
     (["evolve", "6", "9", "--method", "1", "--snapshot-in", "in.jsonl",
       "--snapshot-out", "out.jsonl"],
      ["kernel.step_m1", "level.from_raw", "level.read_snapshot",
-      "level.write_snapshot", "engine.evolve"]),
+      "level.write_snapshot", "engine.evolve"],
+     ["kernel.step_m2", "kernel.enumerate_level", "oracle.enumerate_oracle",
+      "verify.run_suite"]),
     (["verify", "8"],
      ["kernel.step_m1", "kernel.step_m2", "oracle.enumerate_oracle",
-      "verify.run_suite"]),
+      "verify.run_suite"],
+     ["level.read_snapshot", "level.write_snapshot"]),
 ], ids=["evolve-m2", "resume-m1", "verify"])
-def test_the_tracer_runs_the_cli_unchanged(tmp_path, argv, spans):
+def test_the_tracer_runs_the_cli_unchanged(tmp_path, argv, spans, bypassed):
     code, _, _ = _run(["-m", "partition_evolve", "evolve", "0", "6",
                        "--method", "1", "--snapshot-out", "in.jsonl"],
                       tmp_path)
@@ -50,3 +57,5 @@ def test_the_tracer_runs_the_cli_unchanged(tmp_path, argv, spans):
     stats = json.loads((tmp_path / "stats.json").read_text())["spans"]
     for name in [*spans, "cli.main"]:
         assert stats[name]["calls"] >= 1, name
+    for name in bypassed:
+        assert stats[name]["calls"] == 0, name
