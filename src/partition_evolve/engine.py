@@ -6,14 +6,14 @@ appended-unit successor keeps its head, so a step only adds the new heads
 of weight n+1.  The start level is split into heads once; at the target
 weight the start's members and each new head are rendered with their
 units.  The loop neither sorts nor checks what it grows; each method
-does.  Method 2 sorts and checks the target's
-members at once (``Level.from_raw``).  Method 1 grows a lower level and
-small tables, and assembles the target from them in canonical order (see
-``method1``): text output checks that level whole before writing it, as
-before, and a snapshot is written a checked chunk at a time.  Either way
-the CLI refuses a target whose count is not P(N).  A step works on any
-canonical level, complete or not: method 1's tables are grown from
-one-member levels.
+does.  Method 2 sorts and checks the target's members at once
+(``Level.from_raw``, in place).  Method 1 grows a lower level and small
+tables, and hands them on as blocks of the target in canonical order
+(see ``method1``), which the writers check a chunk at a time: a snapshot
+chunk before it is written, text in a first pass before a second renders
+it.  Either way the CLI refuses a target whose count is not P(N).  A
+step works on any canonical level, complete or not: method 1's tables
+are grown from one-member levels.
 """
 
 from __future__ import annotations

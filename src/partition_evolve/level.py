@@ -12,10 +12,11 @@ after an evolution run is valid input for resuming it.
 from __future__ import annotations
 
 import json
-from itertools import chain, filterfalse, islice, repeat
-from operator import gt, lt
+from bisect import bisect_left
+from itertools import accumulate, filterfalse, islice, repeat
+from operator import gt, itemgetter, lt
 from struct import pack
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 from zlib import adler32
 
 from .core import (MAX_PART, Partition, decode_member, encode_parts,
@@ -46,7 +47,8 @@ SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 # and takes the chunk only when ``_snapshot_lines`` writes the parsed
 # members and tags back as its own text (see ``_read_chunks``).  The weight
 # check sums each chunk's members with one adler32 each (see
-# ``_canonical``).
+# ``_canonical``).  A chunk of method 1's blocks holds about half as many
+# members, and at most this many and one block (see ``_block_chunks``).
 _CHUNK = 2048
 # Members per write of text: at weight 50 about 250 KB, several times a
 # pipe's buffer, so that a reader finds the pipe full at each read.  With
@@ -130,8 +132,12 @@ class Level:
     @classmethod
     def from_raw(cls, n: int, members: Iterable[str],
                  method_tag: str) -> "Level":
-        """Sort raw kernel output into a validated Level."""
-        return cls(n, sorted(members, reverse=True), method_tag)
+        """Sort raw kernel output into a validated Level.  A list is
+        sorted in place and becomes the level's own, so that no second
+        list of its members is held while it is sorted and checked."""
+        members = members if isinstance(members, list) else list(members)
+        members.sort(reverse=True)
+        return cls(n, members, method_tag)
 
     def raw_members(self) -> list[str]:
         """The level's own list of member strings, in order; read-only."""
@@ -142,21 +148,6 @@ class Level:
         tags = self.tags
         counts = {tag: tags.count(tag) for tag in TAG_ORDER}
         return {tag: count for tag, count in counts.items() if count}
-
-
-class LevelChunks:
-    """The members of a level of weight n that ``method_tag``'s rule grew,
-    in canonical order, as chunks that no check has seen yet:
-    ``write_snapshot`` checks them as it writes them, so that the whole
-    level is never held."""
-
-    __slots__ = ("n", "method_tag", "chunks")
-
-    def __init__(self, n: int, method_tag: str,
-                 chunks: Iterable[list[str]]) -> None:
-        self.n = n
-        self.method_tag = method_tag
-        self.chunks = chunks
 
 
 def rule_tags(n: int, members: list[str],
@@ -218,22 +209,26 @@ def _canonical(n: int, raw: list[str]) -> bool:
     piece, and a weight of 65535 or more; the caller's per-member scan then
     checks the level and names the first offender.
     """
-    if not 0 <= n < 0xFFFF:
-        return False
-    low, high = (1 + n).to_bytes(2, "little")
     for start in range(0, len(raw), _CHUNK):
         chunk = raw[start:start + _CHUNK]
         try:
             pieces = "\0".join(chunk).encode("latin-1").split(b"\0")
         except UnicodeEncodeError:
             return False
-        if len(pieces) != len(chunk) or max(map(len, pieces)) > _ADLER_BYTES:
-            return False
-        sums = pack("<%dI" % len(chunk), *map(adler32, pieces))
-        if (sums[0::4] != bytes([low]) * len(chunk)
-                or sums[1::4] != bytes([high]) * len(chunk)):
+        if len(pieces) != len(chunk) or not _weigh(n, pieces):
             return False
     return all(map(gt, raw, islice(raw, 1, None)))
+
+
+def _weigh(n: int, pieces: list[bytes]) -> bool:
+    """Whether each of ``pieces``, the Latin-1 codes of a member, has the
+    byte sum n, by the adler32 of each (see ``_canonical``)."""
+    if not 0 <= n < 0xFFFF or max(map(len, pieces), default=0) > _ADLER_BYTES:
+        return False
+    low, high = (1 + n).to_bytes(2, "little")
+    sums = pack("<%dI" % len(pieces), *map(adler32, pieces))
+    return (sums[0::4] == bytes([low]) * len(pieces)
+            and sums[1::4] == bytes([high]) * len(pieces))
 
 
 # The byte that never appears in output: padding inside a rendered cell.
@@ -303,27 +298,12 @@ def _render(chunk: list[str], tables: _Tables) -> str:
     return cells.translate(None, _PAD).decode("ascii")
 
 
-def write_text(level: Level, stream: IO[str], lead: str = "") -> None:
-    """Write one canonical text line per member (``3+2+1``, or ``0`` for
-    the empty partition), in level order, each after ``lead``.
-
-    Each chunk of members is rendered by ``_render``, with ``lead``
-    before each member, ``+`` between parts and a newline after each.
-    """
-    raw = level._raw
-    if level.n == 0:
-        stream.write(f"{lead}0\n" * len(raw))
-        return
-    tables = _cell_tables(level.n, b"+", b"\n", lead.encode("ascii"))
-    for start in range(0, len(raw), _TEXT_CHUNK):
-        stream.write(_render(raw[start:start + _TEXT_CHUNK], tables))
-
-
-def _snapshot_lines(n: int, tables: _Tables, members: list[str],
+def _snapshot_lines(head: str, tables: _Tables, members: list[str],
                     tags: Sequence[str]) -> str:
-    """The snapshot lines of ``members`` of weight n, tagged by ``tags``:
-    the one definition of the line layout, with the bytes of ``json.dumps(
-    {"n": ..., "parts": [...], "tag": ...})`` and a newline per member.
+    """The snapshot lines of ``members``, tagged by ``tags``: the one
+    definition of the line layout, with the bytes of ``json.dumps({"n":
+    ..., "parts": [...], "tag": ...})`` and a newline per member, after
+    ``head``, ``'{"n": %d, "parts": ['`` with the weight.
 
     The parts are rendered by ``_render`` with ``tables``,
     ``_cell_tables(n, b", ", b"\\0")``.  The pieces (head, parts, tail
@@ -331,38 +311,268 @@ def _snapshot_lines(n: int, tables: _Tables, members: list[str],
     """
     parts = _render(members, tables).split("\0")[:-1]
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
-    pieces = ['{"n": %d, "parts": [' % n] * (3 * len(parts))
+    pieces = [head] * (3 * len(parts))
     pieces[1::3] = parts
     pieces[2::3] = map(tail.__getitem__, tags)
     return "".join(pieces)
 
 
-def write_snapshot(level: Level | LevelChunks, stream: IO[str]) -> int:
+# How the block writers render: each line's head, the separator between
+# parts, and the lines of a table's members given as strings, each after
+# the separator when ``after`` (a part of the block's prefix comes first).
+_Layout = tuple[str, bytes, Callable[[list[str], bool], list[str]]]
+
+
+class LevelBlocks:
+    """The members of a level of weight n that ``method_tag``'s rule grew,
+    in canonical order, as blocks that no check has seen yet.
+
+    Each member m of ``members``, a canonical level of a lower weight,
+    gives one block: ``m[:-1]`` followed by each member of its last
+    part's canonical table ``tables[m[-1]]`` from index ``cuts[m[-2:]]``
+    on.  The rule must tag a member by its last part alone, as method 1's
+    does, so that a table's tags are those of the members it ends.  The
+    blocks hold the tables that the cuts name, each member followed by a
+    NUL, as the check joins them; a table member holding a part 0 raises
+    ValueError.
+
+    The level is never held: ``check`` and the writers take the blocks a
+    chunk at a time (see ``_block_chunks``).  ``write_snapshot`` checks
+    each chunk before it writes it; ``write_text`` renders the blocks
+    once ``check`` has passed them all.
+    """
+
+    __slots__ = ("n", "method_tag", "members", "tables", "cuts", "_checked")
+
+    def __init__(self, n: int, method_tag: str, members: list[str],
+                 tables: dict[str, list[str]], cuts: dict[str, int]) -> None:
+        self.n = n
+        self.method_tag = method_tag
+        self.members = members
+        self.tables = {last: _nul_ended(tables[last])
+                       for last in {key[-1] for key in cuts}}
+        self.cuts = cuts
+        self._checked = False
+
+    def check(self) -> int:
+        """Raise ValueError as ``check_members`` does for the whole level;
+        return the number of members."""
+        count = sum(len(chunk) for chunk, _ in _block_chunks(self))
+        self._checked = True
+        return count
+
+    def level(self) -> Level:
+        """The members, checked a chunk at a time, as a Level."""
+        members: list[str] = []
+        for chunk, _ in _block_chunks(self):
+            if chunk and type(chunk[0]) is bytes:
+                chunk = b"\0".join(chunk).decode("latin-1").split("\0")
+            members += chunk
+        return Level(self.n, members, self.method_tag)
+
+
+# The key of a block, its member's last two parts (or its one), and its
+# prefix, all parts but the last.
+_KEY = itemgetter(slice(-2, None))
+_PREFIX = itemgetter(slice(None, -1))
+
+
+def _block_chunks(blocks: LevelBlocks, layout: _Layout | None = None, *,
+                  check: bool = True, size: int = _CHUNK
+                  ) -> Iterator[tuple[list | None, str | None]]:
+    """Each chunk of the members of ``blocks``: checked unless ``check``
+    is false, and with ``layout`` rendered.  Yields the chunk's members
+    (see ``_packed``; None when not checked) and its text (None without
+    ``layout``).
+
+    A chunk is the blocks of a slice of ``blocks.members``, as wide as the
+    chunk before would have had to be to hold half of ``size`` members,
+    and cut there when it could hold more than ``size``: half of ``size``
+    on average, at most ``size`` and one block.  The chunk is checked by
+    ``_packed``, and if that fails, assembled member by member and checked
+    by ``check_members``, which words the error.  Its text is one
+    ``str.join`` per block: the prefix's parts rendered by ``_render``,
+    joined over its suffix's lines, each table rendered once.
+    """
+    n, members = blocks.n, blocks.members
+    if check:
+        codes = _keyed(blocks, lambda table, after: table)
+    if layout is not None:
+        # Each line ends with the next one's head, so that a block's text
+        # is its prefix's parts joined over its suffix's lines.
+        head, sep, table_lines = layout
+        prefix_tables = _cell_tables(n, sep, b"\0")
+        lines = _keyed(blocks, lambda table, after: [
+            line + head for line in table_lines(
+                [member[:-1] for member in table], after)])
+    # The lists that size the chunks: a suffix's lines when its members'
+    # codes are not needed.
+    sized = codes if check else lines
+    largest = max(map(len, blocks.tables.values()))
+    width = max(1, size // 2 // largest)
+    last: list[str] = []
+    start = 0
+    while start < len(members):
+        ms = members[start:start + width]
+        keys = list(map(_KEY, ms))
+        suffixes = list(map(sized.__getitem__, keys))
+        if len(ms) * largest > size:
+            # Each suffix's list holds one item more than its members.
+            del ms[bisect_left(list(accumulate(map(len, suffixes))),
+                               size // 2) + 1:]
+            del keys[len(ms):], suffixes[len(ms):]
+        start += len(ms)
+        prefixes = list(map(_PREFIX, ms))
+        count = sum(map(len, suffixes)) - len(ms)
+        chunk = None
+        if check:
+            chunk = _packed(n, prefixes, suffixes, count, last)
+            if chunk is None:
+                chunk = _assemble(blocks, ms)
+                check_members(n, last + chunk)
+            if chunk:
+                last = [chunk[-1] if type(chunk[-1]) is str
+                        else chunk[-1].decode("latin-1")]
+        text = None
+        if layout is not None:
+            heads = _render(prefixes, prefix_tables)[:-1].split("\0")
+            text = "".join(map(str.join, heads, map(
+                lines.__getitem__, keys) if check else suffixes))
+            # So the first chunk lacks its first head, and the last ends
+            # with a head too many.
+            if start == len(ms):
+                text = head + text
+            if start == len(members):
+                text = text[:len(text) - len(head)]
+        yield chunk, text
+        width = max(1, len(ms) * (size // 2) // max(1, count))
+
+
+def _packed(n: int, prefixes: list[str], suffixes: list[list[str]],
+            count: int, last: list[str]) -> list[bytes] | None:
+    """The Latin-1 codes of the ``count`` members of blocks, each prefix
+    joined over its suffix (its members, each followed by a NUL), when
+    they pass the checks of ``_canonical`` after the members ``last``;
+    otherwise None.
+
+    The blocks are joined and encoded once and split at NUL.  A part past
+    255 has no code, and a part 0 splits a member in two.
+    """
+    try:
+        pieces = "".join(map(str.join, prefixes, suffixes)).encode(
+            "latin-1").split(b"\0")
+    except UnicodeEncodeError:
+        return None
+    pieces.pop()
+    if (len(pieces) == count and _weigh(n, pieces)
+            and all(map(gt, pieces, islice(pieces, 1, None)))
+            and not (last and pieces
+                     and last[0] <= pieces[0].decode("latin-1"))):
+        return pieces
+    return None
+
+
+def _assemble(blocks: LevelBlocks, members: list[str]) -> list[str]:
+    """The members of the blocks of ``members``, one string each."""
+    tables, cuts = blocks.tables, blocks.cuts
+    return [member[:-1] + rest[:-1] for member in members
+            for rest in tables[member[-1]][cuts[member[-2:]]:]]
+
+
+def _nul_ended(table: list[str]) -> list[str]:
+    """Each member of ``table`` followed by a NUL; ValueError for a member
+    holding a part 0."""
+    if "\0" in "".join(table):
+        raise ValueError("a table member holds a part 0")
+    return [member + "\0" for member in table]
+
+
+def _keyed(blocks: LevelBlocks, items: Callable[[list[str], bool], list[str]]
+           ) -> dict[str, list[str]]:
+    """For each block key: an empty item, then the items of the key's
+    suffix, so that a join over them puts a block's prefix before each.
+    ``items(table, after)`` gives the items of a whole table, each after
+    a separator when ``after`` (the key has two parts), and is called once
+    per table and ``after``; keys with the same suffix share its list."""
+    whole: dict[tuple[str, bool], list[str]] = {}
+    suffixes: dict[tuple[str, bool, int], list[str]] = {}
+    keyed = {}
+    for key, cut in blocks.cuts.items():
+        table = key[-1], len(key) > 1
+        if table not in whole:
+            whole[table] = items(blocks.tables[key[-1]], table[1])
+        if table + (cut,) not in suffixes:
+            suffixes[table + (cut,)] = [""] + whole[table][cut:]
+        keyed[key] = suffixes[table + (cut,)]
+    return keyed
+
+
+def write_text(level: Level | LevelBlocks, stream: IO[str],
+               lead: str = "") -> None:
+    """Write one canonical text line per member (``3+2+1``, or ``0`` for
+    the empty partition), in level order, each after ``lead``.
+
+    Each chunk of a level's members is rendered by ``_render``, with
+    ``lead`` before each member, ``+`` between parts and a newline after
+    each.  ``LevelBlocks`` are checked first if ``check`` has not passed
+    them, then rendered a chunk of blocks at a time (see
+    ``_block_chunks``), so that no byte is written before every member
+    is checked.
+    """
+    n = level.n
+    if isinstance(level, LevelBlocks):
+        if not level._checked:
+            level.check()
+
+        def lines(table: list[str], after: bool) -> list[str]:
+            return _render(table, _cell_tables(
+                n, b"+", b"\n", b"+" if after else b"")).splitlines(True)
+
+        for _, text in _block_chunks(level, (lead, b"+", lines),
+                                     check=False, size=_TEXT_CHUNK):
+            stream.write(text)
+        return
+    raw = level._raw
+    if n == 0:
+        stream.write(f"{lead}0\n" * len(raw))
+        return
+    tables = _cell_tables(n, b"+", b"\n", lead.encode("ascii"))
+    for start in range(0, len(raw), _TEXT_CHUNK):
+        stream.write(_render(raw[start:start + _TEXT_CHUNK], tables))
+
+
+def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
     """Write one JSONL line per member, in level order (see
     ``_snapshot_lines``), deriving the tags ``_CHUNK`` members at a time;
     return the number of lines written.
 
-    A ``LevelChunks`` is checked as it is written: each chunk by
-    ``check_members``, after the last member of the chunks before it, so
-    that the strict descent holds across chunk boundaries too.  A chunk
-    that fails raises ValueError before any of it is written; the lines
-    of the chunks before it are the caller's to discard.
+    ``LevelBlocks`` are checked as they are written, a chunk at a time
+    (see ``_block_chunks``), so that the strict descent holds across
+    chunk boundaries too.  A chunk that fails raises ValueError before
+    any of it is written; the lines of the chunks before it are the
+    caller's to discard.
     """
     n = level.n
+    head = '{"n": %d, "parts": [' % n
+    if isinstance(level, LevelBlocks):
+
+        def lines(table: list[str], after: bool) -> list[str]:
+            return _snapshot_lines("", _cell_tables(
+                n, b", ", b"\0", b", " if after else b""), table, rule_tags(
+                    n, table, level.method_tag)).splitlines(True)
+
+        written = 0
+        for chunk, text in _block_chunks(level, (head, b", ", lines)):
+            stream.write(text)
+            written += len(chunk)
+        return written
     tables = _cell_tables(n, b", ", b"\0")
-    checked = isinstance(level, Level)
-    last: list[str] = []
-    written = 0
-    for chunk in (level._raw,) if checked else level.chunks:
-        if not checked:
-            check_members(n, last + chunk)
-            last = chunk[-1:] or last
-        for start in range(0, len(chunk), _CHUNK):
-            part = chunk[start:start + _CHUNK]
-            stream.write(_snapshot_lines(n, tables, part,
-                                         rule_tags(n, part, level.method_tag)))
-        written += len(chunk)
-    return written
+    raw = level._raw
+    for start in range(0, len(raw), _CHUNK):
+        chunk = raw[start:start + _CHUNK]
+        stream.write(_snapshot_lines(head, tables, chunk,
+                                     rule_tags(n, chunk, level.method_tag)))
+    return len(raw)
 
 
 def read_snapshot(stream: Iterable[str], *,
@@ -408,9 +618,10 @@ def _read_chunks(lines: list[str], expected_n: int | None
     The weight is ``expected_n``, or the first line's.  Each chunk's text
     is cut into its lines' parts and tags by one ``replace`` and one
     ``split``: where a line meets the next, its tag's close and the next
-    line's head become one more ``_TAG_KEY``.  Each line's parts, split at
-    ``", "`` and followed by a part 0 between members, are parsed by one
-    ``bytes`` of a ``_PART_CODE`` lookup per part for the whole chunk.
+    line's head become one more ``_TAG_KEY``.  The lines' parts, joined
+    with a part 0 after each line and split at ``", "`` once, are parsed
+    by one ``bytes`` of a ``_PART_CODE`` lookup per part for the whole
+    chunk.
     Each line must give one member and its parts descend.  The rules of
     ``METHOD_TAGS`` whose ``rule_tags`` are the chunk's tags remain, and
     the chunk is taken only when one does and ``_snapshot_lines`` writes
@@ -434,13 +645,10 @@ def _read_chunks(lines: list[str], expected_n: int | None
             text += "\n"
         fields = text[len(head):-len('"}\n')].replace(
             '"}\n' + head, _TAG_KEY).split(_TAG_KEY)
-        # Every member's parts followed by a separator 0, split a line at a
-        # time: a list of all the chunk's parts (about 200 KB at weight 38)
-        # grew the C heap, and the growth stayed resident past the read.
-        # At weight 0 each member is empty, and the codes are the
-        # separators alone.
-        parts = chain.from_iterable(chain.from_iterable(zip(
-            map(str.split, fields[0::2], repeat(", ")), repeat(("0",)))))
+        # Every member's parts followed by a separator 0, by one split.  At
+        # weight 0 each member is empty, and the codes are the separators
+        # alone.
+        parts = (", 0, ".join(fields[0::2]) + ", 0").split(", ")
         try:
             codes = (bytes(map(_PART_CODE, parts)) if level_n
                      else bytes(len(chunk)))
@@ -459,7 +667,7 @@ def _read_chunks(lines: list[str], expected_n: int | None
         if not rules:
             raise ValueError("not the tags of one rule")
         tables = tables or _cell_tables(level_n, b", ", b"\0")
-        if _snapshot_lines(level_n, tables, chunk_members, tags) != text:
+        if _snapshot_lines(head, tables, chunk_members, tags) != text:
             raise ValueError("not the lines the writer writes")
         members += chunk_members
     if not members:

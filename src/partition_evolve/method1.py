@@ -15,41 +15,48 @@ descendant of the single part ``m[-1]`` whose first part is at most
 a canonical level, so these blocks, read in level k's canonical order,
 are level k+r in canonical order.
 
-``evolve_m1_chunks`` grows the start to weight k = max(n, N - N//3), and
+``evolve_m1_chunks`` grows the start to weight k = max(n, N - N//4), and
 one table T_l per last part l of 1..k, the one-member level ``[chr(l)]``
 evolved N - k weights, both with ``engine.run_evolution`` and
-``_pure.step_m1``.  Each member of level k then contributes its prefix
-followed by the suffix of its last part's table whose first part is
-within the bound, found by bisection.  That slice bound is all the
-assembly knows of the rule; the steps are the kernel's.  No member of
-the target is sorted, and no head of it is built.  k is set by n and N
-alone: the tables grow fast as k falls and level k grows as k rises.  At
-k = N - N//3 the tables hold 4.8% of level 50 from weight 38 and 10.2% of
-level 60 from weight 40; from weight 25 they would hold 94% of level 50,
-and from weight 20, 210%.
+``_pure.step_m1``.  Each member of level k then heads one block: its
+prefix followed by the suffix of its last part's table whose first part
+is within the bound, where a bisection cuts the table.  That slice bound
+is all the assembly knows of the rule; the steps are the kernel's.  No
+member of the target is sorted, and no head of it is built.  The blocks
+(``level.LevelBlocks``: level k, the tables and the cuts) are what it
+hands on; the writers take them a chunk at a time, pack and check every
+member, and render each table once (see ``level._block_chunks``).
 
-``evolve_m1`` checks the assembled level whole and returns it, so text
-output is checked before it is written, as before.  ``evolve --method 1
---snapshot-out`` writes the chunks as they come instead:
-``write_snapshot`` checks each one against the last member before it,
-and the CLI compares the count with P(N) before the file replaces its
-target.  The check and the count certify the run, so the whole level is
-never held.
+k is set by n and N alone.  Level k grows as k rises and the tables
+(about k times the sum of P(r) for r <= N - k members) as it falls, and
+the writers hold both, each rendered table member costing about three
+times its string.  N - N//4 keeps both small: k = 42 at N = 56, where
+the blocks hold 9,892 table members against level k's 53,174, and k = 45
+at N = 60 (13,888 against 89,134); from weight 38, k = 38 at N = 50
+(4,847 against 26,015).  The tables of the last parts above k/2, which
+no member of level k but the single part ends in, are grown only for the
+progress counts.
+
+``evolve_m1`` checks the blocks a chunk at a time and returns them as a
+Level.  ``evolve --method 1`` hands the blocks to the writers instead:
+``write_snapshot`` checks each chunk before it writes it, and text output
+checks every chunk first and renders in a second pass; the CLI compares
+the count with P(N) before the file replaces its target or the first
+byte of text is written.  The check and the count certify the run, so
+the whole level is never held.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator
 from operator import itemgetter
 
 from . import _pure
 from .core import (Kind, Partition, classify_m1, decode_member,
                    partition_member)
 from .engine import ProgressFn, check_upward, run_evolution
-from .level import (_CHUNK, TAG_ADDED_UNIT, TAG_AUGMENTED, Level,
-                    LevelChunks)
+from .level import TAG_ADDED_UNIT, TAG_AUGMENTED, Level, LevelBlocks
 
 # A member's last two parts, or its single part: the key of its suffix.
 _END = itemgetter(slice(-2, None))
@@ -83,30 +90,26 @@ def predecessor_m1(p: Partition) -> Partition:
 def evolve_m1(start: Level, target_n: int, *,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the first rule: the
-    members of ``evolve_m1_chunks``, checked whole.
+    blocks of ``evolve_m1_chunks``, checked a chunk at a time, as a Level.
 
     ``start`` must be complete (hold every partition of its weight).
     """
     grown = evolve_m1_chunks(start, target_n, progress=progress)
-    if target_n == start.n:
-        return start
-    members: list[str] = []
-    for chunk in grown.chunks:
-        members += chunk
-    return Level(target_n, members, "method1")
+    return grown if isinstance(grown, Level) else grown.level()
 
 
 def evolve_m1_chunks(start: Level, target_n: int, *,
-                     progress: ProgressFn | None = None) -> LevelChunks:
+                     progress: ProgressFn | None = None
+                     ) -> Level | LevelBlocks:
     """The level of ``target_n`` grown from ``start`` under the first rule,
-    as canonical chunks that are assembled as they are read and that no
-    check has seen yet (see the module docstring).
+    as blocks in canonical order that no check has seen yet (see the
+    module docstring); a Level when no step is left after level k.
 
     The steps run, and ``progress`` hears of every weight, before this
     returns.
     """
     check_upward(start.n, target_n)
-    k = max(start.n, target_n - target_n // 3)
+    k = max(start.n, target_n - target_n // 4)
     level = run_evolution(start, k, method_tag="method1",
                           step=_pure.step_m1, progress=progress)
     if k > start.n:
@@ -114,8 +117,7 @@ def evolve_m1_chunks(start: Level, target_n: int, *,
     steps = target_n - k
     if not steps:
         # No step keeps the start's rule and its tags.
-        tag = "method1" if target_n > start.n else start.method_tag
-        return LevelChunks(target_n, tag, (level,))
+        return start if k == start.n else Level(k, level, "method1")
     ends = Counter(map(_END, level))
     # One table per last part of 1..k, and per any other last part that a
     # faulty kernel put in level k, so that the target's check words it.
@@ -133,8 +135,15 @@ def evolve_m1_chunks(start: Level, target_n: int, *,
         sizes.update(((part, s), size) for s, size in enumerate(counted))
     if progress is not None:
         _report(progress, ends, len(level), k, steps, sizes)
-    suffixes = {end: _bounded(tables[end[-1]], end) for end in ends}
-    return LevelChunks(target_n, "method1", _assemble(level, suffixes))
+    cuts = {end: _cut(tables[end[-1]], end) for end in ends}
+    try:
+        return LevelBlocks(target_n, "method1", level, tables, cuts)
+    except ValueError:
+        # A faulty kernel put a part 0 in a table, whose lines cannot be
+        # told apart: the level is assembled and checked whole.
+        return Level(target_n, [
+            member[:-1] + rest for member in level
+            for rest in tables[member[-1]][cuts[member[-2:]]:]], "method1")
 
 
 def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,
@@ -164,32 +173,10 @@ def _neg_first(member: str) -> int:
     return -ord(member[0])
 
 
-def _bounded(table: list[str], end: str) -> list[str]:
-    """The slice bound: the members of the table of ``end``'s last part
-    whose first part is at most the part before it (all, for a single
-    part), a suffix, as first parts descend."""
+def _cut(table: list[str], end: str) -> int:
+    """The slice bound: where the members of the table of ``end``'s last
+    part whose first part is at most the part before it (all, for a
+    single part) begin, as first parts descend."""
     if len(end) == 1:
-        return table
-    return table[bisect_left(table, -ord(end[0]), key=_neg_first):]
-
-
-def _assemble(level: list[str],
-              suffixes: dict[str, list[str]]) -> Iterator[list[str]]:
-    """Each member of ``level`` in turn, its prefix followed by each member
-    of the suffix of its last two parts; chunks of at least ``_CHUNK``
-    members.  The members are taken a slice at a time, as many as cannot
-    grow more than ``_CHUNK`` members, so that short suffixes (one step
-    from a large level) cost one comprehension per slice, not per member.
-    """
-    largest = max(map(len, suffixes.values()))
-    width = max(1, _CHUNK // max(1, largest))
-    chunk: list[str] = []
-    for start in range(0, len(level), width):
-        chunk += [prefix + rest for member in level[start:start + width]
-                  for prefix in (member[:-1],)
-                  for rest in suffixes[member[-2:]]]
-        if len(chunk) >= _CHUNK:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+        return 0
+    return bisect_left(table, -ord(end[0]), key=_neg_first)

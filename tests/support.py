@@ -40,6 +40,17 @@ def dropping(step, weight):
     return dropped
 
 
+def zeroed(step, weight):
+    """``step`` with a part 0 put after the first part of its first new
+    head of ``weight``, which keeps the head's weight."""
+    def zero(heads):
+        new, second = step(heads)
+        if len(heads) == weight:
+            new = [new[0][:1] + "\0" + new[0][1:]] + new[1:]
+        return new, second
+    return zero
+
+
 def shuffled(step):
     """``step`` with each last part's block of second-kind heads shuffled
     (``random.Random(0)``), the explicit head kept first: the order of last

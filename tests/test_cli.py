@@ -10,6 +10,7 @@ import shlex
 import stat
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,9 @@ import pytest
 from partition_evolve import (Level, _pure, cli, core, count_oracle,
                               enumerate_oracle, evolve_m1, method1,
                               write_snapshot)
-from partition_evolve.core import member_text
 from partition_evolve.engine import split_heads
-from partition_evolve.level import _CHUNK, _read_chunks
-from partition_evolve.method1 import evolve_m1_chunks
+from partition_evolve.level import (_CHUNK, LevelBlocks, _block_chunks,
+                                    _read_chunks, check_members, write_text)
 
 from golden import (CLASSIFY_20_SHA256, CLASSIFY_42_SHA256,
                     EVOLVE_50_M2_TEXT_SHA256,
@@ -28,7 +28,7 @@ from golden import (CLASSIFY_20_SHA256, CLASSIFY_42_SHA256,
                     P_SMALL, PARTITIONS_5, PARTITIONS_6,
                     RESUME_38_50_M1_SNAPSHOT_SHA256, VERIFY_34_REPORT_SHA256)
 
-from support import dropping, duplicating, overweight, shuffled
+from support import dropping, duplicating, overweight, shuffled, zeroed
 
 
 def classify_text(group1, group2):
@@ -335,8 +335,7 @@ def test_failure_while_evolving_removes_the_temporary_file(run_cli, tmp_path,
             f".x.jsonl.{os.getpid()}.tmp"]
         raise ValueError("evolution failed")
 
-    # A method-1 snapshot is written from the chunks that
-    # evolve_m1_chunks assembles.
+    # Method 1 evolves to the blocks of evolve_m1_chunks.
     monkeypatch.setattr(cli, "evolve_m1_chunks", fail)
     code, _, err = run_cli("evolve", 0, 3, "--method", 1,
                            "--snapshot-out", tmp_path / "x.jsonl")
@@ -470,10 +469,14 @@ def test_a_duplicating_kernel_is_refused_with_exit_2(run_cli, monkeypatch):
         "error: members out of canonical order or duplicated near 2\n")
 
 
+# A part 0 at weight 20 reaches the members that head the blocks; at 28,
+# past them, only the tables.
 @pytest.mark.parametrize("sabotage,message", [
     (duplicating, "members out of canonical order or duplicated near 30"),
     (overweight, "member 59 has weight 59, level holds weight 30"),
-], ids=["duplicating", "overweight"])
+    (lambda step: zeroed(step, 20), "member 20+0+2+2+2+2+2 has a part 0"),
+    (lambda step: zeroed(step, 28), "member 28+0+2 has a part 0"),
+], ids=["duplicating", "overweight", "part-0-heading", "part-0-in-a-table"])
 def test_a_faulty_kernel_is_refused_in_text_and_in_a_streamed_snapshot(
         run_cli, tmp_path, monkeypatch, sabotage, message):
     # The snapshot's chunk check words the fault as the text path's check
@@ -503,52 +506,83 @@ def test_an_incomplete_evolution_is_refused(run_cli, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def _misordered(assemble):
-    """``assemble`` with the last member of its first chunk and the first
-    of its second swapped: each chunk descends, the boundary does not."""
-    def swapped(*args):
-        chunks = assemble(*args)
-        first, second = next(chunks), next(chunks)
-        first[-1], second[0] = second[0], first[-1]
-        yield from (first, second, *chunks)
-    return swapped
+def _blocks_with(fault, built):
+    """``LevelBlocks`` over the level, tables and cuts that ``fault``
+    changes in place; appends the members they assemble to ``built``."""
+    def build(n, method_tag, members, tables, cuts):
+        fault(members, tables, cuts)
+        built.append([member[:-1] + rest for member in members
+                      for rest in tables[member[-1]][cuts[member[-2:]]:]])
+        return LevelBlocks(n, method_tag, members, tables, cuts)
+    return build
 
 
-def _short(assemble):
-    """``assemble`` without the first member of its second chunk."""
-    def dropped(*args):
-        chunks = assemble(*args)
-        first, second = next(chunks), next(chunks)
-        yield from (first, second[1:], *chunks)
-    return dropped
+def _head_of_second_chunk(members, tables, cuts):
+    """Where the level members of the second check chunk begin."""
+    first, _ = next(_block_chunks(
+        LevelBlocks(30, "method1", members, tables, cuts)))
+    sizes = accumulate(len(tables[member[-1]]) - cuts[member[-2:]]
+                       for member in members)
+    return list(sizes).index(len(first)) + 1
 
 
-def test_a_faulty_assembly_is_refused_and_leaves_no_snapshot(run_cli,
-                                                            tmp_path,
-                                                            monkeypatch):
-    first = next(iter(evolve_m1_chunks(Level.seed("method1"), 30).chunks))
-    target = tmp_path / "x.jsonl"
-    for sabotage, message in (
-            (_misordered, "members out of canonical order or duplicated "
-                          f"near {member_text(first[-1])}"),
-            (_short, "evolved level is incomplete for weight 30: holds "
-                     "5603 of 5604 partitions")):
-        with monkeypatch.context() as patch:
-            patch.setattr(method1, "_assemble", sabotage(method1._assemble))
-            code, out, err = run_cli("evolve", 0, 30, "--method", 1,
-                                     "--snapshot-out", target)
-        assert (code, out) == (2, "")
-        assert err.endswith(f"error: {message}\n")
-        assert list(tmp_path.iterdir()) == []
+def _misordered_at_a_boundary(members, tables, cuts):
+    """The blocks either side of the first check chunk's end swapped: each
+    chunk descends, the boundary does not."""
+    i = _head_of_second_chunk(members, tables, cuts)
+    members[i - 1], members[i] = members[i], members[i - 1]
 
 
-def test_a_method1_snapshot_is_streamed_without_its_level(run_cli, tmp_path,
-                                                         monkeypatch):
-    # The chunks are written as they are assembled: no Level of weight 30
-    # is built, and nothing is enumerated.  The file is what the writer
-    # writes for the checked level.
+def _misordered_at_the_end(members, tables, cuts):
+    members[-2], members[-1] = members[-1], members[-2]
+
+
+def _dropped(members, tables, cuts):
+    """The single part's block loses its first member."""
+    cuts[members[0][-2:]] += 1
+
+
+def _overweight(members, tables, cuts):
+    """The first member of the table of last part 1 gains a unit."""
+    table = tables["\x01"]
+    table[0] = chr(ord(table[0][0]) + 1) + table[0][1:]
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_misordered_at_a_boundary, "members out of canonical order or "
+                                "duplicated near "),
+    (_misordered_at_the_end, "members out of canonical order or "
+                             "duplicated near 2" + "+1" * 28),
+    (_dropped, "evolved level is incomplete for weight 30: holds 5603 of "
+               "5604 partitions"),
+    (_overweight, "member 22+9 has weight 31, level holds weight 30"),
+], ids=["boundary", "end", "dropped", "overweight"])
+@pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
+def test_faulty_blocks_are_refused_and_write_nothing(run_cli, tmp_path,
+                                                      monkeypatch, fault,
+                                                      message, snapshot):
+    # Each fault is worded as the check of the whole assembled level words
+    # it, and neither stdout nor a snapshot gets a byte.
+    built = []
+    monkeypatch.setattr(method1, "LevelBlocks", _blocks_with(fault, built))
+    output = ("--snapshot-out", tmp_path / "x.jsonl") if snapshot else ()
+    code, out, err = run_cli("evolve", 0, 30, "--method", 1, *output)
+    assert (code, out) == (2, "")
+    assert message in err
+    if "incomplete" not in message:
+        with pytest.raises(ValueError) as whole:
+            check_members(30, built[0])
+        assert err.endswith(f"error: {whole.value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _written_without_its_level(run_cli, tmp_path, monkeypatch, snapshot):
+    """``evolve 0 30 --method 1``, as text or a snapshot, builds no Level of
+    weight 30 and enumerates nothing, and writes what the writers write
+    for the checked level."""
     whole = io.StringIO()
-    write_snapshot(evolve_m1(Level.seed("method1"), 30), whole)
+    (write_snapshot if snapshot else write_text)(
+        evolve_m1(Level.seed("method1"), 30), whole)
     built = []
     init = Level.__init__
 
@@ -562,11 +596,23 @@ def test_a_method1_snapshot_is_streamed_without_its_level(run_cli, tmp_path,
     monkeypatch.setattr(Level, "__init__", counted)
     monkeypatch.setattr(_pure, "enumerate_level", never)
     target = tmp_path / "level30.jsonl"
-    code, out, _ = run_cli("evolve", 0, 30, "--method", 1,
-                           "--snapshot-out", target)
-    assert (code, out) == (0, "")
+    output = ("--snapshot-out", target) if snapshot else ()
+    code, out, _ = run_cli("evolve", 0, 30, "--method", 1, *output)
+    assert code == 0
     assert built and max(built) < 30
-    assert target.read_text() == whole.getvalue()
+    assert (target.read_text() if snapshot else out) == whole.getvalue()
+
+
+def test_a_method1_snapshot_is_streamed_without_its_level(run_cli, tmp_path,
+                                                         monkeypatch):
+    # The blocks are written a checked chunk at a time.
+    _written_without_its_level(run_cli, tmp_path, monkeypatch, True)
+
+
+def test_method1_text_is_checked_and_written_without_its_level(
+        run_cli, tmp_path, monkeypatch):
+    # Every chunk of blocks is checked, then the blocks are rendered.
+    _written_without_its_level(run_cli, tmp_path, monkeypatch, False)
 
 
 @pytest.mark.parametrize("method", [1, 2])

@@ -12,9 +12,9 @@ from partition_evolve import (Level, SnapshotError, TAG_ORDER,
                               read_snapshot, write_snapshot)
 import partition_evolve.level
 from partition_evolve.core import encode_parts, member_text
-from partition_evolve.level import (_CHUNK, METHOD_TAGS, _canonical,
-                                    _read_chunks, _scan_lines, check_members,
-                                    rule_tags, write_text)
+from partition_evolve.level import (_CHUNK, METHOD_TAGS, LevelBlocks,
+                                    _canonical, _read_chunks, _scan_lines,
+                                    check_members, rule_tags, write_text)
 
 
 def _level(n, raw, method_tag="oracle"):
@@ -779,3 +779,19 @@ def test_readers_accept_the_tags_a_rule_gives(parts, accepted, method_tag):
                 if tag == own:
                     assert (METHOD_TAGS.index(level.method_tag)
                             <= METHOD_TAGS.index(method_tag))
+
+
+def test_blocks_word_a_part_0_as_the_level_check_does():
+    # A part 0 in a prefix splits its member into two pieces that each
+    # weigh 2 and descend; the packed check counts the pieces, and the
+    # scan words the member.  A table member with a part 0 is refused
+    # when the blocks are built.
+    blocks = LevelBlocks(2, "method1", ["\x02\x00\x01\x01"],
+                         {"\x01": ["\x01"]}, {"\x01\x01": 0})
+    with pytest.raises(ValueError,
+                       match=r"^member 2\+0\+1\+1 has weight 4, level "
+                             r"holds weight 2$"):
+        blocks.check()
+    with pytest.raises(ValueError, match="part 0"):
+        LevelBlocks(2, "method1", ["\x02"], {"\x02": ["\x02\x00"]},
+                    {"\x02": 0})

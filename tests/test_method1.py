@@ -1,6 +1,6 @@
 """First successor rule: examples, bijection properties, evolution."""
 
-from itertools import chain
+import io
 
 import pytest
 from hypothesis import given
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
                               _pure, classify_m1, count_oracle,
                               enumerate_oracle, evolve_m1, predecessor_m1,
-                              successors_m1, tagged_successors_m1)
+                              successors_m1, tagged_successors_m1,
+                              write_snapshot)
+from partition_evolve.level import write_text
 from partition_evolve.method1 import evolve_m1_chunks
 
 from golden import M1_AUGMENTED_6, PARTITIONS_5, PARTITIONS_6
@@ -88,24 +90,45 @@ def test_evolve_count_matches_oracle_up_to_40():
         assert len(level) == count_oracle(n), f"n={n}"
 
 
-def _assembled(start, target_n):
+def _assert_written_as_listed(start, target_n):
+    """The level of ``target_n`` grown from ``start`` is the oracle's, and
+    its writers write the oracle's text and its snapshot tagged by
+    ``rule_tags``, with no Level of ``target_n`` built for the text."""
+    expected = enumerate_oracle(target_n)
+    listed, tagged = io.StringIO(), io.StringIO()
+    write_text(expected, listed)
+    write_snapshot(Level(target_n, expected.raw_members(), "method1"), tagged)
     grown = evolve_m1_chunks(start, target_n)
     assert (grown.n, grown.method_tag) == (target_n, "method1")
-    return list(chain.from_iterable(grown.chunks))
+    text, snapshot = io.StringIO(), io.StringIO()
+    built = []
+    init = Level.__init__
+
+    def counted(self, n, *args):
+        built.append(n)
+        init(self, n, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Level, "__init__", counted)
+        write_text(grown, text)
+    assert text.getvalue() == listed.getvalue(), (start.n, target_n)
+    assert target_n not in built or isinstance(grown, Level)
+    assert write_snapshot(grown, snapshot) == len(expected)
+    assert snapshot.getvalue() == tagged.getvalue(), (start.n, target_n)
+    assert evolve_m1(start, target_n).raw_members() == (
+        expected.raw_members())
 
 
 def test_assembly_is_the_oracle_level_from_every_start():
     # From the oracle's level of every weight n < N <= 30, and from the
     # seed up to 40: the prefixes and table suffixes, read in level k's
-    # order, are level N in canonical order.
+    # order, are level N in canonical order, and the blocks are written
+    # as the oracle's level is.
     for target_n in range(1, 31):
-        expected = enumerate_oracle(target_n).raw_members()
         for n in range(1, target_n):
-            assert _assembled(enumerate_oracle(n), target_n) == expected, (
-                n, target_n)
+            _assert_written_as_listed(enumerate_oracle(n), target_n)
     for target_n in range(41):
-        assert _assembled(Level.seed("method1"), target_n) == (
-            enumerate_oracle(target_n).raw_members()), target_n
+        _assert_written_as_listed(Level.seed("method1"), target_n)
 
 
 def test_evolution_enumerates_nothing(monkeypatch):
