@@ -208,8 +208,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # Refused before any snapshot is opened, read or counted.
     check_upward(args.from_n, args.to_n)
     method_tag = "method1" if args.method == 1 else "method2"
-    # Method 1's level comes as blocks, which are checked a chunk at a
-    # time and never held whole.
+    # Method 1's level comes as blocks, which are certified from a lower
+    # level and its tables and never held whole.
     evolve = evolve_m1_chunks if args.method == 1 else evolve_m2
 
     if args.snapshot_in is not None:
@@ -232,14 +232,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     if args.snapshot_out is None:
         final = evolve(start, args.to_n, progress=_progress)
-        # Every chunk of blocks is checked before the first byte is written.
+        # The blocks are certified before the first byte is written.
         _check_complete(len(final) if isinstance(final, Level)
                         else final.check(), args.to_n)
         write_text(final, sys.stdout)
         return EXIT_OK
-    # Opened before evolving, so that a bad path fails fast.  Blocks go to
-    # the file a checked chunk at a time, and the file replaces its target
-    # only when the count is complete.
+    # Opened before evolving, so that a bad path fails fast.  Blocks are
+    # certified before they go to the file a chunk at a time, and the file
+    # replaces its target only when the count is complete.
     with _replacing(args.snapshot_out) as stream:
         final = evolve(start, args.to_n, progress=_progress)
         _check_complete(write_snapshot(final, stream), args.to_n)

@@ -9,11 +9,10 @@ units.  The loop neither sorts nor checks what it grows; each method
 does.  Method 2 sorts and checks the target's members at once
 (``Level.from_raw``, in place).  Method 1 grows a lower level and small
 tables, and hands them on as blocks of the target in canonical order
-(see ``method1``), which the writers check a chunk at a time: a snapshot
-chunk before it is written, text in a first pass before a second renders
-it.  Either way the CLI refuses a target whose count is not P(N).  A
-step works on any canonical level, complete or not: method 1's tables
-are grown from one-member levels.
+(see ``method1``), which the writers certify from the lower level and
+the tables before they render a byte.  Either way the CLI refuses a
+target whose count is not P(N).  A step works on any canonical level,
+complete or not: method 1's tables are grown from one-member levels.
 """
 
 from __future__ import annotations

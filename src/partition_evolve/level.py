@@ -48,7 +48,9 @@ SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 # members and tags back as its own text (see ``_read_chunks``).  The weight
 # check sums each chunk's members with one adler32 each (see
 # ``_canonical``).  A chunk of method 1's blocks holds about half as many
-# members, and at most this many and one block (see ``_block_chunks``).
+# members when the snapshot writer renders it, at most this many and one
+# block (see ``_block_chunks``), and at most this many when blocks that
+# fail their certificate are assembled and checked (see ``_walked``).
 _CHUNK = 2048
 # Members per write of text: at weight 50 about 250 KB, several times a
 # pipe's buffer, so that a reader finds the pipe full at each read.  With
@@ -332,43 +334,63 @@ class LevelBlocks:
     part's canonical table ``tables[m[-1]]`` from index ``cuts[m[-2:]]``
     on.  The rule must tag a member by its last part alone, as method 1's
     does, so that a table's tags are those of the members it ends.  The
-    blocks hold the tables that the cuts name, each member followed by a
-    NUL, as the check joins them; a table member holding a part 0 raises
+    blocks hold the tables that the cuts name; a table member holding a
+    part 0, whose rendered lines could not be told apart, raises
     ValueError.
 
-    The level is never held: ``check`` and the writers take the blocks a
-    chunk at a time (see ``_block_chunks``).  ``write_snapshot`` checks
-    each chunk before it writes it; ``write_text`` renders the blocks
-    once ``check`` has passed them all.
+    ``check`` certifies the level from ``members`` and the tables, not
+    member by member.  With k' the weight of the first member of
+    ``members``, the certificate holds when ``members`` passes
+    ``_canonical(k', ...)``, each table T_l passes ``_canonical(l + n -
+    k', T_l)`` and its last member's first part is at least l (so every
+    member's is, as the table descends), and every cut lies in
+    0..len(T_l).  Then every member of the blocks weighs (k' - l) + (l +
+    n - k') = n and holds no part 0.  Within a block the members descend,
+    as they share a prefix and the table descends.  Across blocks they
+    descend too: take consecutive members a > b of ``members``, first
+    differing at index i.  Equal weights with positive parts rule out i =
+    len(b) - 1 < len(a) - 1.  If i is below both prefix lengths, index i
+    decides; if i = len(a) - 1, then b[i] < a[-1], which is at most every
+    first part of T_{a[-1]}.  The count is the sum of the blocks' slice
+    lengths.  When ``members`` is given as a Level, whose constructor
+    checked it, that check stands for the first condition.  When the
+    certificate fails, the blocks are assembled a chunk at a time and
+    checked by ``check_members`` after the last member of the chunk
+    before, so that a refusal is worded as the check of the whole level
+    words it.
+
+    The level is never held: the writers certify the blocks, then render
+    them a chunk at a time (see ``_block_chunks``).
     """
 
-    __slots__ = ("n", "method_tag", "members", "tables", "cuts", "_checked")
+    __slots__ = ("n", "method_tag", "members", "tables", "cuts", "_start",
+                 "_count")
 
-    def __init__(self, n: int, method_tag: str, members: list[str],
+    def __init__(self, n: int, method_tag: str, members: list[str] | Level,
                  tables: dict[str, list[str]], cuts: dict[str, int]) -> None:
         self.n = n
         self.method_tag = method_tag
-        self.members = members
-        self.tables = {last: _nul_ended(tables[last])
+        self._start = isinstance(members, Level)
+        self.members = members.raw_members() if self._start else members
+        self.tables = {last: tables[last]
                        for last in {key[-1] for key in cuts}}
+        if "\0" in "".join(map("".join, self.tables.values())):
+            raise ValueError("a table member holds a part 0")
         self.cuts = cuts
-        self._checked = False
+        self._count: int | None = None
 
     def check(self) -> int:
         """Raise ValueError as ``check_members`` does for the whole level;
         return the number of members."""
-        count = sum(len(chunk) for chunk, _ in _block_chunks(self))
-        self._checked = True
-        return count
+        if self._count is None:
+            count = _certified(self)
+            self._count = _walked(self) if count is None else count
+        return self._count
 
     def level(self) -> Level:
-        """The members, checked a chunk at a time, as a Level."""
-        members: list[str] = []
-        for chunk, _ in _block_chunks(self):
-            if chunk and type(chunk[0]) is bytes:
-                chunk = b"\0".join(chunk).decode("latin-1").split("\0")
-            members += chunk
-        return Level(self.n, members, self.method_tag)
+        """The members, assembled and checked, as a Level."""
+        return Level(self.n, _assemble(self.members, self.tables, self.cuts),
+                     self.method_tag)
 
 
 # The key of a block, its member's last two parts (or its one), and its
@@ -377,114 +399,95 @@ _KEY = itemgetter(slice(-2, None))
 _PREFIX = itemgetter(slice(None, -1))
 
 
-def _block_chunks(blocks: LevelBlocks, layout: _Layout | None = None, *,
-                  check: bool = True, size: int = _CHUNK
-                  ) -> Iterator[tuple[list | None, str | None]]:
-    """Each chunk of the members of ``blocks``: checked unless ``check``
-    is false, and with ``layout`` rendered.  Yields the chunk's members
-    (see ``_packed``; None when not checked) and its text (None without
-    ``layout``).
+def _certified(blocks: LevelBlocks) -> int | None:
+    """The number of members of ``blocks`` when the certificate of
+    ``LevelBlocks`` holds; otherwise None."""
+    n, members, tables = blocks.n, blocks.members, blocks.tables
+    if not members:
+        return 0
+    k = sum(map(ord, members[0]))
+    if not (blocks._start or _canonical(k, members)):
+        return None
+    # A member is at least ``last`` exactly when its first part is.
+    for last, table in tables.items():
+        if table and not (table[-1] >= last
+                          and _canonical(ord(last) + n - k, table)):
+            return None
+    sizes = {}
+    for key, cut in blocks.cuts.items():
+        size = len(tables[key[-1]])
+        if not 0 <= cut <= size:
+            return None
+        sizes[key] = size - cut
+    return sum(map(sizes.__getitem__, map(_KEY, members)))
+
+
+def _walked(blocks: LevelBlocks) -> int:
+    """Check the members of ``blocks`` by ``check_members``, assembled a
+    chunk at a time, each after the last member of the chunk before;
+    return their number."""
+    members, tables = blocks.members, blocks.tables
+    width = max(1, _CHUNK // max([1, *map(len, tables.values())]))
+    count = 0
+    last: list[str] = []
+    for start in range(0, len(members), width):
+        chunk = _assemble(members[start:start + width], tables, blocks.cuts)
+        check_members(blocks.n, last + chunk)
+        count += len(chunk)
+        last = chunk[-1:] or last
+    return count
+
+
+def _assemble(members: list[str], tables: dict[str, list[str]],
+              cuts: dict[str, int]) -> list[str]:
+    """The members of the blocks of ``members``, one string each."""
+    return [member[:-1] + rest for member in members
+            for rest in tables[member[-1]][cuts[member[-2:]]:]]
+
+
+def _block_chunks(blocks: LevelBlocks, layout: _Layout,
+                  size: int = _CHUNK) -> Iterator[str]:
+    """The text of each chunk of the members of ``blocks``, rendered by
+    ``layout``.
 
     A chunk is the blocks of a slice of ``blocks.members``, as wide as the
     chunk before would have had to be to hold half of ``size`` members,
     and cut there when it could hold more than ``size``: half of ``size``
-    on average, at most ``size`` and one block.  The chunk is checked by
-    ``_packed``, and if that fails, assembled member by member and checked
-    by ``check_members``, which words the error.  Its text is one
+    on average, at most ``size`` and one block.  Its text is one
     ``str.join`` per block: the prefix's parts rendered by ``_render``,
     joined over its suffix's lines, each table rendered once.
     """
     n, members = blocks.n, blocks.members
-    if check:
-        codes = _keyed(blocks, lambda table, after: table)
-    if layout is not None:
-        # Each line ends with the next one's head, so that a block's text
-        # is its prefix's parts joined over its suffix's lines.
-        head, sep, table_lines = layout
-        prefix_tables = _cell_tables(n, sep, b"\0")
-        lines = _keyed(blocks, lambda table, after: [
-            line + head for line in table_lines(
-                [member[:-1] for member in table], after)])
-    # The lists that size the chunks: a suffix's lines when its members'
-    # codes are not needed.
-    sized = codes if check else lines
-    largest = max(map(len, blocks.tables.values()))
+    # Each line ends with the next one's head, so that a block's text is
+    # its prefix's parts joined over its suffix's lines.
+    head, sep, table_lines = layout
+    prefix_tables = _cell_tables(n, sep, b"\0")
+    lines = _keyed(blocks, lambda table, after: [
+        line + head for line in table_lines(table, after)])
+    largest = max([1, *map(len, blocks.tables.values())])
     width = max(1, size // 2 // largest)
-    last: list[str] = []
     start = 0
     while start < len(members):
         ms = members[start:start + width]
-        keys = list(map(_KEY, ms))
-        suffixes = list(map(sized.__getitem__, keys))
+        suffixes = list(map(lines.__getitem__, map(_KEY, ms)))
         if len(ms) * largest > size:
             # Each suffix's list holds one item more than its members.
             del ms[bisect_left(list(accumulate(map(len, suffixes))),
                                size // 2) + 1:]
-            del keys[len(ms):], suffixes[len(ms):]
+            del suffixes[len(ms):]
         start += len(ms)
-        prefixes = list(map(_PREFIX, ms))
+        heads = _render(list(map(_PREFIX, ms)),
+                        prefix_tables)[:-1].split("\0")
+        text = "".join(map(str.join, heads, suffixes))
+        # So the first chunk lacks its first head, and the last ends with
+        # a head too many.
+        if start == len(ms):
+            text = head + text
+        if start == len(members):
+            text = text[:len(text) - len(head)]
+        yield text
         count = sum(map(len, suffixes)) - len(ms)
-        chunk = None
-        if check:
-            chunk = _packed(n, prefixes, suffixes, count, last)
-            if chunk is None:
-                chunk = _assemble(blocks, ms)
-                check_members(n, last + chunk)
-            if chunk:
-                last = [chunk[-1] if type(chunk[-1]) is str
-                        else chunk[-1].decode("latin-1")]
-        text = None
-        if layout is not None:
-            heads = _render(prefixes, prefix_tables)[:-1].split("\0")
-            text = "".join(map(str.join, heads, map(
-                lines.__getitem__, keys) if check else suffixes))
-            # So the first chunk lacks its first head, and the last ends
-            # with a head too many.
-            if start == len(ms):
-                text = head + text
-            if start == len(members):
-                text = text[:len(text) - len(head)]
-        yield chunk, text
         width = max(1, len(ms) * (size // 2) // max(1, count))
-
-
-def _packed(n: int, prefixes: list[str], suffixes: list[list[str]],
-            count: int, last: list[str]) -> list[bytes] | None:
-    """The Latin-1 codes of the ``count`` members of blocks, each prefix
-    joined over its suffix (its members, each followed by a NUL), when
-    they pass the checks of ``_canonical`` after the members ``last``;
-    otherwise None.
-
-    The blocks are joined and encoded once and split at NUL.  A part past
-    255 has no code, and a part 0 splits a member in two.
-    """
-    try:
-        pieces = "".join(map(str.join, prefixes, suffixes)).encode(
-            "latin-1").split(b"\0")
-    except UnicodeEncodeError:
-        return None
-    pieces.pop()
-    if (len(pieces) == count and _weigh(n, pieces)
-            and all(map(gt, pieces, islice(pieces, 1, None)))
-            and not (last and pieces
-                     and last[0] <= pieces[0].decode("latin-1"))):
-        return pieces
-    return None
-
-
-def _assemble(blocks: LevelBlocks, members: list[str]) -> list[str]:
-    """The members of the blocks of ``members``, one string each."""
-    tables, cuts = blocks.tables, blocks.cuts
-    return [member[:-1] + rest[:-1] for member in members
-            for rest in tables[member[-1]][cuts[member[-2:]]:]]
-
-
-def _nul_ended(table: list[str]) -> list[str]:
-    """Each member of ``table`` followed by a NUL; ValueError for a member
-    holding a part 0."""
-    if "\0" in "".join(table):
-        raise ValueError("a table member holds a part 0")
-    return [member + "\0" for member in table]
 
 
 def _keyed(blocks: LevelBlocks, items: Callable[[list[str], bool], list[str]]
@@ -514,22 +517,19 @@ def write_text(level: Level | LevelBlocks, stream: IO[str],
 
     Each chunk of a level's members is rendered by ``_render``, with
     ``lead`` before each member, ``+`` between parts and a newline after
-    each.  ``LevelBlocks`` are checked first if ``check`` has not passed
-    them, then rendered a chunk of blocks at a time (see
-    ``_block_chunks``), so that no byte is written before every member
-    is checked.
+    each.  ``LevelBlocks`` are certified first (see ``LevelBlocks.check``),
+    then rendered a chunk of blocks at a time (see ``_block_chunks``), so
+    that no byte is written before the whole level is checked.
     """
     n = level.n
     if isinstance(level, LevelBlocks):
-        if not level._checked:
-            level.check()
+        level.check()
 
         def lines(table: list[str], after: bool) -> list[str]:
             return _render(table, _cell_tables(
                 n, b"+", b"\n", b"+" if after else b"")).splitlines(True)
 
-        for _, text in _block_chunks(level, (lead, b"+", lines),
-                                     check=False, size=_TEXT_CHUNK):
+        for text in _block_chunks(level, (lead, b"+", lines), _TEXT_CHUNK):
             stream.write(text)
         return
     raw = level._raw
@@ -546,11 +546,9 @@ def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
     ``_snapshot_lines``), deriving the tags ``_CHUNK`` members at a time;
     return the number of lines written.
 
-    ``LevelBlocks`` are checked as they are written, a chunk at a time
-    (see ``_block_chunks``), so that the strict descent holds across
-    chunk boundaries too.  A chunk that fails raises ValueError before
-    any of it is written; the lines of the chunks before it are the
-    caller's to discard.
+    ``LevelBlocks`` are certified first (see ``LevelBlocks.check``), and
+    a level that fails raises ValueError before any line is written; then
+    they are rendered a chunk of blocks at a time (see ``_block_chunks``).
     """
     n = level.n
     head = '{"n": %d, "parts": [' % n
@@ -561,11 +559,10 @@ def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
                 n, b", ", b"\0", b", " if after else b""), table, rule_tags(
                     n, table, level.method_tag)).splitlines(True)
 
-        written = 0
-        for chunk, text in _block_chunks(level, (head, b", ", lines)):
+        count = level.check()
+        for text in _block_chunks(level, (head, b", ", lines)):
             stream.write(text)
-            written += len(chunk)
-        return written
+        return count
     tables = _cell_tables(n, b", ", b"\0")
     raw = level._raw
     for start in range(0, len(raw), _CHUNK):

@@ -24,8 +24,10 @@ is within the bound, where a bisection cuts the table.  That slice bound
 is all the assembly knows of the rule; the steps are the kernel's.  No
 member of the target is sorted, and no head of it is built.  The blocks
 (``level.LevelBlocks``: level k, the tables and the cuts) are what it
-hands on; the writers take them a chunk at a time, pack and check every
-member, and render each table once (see ``level._block_chunks``).
+hands on.  The same tree proves the target canonical: the writers
+certify the blocks from level k, the tables and the cuts, without a
+check of each member (see ``level.LevelBlocks``), then render each table
+once and the blocks a chunk at a time (see ``level._block_chunks``).
 
 k is set by n and N alone.  Level k grows as k rises and the tables
 (about k times the sum of P(r) for r <= N - k members) as it falls, and
@@ -37,13 +39,12 @@ at N = 60 (13,888 against 89,134); from weight 38, k = 38 at N = 50
 no member of level k but the single part ends in, are grown only for the
 progress counts.
 
-``evolve_m1`` checks the blocks a chunk at a time and returns them as a
-Level.  ``evolve --method 1`` hands the blocks to the writers instead:
-``write_snapshot`` checks each chunk before it writes it, and text output
-checks every chunk first and renders in a second pass; the CLI compares
-the count with P(N) before the file replaces its target or the first
-byte of text is written.  The check and the count certify the run, so
-the whole level is never held.
+``evolve_m1`` assembles the blocks into a Level, which checks them.
+``evolve --method 1`` hands the blocks to the writers instead, which
+certify them before they write a byte; the CLI compares the count with
+P(N) before the file replaces its target or the first byte of text is
+written.  The certificate and the count certify the run, so the whole
+level is never held.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from . import _pure
 from .core import (Kind, Partition, classify_m1, decode_member,
                    partition_member)
 from .engine import ProgressFn, check_upward, run_evolution
-from .level import TAG_ADDED_UNIT, TAG_AUGMENTED, Level, LevelBlocks
+from .level import (TAG_ADDED_UNIT, TAG_AUGMENTED, Level, LevelBlocks,
+                    _assemble)
 
 # A member's last two parts, or its single part: the key of its suffix.
 _END = itemgetter(slice(-2, None))
@@ -90,7 +92,7 @@ def predecessor_m1(p: Partition) -> Partition:
 def evolve_m1(start: Level, target_n: int, *,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the first rule: the
-    blocks of ``evolve_m1_chunks``, checked a chunk at a time, as a Level.
+    blocks of ``evolve_m1_chunks``, assembled, as a checked Level.
 
     ``start`` must be complete (hold every partition of its weight).
     """
@@ -137,13 +139,13 @@ def evolve_m1_chunks(start: Level, target_n: int, *,
         _report(progress, ends, len(level), k, steps, sizes)
     cuts = {end: _cut(tables[end[-1]], end) for end in ends}
     try:
-        return LevelBlocks(target_n, "method1", level, tables, cuts)
+        # The start's own members need no second check.
+        return LevelBlocks(target_n, "method1",
+                           start if k == start.n else level, tables, cuts)
     except ValueError:
         # A faulty kernel put a part 0 in a table, whose lines cannot be
         # told apart: the level is assembled and checked whole.
-        return Level(target_n, [
-            member[:-1] + rest for member in level
-            for rest in tables[member[-1]][cuts[member[-2:]]:]], "method1")
+        return Level(target_n, _assemble(level, tables, cuts), "method1")
 
 
 def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,

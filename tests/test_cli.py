@@ -12,6 +12,7 @@ import subprocess
 import sys
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,8 +20,8 @@ from partition_evolve import (Level, _pure, cli, core, count_oracle,
                               enumerate_oracle, evolve_m1, method1,
                               write_snapshot)
 from partition_evolve.engine import split_heads
-from partition_evolve.level import (_CHUNK, LevelBlocks, _block_chunks,
-                                    _read_chunks, check_members, write_text)
+from partition_evolve.level import (_CHUNK, LevelBlocks, _read_chunks,
+                                    check_members, write_text)
 
 from golden import (CLASSIFY_20_SHA256, CLASSIFY_42_SHA256,
                     EVOLVE_50_M2_TEXT_SHA256,
@@ -518,17 +519,19 @@ def _blocks_with(fault, built):
 
 
 def _head_of_second_chunk(members, tables, cuts):
-    """Where the level members of the second check chunk begin."""
-    first, _ = next(_block_chunks(
-        LevelBlocks(30, "method1", members, tables, cuts)))
+    """Where the level members of the second chunk that the snapshot
+    writer renders begin."""
+    writes = []
+    write_snapshot(LevelBlocks(30, "method1", members, tables, cuts),
+                   SimpleNamespace(write=writes.append))
     sizes = accumulate(len(tables[member[-1]]) - cuts[member[-2:]]
                        for member in members)
-    return list(sizes).index(len(first)) + 1
+    return list(sizes).index(writes[0].count("\n")) + 1
 
 
 def _misordered_at_a_boundary(members, tables, cuts):
-    """The blocks either side of the first check chunk's end swapped: each
-    chunk descends, the boundary does not."""
+    """The blocks either side of the first render chunk's end swapped:
+    each chunk descends, the boundary does not."""
     i = _head_of_second_chunk(members, tables, cuts)
     members[i - 1], members[i] = members[i], members[i - 1]
 
@@ -573,6 +576,25 @@ def test_faulty_blocks_are_refused_and_write_nothing(run_cli, tmp_path,
         with pytest.raises(ValueError) as whole:
             check_members(30, built[0])
         assert err.endswith(f"error: {whole.value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
+def test_a_table_below_its_last_part_is_refused(run_cli, tmp_path,
+                                                monkeypatch, snapshot):
+    # Each table descends and has the right weight, but the table of last
+    # part 2 ends in 1+1+1: the first block's last member is the second
+    # block's first, which only the premise on first parts rules out.
+    members = ["\x05\x02", "\x05\x01\x01"]
+    tables = {"\x02": ["\x03", "\x01\x01\x01"], "\x01": ["\x02", "\x01\x01"]}
+    cuts = {"\x05\x02": 0, "\x01\x01": 1}
+    monkeypatch.setattr(method1, "LevelBlocks", lambda n, method_tag, *_: (
+        LevelBlocks(8, method_tag, members, tables, cuts)))
+    output = ("--snapshot-out", tmp_path / "x.jsonl") if snapshot else ()
+    code, out, err = run_cli("evolve", 0, 8, "--method", 1, *output)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: members out of canonical order or "
+                        "duplicated near 5+1+1+1\n")
     assert list(tmp_path.iterdir()) == []
 
 

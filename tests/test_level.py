@@ -1,5 +1,6 @@
 """Level integrity rules and the JSONL snapshot format."""
 
+import functools
 import io
 import json
 
@@ -15,6 +16,7 @@ from partition_evolve.core import encode_parts, member_text
 from partition_evolve.level import (_CHUNK, METHOD_TAGS, LevelBlocks,
                                     _canonical, _read_chunks, _scan_lines,
                                     check_members, rule_tags, write_text)
+from partition_evolve.method1 import evolve_m1_chunks
 
 
 def _level(n, raw, method_tag="oracle"):
@@ -782,10 +784,10 @@ def test_readers_accept_the_tags_a_rule_gives(parts, accepted, method_tag):
 
 
 def test_blocks_word_a_part_0_as_the_level_check_does():
-    # A part 0 in a prefix splits its member into two pieces that each
-    # weigh 2 and descend; the packed check counts the pieces, and the
-    # scan words the member.  A table member with a part 0 is refused
-    # when the blocks are built.
+    # A part 0 in a member of the lower level splits it into two pieces,
+    # which fail the certificate's ``_canonical``; the scan of the
+    # assembled members words the member.  A table member with a part 0
+    # is refused when the blocks are built.
     blocks = LevelBlocks(2, "method1", ["\x02\x00\x01\x01"],
                          {"\x01": ["\x01"]}, {"\x01\x01": 0})
     with pytest.raises(ValueError,
@@ -795,3 +797,94 @@ def test_blocks_word_a_part_0_as_the_level_check_does():
     with pytest.raises(ValueError, match="part 0"):
         LevelBlocks(2, "method1", ["\x02"], {"\x02": ["\x02\x00"]},
                     {"\x02": 0})
+
+
+def test_certified_blocks_are_neither_assembled_nor_scanned(monkeypatch):
+    # The certificate reads level k and the tables alone.
+    blocks = evolve_m1_chunks(Level.seed("method1"), 30)
+
+    def never(*args):
+        raise AssertionError("the blocks were checked member by member")
+
+    monkeypatch.setattr(partition_evolve.level, "check_members", never)
+    monkeypatch.setattr(partition_evolve.level, "_assemble", never)
+    assert blocks.check() == 5604
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_members(n):
+    return tuple(enumerate_oracle(n).raw_members())
+
+
+def _true_blocks(n, k, top):
+    """Method 1's blocks of level n from level k: the table of each last
+    part l of 1..top, the members of weight l + n - k whose first part is
+    at least l, and the cut of every key of parts 0..top, where the first
+    parts at most the part before the last begin."""
+    tables = {chr(last): [member for member in _oracle_members(last + n - k)
+                          if ord(member[0]) >= last]
+              for last in range(1, top + 1)}
+    cuts = {chr(last): 0 for last in range(1, top + 1)}
+    cuts.update((chr(before) + last, sum(ord(member[0]) > before
+                                         for member in table))
+                for before in range(top + 1)
+                for last, table in tables.items())
+    return list(_oracle_members(k)), tables, cuts
+
+
+_BLOCK_FAULTS = ("swap", "drop", "repeat", "overweight", "zero", "below",
+                 "cut")
+
+
+@given(st.data())
+def test_blocks_are_refused_exactly_as_their_members(data):
+    # Faults in level k, the tables and the cuts: a swap, a drop or a
+    # repeat of a member, a unit more on a first part, a part 0 before a
+    # member of level k, a member below its table's last part at the end
+    # of the table, and a cut anywhere from -2 to 2 past the table.  At
+    # most three faults raise a part by at most 3, so every key the faults
+    # make has a cut.  A table with a part 0 is refused when the blocks
+    # are built, as another test shows.
+    n = data.draw(st.integers(2, 12), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    members, tables, cuts = _true_blocks(n, k, n + 3)
+    # Mostly the keys, and the tables, that level k's members name.
+    keys = st.sampled_from(sorted({member[-2:] for member in members}))
+    keys = st.one_of(keys, keys, st.sampled_from(sorted(cuts)))
+    lists = st.one_of(st.just(members), keys.map(lambda key: tables[key[-1]]))
+    for fault in data.draw(st.lists(st.sampled_from(_BLOCK_FAULTS),
+                                    max_size=3), label="faults"):
+        if fault == "cut":
+            key = data.draw(keys)
+            cuts[key] = data.draw(st.integers(
+                -2, len(tables[key[-1]]) + 2))
+        elif fault == "below":
+            last = ord(data.draw(keys)[-1])
+            tables[chr(last)].append("\x01" * (last + n - k))
+        else:
+            items = members if fault == "zero" else data.draw(lists)
+            if not items:
+                continue
+            i = data.draw(st.integers(0, len(items) - 1))
+            if fault == "swap":
+                j = data.draw(st.integers(0, len(items) - 1))
+                items[i], items[j] = items[j], items[i]
+            elif fault == "drop":
+                del items[i]
+            elif fault == "repeat":
+                items.insert(i, items[i])
+            elif fault == "overweight":
+                items[i] = chr(ord(items[i][0]) + 1) + items[i][1:]
+            else:
+                items[i] = "\0" + items[i]
+    assembled = [member[:-1] + rest for member in members
+                 for rest in tables[member[-1]][cuts[member[-2:]]:]]
+    blocks = LevelBlocks(n, "method1", members, tables, cuts)
+    try:
+        check_members(n, assembled)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            blocks.check()
+        assert str(refused.value) == str(exc)
+    else:
+        assert blocks.check() == len(assembled)
