@@ -24,9 +24,10 @@ from typing import TextIO
 from .core import (Kind, collectable, decimal_value, parse_partition,
                    quote_text, smallest_part_once)
 from .engine import check_upward
-from .level import Level, read_snapshot, write_snapshot, write_text
-from .method1 import evolve_m1, evolve_m1_chunks, predecessor_m1
-from .method2 import evolve_m2, predecessor_m2
+from .level import (Level, LevelBlocks, read_snapshot, write_snapshot,
+                    write_text)
+from .method1 import evolve_m1_chunks, predecessor_m1
+from .method2 import count_m2, evolve_m2_packed, predecessor_m2
 from .oracle import (DEFAULT_CAP, CapExceededError, check_cap, count_oracle,
                      enumerate_oracle)
 from .series import coefficient_csv, euler_p_coeffs
@@ -157,11 +158,12 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = len(enumerate_oracle(args.n, cap=cap))
     else:
         check_cap(args.n, cap)
+        # Counted as evolve counts, without holding the level.
         if args.source == "evolve1":
-            level = evolve_m1(Level.seed("method1"), args.n)
+            level = evolve_m1_chunks(Level.seed("method1"), args.n)
+            value = len(level) if isinstance(level, Level) else level.check()
         else:
-            level = evolve_m2(Level.seed("method2"), args.n)
-        value = len(level)
+            value = count_m2(Level.seed("method2"), args.n)
     print(value)
     return EXIT_OK
 
@@ -209,8 +211,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     check_upward(args.from_n, args.to_n)
     method_tag = "method1" if args.method == 1 else "method2"
     # Method 1's level comes as blocks, which are certified from a lower
-    # level and its tables and never held whole.
-    evolve = evolve_m1_chunks if args.method == 1 else evolve_m2
+    # level and its tables, and method 2's as packed codes, checked a batch
+    # of first parts at a time; neither is held as strings.
+    evolve = evolve_m1_chunks if args.method == 1 else evolve_m2_packed
 
     if args.snapshot_in is not None:
         # Undecodable bytes come through as lone surrogates, which the
@@ -233,8 +236,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.snapshot_out is None:
         final = evolve(start, args.to_n, progress=_progress)
         # The blocks are certified before the first byte is written.
-        _check_complete(len(final) if isinstance(final, Level)
-                        else final.check(), args.to_n)
+        _check_complete(final.check() if isinstance(final, LevelBlocks)
+                        else len(final), args.to_n)
         write_text(final, sys.stdout)
         return EXIT_OK
     # Opened before evolving, so that a bad path fails fast.  Blocks are

@@ -6,13 +6,16 @@ appended-unit successor keeps its head, so a step only adds the new heads
 of weight n+1.  The start level is split into heads once; at the target
 weight the start's members and each new head are rendered with their
 units.  The loop neither sorts nor checks what it grows; each method
-does.  Method 2 sorts and checks the target's members at once
-(``Level.from_raw``, in place).  Method 1 grows a lower level and small
+does.  Method 2 grows the target a batch of first parts at a time, and
+sorts and checks each batch (``Level.from_raw``, in place) before it
+packs it (see ``method2``); on any failure it grows, sorts and checks
+the whole target at once.  Method 1 grows a lower level and small
 tables, and hands them on as blocks of the target in canonical order
 (see ``method1``), which the writers certify from the lower level and
 the tables before they render a byte.  Either way the CLI refuses a
 target whose count is not P(N).  A step works on any canonical level,
-complete or not: method 1's tables are grown from one-member levels.
+complete or not: method 1's tables are grown from one-member levels,
+and method 2's batches from part of the start or from an empty level.
 """
 
 from __future__ import annotations

@@ -50,7 +50,8 @@ SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 # ``_canonical``).  A chunk of method 1's blocks holds about half as many
 # members when the snapshot writer renders it, at most this many and one
 # block (see ``_block_chunks``), and at most this many when blocks that
-# fail their certificate are assembled and checked (see ``_walked``).
+# fail their certificate are assembled and checked (see ``_walked``).  A
+# ``PackedLevel`` holds this many members to a piece.
 _CHUNK = 2048
 # Members per write of text: at weight 50 about 250 KB, several times a
 # pipe's buffer, so that a reader finds the pipe full at each read.  With
@@ -282,12 +283,24 @@ def _render(chunk: list[str], tables: _Tables) -> str:
     filled by one strided slice assignment from the translated pair values
     or codes, and dropping the padding finishes the text.
     """
-    slot_tables, part_tables, sep, end, lead = tables
     try:
-        codes = ("\0".join(chunk) + "\0").encode("latin-1")
+        codes = _packed(chunk)
     except UnicodeEncodeError:
+        _, _, sep, end, lead = tables
         return "".join([lead + sep.join(map(str, map(ord, member))) + end
                         for member in chunk])
+    return _render_codes(codes, tables)
+
+
+def _packed(members: list[str]) -> bytes:
+    """One Latin-1 code per part of ``members`` and a NUL after each
+    member; UnicodeEncodeError for a part past 255."""
+    return ("\0".join(members) + "\0").encode("latin-1")
+
+
+def _render_codes(codes: bytes, tables: _Tables) -> str:
+    """``_render`` of the members whose ``_packed`` codes are ``codes``."""
+    slot_tables, part_tables, _, _, _ = tables
     ends = int.from_bytes(codes.translate(_IS_END), "big")
     before = (ends >> 8) + (1 << 8 * (len(codes) - 1))
     pairs = (ends + 2 * before).to_bytes(len(codes), "big")
@@ -311,7 +324,13 @@ def _snapshot_lines(head: str, tables: _Tables, members: list[str],
     ``_cell_tables(n, b", ", b"\\0")``.  The pieces (head, parts, tail
     by tag) are placed by strided slice assignment and joined once.
     """
-    parts = _render(members, tables).split("\0")[:-1]
+    return _tagged_lines(head, _render(members, tables), tags)
+
+
+def _tagged_lines(head: str, rendered: str, tags: Sequence[str]) -> str:
+    """``_snapshot_lines`` of the members whose parts ``rendered`` holds,
+    as ``_render`` renders them with a NUL after each member."""
+    parts = rendered.split("\0")[:-1]
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
     pieces = [head] * (3 * len(parts))
     pieces[1::3] = parts
@@ -510,16 +529,59 @@ def _keyed(blocks: LevelBlocks, items: Callable[[list[str], bool], list[str]]
     return keyed
 
 
-def write_text(level: Level | LevelBlocks, stream: IO[str],
+class PackedLevel:
+    """The members of a level of weight n that ``method_tag``'s rule grew,
+    in canonical order, held as their ``_packed`` codes, ``_CHUNK``
+    members to a piece, with no member string.
+
+    ``append`` packs members that follow those packed before in canonical
+    order.  The level does not check them; whoever appends has.  The
+    writers render the codes as they are, ``_TEXT_CHUNK`` members to a
+    write of text and ``_CHUNK`` to one of a snapshot, so each member is
+    encoded once.
+    """
+
+    __slots__ = ("n", "method_tag", "_pieces", "_count")
+
+    def __init__(self, n: int, method_tag: str) -> None:
+        self.n = n
+        self.method_tag = method_tag
+        self._pieces: list[bytes] = []
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def append(self, members: list[str]) -> None:
+        """Pack ``members`` after the members packed before; raises
+        UnicodeEncodeError for a part past 255."""
+        # The first members fill the last piece up to _CHUNK.
+        fill = -self._count % _CHUNK
+        if fill and members:
+            self._pieces[-1] += _packed(members[:fill])
+        self._pieces += [_packed(members[start:start + _CHUNK])
+                         for start in range(fill, len(members), _CHUNK)]
+        self._count += len(members)
+
+    def chunks(self, size: int) -> Iterator[bytes]:
+        """The codes of each run of ``size`` members, a multiple of
+        ``_CHUNK``, in order; the last run may hold fewer."""
+        step = size // _CHUNK
+        for start in range(0, len(self._pieces), step):
+            yield b"".join(self._pieces[start:start + step])
+
+
+def write_text(level: Level | LevelBlocks | PackedLevel, stream: IO[str],
                lead: str = "") -> None:
     """Write one canonical text line per member (``3+2+1``, or ``0`` for
     the empty partition), in level order, each after ``lead``.
 
     Each chunk of a level's members is rendered by ``_render``, with
     ``lead`` before each member, ``+`` between parts and a newline after
-    each.  ``LevelBlocks`` are certified first (see ``LevelBlocks.check``),
-    then rendered a chunk of blocks at a time (see ``_block_chunks``), so
-    that no byte is written before the whole level is checked.
+    each; a ``PackedLevel``'s codes are rendered as they are.
+    ``LevelBlocks`` are certified first (see ``LevelBlocks.check``), then
+    rendered a chunk of blocks at a time (see ``_block_chunks``), so that
+    no byte is written before the whole level is checked.
     """
     n = level.n
     if isinstance(level, LevelBlocks):
@@ -532,16 +594,21 @@ def write_text(level: Level | LevelBlocks, stream: IO[str],
         for text in _block_chunks(level, (lead, b"+", lines), _TEXT_CHUNK):
             stream.write(text)
         return
-    raw = level._raw
     if n == 0:
-        stream.write(f"{lead}0\n" * len(raw))
+        stream.write(f"{lead}0\n" * len(level))
         return
     tables = _cell_tables(n, b"+", b"\n", lead.encode("ascii"))
+    if isinstance(level, PackedLevel):
+        for codes in level.chunks(_TEXT_CHUNK):
+            stream.write(_render_codes(codes, tables))
+        return
+    raw = level._raw
     for start in range(0, len(raw), _TEXT_CHUNK):
         stream.write(_render(raw[start:start + _TEXT_CHUNK], tables))
 
 
-def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
+def write_snapshot(level: Level | LevelBlocks | PackedLevel,
+                   stream: IO[str]) -> int:
     """Write one JSONL line per member, in level order (see
     ``_snapshot_lines``), deriving the tags ``_CHUNK`` members at a time;
     return the number of lines written.
@@ -549,6 +616,7 @@ def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
     ``LevelBlocks`` are certified first (see ``LevelBlocks.check``), and
     a level that fails raises ValueError before any line is written; then
     they are rendered a chunk of blocks at a time (see ``_block_chunks``).
+    A ``PackedLevel``'s codes are rendered as they are.
     """
     n = level.n
     head = '{"n": %d, "parts": [' % n
@@ -564,6 +632,14 @@ def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
             stream.write(text)
         return count
     tables = _cell_tables(n, b", ", b"\0")
+    if isinstance(level, PackedLevel):
+        for codes in level.chunks(_CHUNK):
+            # The members' strings only name their tags.
+            tags = rule_tags(n, codes.decode("latin-1").split("\0")[:-1],
+                             level.method_tag)
+            stream.write(_tagged_lines(head, _render_codes(codes, tables),
+                                       tags))
+        return len(level)
     raw = level._raw
     for start in range(0, len(raw), _CHUNK):
         chunk = raw[start:start + _CHUNK]

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from partition_evolve import (Level, _pure, cli, core, count_oracle,
-                              enumerate_oracle, evolve_m1, method1,
+                              enumerate_oracle, evolve_m1, method1, method2,
                               write_snapshot)
 from partition_evolve.engine import split_heads
 from partition_evolve.level import (_CHUNK, LevelBlocks, _read_chunks,
@@ -505,6 +505,158 @@ def test_an_incomplete_evolution_is_refused(run_cli, tmp_path, monkeypatch,
         f"error: evolved level is incomplete for weight {to_n}: holds "
         f"{held} of {P_SMALL[to_n]} partitions\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def _evolve_m2_runs(run_cli, tmp_path, snapshot):
+    """Exit code, stdout, stderr and snapshot bytes of ``evolve --method
+    2`` from weight 0 to each of 0..20, and of the resumes 5 to 6 and 12
+    to 20."""
+    runs = []
+    for start, target in [(0, n) for n in range(21)] + [(5, 6), (12, 20)]:
+        given = ()
+        if start:
+            given = ("--snapshot-in", tmp_path / f"level{start}.jsonl")
+        output = tmp_path / "out.jsonl"
+        code, out, err = run_cli("evolve", start, target, "--method", 2,
+                                 *given, *(("--snapshot-out", output)
+                                           if snapshot else ()))
+        runs.append((code, out, err,
+                     output.read_bytes() if snapshot else None))
+        output.unlink(missing_ok=True)
+    return runs
+
+
+@pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
+def test_a_batch_per_first_part_writes_what_the_whole_level_writes(
+        run_cli, tmp_path, monkeypatch, snapshot):
+    # With a budget of one member, each first part is a batch of its own,
+    # so every boundary is compared and, on a resume, every slice of the
+    # start is grown alone.
+    for start in (5, 12):
+        (tmp_path / f"level{start}.jsonl").write_text(
+            run_cli("list", start, "--format", "jsonl")[1])
+    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
+    batched = _evolve_m2_runs(run_cli, tmp_path, snapshot)
+    monkeypatch.setattr(cli, "evolve_m2_packed", method2.evolve_m2)
+    assert batched == _evolve_m2_runs(run_cli, tmp_path, snapshot)
+
+
+def _doubling_first_part_2(step):
+    """``step`` with its first new head of first part 2, if any,
+    repeated, as a head of the second kind."""
+    def doubled(heads):
+        new, second = step(heads)
+        twos = [head for head in new if head[:1] == "\x02"][:1]
+        return new + twos, second + len(twos)
+    return doubled
+
+
+# What the whole level's check printed for the sabotage below before
+# method 2 grew in batches.
+_DOUBLED_TWOS_STDERR = """\
+level 0: 1 partitions (Seed=1)
+level 1: 1 partitions (AddedUnit=1)
+level 2: 3 partitions (AddedUnit=1, Collected=1, Explicit=1)
+level 3: 4 partitions (AddedUnit=3, Explicit=1)
+level 4: 8 partitions (AddedUnit=4, Collected=3, Explicit=1)
+level 5: 10 partitions (AddedUnit=8, Collected=1, Explicit=1)
+level 6: 17 partitions (AddedUnit=10, Collected=6, Explicit=1)
+level 7: 21 partitions (AddedUnit=17, Collected=3, Explicit=1)
+level 8: 32 partitions (AddedUnit=21, Collected=10, Explicit=1)
+level 9: 40 partitions (AddedUnit=32, Collected=7, Explicit=1)
+level 10: 57 partitions (AddedUnit=40, Collected=16, Explicit=1)
+level 11: 71 partitions (AddedUnit=57, Collected=13, Explicit=1)
+level 12: 98 partitions (AddedUnit=71, Collected=26, Explicit=1)
+error: members out of canonical order or duplicated near 2+2+2+2+2+2
+"""
+
+
+@pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
+def test_a_fault_in_a_late_batch_is_refused_as_the_whole_level_was(
+        run_cli, tmp_path, monkeypatch, snapshot):
+    # A batch per first part: the batches of parts 12 down to 3 pass, and
+    # only that of part 2 grows a repeated member.
+    checked = []
+    from_raw = Level.from_raw
+
+    def counted(n, members, method_tag):
+        level = from_raw(n, members, method_tag)
+        checked.append(n)
+        return level
+
+    monkeypatch.setattr(Level, "from_raw", staticmethod(counted))
+    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
+    monkeypatch.setattr(_pure, "step_m2",
+                        _doubling_first_part_2(_pure.step_m2))
+    output = ("--snapshot-out", tmp_path / "x.jsonl") if snapshot else ()
+    assert run_cli("evolve", 0, 12, "--method", 2, *output) == (
+        2, "", _DOUBLED_TWOS_STDERR)
+    assert checked == [12] * 10
+    assert list(tmp_path.iterdir()) == []
+
+
+def _miscounted(step):
+    """``step`` with its explicit head counted among the second kind."""
+    def counted(heads):
+        new, _ = step(heads)
+        return new, len(new)
+    return counted
+
+
+def _losing_a_head(step):
+    """``step`` with the last of its second-kind heads of weight 8, if
+    any, dropped: each batch that grows some loses one, and the whole
+    level loses one."""
+    def lost(heads):
+        new, second = step(heads)
+        if len(heads) == 8 and second:
+            return new[:-1], second - 1
+        return new, second
+    return lost
+
+
+@pytest.mark.parametrize("sabotage", [
+    duplicating, overweight, lambda step: dropping(step, 8),
+    _losing_a_head, lambda step: zeroed(step, 10), shuffled, _miscounted,
+    _doubling_first_part_2,
+], ids=["duplicating", "overweight", "dropping", "losing", "part-0",
+        "shuffled", "miscounted", "doubled-twos"])
+@pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
+def test_faulty_kernels_print_what_the_whole_level_printed(
+        run_cli, tmp_path, monkeypatch, sabotage, snapshot):
+    # Batches that fail, or hold other than P(12) members, give way to
+    # the whole level, whose progress, output and refusal are printed.
+    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
+    monkeypatch.setattr(_pure, "step_m2", sabotage(_pure.step_m2))
+    output = tmp_path / "x.jsonl"
+    runs = []
+    for evolve in (method2.evolve_m2_packed, method2.evolve_m2):
+        monkeypatch.setattr(cli, "evolve_m2_packed", evolve)
+        runs.append((run_cli("evolve", 0, 12, "--method", 2, *(
+            ("--snapshot-out", output) if snapshot else ())),
+            output.read_bytes() if output.exists() else None))
+        output.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("budget", [None, 1000], ids=["default", "batches"])
+def test_method2_evolution_enters_no_layer_its_benchmark_bypasses(
+        run_cli, monkeypatch, budget):
+    # The layers that perfbench's evolve-m2-text workload must not enter.
+    expected = run_cli("list", 30)[1]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a bypassed layer was entered")
+
+    for module, name in [(_pure, "step_m1"), (_pure, "enumerate_level"),
+                         (cli, "enumerate_oracle"), (cli, "count_oracle"),
+                         (cli, "read_snapshot"), (cli, "write_snapshot"),
+                         (cli, "run_suite")]:
+        monkeypatch.setattr(module, name, never)
+    if budget is not None:
+        monkeypatch.setattr(method2, "_BATCH_MEMBERS", budget)
+    code, out, _ = run_cli("evolve", 0, 30, "--method", 2)
+    assert (code, out) == (0, expected)
 
 
 def _blocks_with(fault, built):

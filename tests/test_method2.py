@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
                               classify_m2, enumerate_oracle, evolve_m1,
-                              evolve_m2, predecessor_m2, successors_m2,
-                              tagged_successors_m2)
+                              evolve_m2, method2, predecessor_m2,
+                              successors_m2, tagged_successors_m2)
 
 from golden import M2_COLLECTED_6, PARTITIONS_5, PARTITIONS_6
 
@@ -137,3 +137,54 @@ def test_parts_past_255_evolve_like_the_per_partition_rule():
     level = evolve_m2(start, 303)
     assert list(level.partitions) == sorted(expected)
     assert level.tags == tuple(expected[p] for p in level.partitions)
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+@pytest.mark.parametrize("start_n,target_n", [(0, 1), (0, 20), (5, 6),
+                                              (12, 20)])
+def test_batches_hold_their_first_parts_and_join_to_the_oracle_level(
+        monkeypatch, budget, start_n, target_n):
+    # The oracle shares no code with the kernels or the batches.  With a
+    # budget of one member, each first part is a batch of its own.
+    monkeypatch.setattr(method2, "_BATCH_MEMBERS", budget)
+    parts = list(method2._batch_parts(target_n))
+    if budget == 1:
+        assert parts == [(f, f) for f in range(target_n, 0, -1)]
+    batches = []
+    method2._batches(enumerate_oracle(start_n), target_n, batches.append)
+    assert len(batches) == len(parts)
+    for (lo, hi), batch in zip(parts, batches):
+        assert {ord(member[0]) for member in batch} <= set(range(lo, hi + 1))
+        assert len(batch) <= budget or lo == hi
+    assert [member for batch in batches for member in batch] == \
+        enumerate_oracle(target_n).raw_members()
+
+
+def test_the_packed_level_and_its_count_need_no_whole_level(monkeypatch):
+    # 13 batches: parts 25..16, 15 and 14, each part of 13..4 alone, and
+    # parts 3..1.
+    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 100)
+    sizes = []
+    from_raw = Level.from_raw
+
+    def counted(n, members, method_tag):
+        sizes.append(len(members))
+        return from_raw(n, members, method_tag)
+
+    monkeypatch.setattr(Level, "from_raw", staticmethod(counted))
+    packed = method2.evolve_m2_packed(Level.seed("method2"), 25)
+    assert len(packed) == sum(sizes) == 1958
+    assert len(sizes) == 13
+    sizes.clear()
+    assert method2.count_m2(Level.seed("method2"), 25) == 1958
+    assert len(sizes) == 13
+
+
+def test_batches_that_do_not_descend_are_refused(monkeypatch):
+    # Each batch passes its own check; only the boundaries tell that the
+    # batches come in the wrong order.
+    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 40)
+    parts = list(method2._batch_parts(20))
+    monkeypatch.setattr(method2, "_batch_parts", lambda n: parts[::-1])
+    with pytest.raises(ValueError, match="below the one before"):
+        method2._batches(Level.seed("method2"), 20, lambda members: None)
