@@ -17,15 +17,14 @@ import os
 import stat
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import filterfalse
 from typing import TextIO
 
 from .core import (Kind, collectable, decimal_value, parse_partition,
                    quote_text, smallest_part_once)
 from .engine import check_upward
-from .level import (Level, LevelBlocks, read_snapshot, write_snapshot,
-                    write_text)
+from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1_chunks, predecessor_m1
 from .method2 import count_m2, evolve_m2_packed, predecessor_m2
 from .oracle import (DEFAULT_CAP, CapExceededError, check_cap, count_oracle,
@@ -160,8 +159,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         check_cap(args.n, cap)
         # Counted as evolve counts, without holding the level.
         if args.source == "evolve1":
-            level = evolve_m1_chunks(Level.seed("method1"), args.n)
-            value = len(level) if isinstance(level, Level) else level.check()
+            value = evolve_m1_chunks(Level.seed("method1"), args.n).check()
         else:
             value = count_m2(Level.seed("method2"), args.n)
     print(value)
@@ -233,19 +231,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             f"evolving from weight {args.from_n} requires --snapshot-in "
             "with the complete level")
 
-    if args.snapshot_out is None:
+    # Opened before evolving, so that a bad path fails fast.  The level is
+    # checked (blocks certified) and counted before the first byte goes to
+    # stdout or to the file, which replaces its target only when written.
+    with (nullcontext(sys.stdout) if args.snapshot_out is None
+          else _replacing(args.snapshot_out)) as out:
         final = evolve(start, args.to_n, progress=_progress)
-        # The blocks are certified before the first byte is written.
-        _check_complete(final.check() if isinstance(final, LevelBlocks)
-                        else len(final), args.to_n)
-        write_text(final, sys.stdout)
-        return EXIT_OK
-    # Opened before evolving, so that a bad path fails fast.  Blocks are
-    # certified before they go to the file a chunk at a time, and the file
-    # replaces its target only when the count is complete.
-    with _replacing(args.snapshot_out) as stream:
-        final = evolve(start, args.to_n, progress=_progress)
-        _check_complete(write_snapshot(final, stream), args.to_n)
+        _check_complete(final.check(), args.to_n)
+        (write_text if args.snapshot_out is None else write_snapshot)(
+            final, out)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate, filterfalse, islice, repeat
 from operator import gt, itemgetter, lt
 from struct import pack
@@ -111,6 +112,10 @@ class Level:
         return rule_tags(self._n, self._raw, self._method_tag)
 
     def __len__(self) -> int:
+        return len(self._raw)
+
+    def check(self) -> int:
+        """The number of members, which the constructor checked."""
         return len(self._raw)
 
     def __eq__(self, other: object) -> bool:
@@ -350,52 +355,62 @@ class LevelBlocks:
 
     Each member m of ``members``, a canonical level of a lower weight,
     gives one block: ``m[:-1]`` followed by each member of its last
-    part's canonical table ``tables[m[-1]]`` from index ``cuts[m[-2:]]``
-    on.  The rule must tag a member by its last part alone, as method 1's
-    does, so that a table's tags are those of the members it ends.  The
-    blocks hold the tables that the cuts name; a table member holding a
-    part 0, whose rendered lines could not be told apart, raises
-    ValueError.
+    part's canonical table ``table(m[-1])`` whose first part is at most
+    ``m[-2]`` (every member, for a single part).  The rule must tag a
+    member by its last part alone, as method 1's does, so that a table's
+    tags are those of the members it ends.  The blocks count the keys of
+    ``members`` (``ends``: a member's last two parts, or its single
+    part) once, ask ``table`` only for the last parts that the keys name,
+    and derive each key's cut: where, as first parts descend, the
+    table's first parts fall to at most the key's first.
 
     ``check`` certifies the level from ``members`` and the tables, not
     member by member.  With k' the weight of the first member of
     ``members``, the certificate holds when ``members`` passes
-    ``_canonical(k', ...)``, each table T_l passes ``_canonical(l + n -
-    k', T_l)`` and its last member's first part is at least l (so every
-    member's is, as the table descends), and every cut lies in
-    0..len(T_l).  Then every member of the blocks weighs (k' - l) + (l +
-    n - k') = n and holds no part 0.  Within a block the members descend,
-    as they share a prefix and the table descends.  Across blocks they
-    descend too: take consecutive members a > b of ``members``, first
-    differing at index i.  Equal weights with positive parts rule out i =
-    len(b) - 1 < len(a) - 1.  If i is below both prefix lengths, index i
-    decides; if i = len(a) - 1, then b[i] < a[-1], which is at most every
-    first part of T_{a[-1]}.  The count is the sum of the blocks' slice
-    lengths.  When ``members`` is given as a Level, whose constructor
-    checked it, that check stands for the first condition.  When the
-    certificate fails, the blocks are assembled a chunk at a time and
-    checked by ``check_members`` after the last member of the chunk
-    before, so that a refusal is worded as the check of the whole level
-    words it.
+    ``_canonical(k', ...)``, and each table T_l passes ``_canonical(l + n
+    - k', T_l)`` and its last member's first part is at least l (so every
+    member's is, as the table descends).  Then every member of the blocks
+    weighs (k' - l) + (l + n - k') = n and holds no part 0.  Within a
+    block the members descend, as they share a prefix and the table
+    descends.  Across blocks they descend too: take consecutive members a
+    > b of ``members``, first differing at index i.  Equal weights with
+    positive parts rule out i = len(b) - 1 < len(a) - 1.  If i is below
+    both prefix lengths, index i decides; if i = len(a) - 1, then b[i] <
+    a[-1], which is at most every first part of T_{a[-1]}.  The count is
+    the sum over the keys of their counts times their slice lengths.  When
+    ``members`` is given as a Level, whose constructor checked it, that
+    check stands for the first condition.  When the certificate fails,
+    the blocks are assembled a chunk at a time and checked by
+    ``check_members`` after the last member of the chunk before, so that
+    a refusal is worded as the check of the whole level words it.
 
     The level is never held: the writers certify the blocks, then render
-    them a chunk at a time (see ``_block_chunks``).
+    them a chunk at a time (see ``_block_chunks``).  They render only what
+    a block reads, each table from its lowest cut, so a table member that
+    no block reads needs no check.
     """
 
-    __slots__ = ("n", "method_tag", "members", "tables", "cuts", "_start",
-                 "_count")
+    __slots__ = ("n", "method_tag", "members", "ends", "tables", "cuts",
+                 "_start", "_count")
 
     def __init__(self, n: int, method_tag: str, members: list[str] | Level,
-                 tables: dict[str, list[str]], cuts: dict[str, int]) -> None:
+                 table: Callable[[str], list[str]]) -> None:
         self.n = n
         self.method_tag = method_tag
         self._start = isinstance(members, Level)
         self.members = members.raw_members() if self._start else members
-        self.tables = {last: tables[last]
-                       for last in {key[-1] for key in cuts}}
-        if "\0" in "".join(map("".join, self.tables.values())):
-            raise ValueError("a table member holds a part 0")
-        self.cuts = cuts
+        self.ends = Counter(map(_KEY, self.members))
+        lasts = dict.fromkeys(key[-1] for key in self.ends)
+        self.tables = {last: table(last) for last in lasts}
+        self.cuts = {key: bisect_left(self.tables[key[-1]], -ord(key[0]),
+                                      key=_neg_first) if len(key) > 1 else 0
+                     for key in self.ends}
+        # A member whose block is empty heads no line: no block reads it.
+        empty = {key for key, cut in self.cuts.items()
+                 if cut == len(self.tables[key[-1]])}
+        if empty:
+            self.members = [member for member in self.members
+                            if member[-2:] not in empty]
         self._count: int | None = None
 
     def check(self) -> int:
@@ -418,6 +433,10 @@ _KEY = itemgetter(slice(-2, None))
 _PREFIX = itemgetter(slice(None, -1))
 
 
+def _neg_first(member: str) -> int:
+    return -ord(member[0])
+
+
 def _certified(blocks: LevelBlocks) -> int | None:
     """The number of members of ``blocks`` when the certificate of
     ``LevelBlocks`` holds; otherwise None."""
@@ -432,13 +451,8 @@ def _certified(blocks: LevelBlocks) -> int | None:
         if table and not (table[-1] >= last
                           and _canonical(ord(last) + n - k, table)):
             return None
-    sizes = {}
-    for key, cut in blocks.cuts.items():
-        size = len(tables[key[-1]])
-        if not 0 <= cut <= size:
-            return None
-        sizes[key] = size - cut
-    return sum(map(sizes.__getitem__, map(_KEY, members)))
+    return sum(count * (len(tables[key[-1]]) - blocks.cuts[key])
+               for key, count in blocks.ends.items())
 
 
 def _walked(blocks: LevelBlocks) -> int:
@@ -513,18 +527,25 @@ def _keyed(blocks: LevelBlocks, items: Callable[[list[str], bool], list[str]]
            ) -> dict[str, list[str]]:
     """For each block key: an empty item, then the items of the key's
     suffix, so that a join over them puts a block's prefix before each.
-    ``items(table, after)`` gives the items of a whole table, each after
+    ``items(members, after)`` gives the items of table members, each after
     a separator when ``after`` (the key has two parts), and is called once
-    per table and ``after``; keys with the same suffix share its list."""
-    whole: dict[tuple[str, bool], list[str]] = {}
+    per table and ``after``, on the table from the lowest cut of its keys;
+    keys with the same suffix share its list."""
+    lowest: dict[tuple[str, bool], int] = {}
+    for key, cut in blocks.cuts.items():
+        table = key[-1], len(key) > 1
+        lowest[table] = min(cut, lowest.get(table, cut))
+    read: dict[tuple[str, bool], list[str]] = {}
+    for (last, after), low in lowest.items():
+        rows = blocks.tables[last][low:]
+        # ``_render`` would render no member as one empty member.
+        read[last, after] = items(rows, after) if rows else []
     suffixes: dict[tuple[str, bool, int], list[str]] = {}
     keyed = {}
     for key, cut in blocks.cuts.items():
         table = key[-1], len(key) > 1
-        if table not in whole:
-            whole[table] = items(blocks.tables[key[-1]], table[1])
         if table + (cut,) not in suffixes:
-            suffixes[table + (cut,)] = [""] + whole[table][cut:]
+            suffixes[table + (cut,)] = [""] + read[table][cut - lowest[table]:]
         keyed[key] = suffixes[table + (cut,)]
     return keyed
 
@@ -550,6 +571,10 @@ class PackedLevel:
         self._count = 0
 
     def __len__(self) -> int:
+        return self._count
+
+    def check(self) -> int:
+        """The number of members, which whoever appended them checked."""
         return self._count
 
     def append(self, members: list[str]) -> None:

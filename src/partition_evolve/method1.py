@@ -15,29 +15,36 @@ descendant of the single part ``m[-1]`` whose first part is at most
 a canonical level, so these blocks, read in level k's canonical order,
 are level k+r in canonical order.
 
-``evolve_m1_chunks`` grows the start to weight k = max(n, N - N//4), and
-one table T_l per last part l of 1..k, the one-member level ``[chr(l)]``
-evolved N - k weights, both with ``engine.run_evolution`` and
-``_pure.step_m1``.  Each member of level k then heads one block: its
-prefix followed by the suffix of its last part's table whose first part
-is within the bound, where a bisection cuts the table.  That slice bound
-is all the assembly knows of the rule; the steps are the kernel's.  No
+``evolve_m1_chunks`` grows the start to weight k = max(n, N - N//4),
+and then, for each last part l of a member of level k, the table T_l:
+the one-member level ``[chr(l)]`` evolved N - k weights, both with
+``engine.run_evolution`` and ``_pure.step_m1``.  Each member of level k
+then heads one block: its prefix followed by the suffix of its last
+part's table whose first part is within the bound.  That slice bound is
+all the assembly knows of the rule; the steps are the kernel's.  No
 member of the target is sorted, and no head of it is built.  The blocks
-(``level.LevelBlocks``: level k, the tables and the cuts) are what it
-hands on.  The same tree proves the target canonical: the writers
-certify the blocks from level k, the tables and the cuts, without a
-check of each member (see ``level.LevelBlocks``), then render each table
-once and the blocks a chunk at a time (see ``level._block_chunks``).
+(``level.LevelBlocks``: level k and the tables, from which they derive
+each block's cut) are what it hands on.  The same tree proves the target
+canonical: the writers certify the blocks from level k and the tables,
+without a check of each member (see ``level.LevelBlocks``), then render
+each table once and the blocks a chunk at a time (see
+``level._block_chunks``).
 
 k is set by n and N alone.  Level k grows as k rises and the tables
-(about k times the sum of P(r) for r <= N - k members) as it falls, and
-the writers hold both, each rendered table member costing about three
-times its string.  N - N//4 keeps both small: k = 42 at N = 56, where
-the blocks hold 9,892 table members against level k's 53,174, and k = 45
-at N = 60 (13,888 against 89,134); from weight 38, k = 38 at N = 50
-(4,847 against 26,015).  The tables of the last parts above k/2, which
-no member of level k but the single part ends in, are grown only for the
-progress counts.
+(about k/2 times the sum of P(r) for r <= N - k members) as it falls,
+and the writers hold both, each rendered table member costing about
+three times its string.  N - N//4 keeps both small: k = 42 at N = 56,
+where the blocks hold 9,892 table members against level k's 53,174, and
+k = 45 at N = 60 (13,888 against 89,134); from weight 38, k = 38 at N =
+50 (4,847 against 26,015).
+
+No member of a complete level k but the single part k ends in a part
+above k/2, and those tables are not grown.  The progress lines still
+need their sizes, and take them from T_steps, steps = N - k: for l >= s,
+T_l grown s weights holds exactly the partitions of l + s whose first
+part is at least l, which number the sum of P(j) for j <= s whatever l
+is, and each such l is above k/2 >= steps >= s.  T_steps is grown, as
+the member (k - steps, steps) of level k ends in steps.
 
 ``evolve_m1`` assembles the blocks into a Level, which checks them.
 ``evolve --method 1`` hands the blocks to the writers instead, which
@@ -49,19 +56,13 @@ level is never held.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from operator import itemgetter
 
 from . import _pure
 from .core import (Kind, Partition, classify_m1, decode_member,
                    partition_member)
 from .engine import ProgressFn, check_upward, run_evolution
-from .level import (TAG_ADDED_UNIT, TAG_AUGMENTED, Level, LevelBlocks,
-                    _assemble)
-
-# A member's last two parts, or its single part: the key of its suffix.
-_END = itemgetter(slice(-2, None))
+from .level import TAG_ADDED_UNIT, TAG_AUGMENTED, Level, LevelBlocks
 
 
 def tagged_successors_m1(p: Partition) -> tuple[tuple[Partition, str], ...]:
@@ -120,32 +121,26 @@ def evolve_m1_chunks(start: Level, target_n: int, *,
     if not steps:
         # No step keeps the start's rule and its tags.
         return start if k == start.n else Level(k, level, "method1")
-    ends = Counter(map(_END, level))
-    # One table per last part of 1..k, and per any other last part that a
-    # faulty kernel put in level k, so that the target's check words it.
-    tables: dict[str, list[str]] = {}
     sizes: dict[tuple[int, int], int] = {}
-    for last in set(map(chr, range(1, k + 1))).union(
-            end[-1] for end in ends):
+
+    def table(last: str) -> list[str]:
+        """T_last: the single part ``last`` grown ``steps`` weights, sorted;
+        its size at each weight goes to ``sizes``."""
         part = ord(last)
         counted: list[int] = []
-        tables[last] = sorted(run_evolution(
+        grown = run_evolution(
             Level(part, [last], "method1"), part + steps,
             method_tag="method1", step=_pure.step_m1,
-            progress=lambda n, counts: counted.append(sum(counts.values()))),
-            reverse=True)
+            progress=lambda n, counts: counted.append(sum(counts.values())))
         sizes.update(((part, s), size) for s, size in enumerate(counted))
+        return sorted(grown, reverse=True)
+
+    # The start's own members need no second check.
+    blocks = LevelBlocks(target_n, "method1",
+                         start if k == start.n else level, table)
     if progress is not None:
-        _report(progress, ends, len(level), k, steps, sizes)
-    cuts = {end: _cut(tables[end[-1]], end) for end in ends}
-    try:
-        # The start's own members need no second check.
-        return LevelBlocks(target_n, "method1",
-                           start if k == start.n else level, tables, cuts)
-    except ValueError:
-        # A faulty kernel put a part 0 in a table, whose lines cannot be
-        # told apart: the level is assembled and checked whole.
-        return Level(target_n, _assemble(level, tables, cuts), "method1")
+        _report(progress, blocks.ends, len(level), k, steps, sizes)
+    return blocks
 
 
 def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,
@@ -155,7 +150,9 @@ def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,
     level k that end in parts (b, l) has |T_l(s)| - |T_{b+1}(s - (b+1-l))|
     descendants, those of T_l(s) whose first part exceeds b being the
     descendants of the single part b+1; a single part l has |T_l(s)|.
-    ``previous`` is the size of level k."""
+    A table that no member reads was not grown, and its sizes are those
+    of T_steps (see the module docstring).  ``previous`` is the size of
+    level k."""
     for s in range(1, steps + 1):
         size = 0
         for end, count in ends.items():
@@ -163,22 +160,10 @@ def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,
             size += count * sizes[last, s]
             if len(end) == 2:
                 above = ord(end[0]) + 1
-                size -= count * sizes.get((above, s - above + last), 0)
+                at = s - above + last
+                size -= count * sizes.get((above, at),
+                                          sizes.get((steps, at), 0))
         counts = {TAG_ADDED_UNIT: previous, TAG_AUGMENTED: size - previous}
         progress(k + s, {tag: count for tag, count in counts.items()
                          if count})
         previous = size
-
-
-
-def _neg_first(member: str) -> int:
-    return -ord(member[0])
-
-
-def _cut(table: list[str], end: str) -> int:
-    """The slice bound: where the members of the table of ``end``'s last
-    part whose first part is at most the part before it (all, for a
-    single part) begin, as first parts descend."""
-    if len(end) == 1:
-        return 0
-    return bisect_left(table, -ord(end[0]), key=_neg_first)

@@ -200,6 +200,22 @@ def test_resumed_progress_stream_is_pinned_to_the_counts(run_cli, tmp_path,
     assert err == _progress_lines(method, 12, 20, "Seed=77")
 
 
+@pytest.mark.parametrize("start,to_n", [(0, 50), (0, 60), (38, 50)])
+def test_method1_progress_past_level_k_is_pinned_to_the_counts(
+        run_cli, tmp_path, start, to_n):
+    # Past level k the lines are counted from the tables grown, and the
+    # sizes of the tables of last parts above k/2 from T_steps.
+    arguments = ()
+    if start:
+        snapshot = tmp_path / f"level{start}.jsonl"
+        snapshot.write_text(run_cli("list", start, "--format", "jsonl")[1])
+        arguments = ("--snapshot-in", snapshot)
+    code, _, err = run_cli("evolve", start, to_n, "--method", 1, *arguments)
+    assert code == 0
+    assert err == _progress_lines(1, start, to_n,
+                                  f"Seed={count_oracle(start)}")
+
+
 def test_evolve_snapshot_roundtrip(run_cli, tmp_path):
     first = tmp_path / "level5.jsonl"
     second = tmp_path / "level8.jsonl"
@@ -660,44 +676,50 @@ def test_method2_evolution_enters_no_layer_its_benchmark_bypasses(
 
 
 def _blocks_with(fault, built):
-    """``LevelBlocks`` over the level, tables and cuts that ``fault``
-    changes in place; appends the members they assemble to ``built``."""
-    def build(n, method_tag, members, tables, cuts):
-        fault(members, tables, cuts)
+    """``LevelBlocks`` over the level and the tables of its last parts,
+    which ``fault`` changes in place; appends the members they assemble
+    to ``built``."""
+    def build(n, method_tag, members, table):
+        tables = {last: table(last)
+                  for last in dict.fromkeys(member[-1] for member in members)}
+        fault(members, tables)
+        blocks = LevelBlocks(n, method_tag, members, tables.__getitem__)
         built.append([member[:-1] + rest for member in members
-                      for rest in tables[member[-1]][cuts[member[-2:]]:]])
-        return LevelBlocks(n, method_tag, members, tables, cuts)
+                      for rest in tables[member[-1]][
+                          blocks.cuts[member[-2:]]:]])
+        return blocks
     return build
 
 
-def _head_of_second_chunk(members, tables, cuts):
+def _head_of_second_chunk(members, tables):
     """Where the level members of the second chunk that the snapshot
     writer renders begin."""
     writes = []
-    write_snapshot(LevelBlocks(30, "method1", members, tables, cuts),
-                   SimpleNamespace(write=writes.append))
-    sizes = accumulate(len(tables[member[-1]]) - cuts[member[-2:]]
+    blocks = LevelBlocks(30, "method1", members, tables.__getitem__)
+    write_snapshot(blocks, SimpleNamespace(write=writes.append))
+    sizes = accumulate(len(tables[member[-1]]) - blocks.cuts[member[-2:]]
                        for member in members)
     return list(sizes).index(writes[0].count("\n")) + 1
 
 
-def _misordered_at_a_boundary(members, tables, cuts):
+def _misordered_at_a_boundary(members, tables):
     """The blocks either side of the first render chunk's end swapped:
     each chunk descends, the boundary does not."""
-    i = _head_of_second_chunk(members, tables, cuts)
+    i = _head_of_second_chunk(members, tables)
     members[i - 1], members[i] = members[i], members[i - 1]
 
 
-def _misordered_at_the_end(members, tables, cuts):
+def _misordered_at_the_end(members, tables):
     members[-2], members[-1] = members[-1], members[-2]
 
 
-def _dropped(members, tables, cuts):
-    """The single part's block loses its first member."""
-    cuts[members[0][-2:]] += 1
+def _dropped(members, tables):
+    """The single part's table, which only the single part's block reads,
+    loses its first member."""
+    del tables[members[0]][0]
 
 
-def _overweight(members, tables, cuts):
+def _overweight(members, tables):
     """The first member of the table of last part 1 gains a unit."""
     table = tables["\x01"]
     table[0] = chr(ord(table[0][0]) + 1) + table[0][1:]
@@ -739,9 +761,14 @@ def test_a_table_below_its_last_part_is_refused(run_cli, tmp_path,
     # block's first, which only the premise on first parts rules out.
     members = ["\x05\x02", "\x05\x01\x01"]
     tables = {"\x02": ["\x03", "\x01\x01\x01"], "\x01": ["\x02", "\x01\x01"]}
-    cuts = {"\x05\x02": 0, "\x01\x01": 1}
-    monkeypatch.setattr(method1, "LevelBlocks", lambda n, method_tag, *_: (
-        LevelBlocks(8, method_tag, members, tables, cuts)))
+
+    def blocks(n, method_tag, level, table):
+        # The run grows these last parts' tables for its progress lines.
+        for last in tables:
+            table(last)
+        return LevelBlocks(8, method_tag, members, tables.__getitem__)
+
+    monkeypatch.setattr(method1, "LevelBlocks", blocks)
     output = ("--snapshot-out", tmp_path / "x.jsonl") if snapshot else ()
     code, out, err = run_cli("evolve", 0, 8, "--method", 1, *output)
     assert (code, out) == (2, "")

@@ -810,17 +810,50 @@ def test_readers_accept_the_tags_a_rule_gives(parts, accepted, method_tag):
 def test_blocks_word_a_part_0_as_the_level_check_does():
     # A part 0 in a member of the lower level splits it into two pieces,
     # which fail the certificate's ``_canonical``; the scan of the
-    # assembled members words the member.  A table member with a part 0
-    # is refused when the blocks are built.
+    # assembled members words the member.  A part 0 in a table member
+    # that a block reads is worded as the member it makes.
     blocks = LevelBlocks(2, "method1", ["\x02\x00\x01\x01"],
-                         {"\x01": ["\x01"]}, {"\x01\x01": 0})
+                         {"\x01": ["\x01"]}.__getitem__)
     with pytest.raises(ValueError,
                        match=r"^member 2\+0\+1\+1 has weight 4, level "
                              r"holds weight 2$"):
         blocks.check()
-    with pytest.raises(ValueError, match="part 0"):
-        LevelBlocks(2, "method1", ["\x02"], {"\x02": ["\x02\x00"]},
-                    {"\x02": 0})
+    blocks = LevelBlocks(4, "method1", ["\x02"],
+                         {"\x02": ["\x02\x00\x02"]}.__getitem__)
+    with pytest.raises(ValueError, match=r"^member 2\+0\+2 has a part 0$"):
+        blocks.check()
+
+
+def test_a_table_member_no_block_reads_is_neither_checked_nor_rendered():
+    # Level 2's member 1+1 reads the members of T_1 grown 2 weights whose
+    # first part is at most 1: 1+1+1 alone.  The member 2+0+1 above it
+    # breaks the table's certificate, but no block reads it, so the
+    # assembled level passes and the writers never render it.
+    table = ["\x03", "\x02\x00\x01", "\x01\x01\x01"]
+    blocks = LevelBlocks(4, "method1", ["\x01\x01"],
+                         {"\x01": table}.__getitem__)
+    assert blocks.check() == 1
+    text, snapshot = io.StringIO(), io.StringIO()
+    write_text(blocks, text)
+    write_snapshot(blocks, snapshot)
+    assert text.getvalue() == "1+1+1+1\n"
+    assert snapshot.getvalue() == (
+        '{"n": 4, "parts": [1, 1, 1, 1], "tag": "AddedUnit"}\n')
+    # Nor is a prefix whose block is empty: 1+0+1 reads no member of T_1.
+    blocks = LevelBlocks(3, "method1", ["\x01\x00\x01", "\x01\x01"],
+                         {"\x01": ["\x02", "\x01\x01"]}.__getitem__)
+    assert blocks.check() == 1
+    text = io.StringIO()
+    write_text(blocks, text)
+    assert text.getvalue() == "1+1+1\n"
+    # A table that no block reads a member of renders no line.
+    blocks = LevelBlocks(2, "method1", ["\x00\x01"],
+                         {"\x01": ["\x02", "\x01\x01"]}.__getitem__)
+    assert blocks.check() == 0
+    for write in (write_text, write_snapshot):
+        written = io.StringIO()
+        write(blocks, written)
+        assert written.getvalue() == ""
 
 
 def test_certified_blocks_are_neither_assembled_nor_scanned(monkeypatch):
@@ -841,74 +874,72 @@ def _oracle_members(n):
 
 
 def _true_blocks(n, k, top):
-    """Method 1's blocks of level n from level k: the table of each last
-    part l of 1..top, the members of weight l + n - k whose first part is
-    at least l, and the cut of every key of parts 0..top, where the first
-    parts at most the part before the last begin."""
+    """Method 1's blocks of level n from level k: level k, and the table
+    of each last part l of 1..top, the members of weight l + n - k whose
+    first part is at least l."""
     tables = {chr(last): [member for member in _oracle_members(last + n - k)
                           if ord(member[0]) >= last]
               for last in range(1, top + 1)}
-    cuts = {chr(last): 0 for last in range(1, top + 1)}
-    cuts.update((chr(before) + last, sum(ord(member[0]) > before
-                                         for member in table))
-                for before in range(top + 1)
-                for last, table in tables.items())
-    return list(_oracle_members(k)), tables, cuts
+    return list(_oracle_members(k)), tables
 
 
 _BLOCK_FAULTS = ("swap", "drop", "repeat", "overweight", "zero", "below",
-                 "cut")
+                 "zero-in-a-table")
 
 
 @given(st.data())
 def test_blocks_are_refused_exactly_as_their_members(data):
-    # Faults in level k, the tables and the cuts: a swap, a drop or a
-    # repeat of a member, a unit more on a first part, a part 0 before a
-    # member of level k, a member below its table's last part at the end
-    # of the table, and a cut anywhere from -2 to 2 past the table.  At
-    # most three faults raise a part by at most 3, so every key the faults
-    # make has a cut.  A table with a part 0 is refused when the blocks
-    # are built, as another test shows.
+    # Faults in level k and the tables: a swap, a drop or a repeat of a
+    # member, a unit more on a first part, a part 0 before a member of
+    # level k or after the first part of a table member, and a member
+    # below its table's last part at the end of the table.  At most three
+    # faults raise a part by at most 3, so every key the faults make has
+    # a table.  Blocks that pass are written as their members are.
     n = data.draw(st.integers(2, 12), label="n")
     k = data.draw(st.integers(1, n - 1), label="k")
-    members, tables, cuts = _true_blocks(n, k, n + 3)
-    # Mostly the keys, and the tables, that level k's members name.
-    keys = st.sampled_from(sorted({member[-2:] for member in members}))
-    keys = st.one_of(keys, keys, st.sampled_from(sorted(cuts)))
-    lists = st.one_of(st.just(members), keys.map(lambda key: tables[key[-1]]))
+    members, tables = _true_blocks(n, k, n + 3)
+    # Mostly the tables that level k's members name.
+    lasts = st.sampled_from(sorted({member[-1] for member in members}))
+    lasts = st.one_of(lasts, lasts, st.sampled_from(sorted(tables)))
+    lists = st.one_of(st.just(members), lasts.map(tables.__getitem__))
     for fault in data.draw(st.lists(st.sampled_from(_BLOCK_FAULTS),
                                     max_size=3), label="faults"):
-        if fault == "cut":
-            key = data.draw(keys)
-            cuts[key] = data.draw(st.integers(
-                -2, len(tables[key[-1]]) + 2))
-        elif fault == "below":
-            last = ord(data.draw(keys)[-1])
+        if fault == "below":
+            last = ord(data.draw(lasts))
             tables[chr(last)].append("\x01" * (last + n - k))
+            continue
+        items = (members if fault == "zero" else tables[data.draw(lasts)]
+                 if fault == "zero-in-a-table" else data.draw(lists))
+        if not items:
+            continue
+        i = data.draw(st.integers(0, len(items) - 1))
+        if fault == "swap":
+            j = data.draw(st.integers(0, len(items) - 1))
+            items[i], items[j] = items[j], items[i]
+        elif fault == "drop":
+            del items[i]
+        elif fault == "repeat":
+            items.insert(i, items[i])
+        elif fault == "overweight":
+            items[i] = chr(ord(items[i][0]) + 1) + items[i][1:]
+        elif fault == "zero":
+            items[i] = "\0" + items[i]
         else:
-            items = members if fault == "zero" else data.draw(lists)
-            if not items:
-                continue
-            i = data.draw(st.integers(0, len(items) - 1))
-            if fault == "swap":
-                j = data.draw(st.integers(0, len(items) - 1))
-                items[i], items[j] = items[j], items[i]
-            elif fault == "drop":
-                del items[i]
-            elif fault == "repeat":
-                items.insert(i, items[i])
-            elif fault == "overweight":
-                items[i] = chr(ord(items[i][0]) + 1) + items[i][1:]
-            else:
-                items[i] = "\0" + items[i]
+            items[i] = items[i][:1] + "\0" + items[i][1:]
+    blocks = LevelBlocks(n, "method1", members, tables.__getitem__)
     assembled = [member[:-1] + rest for member in members
-                 for rest in tables[member[-1]][cuts[member[-2:]]:]]
-    blocks = LevelBlocks(n, "method1", members, tables, cuts)
+                 for rest in tables[member[-1]][blocks.cuts[member[-2:]]:]]
     try:
         check_members(n, assembled)
     except ValueError as exc:
         with pytest.raises(ValueError) as refused:
             blocks.check()
         assert str(refused.value) == str(exc)
-    else:
-        assert blocks.check() == len(assembled)
+        return
+    assert blocks.check() == len(assembled)
+    level = Level(n, assembled, "method1")
+    for write in (write_text, write_snapshot):
+        written, expected = io.StringIO(), io.StringIO()
+        write(blocks, written)
+        write(level, expected)
+        assert written.getvalue() == expected.getvalue()

@@ -11,6 +11,8 @@ from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
                               enumerate_oracle, evolve_m1, predecessor_m1,
                               successors_m1, tagged_successors_m1,
                               write_snapshot)
+from partition_evolve import method1
+from partition_evolve.engine import run_evolution
 from partition_evolve.level import write_text
 from partition_evolve.method1 import evolve_m1_chunks
 
@@ -139,3 +141,42 @@ def test_evolution_enumerates_nothing(monkeypatch):
 
     monkeypatch.setattr(_pure, "enumerate_level", never)
     assert evolve_m1(Level.seed("method1"), 35).raw_members() == expected
+
+
+def test_a_single_part_grown_fewer_weights_than_itself_counts_alike():
+    # The lemma behind the progress lines of unread tables: for l >= s,
+    # T_l grown s weights holds exactly the partitions of l + s whose
+    # first part is at least l, the sum of P(j) for j <= s of them
+    # whatever l is.  The counts come from the oracle, which shares no
+    # code with step_m1.
+    for s in range(10):
+        expected = sum(count_oracle(j) for j in range(s + 1))
+        for last in range(max(s, 1), 30):
+            table = run_evolution(Level(last, [chr(last)], "method1"),
+                                  last + s, method_tag="method1",
+                                  step=_pure.step_m1)
+            held = [member for member in enumerate_oracle(last + s)
+                    .raw_members() if ord(member[0]) >= last]
+            assert sorted(table, reverse=True) == held, (last, s)
+            assert len(held) == expected, (last, s)
+
+
+@pytest.mark.parametrize("start_n,target_n,tables", [(0, 60, 23),
+                                                      (38, 50, 20)])
+def test_the_tables_grown_are_the_last_parts_of_level_k(
+        monkeypatch, start_n, target_n, tables):
+    # k = 45 and 38: the last parts 1..k/2 and the single part k.
+    grown = []
+
+    def counted(start, *args, **kwargs):
+        grown.append(start)
+        return run_evolution(start, *args, **kwargs)
+
+    monkeypatch.setattr(method1, "run_evolution", counted)
+    start = (enumerate_oracle(start_n) if start_n
+             else Level.seed("method1"))
+    blocks = evolve_m1_chunks(start, target_n)
+    level_k = enumerate_oracle(target_n - target_n // 4).raw_members()
+    lasts = [table.raw_members()[0] for table in grown[1:]]
+    assert lasts == list(dict.fromkeys(member[-1] for member in level_k))
+    assert len(lasts) == len(blocks.tables) == tables
