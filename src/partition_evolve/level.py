@@ -387,7 +387,8 @@ class LevelBlocks:
     The level is never held: the writers certify the blocks, then render
     them a chunk at a time (see ``_block_chunks``).  They render only what
     a block reads, each table from its lowest cut, so a table member that
-    no block reads needs no check.
+    no block reads needs no check.  ``level`` checks before it assembles,
+    so a level that fails is refused before it is held.
     """
 
     __slots__ = ("n", "method_tag", "members", "ends", "tables", "cuts",
@@ -402,9 +403,8 @@ class LevelBlocks:
         self.ends = Counter(map(_KEY, self.members))
         lasts = dict.fromkeys(key[-1] for key in self.ends)
         self.tables = {last: table(last) for last in lasts}
-        self.cuts = {key: bisect_left(self.tables[key[-1]], -ord(key[0]),
-                                      key=_neg_first) if len(key) > 1 else 0
-                     for key in self.ends}
+        self.cuts = {key: first_at_most(self.tables[key[-1]], ord(key[0]))
+                     if len(key) > 1 else 0 for key in self.ends}
         # A member whose block is empty heads no line: no block reads it.
         empty = {key for key, cut in self.cuts.items()
                  if cut == len(self.tables[key[-1]])}
@@ -422,19 +422,23 @@ class LevelBlocks:
         return self._count
 
     def level(self) -> Level:
-        """The members, assembled and checked, as a Level."""
+        """The members, checked by ``check`` before any is assembled, as a
+        Level."""
+        self.check()
         return Level(self.n, _assemble(self.members, self.tables, self.cuts),
                      self.method_tag)
+
+
+def first_at_most(members: list[str], part: int) -> int:
+    """Where the members of a canonical level whose first part is at most
+    ``part`` begin, as first parts descend."""
+    return bisect_left(members, -part, key=lambda member: -ord(member[0]))
 
 
 # The key of a block, its member's last two parts (or its one), and its
 # prefix, all parts but the last.
 _KEY = itemgetter(slice(-2, None))
 _PREFIX = itemgetter(slice(None, -1))
-
-
-def _neg_first(member: str) -> int:
-    return -ord(member[0])
 
 
 def _certified(blocks: LevelBlocks) -> int | None:
@@ -458,7 +462,11 @@ def _certified(blocks: LevelBlocks) -> int | None:
 def _walked(blocks: LevelBlocks) -> int:
     """Check the members of ``blocks`` by ``check_members``, assembled a
     chunk at a time, each after the last member of the chunk before;
-    return their number."""
+    return their number.  A chunk at a time, so that a faulty level is
+    refused at its first bad chunk and never held whole: under a kernel
+    that repeats a head, the blocks hold many times P(n) members, and
+    the check of the assembled level took over ten times as long and
+    held over twenty times the memory."""
     members, tables = blocks.members, blocks.tables
     width = max(1, _CHUNK // max([1, *map(len, tables.values())]))
     count = 0

@@ -46,12 +46,12 @@ part is at least l, which number the sum of P(j) for j <= s whatever l
 is, and each such l is above k/2 >= steps >= s.  T_steps is grown, as
 the member (k - steps, steps) of level k ends in steps.
 
-``evolve_m1`` assembles the blocks into a Level, which checks them.
-``evolve --method 1`` hands the blocks to the writers instead, which
-certify them before they write a byte; the CLI compares the count with
-P(N) before the file replaces its target or the first byte of text is
-written.  The certificate and the count certify the run, so the whole
-level is never held.
+``evolve_m1`` checks the blocks as the writers do, and only then
+assembles them into a Level.  ``evolve --method 1`` hands the blocks to
+the writers instead, which certify them before they write a byte; the
+CLI compares the count with P(N) before the file replaces its target or
+the first byte of text is written.  The certificate and the count
+certify the run, so the whole level is never held.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def predecessor_m1(p: Partition) -> Partition:
 def evolve_m1(start: Level, target_n: int, *,
               progress: ProgressFn | None = None) -> Level:
     """Evolve a complete level to ``target_n`` under the first rule: the
-    blocks of ``evolve_m1_chunks``, assembled, as a checked Level.
+    blocks of ``evolve_m1_chunks``, checked and then assembled, as a
+    Level.
 
     ``start`` must be complete (hold every partition of its weight).
     """

@@ -15,7 +15,7 @@ one successor of the empty partition), or, from a start of weight n >=
 f, of the start's members with first part f.  First parts descend along
 the canonical level, so each first part's members are one run of it.
 
-``evolve_m2_packed`` cuts the first parts N..1 into batches of
+``_batches`` cuts the first parts N..1 into batches of
 consecutive parts, each holding at most ``_BATCH_MEMBERS`` members of
 level N unless its lowest part's run alone holds more; the runs' sizes
 come from a table of partitions into bounded parts, and nothing is grown
@@ -30,22 +30,24 @@ lies in the batch, so that every member comes from the kernel.
 must lie below the last member of the batch before.  Batches that each
 strictly descend, and descend across each boundary, strictly descend as
 a whole; with a count of P(N) from the series they are level N.  Each
-batch is packed once checked, as one Latin-1 code per part and a NUL
-after each member (``level.PackedLevel``), and its strings are dropped:
-level N is never held as strings, and the writers render the codes.
-Progress, each weight's counts summed over the batches, is reported
-only after the last batch has passed and the count is complete.
+batch goes to a sink once checked, and its strings are dropped.
+``evolve_m2_packed``'s sink packs it, as one Latin-1 code per part and
+a NUL after each member (``level.PackedLevel``): level N is never held
+as strings, and the writers render the codes.  ``count_m2``'s sink only
+counts it.
 
-Any failure (a batch that fails its check, a boundary that does not
-descend, a part past 255, a count other than P(N)) drops the batches and
-runs ``evolve_m2``, the one-batch case: the whole level grown, sorted and
-checked at once.  So a faulty kernel's progress and refusal are printed
-as they always have been.
+Both go through ``_batched_or_whole``, the one fallback.  Progress, each
+weight's counts summed over the batches, is reported only after the last
+batch has passed and the count is complete.  Any failure (a batch that
+fails its check, a boundary that does not descend, a part past 255, a
+count other than P(N)) drops the batches and runs ``evolve_m2``, the
+one-batch case: the whole level grown, sorted and checked at once.  So
+a faulty kernel's progress and refusal are printed as they always have
+been, and ``count`` prints what the whole level holds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator
 
@@ -54,7 +56,7 @@ from .core import (Kind, Partition, classify_m2, decode_member,
                    partition_member)
 from .engine import ProgressFn, StepFn, check_upward, run_evolution
 from .level import (TAG_ADDED_UNIT, TAG_COLLECTED, TAG_ORDER, Level,
-                    PackedLevel)
+                    PackedLevel, first_at_most)
 from .series import euler_p_coeffs
 
 # Members of the target level that one batch holds at most, unless one
@@ -115,20 +117,9 @@ def evolve_m2_packed(start: Level, target_n: int, *,
     The steps run, and ``progress`` hears of every weight, before this
     returns.
     """
-    check_upward(start.n, target_n)
-    if target_n > start.n:
-        packed = PackedLevel(target_n, "method2")
-        try:
-            counts = _batches(start, target_n, packed.append)
-        except ValueError:
-            pass
-        else:
-            if progress is not None:
-                progress(start.n, start.tag_counts())
-                for weight, tags in enumerate(counts, start.n + 1):
-                    progress(weight, tags)
-            return packed
-    return evolve_m2(start, target_n, progress=progress)
+    packed = PackedLevel(target_n, "method2")
+    whole = _batched_or_whole(start, target_n, packed.append, progress)
+    return packed if whole is None else whole
 
 
 def count_m2(start: Level, target_n: int) -> int:
@@ -136,16 +127,32 @@ def count_m2(start: Level, target_n: int) -> int:
     the batches pass, so that the level is never held; otherwise the
     whole level's, which raises as ``evolve_m2`` does when it fails its
     check."""
+    sizes: list[int] = []
+    whole = _batched_or_whole(
+        start, target_n, lambda members: sizes.append(len(members)))
+    return sum(sizes) if whole is None else len(whole)
+
+
+def _batched_or_whole(start: Level, target_n: int,
+                      take: Callable[[list[str]], None],
+                      progress: ProgressFn | None = None) -> Level | None:
+    """Hand ``take`` the batches of ``_batches`` and, once every batch has
+    passed, tell ``progress`` of each weight, and return None.  When no
+    step is left or a batch fails, return ``evolve_m2``'s whole level
+    instead, which tells ``progress`` and raises as it always has."""
     check_upward(start.n, target_n)
     if target_n > start.n:
-        sizes: list[int] = []
         try:
-            _batches(start, target_n, lambda members: sizes.append(
-                len(members)))
-            return sum(sizes)
+            counts = _batches(start, target_n, take)
         except ValueError:
             pass
-    return len(evolve_m2(start, target_n))
+        else:
+            if progress is not None:
+                progress(start.n, start.tag_counts())
+                for weight, tags in enumerate(counts, start.n + 1):
+                    progress(weight, tags)
+            return None
+    return evolve_m2(start, target_n, progress=progress)
 
 
 def _batches(start: Level, target_n: int,
@@ -170,15 +177,13 @@ def _batches(start: Level, target_n: int,
     held = 0
     for lo, hi in _batch_parts(target_n):
         if lo <= n:
-            begin = Level(n, members[_below(members, hi):
-                                     _below(members, lo - 1)],
+            begin = Level(n, members[first_at_most(members, hi):
+                                     first_at_most(members, lo - 1)],
                           start.method_tag)
-        elif lo > 1:
-            # The kernel's explicit head is the batch's first member.
-            begin = Level(lo - 1, [], "method2")
         else:
-            # The seed, whose one member grows the units.
-            begin = start
+            # The kernel's explicit head is the batch's first member; the
+            # seed's one member grows the units.
+            begin = Level(lo - 1, [""] if lo == 1 else [], "method2")
         grown = Level.from_raw(target_n, run_evolution(
             begin, target_n, method_tag="method2",
             step=_explicit_within(lo, hi), progress=heard),
@@ -194,12 +199,6 @@ def _batches(start: Level, target_n: int,
         raise ValueError("the batches are incomplete")
     return [{tag: summed[tag] for tag in TAG_ORDER if summed[tag]}
             for summed in sums]
-
-
-def _below(members: list[str], part: int) -> int:
-    """Where the members of a canonical level whose first part is at most
-    ``part`` begin, as first parts descend."""
-    return bisect_left(members, -part, key=lambda member: -ord(member[0]))
 
 
 def _explicit_within(lo: int, hi: int) -> StepFn:

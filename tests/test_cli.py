@@ -655,6 +655,30 @@ def test_faulty_kernels_print_what_the_whole_level_printed(
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("sabotage", [
+    duplicating, overweight, lambda step: dropping(step, 8),
+    lambda step: zeroed(step, 10), shuffled, _losing_a_head, _miscounted,
+    _doubling_first_part_2,
+], ids=["duplicating", "overweight", "dropping", "part-0", "shuffled",
+        "losing", "miscounted", "doubled-twos"])
+@pytest.mark.parametrize("method", [1, 2])
+def test_a_count_under_a_faulty_kernel_is_the_whole_levels(
+        run_cli, monkeypatch, sabotage, method):
+    # Counted without holding the level (for method 2, a batch per first
+    # part), the count prints what the whole level's count printed: its
+    # size, or its refusal.
+    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
+    kernel = f"step_m{method}"
+    monkeypatch.setattr(_pure, kernel, sabotage(getattr(_pure, kernel)))
+    argv = ("count", 12, "--source", f"evolve{method}")
+    counted = run_cli(*argv)
+    # A Level's check is its length.
+    monkeypatch.setattr(cli, "evolve_m1_chunks", evolve_m1)
+    monkeypatch.setattr(cli, "count_m2", lambda start, target_n: len(
+        method2.evolve_m2(start, target_n)))
+    assert counted == run_cli(*argv)
+
+
 @pytest.mark.parametrize("budget", [None, 1000], ids=["default", "batches"])
 def test_method2_evolution_enters_no_layer_its_benchmark_bypasses(
         run_cli, monkeypatch, budget):

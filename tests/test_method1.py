@@ -11,6 +11,7 @@ from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
                               enumerate_oracle, evolve_m1, predecessor_m1,
                               successors_m1, tagged_successors_m1,
                               write_snapshot)
+from partition_evolve import level as level_module
 from partition_evolve import method1
 from partition_evolve.engine import run_evolution
 from partition_evolve.level import write_text
@@ -18,7 +19,7 @@ from partition_evolve.method1 import evolve_m1_chunks
 
 from golden import M1_AUGMENTED_6, PARTITIONS_5, PARTITIONS_6
 
-from support import assert_m1_bijection
+from support import assert_m1_bijection, duplicating
 
 
 def _set(*texts):
@@ -180,3 +181,26 @@ def test_the_tables_grown_are_the_last_parts_of_level_k(
     lasts = [table.raw_members()[0] for table in grown[1:]]
     assert lasts == list(dict.fromkeys(member[-1] for member in level_k))
     assert len(lasts) == len(blocks.tables) == tables
+
+
+def test_a_faulty_level_is_refused_before_it_is_assembled(monkeypatch):
+    # Under a kernel that repeats a head, the blocks of weight 30 hold
+    # many times P(30) members.  The certificate fails, and the chunked
+    # walk refuses at its first bad chunk: only a small part of the blocks
+    # is ever assembled.
+    monkeypatch.setattr(_pure, "step_m1", duplicating(_pure.step_m1))
+    assemble = level_module._assemble
+    blocks = evolve_m1_chunks(Level.seed("method1"), 30)
+    whole = len(assemble(blocks.members, blocks.tables, blocks.cuts))
+    assembled = []
+
+    def counted(*args):
+        members = assemble(*args)
+        assembled.append(len(members))
+        return members
+
+    monkeypatch.setattr(level_module, "_assemble", counted)
+    with pytest.raises(ValueError, match="out of canonical order or "
+                       "duplicated near 30$"):
+        evolve_m1(Level.seed("method1"), 30)
+    assert 0 < sum(assembled) * 10 < whole

@@ -22,7 +22,8 @@ def _run(argv, cwd):
     return result.returncode, result.stdout, result.stderr
 
 
-# Each case's spans, and the spans its benchmark workload must not enter.
+# Each case's spans, and the spans it must not enter: for the benchmark's
+# three workloads, those the workload bypasses.
 @pytest.mark.parametrize("argv,spans,bypassed", [
     (["evolve", "0", "12", "--method", "2"],
      ["kernel.step_m2", "level.from_raw", "engine.evolve"],
@@ -39,7 +40,18 @@ def _run(argv, cwd):
      ["kernel.step_m1", "kernel.step_m2", "oracle.enumerate_oracle",
       "verify.run_suite"],
      ["level.read_snapshot", "level.write_snapshot"]),
-], ids=["evolve-m2", "resume-m1", "verify"])
+    (["count", "12", "--source", "evolve2"],
+     ["kernel.step_m2", "level.from_raw", "engine.evolve"],
+     ["kernel.step_m1", "kernel.enumerate_level", "oracle.enumerate_oracle",
+      "oracle.count_oracle", "level.read_snapshot", "level.write_snapshot",
+      "verify.run_suite"]),
+    (["count", "12", "--source", "evolve1"],
+     ["kernel.step_m1", "engine.evolve"],
+     ["kernel.step_m2", "level.from_raw", "kernel.enumerate_level",
+      "oracle.enumerate_oracle", "oracle.count_oracle",
+      "level.read_snapshot", "level.write_snapshot", "verify.run_suite"]),
+], ids=["evolve-m2", "resume-m1", "verify", "count-evolve2",
+        "count-evolve1"])
 def test_the_tracer_runs_the_cli_unchanged(tmp_path, argv, spans, bypassed):
     code, _, _ = _run(["-m", "partition_evolve", "evolve", "0", "6",
                        "--method", "1", "--snapshot-out", "in.jsonl"],
