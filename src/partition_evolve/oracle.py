@@ -12,7 +12,7 @@ something honest to be checked against.
 from __future__ import annotations
 
 from . import _pure
-from .level import Level
+from .level import Joined, Level
 
 DEFAULT_CAP = 60
 
@@ -27,19 +27,22 @@ def check_cap(n: int, cap: int) -> None:
         raise CapExceededError(f"weight {n} exceeds cap {cap}")
 
 
-def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP) -> Level:
+def enumerate_oracle(n: int, *, cap: int = DEFAULT_CAP,
+                     below: Joined | None = None) -> Level:
     """All partitions of n in canonical order, tagged as seeds.
 
     The cap guards against accidental exponential blowups; P(n) grows
     fast enough that enumerating much past the default is a decision,
-    not an accident.
+    not an accident.  ``below``, level n-1 held as text, lets the level's
+    check prove the members that end in a unit by one comparison (see
+    ``level.check_members``).
     """
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
     check_cap(n, cap)
     # The enumerator emits canonical order; the level checks it, and wraps
     # and tags its members only when asked.
-    return Level(n, _pure.enumerate_level(n), "oracle")
+    return Level(n, _pure.enumerate_level(n), "oracle", below)
 
 
 def count_oracle(n: int, *, every_weight: bool = False) -> int | list[int]:

@@ -15,20 +15,25 @@ per call.  Which members are of a method's second kind is decided by the
 kind tests on member lists (``core.smallest_part_once``,
 ``core.collectable``), which share nothing with the kernels.
 
+The pass over the weights grows its state rather than rebuilding it: each
+level n-1 is held as text (``level.Joined``), against which level n's
+check proves the unit-ending members and the inverses' answers are
+compared, and its heads are carried to level n; member lists are
+rebuilt from the text only to word a failure.
+
 Series checks run to ``max_n``; anything that enumerates partitions is
 bounded by ``min(max_n, cap)``.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, eq
+from operator import itemgetter
 
 from . import _pure
 from .core import (NoPredecessorError, collectable, member_text,
                    smallest_part_once)
 from .engine import grown_members, split_heads
-from .level import check_members
+from .level import Joined, check_members
 # perfbench/tracer.py wraps tagged_successors_m* and predecessor_m* as
 # attributes of this module, so the names stay bound here; the suite
 # checks the kernels and their string inverses instead.
@@ -38,8 +43,10 @@ from .oracle import DEFAULT_CAP, count_oracle, enumerate_oracle
 from .report import CheckResult, VerificationReport
 from .series import coefficient_rows, recurrence_violations
 
-# Level n's unit-ending members are inverted this many at a time, so that
-# no list of a whole level's predecessors is held.
+# Members to a chunk of the text that holds level n-1, its second-kind
+# members and its heads (``level.Joined``).  Level n's unit-ending members
+# are inverted and compared a chunk at a time, so that no list of a whole
+# level's predecessors is held.
 _CHUNK = 8192
 
 
@@ -87,14 +94,25 @@ def _check_count_identity(p: list[int], max_n: int) -> CheckResult:
 def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
     """The five checks that enumerate, fed by one oracle pass.
 
-    Each weight n is enumerated once, and only oracle levels n-1 and n are
-    held.  Every check keeps its own first failure and stops there.
+    Each weight n is enumerated once.  Level n is held as a member list
+    only while weight n is checked; from then on it is held as text
+    (``level.Joined``), as are each method's second-kind members of it
+    while that method's bijection check is open.  Every check keeps its
+    own first failure and stops there.
 
     The four step checks (both bijections, equivalence and mixed) share
-    one step per method from the oracle's level n-1, a member list: it is
-    split into heads once, and each method's step kernel runs once while
-    any of the four is still open, and before level n is enumerated.
-    Level n's unit-ending members are compared with level n-1 once; then
+    one step per method from the heads of level n-1: each method's step
+    kernel runs once while any of the four is still open, and before
+    level n is enumerated.  The heads are carried from weight to weight,
+    as text for each weight, and are strings only while the steps run.
+    When level n's unit-ending members are level n-1 with a unit appended,
+    level n's heads are level n-1's and its own unit-free members, by last
+    part (the kernels' order); level n-1 is split into heads
+    (``engine.split_heads``) only at weight 1 and after a weight where
+    that fails.  At the last weight they are dropped before level n is
+    enumerated.
+    Level n's check compares its unit-ending members with level n-1 once
+    (``Joined.split``), and the step checks read the same split.  Then
     one block comparison per method says whether its step grows level n
     (``_grows_level``).  That verdict decides the equivalence and mixed
     checks; the bijection check passes when it holds and the inverse
@@ -112,25 +130,50 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
              "method equivalence with enumeration",
              "mixed-method evolution matches enumeration")
     failures: list[str | None] = [None] * len(names)
-    previous = previous_once = None
+    # Level n-1 and each method's second-kind members of it, and its heads
+    # of each weight while they carry, all as text.
+    below: Joined | None = None
+    sources: list[Joined | None] = [None, None]
+    heads: list[Joined] | None = None
     for n in range(bound + 1):
-        grown = (_steps(n - 1, previous) if n and None in failures[1:]
-                 else None)
-        members = enumerate_oracle(n, cap=cap).raw_members()
+        grown = None
+        if n and None in failures[1:]:
+            if heads is None:
+                heads = [Joined(group, _CHUNK)
+                         for group in split_heads(n - 1, below.members())]
+            # The heads are strings only while the steps run.
+            strings = [group.members() for group in heads]
+            grown = _pure.step_m1(strings), _pure.step_m2(strings)
+            del strings
+            if n == bound:
+                heads = None  # no weight follows to carry them to
+        members = enumerate_oracle(n, cap=cap, below=below).raw_members()
         # Q(n) counts these; they are also method 1's second kind, which
         # the method-1 round trip at weight n+1 needs.
         once = smallest_part_once(members)
         if failures[0] is None and len(once) != q[n]:
             failures[0] = (f"n={n}: Q(n)={q[n]} but enumeration finds "
                            f"{len(once)} second-kind partitions")
+        split = None
         if n == 0:
             # Either method evolves the seed to weight 0 as the seed itself.
             _evolution_check(0, 1, [""], [], members, failures)
         elif grown is not None:
-            _step_checks(n, previous, previous_once, members, *grown,
-                         failures)
+            split = below.split(members)
+            _step_checks(n, below, sources, members, split, *grown, failures)
         del grown  # before the next weight steps
-        previous, previous_once = members, once
+        if n < bound:
+            if split is not None and None in failures[1:]:
+                # Each weight's heads by last part, the kernels' order.
+                heads.append(Joined(sorted(split[1], key=itemgetter(-1),
+                                           reverse=True), _CHUNK))
+            else:
+                heads = None
+            below = Joined(members, _CHUNK)
+            sources = [Joined(once, _CHUNK) if failures[1] is None else None,
+                       Joined(collectable(members), _CHUNK)
+                       if failures[2] is None else None]
+        del members, once, split
     top = f"n=0..{bound}"
     steps = f"n=0..{bound - 1}" if bound else "no step checked"
     return [CheckResult(name, scope, failure is None, failure)
@@ -138,83 +181,61 @@ def _oracle_pass(q: list[int], bound: int, cap: int) -> list[CheckResult]:
                 names, (top, steps, steps, top, top), failures)]
 
 
-def _steps(n: int, members: list[str]) -> tuple[tuple[list[str], int],
-                                                 tuple[list[str], int]]:
-    """Each method's ``(new, second)`` from the level of weight n; the
-    heads it splits into are dropped on return."""
-    heads = split_heads(n, members)
-    return _pure.step_m1(heads), _pure.step_m2(heads)
-
-
-def _step_checks(n: int, previous: list[str], previous_once: list[str],
-                 members: list[str], grown1: tuple[list[str], int],
-                 grown2: tuple[list[str], int],
+def _step_checks(n: int, below: Joined, sources: list[Joined | None],
+                 members: list[str],
+                 split: tuple[list[str], list[str]] | None,
+                 grown1: tuple[list[str], int], grown2: tuple[list[str], int],
                  failures: list[str | None]) -> None:
-    units, tops = _unit_split(members)
-    appended = _appends_unit(previous, units)
-    # The single part n enters method 2's step explicitly, and only from
+    # Level n-1 is rebuilt as a member list only to word a failure.  The
+    # single part n enters method 2's step explicitly, and only from
     # weight 2 up ([1] does arise from the rule).
     for method, (new, second), step, pred, explicit in (
             (1, grown1, _pure.step_m1, _pure.pred_m1, []),
             (2, grown2, _pure.step_m2, _pure.pred_m2,
              [chr(n)] if n >= 2 else [])):
-        grows = _grows_level(appended, new, tops)
+        grows = _grows_level(split, new)
         if failures[method] is None and not (grows and _inverts(
-                pred, new, second, previous, units, explicit,
-                previous_once if method == 1
-                else collectable(previous))):
+                pred, new, second, below, split[0], explicit,
+                sources[method - 1])):
             failures[method] = _counterexample(
-                n - 1, step, pred, previous, members, new, second, explicit)
+                n - 1, step, pred, below.members(), members, new, second,
+                explicit)
         # Only a level that does not grow equal is rendered, to word the
         # mismatch.
         if not grows:
-            _evolution_check(n, method, previous, [new], members, failures)
+            _evolution_check(n, method, below.members(), [new], members,
+                             failures)
 
 
-def _unit_split(members: list[str]) -> tuple[list[str], list[str]]:
-    """The members of level n that end in a unit, and the rest (the heads
-    of weight n), each in canonical order."""
-    # One pass over the level: two comprehensions measured slower.
-    units: list[str] = []
-    tops: list[str] = []
-    for m in members:
-        (units if m[-1:] == "\x01" else tops).append(m)
-    return units, tops
-
-
-def _appends_unit(previous: list[str], units: list[str]) -> bool:
-    """Whether ``units`` is level n-1, ``previous``, with a unit appended
-    to each member, member for member; appending keeps canonical order."""
-    return (len(units) == len(previous)
-            and all(map(eq, units, map(add, previous, repeat("\x01")))))
-
-
-def _grows_level(appended: bool, new: list[str], tops: list[str]) -> bool:
+def _grows_level(split: tuple[list[str], list[str]] | None,
+                 new: list[str]) -> bool:
     """Whether level n-1 with a unit appended to each member, plus the new
-    heads ``new``, is level n: ``appended`` (``_appends_unit``) holds, and
-    ``new``, sorted, is ``tops``, level n's unit-free members.  A repeated,
-    missing or extra head, or one that ends in a unit or has another
-    weight, makes the lists differ.  Nothing is rendered."""
-    return appended and sorted(new, reverse=True) == tops
+    heads ``new``, is level n: ``split`` (``Joined.split``) found level
+    n's unit-ending members to be level n-1 with a unit appended, and
+    ``new``, sorted, is the rest of level n, its unit-free members.  A
+    repeated, missing or extra head, or one that ends in a unit or has
+    another weight, makes the lists differ.  Nothing is rendered."""
+    return split is not None and sorted(new, reverse=True) == split[1]
 
 
-def _inverts(pred, new, second, previous, units, explicit, sources) -> bool:
+def _inverts(pred, new, second, below, units, explicit, sources) -> bool:
     """Whether ``pred`` inverts a step that grows level n (``_grows_level``)
-    from level n-1, ``previous``, with the new heads ``new``.
+    from level n-1, ``below``, with the new heads ``new``.
 
     The ``explicit`` heads lead, and ``pred`` refuses them.  ``pred`` maps
-    ``units`` onto level n-1 in order, a chunk at a time, and the last
-    ``second`` heads, which are level n's other unit-free members once
-    each, one-to-one onto ``sources``, the members of level n-1 of the
-    method's second kind.
+    ``units``, level n's unit-ending members, onto level n-1 in order, a
+    chunk at a time, and the last ``second`` heads, which are level n's
+    other unit-free members once each, one-to-one onto ``sources``, the
+    members of level n-1 of the method's second kind.  Level n-1 and
+    ``sources`` are held as text (``level.Joined``), and each chunk of
+    either is compared once with what ``pred`` gives.
     """
     cut = len(new) - second
     try:
         return (cut == len(explicit) and new[:cut] == explicit
                 and all(_back(pred, single) is None for single in explicit)
-                and all(pred(units[i:i + _CHUNK]) == previous[i:i + _CHUNK]
-                        for i in range(0, len(units), _CHUNK))
-                and sorted(pred(new[cut:]), reverse=True) == sources)
+                and below.holds(units, pred)
+                and sources.holds(sorted(pred(new[cut:]), reverse=True)))
     except NoPredecessorError:
         return False
 

@@ -13,7 +13,7 @@ from partition_evolve import (Level, SnapshotError, TAG_ORDER,
                               read_snapshot, write_snapshot)
 import partition_evolve.level
 from partition_evolve.core import encode_parts, member_text
-from partition_evolve.level import (_CHUNK, METHOD_TAGS, LevelBlocks,
+from partition_evolve.level import (_CHUNK, METHOD_TAGS, Joined, LevelBlocks,
                                     PackedLevel, _canonical, _read_chunks,
                                     _scan_lines, check_members, rule_tags,
                                     write_text)
@@ -360,6 +360,112 @@ def test_weight_check_edges_are_worded_by_the_scan(n, members, message):
     assert not _canonical(n, members)
     with pytest.raises(ValueError, match=f"^{message}$"):
         check_members(n, members)
+
+
+_BELOW_FAULTS = ("drop", "repeat", "swap", "overweight", "zero",
+                 "not-appended")
+
+
+def _unit_ending_not_appended(member):
+    """Unit-ending members of the same length as ``member`` that no member
+    of the level below gives with a unit appended: a part raised, the
+    parts before the unit reversed (out of order), or a part 0 before the
+    unit (after 1^n, the level's last member, that sorts last)."""
+    yield chr(ord(member[0]) + 1) + member[1:]
+    if member[:-1] != member[-2::-1]:
+        yield member[-2::-1] + member[-1]
+    yield member[:-1] + "\0\x01"
+
+
+@st.composite
+def _levels_with_faults(draw):
+    """A level of weight n, with up to three faults, and the level below
+    held as text.  Each fault is drawn on one side of the boundary between
+    the members that end in a unit and the rest."""
+    n = draw(st.integers(1, 12), label="n")
+    members = list(enumerate_oracle(n).raw_members())
+    size = draw(st.sampled_from([1, 2, 5, 8192]), label="size")
+    below = Joined(enumerate_oracle(n - 1).raw_members(), size)
+    for fault in draw(st.lists(st.sampled_from(_BELOW_FAULTS), max_size=3),
+                      label="faults"):
+        units = fault == "not-appended" or (
+            fault not in ("overweight", "zero") and draw(st.booleans()))
+        side = [i for i, member in enumerate(members)
+                if (member[-1:] == "\x01") == units]
+        if not side:
+            continue
+        i = draw(st.sampled_from(side))
+        if fault == "drop":
+            del members[i]
+        elif fault == "repeat":
+            members.insert(i, members[i])
+        elif fault == "swap":
+            j = draw(st.integers(0, len(members) - 1))
+            members[i], members[j] = members[j], members[i]
+        elif fault == "overweight":
+            members[i] = chr(ord(members[i][0]) + 1) + members[i][1:]
+        elif fault == "zero":
+            at = draw(st.integers(0, len(members[i])))
+            members[i] = members[i][:at] + "\0" + members[i][at:]
+        else:
+            wrong = draw(st.sampled_from(
+                list(_unit_ending_not_appended(members[i]))))
+            if draw(st.booleans()):
+                members.insert(i, wrong)
+            else:
+                members[i] = wrong
+            if draw(st.booleans()):
+                # Sorted into place: a level that passes, but whose
+                # unit-ending members are not the level below's.
+                members.sort(reverse=True)
+    return n, members, below
+
+
+def _refusal(n, members, below=None):
+    try:
+        check_members(n, members, below)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(_levels_with_faults())
+def test_the_check_given_the_level_below_refuses_as_the_plain_check(case):
+    n, members, below = case
+    assert _refusal(n, members, below) == _refusal(n, members)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8192])
+def test_a_unit_ending_member_past_the_level_below_is_weighed(size):
+    # It sorts after 1^6, the last of level 5's members with a unit
+    # appended: level 5's 7 members fill whole chunks of 1 and 7 members,
+    # so only the count tells it apart.
+    members = [*enumerate_oracle(6).raw_members(), "\x01" * 5 + "\0\x01"]
+    below = Joined(enumerate_oracle(5).raw_members(), size)
+    assert below.split(members) is None
+    assert _refusal(6, members, below) == _refusal(6, members) == (
+        "member 1+1+1+1+1+0+1 has a part 0")
+
+
+def test_the_level_below_proves_the_unit_ending_members(monkeypatch):
+    # Given level n-1, only level n's unit-free members are weighed, and
+    # the split they come from is made once for the list.
+    below = Joined(enumerate_oracle(19).raw_members(), 64)
+    members = enumerate_oracle(20).raw_members()
+    weighed = []
+    weighs = partition_evolve.level._weighs
+
+    def counted(n, members):
+        weighed.append(len(members))
+        return weighs(n, members)
+
+    monkeypatch.setattr(partition_evolve.level, "_weighs", counted)
+    Level(20, members, "oracle", below)
+    assert weighed == [627 - 490]
+    split = below.split(members)
+    assert split is below.split(members)
+    assert split[1] == [m for m in members if m[-1] != "\x01"]
+    assert below.members() == enumerate_oracle(19).raw_members()
 
 
 def test_weight_check_takes_members_up_to_256_bytes():
@@ -866,6 +972,23 @@ def test_certified_blocks_are_neither_assembled_nor_scanned(monkeypatch):
     monkeypatch.setattr(partition_evolve.level, "check_members", never)
     monkeypatch.setattr(partition_evolve.level, "_assemble", never)
     assert blocks.check() == 5604
+
+
+def test_the_assembled_level_is_not_checked_again(monkeypatch):
+    # The certificate proved the blocks; the Level assembled from them is
+    # not checked member by member a second time.
+    expected = enumerate_oracle(30).raw_members()
+    checked = []
+    check = partition_evolve.level.check_members
+
+    def counted(n, members, *below):
+        checked.append(n)
+        check(n, members, *below)
+
+    monkeypatch.setattr(partition_evolve.level, "check_members", counted)
+    level = evolve_m1(Level.seed("method1"), 30)
+    assert level.raw_members() == expected
+    assert checked and 30 not in checked
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ import partition_evolve.cli
 from partition_evolve import _pure, backend, verify
 from partition_evolve.core import collectable, smallest_part_once
 from partition_evolve.engine import grown_members, split_heads
+from partition_evolve.level import Joined
 
 from support import shuffled
 
@@ -471,8 +472,9 @@ def test_block_comparison_agrees_with_the_rendered_level(method):
     for n in range(2, 15):
         previous = _pure.enumerate_level(n - 1)
         members = _pure.enumerate_level(n)
-        units, tops = verify._unit_split(members)
-        appended = verify._appends_unit(previous, units)
+        below = Joined(previous, verify._CHUNK)
+        split = below.split(members)
+        units, tops = split
         sources = kind(previous)
         explicit = [chr(n)] if method == 2 else []
         new, second = step(split_heads(n - 1, previous))
@@ -483,10 +485,11 @@ def test_block_comparison_agrees_with_the_rendered_level(method):
             second = len(heads) - cut
             mismatch = verify._level_mismatch(
                 n, grown_members(n - 1, previous, [heads]), members)
-            grows = verify._grows_level(appended, heads, tops)
+            grows = verify._grows_level(split, heads)
             assert grows is (mismatch is None), (n, heads)
             assert (grows and verify._inverts(
-                pred, heads, second, previous, units, explicit, sources)) is \
+                pred, heads, second, below, units, explicit,
+                Joined(sources, verify._CHUNK))) is \
                 _set_based_bijection(pred, heads, second, previous, units,
                                      tops, explicit, sources), (n, heads)
 
@@ -514,14 +517,81 @@ def test_each_weight_is_enumerated_once(monkeypatch, max_n, cap, weights):
 
 
 def test_each_weight_is_split_and_stepped_once_per_method(monkeypatch):
-    # The bijection, equivalence and mixed checks share one split of level
-    # n-1 and one step per method, n = 1..15.
+    # The bijection, equivalence and mixed checks share one step per method,
+    # n = 1..15.  Level 0 alone is split into heads; each level after it
+    # carries them on.
     calls = {name: _counting(monkeypatch, name, module)
              for module, name in ((verify, "split_heads"),
                                   (_pure, "step_m1"), (_pure, "step_m2"))}
     assert run_suite(15).overall
     assert {name: len(args) for name, args in calls.items()} == {
-        "split_heads": 15, "step_m1": 15, "step_m2": 15}
+        "split_heads": 1, "step_m1": 15, "step_m2": 15}
+
+
+def _grown_by_both_steps(member, weight):
+    # Sets ``_pure.step_m1`` and ``_pure.step_m2`` to grow ``member`` as one
+    # more head of ``weight``.
+    def sabotage(step):
+        def sabotaged(heads):
+            out, second = step(heads)
+            if len(heads) == weight:
+                return out + [member], second + 1
+            return out, second
+        return sabotaged
+    return sabotage
+
+
+# 1+4+1 weighs 6 and ends in a unit, but its parts do not descend, which a
+# level's check does not read.
+_OUT_OF_ORDER = "\x01\x04\x01"
+
+
+@pytest.mark.parametrize("sabotage,report,split", [
+    # Level 6 lacks 1^6: every step check fails there, so no weight steps
+    # on from it and nothing is split again.
+    ({"enumerate_level": lambda real: _omit_member(real, 6, "\x01" * 6)},
+     _report({3: "n=5: successor union is extra 1+1+1+1+1+1",
+              4: "n=5: successor union is extra 1+1+1+1+1+1",
+              5: "n=6: method1 vs enumeration, lengths differ: 11 vs 10",
+              6: "n=6: lengths differ: 11 vs 10"}),
+     [0]),
+    # Level 6 holds 1+4+1 too, and both steps grow it: the grown levels
+    # match the oracle's, so equivalence and mixed stay open, but level 6's
+    # unit-ending members are not level 5's with a unit appended.  Level 6
+    # is split afresh for weight 7; heads carried from level 5 would lack
+    # the head 1+4 and grow 1+4+1+1 in place of 1+4+2.
+    ({"enumerate_level": lambda real: (lambda n: sorted(
+         real(n) + [_OUT_OF_ORDER], reverse=True) if n == 6 else real(n)),
+      "step_m1": _grown_by_both_steps(_OUT_OF_ORDER, 6),
+      "step_m2": _grown_by_both_steps(_OUT_OF_ORDER, 6)},
+     _report({2: "n=6: Q(n)=4 but enumeration finds 5 second-kind "
+                 "partitions",
+              3: "n=5: predecessor(1+4+1)=1+4 but it was produced by 5",
+              4: "n=5: predecessor(1+4+1)=1+4 but it was produced by 5",
+              5: "n=7: method1 vs enumeration, index 14: 1+4+2 vs "
+                 "1+1+1+1+1+1+1",
+              6: "n=7: index 14: 1+4+2 vs 1+1+1+1+1+1+1"}),
+     [0, 6]),
+], ids=["all-units-omitted", "unit-ending-member-added"])
+def test_heads_are_split_afresh_after_the_unit_block_breaks(
+        monkeypatch, sabotage, report, split):
+    # The heads carry from level n-1 to level n only while level n's
+    # unit-ending members are level n-1's with a unit appended.  The weights
+    # of the whole levels split; a failing bijection check splits single
+    # members of level n-1 to name producers, which are not counted.
+    for name, change in sabotage.items():
+        monkeypatch.setattr(_pure, name, change(getattr(_pure, name)))
+    levels = []
+    real = verify.split_heads
+
+    def counted(n, members):
+        if n == 0 or len(members) > 1:
+            levels.append(n)
+        return real(n, members)
+
+    monkeypatch.setattr(verify, "split_heads", counted)
+    assert run_suite(12).format_text() == report
+    assert levels == split
 
 
 def test_the_inverses_are_asked_about_blocks_not_members(monkeypatch):
