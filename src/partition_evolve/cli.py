@@ -26,7 +26,7 @@ from .core import (Kind, collectable, decimal_value, parse_partition,
 from .engine import check_upward
 from .level import Level, read_snapshot, write_snapshot, write_text
 from .method1 import evolve_m1_chunks, predecessor_m1
-from .method2 import count_m2, evolve_m2_packed, predecessor_m2
+from .method2 import evolve_m2_chunks, predecessor_m2
 from .oracle import (DEFAULT_CAP, CapExceededError, check_cap, count_oracle,
                      enumerate_oracle)
 from .series import coefficient_csv, euler_p_coeffs
@@ -161,7 +161,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.source == "evolve1":
             value = evolve_m1_chunks(Level.seed("method1"), args.n).check()
         else:
-            value = count_m2(Level.seed("method2"), args.n)
+            value = evolve_m2_chunks(Level.seed("method2"), args.n).check()
     print(value)
     return EXIT_OK
 
@@ -208,10 +208,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # Refused before any snapshot is opened, read or counted.
     check_upward(args.from_n, args.to_n)
     method_tag = "method1" if args.method == 1 else "method2"
-    # Method 1's level comes as blocks, which are certified from a lower
-    # level and its tables, and method 2's as packed codes, checked a batch
-    # of first parts at a time; neither is held as strings.
-    evolve = evolve_m1_chunks if args.method == 1 else evolve_m2_packed
+    # Either method's level comes as blocks, which are certified from a
+    # lower level and its tables and never held whole.
+    evolve = evolve_m1_chunks if args.method == 1 else evolve_m2_chunks
 
     if args.snapshot_in is not None:
         # Undecodable bytes come through as lone surrogates, which the

@@ -51,14 +51,22 @@ SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 # ``_canonical``).  A chunk of method 1's blocks holds about half as many
 # members when the snapshot writer renders it, at most this many and one
 # block (see ``_block_chunks``), and at most this many when blocks that
-# fail their certificate are assembled and checked (see ``_walked``).  A
-# ``PackedLevel`` holds this many members to a piece.
+# fail their certificate are assembled and checked (see ``_walked``).
 _CHUNK = 2048
-# Members per write of text: at weight 50 about 250 KB, several times a
-# pipe's buffer, so that a reader finds the pipe full at each read.  With
-# writes of 2048 members the reads came in assorted sizes, and the
-# benchmark's reader, which allocates 1 MiB per read, grew by about 6 MiB.
+# Members per render of text, and per write of a Level's text: at weight
+# 50 about 250 KB, several times a pipe's buffer, so that a reader finds
+# the pipe full at each read.  With writes of 2048 members the reads came
+# in assorted sizes, and the benchmark's reader, which allocates 1 MiB per
+# read, grew by about 6 MiB.
 _TEXT_CHUNK = 8192
+# Characters per write of blocks' text.  Each chunk of blocks renders to a
+# text of its own size, and writing those as they came gave the reader
+# assorted reads again: on evolve-m2-text the benchmark's child, which
+# inherits its reader's peak, read 23.8 MiB against 22.1 MiB with slices
+# of exactly this size (medians of 5 alternated pairs, 2-core host).
+# Slices of 128 K characters raised the peak of ``evolve 0 60 --method
+# 1`` to text by 0.36 MiB, where these left it unchanged.
+_TEXT_SLICE = 1 << 16
 
 
 class SnapshotError(ValueError):
@@ -169,19 +177,22 @@ class Level:
         return {tag: count for tag, count in counts.items() if count}
 
 
-def rule_tags(n: int, members: list[str],
-              method_tag: str) -> tuple[str, ...]:
+def rule_tags(n: int, members: list[str], method_tag: str,
+              prefixed: bool = False) -> tuple[str, ...]:
     """The tags that the rule of ``method_tag`` gives the members of a
     level of weight n that it grew; Seed at weight 0 and for the oracle.
 
     The appended-unit successors are exactly the members ending in 1,
     method 2's explicit member is the single part, and every other member
-    is of the method's second kind.
+    is of the method's second kind.  With ``prefixed``, ``members`` are
+    the ends of members that hold parts before them, so none is a single
+    part: a block's table members after its prefix.
     """
     if n == 0 or method_tag == "oracle":
         return (TAG_SEED,) * len(members)
     second = SECOND_KIND_TAG[method_tag]
-    single = TAG_EXPLICIT if method_tag == "method2" else second
+    single = (TAG_EXPLICIT if method_tag == "method2" and not prefixed
+              else second)
     return tuple([TAG_ADDED_UNIT if member[-1] == "\x01"
                   else single if len(member) == 1 else second
                   for member in members])
@@ -405,24 +416,12 @@ def _render(chunk: list[str], tables: _Tables) -> str:
     filled by one strided slice assignment from the translated pair values
     or codes, and dropping the padding finishes the text.
     """
+    slot_tables, part_tables, sep, end, lead = tables
     try:
-        codes = _packed(chunk)
+        codes = ("\0".join(chunk) + "\0").encode("latin-1")
     except UnicodeEncodeError:
-        _, _, sep, end, lead = tables
         return "".join([lead + sep.join(map(str, map(ord, member))) + end
                         for member in chunk])
-    return _render_codes(codes, tables)
-
-
-def _packed(members: list[str]) -> bytes:
-    """One Latin-1 code per part of ``members`` and a NUL after each
-    member; UnicodeEncodeError for a part past 255."""
-    return ("\0".join(members) + "\0").encode("latin-1")
-
-
-def _render_codes(codes: bytes, tables: _Tables) -> str:
-    """``_render`` of the members whose ``_packed`` codes are ``codes``."""
-    slot_tables, part_tables, _, _, _ = tables
     ends = int.from_bytes(codes.translate(_IS_END), "big")
     before = (ends >> 8) + (1 << 8 * (len(codes) - 1))
     pairs = (ends + 2 * before).to_bytes(len(codes), "big")
@@ -446,13 +445,7 @@ def _snapshot_lines(head: str, tables: _Tables, members: list[str],
     ``_cell_tables(n, b", ", b"\\0")``.  The pieces (head, parts, tail
     by tag) are placed by strided slice assignment and joined once.
     """
-    return _tagged_lines(head, _render(members, tables), tags)
-
-
-def _tagged_lines(head: str, rendered: str, tags: Sequence[str]) -> str:
-    """``_snapshot_lines`` of the members whose parts ``rendered`` holds,
-    as ``_render`` renders them with a NUL after each member."""
-    parts = rendered.split("\0")[:-1]
+    parts = _render(members, tables).split("\0")[:-1]
     tail = {tag: '], "tag": %s}\n' % json.dumps(tag) for tag in set(tags)}
     pieces = [head] * (3 * len(parts))
     pieces[1::3] = parts
@@ -473,13 +466,15 @@ class LevelBlocks:
     Each member m of ``members``, a canonical level of a lower weight,
     gives one block: ``m[:-1]`` followed by each member of its last
     part's canonical table ``table(m[-1])`` whose first part is at most
-    ``m[-2]`` (every member, for a single part).  The rule must tag a
-    member by its last part alone, as method 1's does, so that a table's
-    tags are those of the members it ends.  The blocks count the keys of
-    ``members`` (``ends``: a member's last two parts, or its single
-    part) once, ask ``table`` only for the last parts that the keys name,
-    and derive each key's cut: where, as first parts descend, the
-    table's first parts fall to at most the key's first.
+    ``m[-2]`` (every member, for a single part).  A rule tags a member by
+    its last part and by whether it is a single part (see ``rule_tags``),
+    so a table member is tagged as the member it ends: as itself in a
+    single part's block, and after a prefix as no single part, so that
+    method 2's explicit heads of a table are Collected there.  The blocks
+    count the keys of ``members`` (``ends``: a member's last two parts,
+    or its single part) once, ask ``table`` only for the last parts that
+    the keys name, and derive each key's cut: where, as first parts
+    descend, the table's first parts fall to at most the key's first.
 
     ``check`` certifies the level from ``members`` and the tables, not
     member by member.  With k' the weight of the first member of
@@ -530,12 +525,19 @@ class LevelBlocks:
                             if member[-2:] not in empty]
         self._count: int | None = None
 
+    def certified(self) -> int | None:
+        """The number of members when the certificate holds (or ``check``
+        has passed), which ``check`` then returns as it is; otherwise
+        None."""
+        if self._count is None:
+            self._count = _certified(self)
+        return self._count
+
     def check(self) -> int:
         """Raise ValueError as ``check_members`` does for the whole level;
         return the number of members."""
-        if self._count is None:
-            count = _certified(self)
-            self._count = _walked(self) if count is None else count
+        if self.certified() is None:
+            self._count = _walked(self)
         return self._count
 
     def level(self) -> Level:
@@ -675,63 +677,17 @@ def _keyed(blocks: LevelBlocks, items: Callable[[list[str], bool], list[str]]
     return keyed
 
 
-class PackedLevel:
-    """The members of a level of weight n that ``method_tag``'s rule grew,
-    in canonical order, held as their ``_packed`` codes, ``_CHUNK``
-    members to a piece, with no member string.
-
-    ``append`` packs members that follow those packed before in canonical
-    order.  The level does not check them; whoever appends has.  The
-    writers render the codes as they are, ``_TEXT_CHUNK`` members to a
-    write of text and ``_CHUNK`` to one of a snapshot, so each member is
-    encoded once.
-    """
-
-    __slots__ = ("n", "method_tag", "_pieces", "_count")
-
-    def __init__(self, n: int, method_tag: str) -> None:
-        self.n = n
-        self.method_tag = method_tag
-        self._pieces: list[bytes] = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def check(self) -> int:
-        """The number of members, which whoever appended them checked."""
-        return self._count
-
-    def append(self, members: list[str]) -> None:
-        """Pack ``members`` after the members packed before; raises
-        UnicodeEncodeError for a part past 255."""
-        # The first members fill the last piece up to _CHUNK.
-        fill = -self._count % _CHUNK
-        if fill and members:
-            self._pieces[-1] += _packed(members[:fill])
-        self._pieces += [_packed(members[start:start + _CHUNK])
-                         for start in range(fill, len(members), _CHUNK)]
-        self._count += len(members)
-
-    def chunks(self, size: int) -> Iterator[bytes]:
-        """The codes of each run of ``size`` members, a multiple of
-        ``_CHUNK``, in order; the last run may hold fewer."""
-        step = size // _CHUNK
-        for start in range(0, len(self._pieces), step):
-            yield b"".join(self._pieces[start:start + step])
-
-
-def write_text(level: Level | LevelBlocks | PackedLevel, stream: IO[str],
+def write_text(level: Level | LevelBlocks, stream: IO[str],
                lead: str = "") -> None:
     """Write one canonical text line per member (``3+2+1``, or ``0`` for
     the empty partition), in level order, each after ``lead``.
 
     Each chunk of a level's members is rendered by ``_render``, with
     ``lead`` before each member, ``+`` between parts and a newline after
-    each; a ``PackedLevel``'s codes are rendered as they are.
-    ``LevelBlocks`` are certified first (see ``LevelBlocks.check``), then
-    rendered a chunk of blocks at a time (see ``_block_chunks``), so that
-    no byte is written before the whole level is checked.
+    each.  ``LevelBlocks`` are certified first (see ``LevelBlocks.check``),
+    then rendered a chunk of blocks at a time (see ``_block_chunks``) and
+    written in slices of ``_TEXT_SLICE`` characters, so that no byte is
+    written before the whole level is checked.
     """
     n = level.n
     if isinstance(level, LevelBlocks):
@@ -741,24 +697,39 @@ def write_text(level: Level | LevelBlocks | PackedLevel, stream: IO[str],
             return _render(table, _cell_tables(
                 n, b"+", b"\n", b"+" if after else b"")).splitlines(True)
 
-        for text in _block_chunks(level, (lead, b"+", lines), _TEXT_CHUNK):
-            stream.write(text)
-        return
-    if n == 0:
-        stream.write(f"{lead}0\n" * len(level))
-        return
-    tables = _cell_tables(n, b"+", b"\n", lead.encode("ascii"))
-    if isinstance(level, PackedLevel):
-        for codes in level.chunks(_TEXT_CHUNK):
-            stream.write(_render_codes(codes, tables))
+        # writelines drops each slice once written.
+        stream.writelines(_sliced(_block_chunks(level, (lead, b"+", lines),
+                                                _TEXT_CHUNK), _TEXT_SLICE))
         return
     raw = level._raw
+    if n == 0:
+        stream.write(f"{lead}0\n" * len(raw))
+        return
+    tables = _cell_tables(n, b"+", b"\n", lead.encode("ascii"))
     for start in range(0, len(raw), _TEXT_CHUNK):
         stream.write(_render(raw[start:start + _TEXT_CHUNK], tables))
 
 
-def write_snapshot(level: Level | LevelBlocks | PackedLevel,
-                   stream: IO[str]) -> int:
+def _sliced(texts: Iterable[str], size: int) -> Iterator[str]:
+    """``texts`` joined and cut into slices of exactly ``size``
+    characters, the last one shorter.  Each text is sliced where it lies;
+    only the characters left over at its end are copied again, before the
+    next text's first characters."""
+    rest = ""
+    for text in texts:
+        start = size - len(rest)
+        if start > len(text):
+            rest += text
+            continue
+        yield rest + text[:start]
+        end = len(text) - (len(text) - start) % size
+        yield from (text[at:at + size] for at in range(start, end, size))
+        rest = text[end:]
+    if rest:
+        yield rest
+
+
+def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
     """Write one JSONL line per member, in level order (see
     ``_snapshot_lines``), deriving the tags ``_CHUNK`` members at a time;
     return the number of lines written.
@@ -766,30 +737,22 @@ def write_snapshot(level: Level | LevelBlocks | PackedLevel,
     ``LevelBlocks`` are certified first (see ``LevelBlocks.check``), and
     a level that fails raises ValueError before any line is written; then
     they are rendered a chunk of blocks at a time (see ``_block_chunks``).
-    A ``PackedLevel``'s codes are rendered as they are.
     """
     n = level.n
     head = '{"n": %d, "parts": [' % n
     if isinstance(level, LevelBlocks):
 
         def lines(table: list[str], after: bool) -> list[str]:
+            tags = rule_tags(n, table, level.method_tag, prefixed=after)
             return _snapshot_lines("", _cell_tables(
-                n, b", ", b"\0", b", " if after else b""), table, rule_tags(
-                    n, table, level.method_tag)).splitlines(True)
+                n, b", ", b"\0", b", " if after else b""), table,
+                tags).splitlines(True)
 
         count = level.check()
         for text in _block_chunks(level, (head, b", ", lines)):
             stream.write(text)
         return count
     tables = _cell_tables(n, b", ", b"\0")
-    if isinstance(level, PackedLevel):
-        for codes in level.chunks(_CHUNK):
-            # The members' strings only name their tags.
-            tags = rule_tags(n, codes.decode("latin-1").split("\0")[:-1],
-                             level.method_tag)
-            stream.write(_tagged_lines(head, _render_codes(codes, tables),
-                                       tags))
-        return len(level)
     raw = level._raw
     for start in range(0, len(raw), _CHUNK):
         chunk = raw[start:start + _CHUNK]

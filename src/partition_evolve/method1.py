@@ -28,7 +28,9 @@ each block's cut) are what it hands on.  The same tree proves the target
 canonical: the writers certify the blocks from level k and the tables,
 without a check of each member (see ``level.LevelBlocks``), then render
 each table once and the blocks a chunk at a time (see
-``level._block_chunks``).
+``level._block_chunks``).  The tables are every partition of l + N - k
+whose first part is at least l, under either rule, so method 2 runs
+the same builder with its own kernel and tag (see ``method2``).
 
 k is set by n and N alone.  Level k grows as k rises and the tables
 (about k/2 times the sum of P(r) for r <= N - k members) as it falls,
@@ -61,8 +63,9 @@ from collections import Counter
 from . import _pure
 from .core import (Kind, Partition, classify_m1, decode_member,
                    partition_member)
-from .engine import ProgressFn, check_upward, run_evolution
-from .level import TAG_ADDED_UNIT, TAG_AUGMENTED, Level, LevelBlocks
+from .engine import ProgressFn, StepFn, check_upward, run_evolution
+from .level import (SECOND_KIND_TAG, TAG_ADDED_UNIT, TAG_AUGMENTED,
+                    TAG_EXPLICIT, Level, LevelBlocks)
 
 
 def tagged_successors_m1(p: Partition) -> tuple[tuple[Partition, str], ...]:
@@ -103,49 +106,60 @@ def evolve_m1(start: Level, target_n: int, *,
 
 
 def evolve_m1_chunks(start: Level, target_n: int, *,
-                     progress: ProgressFn | None = None
-                     ) -> Level | LevelBlocks:
+                     progress: ProgressFn | None = None,
+                     step: StepFn | None = None,
+                     method_tag: str = "method1") -> Level | LevelBlocks:
     """The level of ``target_n`` grown from ``start`` under the first rule,
     as blocks in canonical order that no check has seen yet (see the
-    module docstring); a Level when no step is left after level k.
+    module docstring); a Level when no step is left after level k.  With
+    ``step`` and ``method_tag``, the same under that kernel's rule, whose
+    tables hold the same members (see ``method2``).
 
     The steps run, and ``progress`` hears of every weight, before this
     returns.
     """
+    step = step or _pure.step_m1
     check_upward(start.n, target_n)
     k = max(start.n, target_n - target_n // 4)
-    level = run_evolution(start, k, method_tag="method1",
-                          step=_pure.step_m1, progress=progress)
+    level = run_evolution(start, k, method_tag=method_tag, step=step,
+                          progress=progress)
     if k > start.n:
         level.sort(reverse=True)
     steps = target_n - k
     if not steps:
         # No step keeps the start's rule and its tags.
-        return start if k == start.n else Level(k, level, "method1")
+        return start if k == start.n else Level(k, level, method_tag)
     sizes: dict[tuple[int, int], int] = {}
+    explicit: dict[int, int] = {}
 
     def table(last: str) -> list[str]:
         """T_last: the single part ``last`` grown ``steps`` weights, sorted;
-        its size at each weight goes to ``sizes``."""
+        its size at each weight goes to ``sizes``, and T_k's explicit
+        heads to ``explicit``."""
         part = ord(last)
-        counted: list[int] = []
+        counted: list[dict[str, int]] = []
         grown = run_evolution(
-            Level(part, [last], "method1"), part + steps,
-            method_tag="method1", step=_pure.step_m1,
-            progress=lambda n, counts: counted.append(sum(counts.values())))
-        sizes.update(((part, s), size) for s, size in enumerate(counted))
+            Level(part, [last], method_tag), part + steps,
+            method_tag=method_tag, step=step,
+            progress=lambda n, counts: counted.append(counts))
+        for s, counts in enumerate(counted):
+            sizes[part, s] = sum(counts.values())
+            if part == k:
+                explicit[s] = counts.get(TAG_EXPLICIT, 0)
         return sorted(grown, reverse=True)
 
     # The start's own members need no second check.
-    blocks = LevelBlocks(target_n, "method1",
+    blocks = LevelBlocks(target_n, method_tag,
                          start if k == start.n else level, table)
     if progress is not None:
-        _report(progress, blocks.ends, len(level), k, steps, sizes)
+        _report(progress, blocks.ends, len(level), k, steps, sizes,
+                SECOND_KIND_TAG[method_tag], explicit)
     return blocks
 
 
 def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,
-            steps: int, sizes: dict[tuple[int, int], int]) -> None:
+            steps: int, sizes: dict[tuple[int, int], int], second_tag: str,
+            explicit: dict[int, int]) -> None:
     """Report weights k+1..k+steps from the sizes |T_l(s)| of the tables
     alone.  s weights on, each of the ``ends[chr(b) + chr(l)]`` members of
     level k that end in parts (b, l) has |T_l(s)| - |T_{b+1}(s - (b+1-l))|
@@ -153,7 +167,9 @@ def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,
     descendants of the single part b+1; a single part l has |T_l(s)|.
     A table that no member reads was not grown, and its sizes are those
     of T_steps (see the module docstring).  ``previous`` is the size of
-    level k."""
+    level k.  Of each weight's new members, ``explicit[s]`` are the
+    explicit heads that the kernel counted growing T_k, which holds the
+    level's single part, and the rest are of ``second_tag``'s kind."""
     for s in range(1, steps + 1):
         size = 0
         for end, count in ends.items():
@@ -164,7 +180,9 @@ def _report(progress: ProgressFn, ends: Counter, previous: int, k: int,
                 at = s - above + last
                 size -= count * sizes.get((above, at),
                                           sizes.get((steps, at), 0))
-        counts = {TAG_ADDED_UNIT: previous, TAG_AUGMENTED: size - previous}
+        heads = explicit.get(s, 0)
+        counts = {TAG_ADDED_UNIT: previous,
+                  second_tag: size - previous - heads, TAG_EXPLICIT: heads}
         progress(k + s, {tag: count for tag, count in counts.items()
                          if count})
         previous = size

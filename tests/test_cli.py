@@ -545,16 +545,14 @@ def _evolve_m2_runs(run_cli, tmp_path, snapshot):
 @pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
 def test_a_batch_per_first_part_writes_what_the_whole_level_writes(
         run_cli, tmp_path, monkeypatch, snapshot):
-    # With a budget of one member, each first part is a batch of its own,
-    # so every boundary is compared and, on a resume, every slice of the
-    # start is grown alone.
+    # The certified blocks over level k, from weight 0 and on resumes,
+    # against the whole level grown, sorted and checked at once.
     for start in (5, 12):
         (tmp_path / f"level{start}.jsonl").write_text(
             run_cli("list", start, "--format", "jsonl")[1])
-    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
-    batched = _evolve_m2_runs(run_cli, tmp_path, snapshot)
-    monkeypatch.setattr(cli, "evolve_m2_packed", method2.evolve_m2)
-    assert batched == _evolve_m2_runs(run_cli, tmp_path, snapshot)
+    blocks = _evolve_m2_runs(run_cli, tmp_path, snapshot)
+    monkeypatch.setattr(cli, "evolve_m2_chunks", method2.evolve_m2)
+    assert blocks == _evolve_m2_runs(run_cli, tmp_path, snapshot)
 
 
 def _doubling_first_part_2(step):
@@ -567,8 +565,7 @@ def _doubling_first_part_2(step):
     return doubled
 
 
-# What the whole level's check printed for the sabotage below before
-# method 2 grew in batches.
+# What the whole level's check prints for the sabotage below.
 _DOUBLED_TWOS_STDERR = """\
 level 0: 1 partitions (Seed=1)
 level 1: 1 partitions (AddedUnit=1)
@@ -590,24 +587,14 @@ error: members out of canonical order or duplicated near 2+2+2+2+2+2
 @pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
 def test_a_fault_in_a_late_batch_is_refused_as_the_whole_level_was(
         run_cli, tmp_path, monkeypatch, snapshot):
-    # A batch per first part: the batches of parts 12 down to 3 pass, and
-    # only that of part 2 grows a repeated member.
-    checked = []
-    from_raw = Level.from_raw
-
-    def counted(n, members, method_tag):
-        level = from_raw(n, members, method_tag)
-        checked.append(n)
-        return level
-
-    monkeypatch.setattr(Level, "from_raw", staticmethod(counted))
-    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
+    # Only the members of first part 2 are grown twice; the blocks fail
+    # their certificate, and the whole level's progress and refusal are
+    # printed.
     monkeypatch.setattr(_pure, "step_m2",
                         _doubling_first_part_2(_pure.step_m2))
     output = ("--snapshot-out", tmp_path / "x.jsonl") if snapshot else ()
     assert run_cli("evolve", 0, 12, "--method", 2, *output) == (
         2, "", _DOUBLED_TWOS_STDERR)
-    assert checked == [12] * 10
     assert list(tmp_path.iterdir()) == []
 
 
@@ -621,7 +608,7 @@ def _miscounted(step):
 
 def _losing_a_head(step):
     """``step`` with the last of its second-kind heads of weight 8, if
-    any, dropped: each batch that grows some loses one, and the whole
+    any, dropped: each table that grows some loses one, and the whole
     level loses one."""
     def lost(heads):
         new, second = step(heads)
@@ -640,14 +627,14 @@ def _losing_a_head(step):
 @pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
 def test_faulty_kernels_print_what_the_whole_level_printed(
         run_cli, tmp_path, monkeypatch, sabotage, snapshot):
-    # Batches that fail, or hold other than P(12) members, give way to
-    # the whole level, whose progress, output and refusal are printed.
-    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
+    # Blocks that fail their certificate, or hold other than P(12)
+    # members, give way to the whole level, whose progress, output and
+    # refusal are printed.
     monkeypatch.setattr(_pure, "step_m2", sabotage(_pure.step_m2))
     output = tmp_path / "x.jsonl"
     runs = []
-    for evolve in (method2.evolve_m2_packed, method2.evolve_m2):
-        monkeypatch.setattr(cli, "evolve_m2_packed", evolve)
+    for evolve in (method2.evolve_m2_chunks, method2.evolve_m2):
+        monkeypatch.setattr(cli, "evolve_m2_chunks", evolve)
         runs.append((run_cli("evolve", 0, 12, "--method", 2, *(
             ("--snapshot-out", output) if snapshot else ())),
             output.read_bytes() if output.exists() else None))
@@ -664,26 +651,27 @@ def test_faulty_kernels_print_what_the_whole_level_printed(
 @pytest.mark.parametrize("method", [1, 2])
 def test_a_count_under_a_faulty_kernel_is_the_whole_levels(
         run_cli, monkeypatch, sabotage, method):
-    # Counted without holding the level (for method 2, a batch per first
-    # part), the count prints what the whole level's count printed: its
-    # size, or its refusal.
-    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 1)
+    # Counted from blocks, without holding the level, the count prints
+    # what the whole level's count prints: its size, or its refusal.
     kernel = f"step_m{method}"
     monkeypatch.setattr(_pure, kernel, sabotage(getattr(_pure, kernel)))
     argv = ("count", 12, "--source", f"evolve{method}")
     counted = run_cli(*argv)
     # A Level's check is its length.
     monkeypatch.setattr(cli, "evolve_m1_chunks", evolve_m1)
-    monkeypatch.setattr(cli, "count_m2", lambda start, target_n: len(
-        method2.evolve_m2(start, target_n)))
+    monkeypatch.setattr(cli, "evolve_m2_chunks", method2.evolve_m2)
     assert counted == run_cli(*argv)
 
 
-@pytest.mark.parametrize("budget", [None, 1000], ids=["default", "batches"])
+@pytest.mark.parametrize("argv,listing", [
+    (("evolve", 0, 30, "--method", 2), True),
+    (("count", 30, "--source", "evolve2"), False),
+], ids=["default", "count"])
 def test_method2_evolution_enters_no_layer_its_benchmark_bypasses(
-        run_cli, monkeypatch, budget):
-    # The layers that perfbench's evolve-m2-text workload must not enter.
-    expected = run_cli("list", 30)[1]
+        run_cli, monkeypatch, argv, listing):
+    # The layers that perfbench's evolve-m2-text workload must not enter;
+    # the count goes through the same blocks.
+    expected = run_cli("list", 30)[1] if listing else "5604\n"
 
     def never(*args, **kwargs):
         raise AssertionError("a bypassed layer was entered")
@@ -693,9 +681,7 @@ def test_method2_evolution_enters_no_layer_its_benchmark_bypasses(
                          (cli, "read_snapshot"), (cli, "write_snapshot"),
                          (cli, "run_suite")]:
         monkeypatch.setattr(module, name, never)
-    if budget is not None:
-        monkeypatch.setattr(method2, "_BATCH_MEMBERS", budget)
-    code, out, _ = run_cli("evolve", 0, 30, "--method", 2)
+    code, out, _ = run_cli(*argv)
     assert (code, out) == (0, expected)
 
 

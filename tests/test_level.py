@@ -14,10 +14,10 @@ from partition_evolve import (Level, SnapshotError, TAG_ORDER,
 import partition_evolve.level
 from partition_evolve.core import encode_parts, member_text
 from partition_evolve.level import (_CHUNK, METHOD_TAGS, Joined, LevelBlocks,
-                                    PackedLevel, _canonical, _read_chunks,
-                                    _scan_lines, check_members, rule_tags,
-                                    write_text)
+                                    _canonical, _read_chunks, _scan_lines,
+                                    check_members, rule_tags, write_text)
 from partition_evolve.method1 import evolve_m1_chunks
+from partition_evolve.method2 import evolve_m2_chunks
 
 
 def _level(n, raw, method_tag="oracle"):
@@ -233,29 +233,6 @@ def test_writer_derives_tags_a_chunk_at_a_time(monkeypatch):
     write_snapshot(level, snapshot)
     assert snapshot.getvalue() == expected
     assert sum(lengths) == len(level) and max(lengths) <= _CHUNK
-
-
-def test_a_packed_level_writes_what_its_level_writes(monkeypatch):
-    # Pieces of 4 members and text writes of 8: the uneven appends fill
-    # the last piece before they start a new one.
-    monkeypatch.setattr(partition_evolve.level, "_CHUNK", 4)
-    monkeypatch.setattr(partition_evolve.level, "_TEXT_CHUNK", 8)
-    level = evolve_m2(Level.seed("method2"), 20)
-    members = level.raw_members()
-    packed = PackedLevel(20, "method2")
-    for start, stop in zip([0, 1, 6, 9, 9, 109], [1, 6, 9, 9, 109, 627]):
-        packed.append(members[start:stop])
-    assert len(packed) == len(level) == 627
-    assert [len(codes.split(b"\0")) - 1 for codes in packed.chunks(4)] == (
-        [4] * 156 + [3])
-    assert b"".join(packed.chunks(8)) == b"".join(packed.chunks(4))
-    for write in (write_text, write_snapshot):
-        expected, written = io.StringIO(), io.StringIO()
-        write(level, expected)
-        write(packed, written)
-        assert written.getvalue() == expected.getvalue()
-    with pytest.raises(UnicodeEncodeError):
-        PackedLevel(300, "method2").append([chr(300)])
 
 
 def _fill(parts, n):
@@ -972,6 +949,31 @@ def test_certified_blocks_are_neither_assembled_nor_scanned(monkeypatch):
     monkeypatch.setattr(partition_evolve.level, "check_members", never)
     monkeypatch.setattr(partition_evolve.level, "_assemble", never)
     assert blocks.check() == 5604
+
+
+@pytest.mark.parametrize("evolve,method_tag", [
+    (evolve_m1_chunks, "method1"), (evolve_m2_chunks, "method2")])
+def test_blocks_text_is_written_in_slices_of_one_size(monkeypatch, evolve,
+                                                      method_tag):
+    # Every write but the last holds exactly _TEXT_SLICE characters,
+    # whatever the sizes of the chunks of blocks it is cut from.
+    monkeypatch.setattr(partition_evolve.level, "_TEXT_SLICE", 1000)
+    blocks = evolve(Level.seed(method_tag), 30)
+    assert isinstance(blocks, LevelBlocks)
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    written = Recording()
+    write_text(blocks, written)
+    assert written.getvalue() == "".join(
+        f"{member_text(member)}\n"
+        for member in enumerate_oracle(30).raw_members())
+    assert len(writes) > 2 and set(writes[:-1]) == {1000}
+    assert 0 < writes[-1] <= 1000
 
 
 def test_the_assembled_level_is_not_checked_again(monkeypatch):

@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
-                              classify_m2, enumerate_oracle, evolve_m1,
-                              evolve_m2, method2, predecessor_m2,
-                              successors_m2, tagged_successors_m2)
+                              _pure, classify_m2, enumerate_oracle,
+                              euler_p_coeffs, evolve_m1, evolve_m2, method2,
+                              predecessor_m2, successors_m2,
+                              tagged_successors_m2)
+from partition_evolve.engine import run_evolution
+from partition_evolve.level import LevelBlocks
 
 from golden import M2_COLLECTED_6, PARTITIONS_5, PARTITIONS_6
 
@@ -139,52 +142,35 @@ def test_parts_past_255_evolve_like_the_per_partition_rule():
     assert level.tags == tuple(expected[p] for p in level.partitions)
 
 
-@pytest.mark.parametrize("budget", [1, 40])
-@pytest.mark.parametrize("start_n,target_n", [(0, 1), (0, 20), (5, 6),
-                                              (12, 20)])
-def test_batches_hold_their_first_parts_and_join_to_the_oracle_level(
-        monkeypatch, budget, start_n, target_n):
-    # The oracle shares no code with the kernels or the batches.  With a
-    # budget of one member, each first part is a batch of its own.
-    monkeypatch.setattr(method2, "_BATCH_MEMBERS", budget)
-    parts = list(method2._batch_parts(target_n))
-    if budget == 1:
-        assert parts == [(f, f) for f in range(target_n, 0, -1)]
-    batches = []
-    method2._batches(enumerate_oracle(start_n), target_n, batches.append)
-    assert len(batches) == len(parts)
-    for (lo, hi), batch in zip(parts, batches):
-        assert {ord(member[0]) for member in batch} <= set(range(lo, hi + 1))
-        assert len(batch) <= budget or lo == hi
-    assert [member for batch in batches for member in batch] == \
+@pytest.mark.parametrize("last", range(1, 16))
+def test_each_table_holds_the_partitions_from_its_single_part_up(last):
+    # The single part l grown s weights, explicit heads kept: every
+    # partition of l + s whose first part is at least l, as the oracle,
+    # which shares no code with the kernel, lists them.
+    for steps in range(13):
+        grown = run_evolution(Level(last, [chr(last)], "method2"),
+                              last + steps, method_tag="method2",
+                              step=_pure.step_m2)
+        assert sorted(grown, reverse=True) == [
+            member for member in enumerate_oracle(last + steps).raw_members()
+            if ord(member[0]) >= last]
+
+
+@pytest.mark.parametrize("start_n,target_n", [
+    *((0, n) for n in (4, 5, 12, 20, 30)), (5, 6), (6, 9), (12, 20)])
+def test_the_certified_count_is_p_of_n_with_no_whole_level(
+        monkeypatch, start_n, target_n):
+    # From the seed and on resumes from the oracle's level: the blocks pass
+    # their certificate and hold P(N) members, so the whole level is never
+    # grown, and they are the oracle's level.
+    def never(*args, **kwargs):
+        raise AssertionError("the whole level was grown")
+
+    monkeypatch.setattr(method2, "evolve_m2", never)
+    start = (Level.seed("method2") if start_n == 0
+             else enumerate_oracle(start_n))
+    blocks = method2.evolve_m2_chunks(start, target_n)
+    assert isinstance(blocks, LevelBlocks)
+    assert blocks.certified() == euler_p_coeffs(target_n)[target_n]
+    assert blocks.level().raw_members() == \
         enumerate_oracle(target_n).raw_members()
-
-
-def test_the_packed_level_and_its_count_need_no_whole_level(monkeypatch):
-    # 13 batches: parts 25..16, 15 and 14, each part of 13..4 alone, and
-    # parts 3..1.
-    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 100)
-    sizes = []
-    from_raw = Level.from_raw
-
-    def counted(n, members, method_tag):
-        sizes.append(len(members))
-        return from_raw(n, members, method_tag)
-
-    monkeypatch.setattr(Level, "from_raw", staticmethod(counted))
-    packed = method2.evolve_m2_packed(Level.seed("method2"), 25)
-    assert len(packed) == sum(sizes) == 1958
-    assert len(sizes) == 13
-    sizes.clear()
-    assert method2.count_m2(Level.seed("method2"), 25) == 1958
-    assert len(sizes) == 13
-
-
-def test_batches_that_do_not_descend_are_refused(monkeypatch):
-    # Each batch passes its own check; only the boundaries tell that the
-    # batches come in the wrong order.
-    monkeypatch.setattr(method2, "_BATCH_MEMBERS", 40)
-    parts = list(method2._batch_parts(20))
-    monkeypatch.setattr(method2, "_batch_parts", lambda n: parts[::-1])
-    with pytest.raises(ValueError, match="below the one before"):
-        method2._batches(Level.seed("method2"), 20, lambda members: None)

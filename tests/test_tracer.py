@@ -26,10 +26,10 @@ def _run(argv, cwd):
 # three workloads, those the workload bypasses.
 @pytest.mark.parametrize("argv,spans,bypassed", [
     (["evolve", "0", "12", "--method", "2"],
-     ["kernel.step_m2", "level.from_raw", "engine.evolve"],
-     ["kernel.step_m1", "kernel.enumerate_level", "oracle.enumerate_oracle",
-      "oracle.count_oracle", "level.read_snapshot", "level.write_snapshot",
-      "verify.run_suite"]),
+     ["kernel.step_m2", "engine.evolve"],
+     ["kernel.step_m1", "level.from_raw", "kernel.enumerate_level",
+      "oracle.enumerate_oracle", "oracle.count_oracle",
+      "level.read_snapshot", "level.write_snapshot", "verify.run_suite"]),
     (["evolve", "6", "9", "--method", "1", "--snapshot-in", "in.jsonl",
       "--snapshot-out", "out.jsonl"],
      ["kernel.step_m1", "level.from_raw", "level.read_snapshot",
@@ -41,10 +41,10 @@ def _run(argv, cwd):
       "verify.run_suite"],
      ["level.read_snapshot", "level.write_snapshot"]),
     (["count", "12", "--source", "evolve2"],
-     ["kernel.step_m2", "level.from_raw", "engine.evolve"],
-     ["kernel.step_m1", "kernel.enumerate_level", "oracle.enumerate_oracle",
-      "oracle.count_oracle", "level.read_snapshot", "level.write_snapshot",
-      "verify.run_suite"]),
+     ["kernel.step_m2", "engine.evolve"],
+     ["kernel.step_m1", "level.from_raw", "kernel.enumerate_level",
+      "oracle.enumerate_oracle", "oracle.count_oracle",
+      "level.read_snapshot", "level.write_snapshot", "verify.run_suite"]),
     (["count", "12", "--source", "evolve1"],
      ["kernel.step_m1", "engine.evolve"],
      ["kernel.step_m2", "level.from_raw", "kernel.enumerate_level",
