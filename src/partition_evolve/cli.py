@@ -16,7 +16,7 @@ import argparse
 import os
 import stat
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager, nullcontext
 from itertools import filterfalse
 from typing import TextIO
@@ -24,7 +24,8 @@ from typing import TextIO
 from .core import (Kind, collectable, decimal_value, parse_partition,
                    quote_text, smallest_part_once)
 from .engine import check_upward
-from .level import Level, read_snapshot, write_snapshot, write_text
+from .level import (Level, LevelBlocks, read_snapshot, write_snapshot,
+                    write_text)
 from .method1 import evolve_m1_chunks, predecessor_m1
 from .method2 import evolve_m2_chunks, predecessor_m2
 from .oracle import (DEFAULT_CAP, CapExceededError, check_cap, count_oracle,
@@ -203,6 +204,17 @@ def _progress(weight: int, counts: dict[str, int]) -> None:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    """Evolve to ``to_n``, from the seed or from a snapshot of ``from_n``.
+
+    A snapshot is first proven against level ``from_n`` grown from the
+    seed by the method's own blocks, certified and counted against P(n)
+    (see ``level.read_snapshot``), and read as a file only when that
+    fails.  Once it is proven, the start is known without its members,
+    so the run is ``evolve 0 to_n``'s, heard from weight ``from_n`` on,
+    and the line of ``from_n`` gives the file's own tags.  A kernel fault
+    that the proof did not meet is refused as ``evolve 0 to_n`` refuses
+    it.
+    """
     cap = _resolve_cap(args)
     check_cap(args.to_n, cap)
     # Refused before any snapshot is opened, read or counted.
@@ -217,8 +229,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         # reader refuses by line.
         with open(args.snapshot_in, encoding="utf-8",
                   errors="surrogateescape") as stream:
-            start = read_snapshot(stream, expected_n=args.from_n)
-        expected = count_oracle(args.from_n)
+            expected = count_oracle(args.from_n)
+            start = read_snapshot(stream, expected_n=args.from_n,
+                                  level=_recomputed(evolve, method_tag,
+                                                    args.from_n, expected,
+                                                    stream))
         if len(start) != expected:
             raise ValueError(
                 f"snapshot is incomplete for weight {args.from_n}: holds "
@@ -235,11 +250,47 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # stdout or to the file, which replaces its target only when written.
     with (nullcontext(sys.stdout) if args.snapshot_out is None
           else _replacing(args.snapshot_out)) as out:
-        final = evolve(start, args.to_n, progress=_progress)
+        # A start held as blocks was proven, not read.
+        if isinstance(start, LevelBlocks):
+            final = _grown_from_seed(evolve, method_tag, start, args.to_n)
+        else:
+            final = evolve(start, args.to_n, progress=_progress)
         _check_complete(final.check(), args.to_n)
         (write_text if args.snapshot_out is None else write_snapshot)(
             final, out)
     return EXIT_OK
+
+
+def _recomputed(evolve: Callable[..., Level | LevelBlocks],
+                method_tag: str, n: int, count: int, stream: TextIO
+                ) -> Level | LevelBlocks | None:
+    """Level n grown from the seed by ``evolve``, with no progress, when
+    it passes its check and holds ``count`` members, P(n); otherwise None.
+    None too, without growing it, when ``stream`` cannot be read twice or
+    holds fewer bytes than ``count`` lines need."""
+    if not stream.seekable() or os.fstat(stream.fileno()).st_size < count:
+        return None
+    try:
+        level = evolve(Level.seed(method_tag), n)
+        return level if level.check() == count else None
+    except ValueError:
+        return None
+
+
+def _grown_from_seed(evolve: Callable[..., Level | LevelBlocks],
+                     method_tag: str, start: LevelBlocks, target_n: int
+                     ) -> Level | LevelBlocks:
+    """The level of ``target_n`` from a proven ``start``: ``start`` itself
+    at its own weight, else grown from the seed by ``evolve``.  Progress is
+    heard from the start's weight on, the start's line with its tags."""
+    def heard(weight: int, counts: dict[str, int]) -> None:
+        if weight > start.n:
+            _progress(weight, counts)
+
+    _progress(start.n, start.tag_counts())
+    if target_n == start.n:
+        return start
+    return evolve(Level.seed(method_tag), target_n, progress=heard)
 
 
 def _check_complete(count: int, n: int) -> None:

@@ -172,9 +172,16 @@ class Level:
 
     def tag_counts(self) -> dict[str, int]:
         """Provenance breakdown in fixed TAG_ORDER, zero counts omitted."""
-        tags = self.tags
-        counts = {tag: tags.count(tag) for tag in TAG_ORDER}
-        return {tag: count for tag, count in counts.items() if count}
+        return _in_tag_order(Counter(self.tags))
+
+    def tagged(self, method_tag: str) -> "Level":
+        """The same members, tagged by ``method_tag``'s rule."""
+        return Level._proven(self._n, self._raw, method_tag)
+
+
+def _in_tag_order(counts: Counter) -> dict[str, int]:
+    """``counts`` of tags in fixed TAG_ORDER, zero counts omitted."""
+    return {tag: counts[tag] for tag in TAG_ORDER if counts[tag]}
 
 
 def rule_tags(n: int, members: list[str], method_tag: str,
@@ -547,6 +554,30 @@ class LevelBlocks:
         return Level._proven(self.n, _assemble(self.members, self.tables,
                                                self.cuts), self.method_tag)
 
+    def __len__(self) -> int:
+        """The number of members, from ``check``."""
+        return self.check()
+
+    def tag_counts(self) -> dict[str, int]:
+        """Provenance breakdown in fixed TAG_ORDER, zero counts omitted:
+        each key's count of blocks times the tags of its suffix."""
+        counts: Counter = Counter()
+        for key, count in self.ends.items():
+            suffix = self.tables[key[-1]][self.cuts[key]:]
+            for tag, times in Counter(rule_tags(
+                    self.n, suffix, self.method_tag,
+                    prefixed=len(key) > 1)).items():
+                counts[tag] += count * times
+        return _in_tag_order(counts)
+
+    def tagged(self, method_tag: str) -> "LevelBlocks":
+        """The same blocks, tagged by ``method_tag``'s rule."""
+        blocks = LevelBlocks.__new__(LevelBlocks)
+        for name in LevelBlocks.__slots__:
+            setattr(blocks, name, getattr(self, name))
+        blocks.method_tag = method_tag
+        return blocks
+
 
 def first_at_most(members: list[str], part: int) -> int:
     """Where the members of a canonical level whose first part is at most
@@ -613,17 +644,22 @@ def _block_chunks(blocks: LevelBlocks, layout: _Layout,
     A chunk is the blocks of a slice of ``blocks.members``, as wide as the
     chunk before would have had to be to hold half of ``size`` members,
     and cut there when it could hold more than ``size``: half of ``size``
-    on average, at most ``size`` and one block.  Its text is one
-    ``str.join`` per block: the prefix's parts rendered by ``_render``,
-    joined over its suffix's lines, each table rendered once.
+    on average, at most ``size`` and one block.  Its text is whole lines,
+    one ``str.join`` per block: the prefix's parts rendered by
+    ``_render``, joined over its suffix's items, each table rendered once.
     """
     n, members = blocks.n, blocks.members
-    # Each line ends with the next one's head, so that a block's text is
-    # its prefix's parts joined over its suffix's lines.
     head, sep, table_lines = layout
     prefix_tables = _cell_tables(n, sep, b"\0")
-    lines = _keyed(blocks, lambda table, after: [
-        line + head for line in table_lines(table, after)])
+
+    def items(table: list[str], after: bool) -> list[str]:
+        # Each line but a table's last ends with the next one's head, so
+        # that a block's text is its prefix's parts joined over the head
+        # and its suffix's lines.
+        lines = table_lines(table, after)
+        return [line + head for line in lines[:-1]] + lines[-1:]
+
+    lines = _keyed(blocks, head, items)
     largest = max([1, *map(len, blocks.tables.values())])
     width = max(1, size // 2 // largest)
     start = 0
@@ -638,22 +674,16 @@ def _block_chunks(blocks: LevelBlocks, layout: _Layout,
         start += len(ms)
         heads = _render(list(map(_PREFIX, ms)),
                         prefix_tables)[:-1].split("\0")
-        text = "".join(map(str.join, heads, suffixes))
-        # So the first chunk lacks its first head, and the last ends with
-        # a head too many.
-        if start == len(ms):
-            text = head + text
-        if start == len(members):
-            text = text[:len(text) - len(head)]
-        yield text
+        yield "".join(map(str.join, heads, suffixes))
         count = sum(map(len, suffixes)) - len(ms)
         width = max(1, len(ms) * (size // 2) // max(1, count))
 
 
-def _keyed(blocks: LevelBlocks, items: Callable[[list[str], bool], list[str]]
+def _keyed(blocks: LevelBlocks, first: str,
+           items: Callable[[list[str], bool], list[str]]
            ) -> dict[str, list[str]]:
-    """For each block key: an empty item, then the items of the key's
-    suffix, so that a join over them puts a block's prefix before each.
+    """For each block key: ``first``, then the items of the key's suffix,
+    so that a join over them puts a block's prefix before each.
     ``items(members, after)`` gives the items of table members, each after
     a separator when ``after`` (the key has two parts), and is called once
     per table and ``after``, on the table from the lowest cut of its keys;
@@ -672,7 +702,8 @@ def _keyed(blocks: LevelBlocks, items: Callable[[list[str], bool], list[str]]
     for key, cut in blocks.cuts.items():
         table = key[-1], len(key) > 1
         if table + (cut,) not in suffixes:
-            suffixes[table + (cut,)] = [""] + read[table][cut - lowest[table]:]
+            suffixes[table + (cut,)] = [first] + read[table][
+                cut - lowest[table]:]
         keyed[key] = suffixes[table + (cut,)]
     return keyed
 
@@ -731,39 +762,49 @@ def _sliced(texts: Iterable[str], size: int) -> Iterator[str]:
 
 def write_snapshot(level: Level | LevelBlocks, stream: IO[str]) -> int:
     """Write one JSONL line per member, in level order (see
-    ``_snapshot_lines``), deriving the tags ``_CHUNK`` members at a time;
-    return the number of lines written.
+    ``_snapshot_texts``); return the number of lines written.
 
     ``LevelBlocks`` are certified first (see ``LevelBlocks.check``), and
-    a level that fails raises ValueError before any line is written; then
-    they are rendered a chunk of blocks at a time (see ``_block_chunks``).
+    a level that fails raises ValueError before any line is written.
     """
+    count = level.check()
+    for text in _snapshot_texts(level, level.method_tag):
+        stream.write(text)
+    return count
+
+
+def _snapshot_texts(level: Level | LevelBlocks, method_tag: str
+                    ) -> Iterator[str]:
+    """The snapshot lines of ``level`` tagged by ``method_tag``'s rule (see
+    ``_snapshot_lines``), a chunk of lines at a time: ``_CHUNK`` members of
+    a Level, with their tags derived a chunk at a time, or a chunk of
+    blocks (see ``_block_chunks``)."""
     n = level.n
     head = '{"n": %d, "parts": [' % n
     if isinstance(level, LevelBlocks):
 
         def lines(table: list[str], after: bool) -> list[str]:
-            tags = rule_tags(n, table, level.method_tag, prefixed=after)
+            tags = rule_tags(n, table, method_tag, prefixed=after)
             return _snapshot_lines("", _cell_tables(
                 n, b", ", b"\0", b", " if after else b""), table,
                 tags).splitlines(True)
 
-        count = level.check()
-        for text in _block_chunks(level, (head, b", ", lines)):
-            stream.write(text)
-        return count
+        yield from _block_chunks(level, (head, b", ", lines))
+        return
     tables = _cell_tables(n, b", ", b"\0")
     raw = level._raw
     for start in range(0, len(raw), _CHUNK):
         chunk = raw[start:start + _CHUNK]
-        stream.write(_snapshot_lines(head, tables, chunk,
-                                     rule_tags(n, chunk, level.method_tag)))
-    return len(raw)
+        yield _snapshot_lines(head, tables, chunk,
+                              rule_tags(n, chunk, method_tag))
 
 
 def read_snapshot(stream: Iterable[str], *,
-                  expected_n: int | None = None) -> Level:
-    """Read and validate a snapshot, returning the Level it describes.
+                  expected_n: int | None = None,
+                  level: Level | LevelBlocks | None = None
+                  ) -> Level | LevelBlocks:
+    """Read and validate a snapshot, returning the level it describes: a
+    Level, or ``level`` when the snapshot is proven to be its lines.
 
     Every line must be text with a UTF-8 form, and carry the same weight
     (and match ``expected_n`` when given), canonical non-increasing
@@ -773,6 +814,19 @@ def read_snapshot(stream: Iterable[str], *,
     weight 0 every rule gives Seed, and at weight 1 both methods give
     AddedUnit.  Violations raise SnapshotError naming the line.
 
+    With ``level``, the complete level of weight ``expected_n``, already
+    certified and counted against P(n), ``stream`` is a text file, and a
+    seekable one is first proven instead of parsed (see ``_proven_rule``):
+    when it holds the lines that the writer gives ``level`` under one
+    rule, in any order, ``level`` is returned tagged by that rule, with
+    no member parsed or held.  By the paper's lemma a
+    weight has exactly one complete, duplicate-free level, so a file that
+    the parse would accept as complete can only be those lines.  The
+    proof compares the file with a level that the blocks' certificate
+    and the count vouch for, which is no weaker than the parse with its
+    count.  Any other stream is read from its start as without ``level``,
+    so every accepted layout and every refusal stays as it was.
+
     The lines are parsed in bulk, a chunk of ``_CHUNK`` nonblank lines at
     a time, without a JSON record per line, into a Level, which checks the
     weights and the uniqueness of its members.  A chunk is taken only when
@@ -781,12 +835,70 @@ def read_snapshot(stream: Iterable[str], *,
     failure, the per-line scan reruns over the lines; it alone words
     errors and reads the other layouts JSON allows.
     """
+    if level is not None and stream.seekable():
+        rule = _proven_rule(stream, level)
+        if rule is not None:
+            return level.tagged(rule)
+        stream.seek(0)
     lines = list(stream)
     try:
         return Level.from_raw(*_read_chunks(lines, expected_n))
     except ValueError:
         pass
     return _scan_lines(lines, expected_n)
+
+
+# The rule that each tag but AddedUnit names past weight 0 (see
+# ``rule_tags``).
+_TAG_RULE = {TAG_SEED: "oracle", TAG_AUGMENTED: "method1",
+             TAG_COLLECTED: "method2", TAG_EXPLICIT: "method2"}
+# Characters per read of a file out of the writer's order.
+_READ_HINT = 1 << 20
+
+
+def _proven_rule(stream: IO[str], level: Level | LevelBlocks) -> str | None:
+    """The rule under which ``stream``, from its start, holds exactly the
+    snapshot lines that the writer gives ``level``, in any order; None
+    when it holds anything else.
+
+    The rule is the reader's: AddedUnit is both methods', so the first
+    line with another tag names it, and with none it is the first rule,
+    method 1, as at weight 0, where every rule gives Seed.  While the
+    file keeps the writer's order, each chunk of the writer's text is
+    compared with as much of the file, and no line is held.  From the
+    first difference on, the writer's lines not yet matched are held as a
+    set (they are distinct, as the level's members are).  Each of the rest
+    of the file's lines must take one line out of the set, and none may be
+    left: then the file's lines are the writer's in some order.
+    """
+    rule = METHOD_TAGS[0]
+    while level.n and (line := stream.readline()):
+        tag = line.rpartition(_TAG_KEY)[2][:-len('"}\n')]
+        if tag != TAG_ADDED_UNIT:
+            rule = _TAG_RULE.get(tag)
+            break
+    if rule is None:
+        return None
+    stream.seek(0)
+    texts = _snapshot_texts(level, rule)
+    for text in texts:
+        read = stream.read(len(text))
+        if read != text:
+            break
+    else:
+        return None if stream.read(1) else rule
+    left = set(text.splitlines(True))
+    for text in texts:
+        left.update(text.splitlines(True))
+    # The line that the last read cut, finished.
+    lines = (read + stream.readline()).splitlines(True)
+    while lines:
+        held = len(left)
+        left.difference_update(lines)
+        if held - len(left) != len(lines):
+            return None
+        lines = stream.readlines(_READ_HINT)
+    return None if left else rule
 
 
 # The text of each part the bulk reader reads, to its code; the member

@@ -10,12 +10,14 @@ import shlex
 import stat
 import subprocess
 import sys
+import threading
 from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import partition_evolve.level
 from partition_evolve import (Level, _pure, cli, core, count_oracle,
                               enumerate_oracle, evolve_m1, method1, method2,
                               write_snapshot)
@@ -919,6 +921,263 @@ def test_resuming_from_a_reformatted_snapshot_prints_the_same(run_cli,
     assert resumed[0] == 0 and resumed[1]
     assert resumed == run_cli("evolve", 20, 24, "--method", method,
                               "--snapshot-in", canonical)
+
+
+def _reformatted(text):
+    """Snapshot lines with their keys reordered, compact separators and
+    leading spaces: lines that only the per-line scan reads."""
+    return "".join(
+        "  " + json.dumps({"tag": record["tag"], "parts": record["parts"],
+                           "n": record["n"]}, separators=(",", ":")) + "\n"
+        for record in map(json.loads, text.splitlines()))
+
+
+def _rule_snapshots(run_cli, tmp_path, n):
+    """Files of level n for each rule (method 1's and method 2's
+    snapshots, and the listing), each in the writer's order, shuffled
+    and reformatted."""
+    files = []
+    for rule, write in [("method1", ("evolve", 0, n, "--method", 1)),
+                        ("method2", ("evolve", 0, n, "--method", 2)),
+                        ("oracle", ("list", n, "--format", "jsonl"))]:
+        written = tmp_path / "written.jsonl"
+        if write[0] == "list":
+            written.write_text(run_cli(*write)[1])
+        else:
+            assert run_cli(*write, "--snapshot-out", written)[0] == 0
+        text = written.read_text()
+        lines = text.splitlines(keepends=True)
+        random.Random(n).shuffle(lines)
+        for layout, laid in [("canonical", text), ("shuffled", "".join(lines)),
+                             ("reformatted", _reformatted(text))]:
+            path = tmp_path / f"{rule}-{layout}-{n}.jsonl"
+            path.write_text(laid)
+            files.append((layout, path))
+    return files
+
+
+def _resumed(run_cli, tmp_path, argv, text=True):
+    """Exit code, stdout, stderr and snapshot bytes of ``evolve`` run to
+    a snapshot, and with ``text`` to text."""
+    output = tmp_path / "out.jsonl"
+    runs = [run_cli(*argv)] if text else []
+    runs.append((run_cli(*argv, "--snapshot-out", output),
+                 output.read_bytes() if output.exists() else None))
+    output.unlink(missing_ok=True)
+    return runs
+
+
+def _parsed(monkeypatch):
+    """Count the bulk reader's calls; returns the list it appends to."""
+    calls = []
+    read_chunks = partition_evolve.level._read_chunks
+
+    def counted(*args):
+        calls.append(args)
+        return read_chunks(*args)
+
+    monkeypatch.setattr(partition_evolve.level, "_read_chunks", counted)
+    return calls
+
+
+@pytest.mark.parametrize("start,to_n", [(5, 5), (5, 6), (6, 9), (12, 20),
+                                        (38, 50)])
+@pytest.mark.parametrize("method", [1, 2])
+def test_a_proven_resume_prints_what_the_parsed_one_printed(
+        run_cli, tmp_path, monkeypatch, start, to_n, method):
+    # Each rule's file in the writer's order or shuffled is proven, not
+    # parsed, and the run prints and writes what it printed when the file
+    # was parsed.  A reformatted file is parsed (near misses below compare
+    # runs that fall back).  At weight 38 the reformatted files and the
+    # text of level 50 are left out for time: the scan reads those files
+    # whole, and the text is written from the same level as the snapshot.
+    parsed = _parsed(monkeypatch)
+    text = to_n < 50
+    runs = {}
+    for layout, path in _rule_snapshots(run_cli, tmp_path, start):
+        if layout == "reformatted" and not text:
+            continue
+        parsed.clear()
+        argv = ("evolve", start, to_n, "--method", method,
+                "--snapshot-in", path)
+        run = _resumed(run_cli, tmp_path, argv, text)
+        assert run[-1][0][0] == 0
+        assert bool(parsed) == (layout == "reformatted"), path.name
+        if not parsed:
+            runs[argv] = run
+    monkeypatch.setattr(cli, "_recomputed", lambda *args: None)
+    for argv, proven in runs.items():
+        assert proven == _resumed(run_cli, tmp_path, argv, text)
+
+
+def test_a_shuffled_method2_file_led_by_added_unit_is_proven(
+        run_cli, tmp_path, monkeypatch):
+    # AddedUnit is both methods' tag: the first line of another tag names
+    # the rule.
+    snapshot = tmp_path / "level12.jsonl"
+    assert run_cli("evolve", 0, 12, "--method", 2,
+                   "--snapshot-out", snapshot)[0] == 0
+    lines = snapshot.read_text().splitlines(keepends=True)
+    random.Random(0).shuffle(lines)
+    lines.sort(key=lambda line: '"AddedUnit"' not in line)
+    assert '"AddedUnit"' in lines[0] and '"AddedUnit"' not in lines[-1]
+    random.Random(1).shuffle(lines[1:-1])
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines))
+    expected = [_resumed(run_cli, tmp_path, ("evolve", 12, to_n, "--method",
+                                             method, "--snapshot-in",
+                                             snapshot))
+                for to_n in (12, 20) for method in (1, 2)]
+
+    def never(*args):
+        raise AssertionError("the snapshot was parsed")
+
+    monkeypatch.setattr(partition_evolve.level, "_read_chunks", never)
+    monkeypatch.setattr(partition_evolve.level, "_scan_lines", never)
+    assert expected == [
+        _resumed(run_cli, tmp_path, ("evolve", 12, to_n, "--method", method,
+                                     "--snapshot-in", shuffled))
+        for to_n in (12, 20) for method in (1, 2)]
+
+
+def _near_misses(lines):
+    """Each way of spoiling ``lines``, a level's snapshot lines: its name,
+    its lines, and whether it still holds the level's lines."""
+    other = json.loads(lines[3])
+    retagged = json.dumps({**other, "tag": "Seed"}) + "\n"
+    lighter = json.dumps({**other, "n": other["n"] - 1,
+                          "parts": other["parts"][1:]}) + "\n"
+    return [
+        ("duplicated", lines[:4] + [lines[2]] + lines[5:], False),
+        ("dropped", lines[:4] + lines[5:], False),
+        ("extra", lines + [lines[4]], False),
+        ("other-weight", lines[:3] + [lighter] + lines[4:], False),
+        ("other-tag", lines[:3] + [retagged] + lines[4:], False),
+        ("blank", lines[:5] + ["\n"] + lines[5:], False),
+        ("no-final-newline", lines[:-1] + [lines[-1][:-1]], False),
+        # The file is opened in universal newlines mode: CRLF reads as LF.
+        ("crlf", [line[:-1] + "\r\n" for line in lines], True),
+    ]
+
+
+@pytest.mark.parametrize("order", ["canonical", "shuffled"])
+@pytest.mark.parametrize("case", range(8), ids=[
+    "duplicated", "dropped", "extra", "other-weight", "other-tag", "blank",
+    "no-final-newline", "crlf"])
+def test_near_miss_snapshots_are_read_as_before(run_cli, tmp_path,
+                                                monkeypatch, order, case):
+    # A file that is not the level's lines in some order gives way to
+    # the parse, which prints the refusal or output it always printed.
+    snapshot = tmp_path / "level12.jsonl"
+    assert run_cli("evolve", 0, 12, "--method", 1,
+                   "--snapshot-out", snapshot)[0] == 0
+    lines = snapshot.read_text().splitlines(keepends=True)
+    if order == "shuffled":
+        random.Random(2).shuffle(lines)
+    name, spoiled, holds = _near_misses(lines)[case]
+    snapshot.write_bytes("".join(spoiled).encode())
+    parsed = _parsed(monkeypatch)
+    argv = ("evolve", 12, 14, "--method", 1, "--snapshot-in", snapshot)
+    runs = _resumed(run_cli, tmp_path, argv)
+    assert bool(parsed) != holds, name
+    monkeypatch.setattr(cli, "_recomputed", lambda *args: None)
+    assert runs == _resumed(run_cli, tmp_path, argv)
+
+
+def test_a_faulty_kernel_during_the_proof_falls_back(run_cli, tmp_path,
+                                                     monkeypatch):
+    # The recomputed level fails its check: the file is parsed, and the
+    # run is refused as it was.
+    snapshot = tmp_path / "level12.jsonl"
+    snapshot.write_text(run_cli("list", 12, "--format", "jsonl")[1])
+    monkeypatch.setattr(_pure, "step_m1", duplicating(_pure.step_m1))
+    recomputed = []
+    recompute = cli._recomputed
+    monkeypatch.setattr(cli, "_recomputed", lambda *args: recomputed.append(
+        recompute(*args)) or recomputed[-1])
+    parsed = _parsed(monkeypatch)
+    argv = ("evolve", 12, 20, "--method", 1, "--snapshot-in", snapshot)
+    runs = _resumed(run_cli, tmp_path, argv)
+    assert recomputed == [None, None] and parsed
+    assert runs[0][:2] == (2, "")
+    assert runs[0][2].endswith("error: members out of canonical order or "
+                               "duplicated near 20\n")
+    monkeypatch.setattr(cli, "_recomputed", lambda *args: None)
+    assert runs == _resumed(run_cli, tmp_path, argv)
+
+
+def test_a_snapshot_from_a_fifo_is_parsed_as_before(run_cli, tmp_path,
+                                                    monkeypatch):
+    # A stream that cannot be read twice is parsed, and no level is
+    # grown to prove it against.
+    snapshot = tmp_path / "level12.jsonl"
+    snapshot.write_text(run_cli("list", 12, "--format", "jsonl")[1])
+    argv = ("evolve", 12, 20, "--method", 1, "--snapshot-out",
+            tmp_path / "out.jsonl", "--snapshot-in")
+    monkeypatch.setattr(cli, "_recomputed", lambda *args: None)
+    expected = run_cli(*argv, snapshot), (tmp_path / "out.jsonl").read_bytes()
+    monkeypatch.undo()
+    grown = []
+    evolve = cli.evolve_m1_chunks
+    monkeypatch.setattr(cli, "evolve_m1_chunks", lambda start, to_n, **kw: (
+        grown.append((start.n, to_n)) or evolve(start, to_n, **kw)))
+    parsed = _parsed(monkeypatch)
+    fifo = tmp_path / "fifo.jsonl"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text,
+                              args=(snapshot.read_text(),))
+    writer.start()
+    try:
+        run = run_cli(*argv, fifo), (tmp_path / "out.jsonl").read_bytes()
+    finally:
+        writer.join(timeout=60)
+    assert run == expected and run[0][0] == 0
+    assert grown == [(12, 20)] and parsed
+
+
+def test_a_file_too_short_for_its_level_is_parsed_without_growing_it(
+        run_cli, tmp_path, monkeypatch):
+    # P(40) lines take more bytes than this file holds, so no level is
+    # grown to prove it against.
+    snapshot = tmp_path / "level40.jsonl"
+    snapshot.write_text('{"n": 40, "parts": [40], "tag": "Seed"}\n')
+
+    def never(*args, **kwargs):
+        raise AssertionError("a level was grown")
+
+    monkeypatch.setattr(cli, "evolve_m1_chunks", never)
+    code, out, err = run_cli("evolve", 40, 41, "--method", 1,
+                             "--snapshot-in", snapshot)
+    assert (code, out) == (2, "")
+    assert err == ("error: snapshot is incomplete for weight 40: holds 1 "
+                   f"of {P_AT[40]} partitions\n")
+
+
+def test_the_benchmarked_resume_enters_no_layer_its_benchmark_bypasses(
+        run_cli, tmp_path, monkeypatch):
+    # perfbench's resume workload reads a shuffled listing: it is proven,
+    # so neither reader runs, and no layer the workload bypasses is
+    # entered.
+    code, listing, _ = run_cli("list", 38, "--format", "jsonl")
+    lines = listing.splitlines(keepends=True)
+    random.Random(0).shuffle(lines)
+    start = tmp_path / "start.jsonl"
+    start.write_text("".join(lines))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a bypassed layer was entered")
+
+    for module, name in [(_pure, "step_m2"), (_pure, "enumerate_level"),
+                         (cli, "enumerate_oracle"), (cli, "run_suite"),
+                         (partition_evolve.level, "_read_chunks"),
+                         (partition_evolve.level, "_scan_lines")]:
+        monkeypatch.setattr(module, name, never)
+    out = tmp_path / "out.jsonl"
+    code, _, _ = run_cli("evolve", 38, 50, "--method", 1,
+                         "--snapshot-in", start, "--snapshot-out", out)
+    assert code == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == RESUME_38_50_M1_SNAPSHOT_SHA256)
 
 
 def test_downward_run_is_refused_before_the_snapshot_is_read(

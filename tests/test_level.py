@@ -3,6 +3,7 @@
 import functools
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ import partition_evolve.level
 from partition_evolve.core import encode_parts, member_text
 from partition_evolve.level import (_CHUNK, METHOD_TAGS, Joined, LevelBlocks,
                                     _canonical, _read_chunks, _scan_lines,
+                                    _snapshot_texts,
                                     check_members, rule_tags, write_text)
 from partition_evolve.method1 import evolve_m1_chunks
 from partition_evolve.method2 import evolve_m2_chunks
@@ -658,6 +660,63 @@ def test_a_written_snapshot_is_read_without_json_records(monkeypatch,
     back = read_snapshot(buffer, expected_n=expected_n)
     assert back == level and back.method_tag == "method1"
     assert not _holds_a_record(loaded)
+
+
+def _candidate(method_tag, n):
+    """Level n grown from the seed by ``method_tag``'s blocks, checked."""
+    evolve = evolve_m1_chunks if method_tag == "method1" else evolve_m2_chunks
+    level = evolve(Level.seed(method_tag), n)
+    level.check()
+    return level
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 30])
+@pytest.mark.parametrize("method_tag", ["method1", "method2"])
+def test_a_snapshot_is_proven_in_any_order_without_a_parse(monkeypatch, n,
+                                                           method_tag):
+    # Each rule's snapshot, in the writer's order and shuffled, is proven
+    # against the recomputed level: the level returned carries the rule
+    # that the parse gives it, and neither reader runs.
+    candidate = _candidate(method_tag, n)
+    texts = {}
+    for rule in METHOD_TAGS:
+        buffer = io.StringIO()
+        write_snapshot(Level(n, enumerate_oracle(n).raw_members(), rule),
+                       buffer)
+        lines = buffer.getvalue().splitlines(keepends=True)
+        random.Random(n).shuffle(lines)
+        for text in (buffer.getvalue(), "".join(lines)):
+            texts[text] = read_snapshot(io.StringIO(text))
+
+    def never(*args):
+        raise AssertionError("the snapshot was parsed")
+
+    monkeypatch.setattr(partition_evolve.level, "_read_chunks", never)
+    monkeypatch.setattr(partition_evolve.level, "_scan_lines", never)
+    for text, parsed in texts.items():
+        proven = read_snapshot(io.StringIO(text), expected_n=n,
+                               level=candidate)
+        assert proven.method_tag == parsed.method_tag
+        assert len(proven) == len(parsed)
+        assert proven.tag_counts() == parsed.tag_counts()
+        written = io.StringIO()
+        write_snapshot(proven, written)
+        assert sorted(written.getvalue().splitlines()) == sorted(
+            text.splitlines())
+
+
+@pytest.mark.parametrize("method_tag", ["method1", "method2"])
+def test_blocks_render_whole_lines_and_count_tags_as_their_level(method_tag):
+    # Each chunk of the writer's text is whole lines, and blocks count
+    # each rule's tags as the level they assemble to.
+    blocks = _candidate(method_tag, 30)
+    assert isinstance(blocks, LevelBlocks)
+    for rule in METHOD_TAGS:
+        tagged = blocks.tagged(rule)
+        assert tagged.tag_counts() == blocks.level().tagged(
+            rule).tag_counts()
+        for text in _snapshot_texts(tagged, rule):
+            assert text.startswith('{"n": 30, ') and text.endswith("}\n")
 
 
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),

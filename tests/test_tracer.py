@@ -30,7 +30,15 @@ def _run(argv, cwd):
      ["kernel.step_m1", "level.from_raw", "kernel.enumerate_level",
       "oracle.enumerate_oracle", "oracle.count_oracle",
       "level.read_snapshot", "level.write_snapshot", "verify.run_suite"]),
+    # The writer's file is proven against the recomputed level, not
+    # parsed into one; a reformatted file is parsed.
     (["evolve", "6", "9", "--method", "1", "--snapshot-in", "in.jsonl",
+      "--snapshot-out", "out.jsonl"],
+     ["kernel.step_m1", "level.read_snapshot", "level.write_snapshot",
+      "engine.evolve"],
+     ["kernel.step_m2", "level.from_raw", "kernel.enumerate_level",
+      "oracle.enumerate_oracle", "verify.run_suite"]),
+    (["evolve", "6", "9", "--method", "1", "--snapshot-in", "compact.jsonl",
       "--snapshot-out", "out.jsonl"],
      ["kernel.step_m1", "level.from_raw", "level.read_snapshot",
       "level.write_snapshot", "engine.evolve"],
@@ -50,13 +58,16 @@ def _run(argv, cwd):
      ["kernel.step_m2", "level.from_raw", "kernel.enumerate_level",
       "oracle.enumerate_oracle", "oracle.count_oracle",
       "level.read_snapshot", "level.write_snapshot", "verify.run_suite"]),
-], ids=["evolve-m2", "resume-m1", "verify", "count-evolve2",
-        "count-evolve1"])
+], ids=["evolve-m2", "resume-m1", "resume-m1-reformatted", "verify",
+        "count-evolve2", "count-evolve1"])
 def test_the_tracer_runs_the_cli_unchanged(tmp_path, argv, spans, bypassed):
     code, _, _ = _run(["-m", "partition_evolve", "evolve", "0", "6",
                        "--method", "1", "--snapshot-out", "in.jsonl"],
                       tmp_path)
     assert code == 0
+    (tmp_path / "compact.jsonl").write_text("".join(
+        json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+        for line in (tmp_path / "in.jsonl").read_text().splitlines()))
     plain = _run(["-m", "partition_evolve", *argv], tmp_path)
     plain_file = (tmp_path / "out.jsonl").read_bytes() if (
         "out.jsonl" in argv) else None
