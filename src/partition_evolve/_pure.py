@@ -20,10 +20,11 @@ the heads of weight n+1 in the same order, of which the last
 explicit.  Provenance is not recorded; it follows from the parts (see
 ``level.Level.tags``).
 
-The order is for speed only.  With it, the grown level reaches the sort
-in ``level.Level.from_raw`` as one sorted run per weight and last part,
-which the sort merges; the sort and the level's check still decide the
-order and refuse duplicates, whatever order a kernel returns.
+The order is for speed only.  With it, a grown level reaches its sort,
+that of level k or of a table in ``method1.evolve_m1_chunks``, as one
+sorted run per weight and last part, which the sort merges; the sorts
+and the check of the blocks still decide the order and refuse
+duplicates, whatever order a kernel returns.
 
 Each rule's inverse, ``pred_m1`` and ``pred_m2``, maps a list of member
 strings to their predecessors in one comprehension, so that ``verify``

@@ -159,10 +159,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         check_cap(args.n, cap)
         # Counted as evolve counts, without holding the level.
-        if args.source == "evolve1":
-            value = evolve_m1_chunks(Level.seed("method1"), args.n).check()
-        else:
-            value = evolve_m2_chunks(Level.seed("method2"), args.n).check()
+        evolve, method_tag = _builder(int(args.source[len("evolve"):]))
+        value = evolve(Level.seed(method_tag), args.n).check()
     print(value)
     return EXIT_OK
 
@@ -203,26 +201,31 @@ def _progress(weight: int, counts: dict[str, int]) -> None:
         raise OSError(f"cannot write progress: {exc.strerror}") from None
 
 
+def _builder(method: int) -> tuple[Callable[..., Level | LevelBlocks], str]:
+    """The builder of ``method``'s level, as blocks certified from a lower
+    level and its tables and never held whole, and the method's tag."""
+    return ((evolve_m1_chunks, "method1") if method == 1
+            else (evolve_m2_chunks, "method2"))
+
+
 def cmd_evolve(args: argparse.Namespace) -> int:
     """Evolve to ``to_n``, from the seed or from a snapshot of ``from_n``.
 
     A snapshot is first proven against level ``from_n`` grown from the
     seed by the method's own blocks, certified and counted against P(n)
-    (see ``level.read_snapshot``), and read as a file only when that
-    fails.  Once it is proven, the start is known without its members,
-    so the run is ``evolve 0 to_n``'s, heard from weight ``from_n`` on,
-    and the line of ``from_n`` gives the file's own tags.  A kernel fault
-    that the proof did not meet is refused as ``evolve 0 to_n`` refuses
-    it.
+    (see ``level.read_snapshot``), and parsed only when that fails; a
+    parsed level is counted against P(n) too.  By the paper's lemma a
+    weight has exactly one complete level, so every accepted start is the
+    seed's level of its weight, and every run is ``evolve 0 to_n``'s,
+    heard from weight ``from_n`` on (see ``_grown_from_seed``).  The
+    start gives the run its weight, the line of ``from_n`` with its own
+    tags, and itself when ``to_n`` is ``from_n``.
     """
     cap = _resolve_cap(args)
     check_cap(args.to_n, cap)
     # Refused before any snapshot is opened, read or counted.
     check_upward(args.from_n, args.to_n)
-    method_tag = "method1" if args.method == 1 else "method2"
-    # Either method's level comes as blocks, which are certified from a
-    # lower level and its tables and never held whole.
-    evolve = evolve_m1_chunks if args.method == 1 else evolve_m2_chunks
+    evolve, method_tag = _builder(args.method)
 
     if args.snapshot_in is not None:
         # Undecodable bytes come through as lone surrogates, which the
@@ -250,11 +253,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # stdout or to the file, which replaces its target only when written.
     with (nullcontext(sys.stdout) if args.snapshot_out is None
           else _replacing(args.snapshot_out)) as out:
-        # A start held as blocks was proven, not read.
-        if isinstance(start, LevelBlocks):
-            final = _grown_from_seed(evolve, method_tag, start, args.to_n)
-        else:
-            final = evolve(start, args.to_n, progress=_progress)
+        final = _grown_from_seed(evolve, method_tag, start, args.to_n)
         _check_complete(final.check(), args.to_n)
         (write_text if args.snapshot_out is None else write_snapshot)(
             final, out)
@@ -278,11 +277,13 @@ def _recomputed(evolve: Callable[..., Level | LevelBlocks],
 
 
 def _grown_from_seed(evolve: Callable[..., Level | LevelBlocks],
-                     method_tag: str, start: LevelBlocks, target_n: int
-                     ) -> Level | LevelBlocks:
-    """The level of ``target_n`` from a proven ``start``: ``start`` itself
-    at its own weight, else grown from the seed by ``evolve``.  Progress is
-    heard from the start's weight on, the start's line with its tags."""
+                     method_tag: str, start: Level | LevelBlocks,
+                     target_n: int) -> Level | LevelBlocks:
+    """The level of ``target_n`` from the complete level ``start``, the
+    seed, a proven snapshot or a parsed one: ``start`` itself at its own
+    weight, else grown from the seed by ``evolve``, whatever ``start``
+    holds.  Progress is heard from the start's weight on, the start's
+    line with its own tags."""
     def heard(weight: int, counts: dict[str, int]) -> None:
         if weight > start.n:
             _progress(weight, counts)

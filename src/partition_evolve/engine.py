@@ -5,9 +5,9 @@ partition of n is a head h followed by n - |h| units, and the
 appended-unit successor keeps its head, so a step only adds the new heads
 of weight n+1.  The start level is split into heads once; at the target
 weight the start's members and each new head are rendered with their
-units.  The loop neither sorts nor checks what it grows; each method
-does (see ``method1`` and ``method2``).  A step works on any canonical
-level, complete or not: part of a level, one member, or none.
+units.  The loop neither sorts nor checks what it grows; the builder
+that both methods share does (see ``method1``).  A step works on any
+canonical level, complete or not: part of a level, one member, or none.
 """
 
 from __future__ import annotations

@@ -532,18 +532,13 @@ class LevelBlocks:
                             if member[-2:] not in empty]
         self._count: int | None = None
 
-    def certified(self) -> int | None:
-        """The number of members when the certificate holds (or ``check``
-        has passed), which ``check`` then returns as it is; otherwise
-        None."""
-        if self._count is None:
-            self._count = _certified(self)
-        return self._count
-
     def check(self) -> int:
         """Raise ValueError as ``check_members`` does for the whole level;
-        return the number of members."""
-        if self.certified() is None:
+        return the number of members, from the certificate when it holds
+        and else from the walk (see ``_walked``)."""
+        if self._count is None:
+            self._count = _certified(self)
+        if self._count is None:
             self._count = _walked(self)
         return self._count
 

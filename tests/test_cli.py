@@ -547,8 +547,9 @@ def _evolve_m2_runs(run_cli, tmp_path, snapshot):
 @pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
 def test_a_batch_per_first_part_writes_what_the_whole_level_writes(
         run_cli, tmp_path, monkeypatch, snapshot):
-    # The certified blocks over level k, from weight 0 and on resumes,
-    # against the whole level grown, sorted and checked at once.
+    # The blocks over level k, from weight 0 and on resumes, written
+    # block by block, against the same blocks checked and assembled into
+    # a Level (``evolve_m2``), written member by member.
     for start in (5, 12):
         (tmp_path / f"level{start}.jsonl").write_text(
             run_cli("list", start, "--format", "jsonl")[1])
@@ -565,39 +566,6 @@ def _doubling_first_part_2(step):
         twos = [head for head in new if head[:1] == "\x02"][:1]
         return new + twos, second + len(twos)
     return doubled
-
-
-# What the whole level's check prints for the sabotage below.
-_DOUBLED_TWOS_STDERR = """\
-level 0: 1 partitions (Seed=1)
-level 1: 1 partitions (AddedUnit=1)
-level 2: 3 partitions (AddedUnit=1, Collected=1, Explicit=1)
-level 3: 4 partitions (AddedUnit=3, Explicit=1)
-level 4: 8 partitions (AddedUnit=4, Collected=3, Explicit=1)
-level 5: 10 partitions (AddedUnit=8, Collected=1, Explicit=1)
-level 6: 17 partitions (AddedUnit=10, Collected=6, Explicit=1)
-level 7: 21 partitions (AddedUnit=17, Collected=3, Explicit=1)
-level 8: 32 partitions (AddedUnit=21, Collected=10, Explicit=1)
-level 9: 40 partitions (AddedUnit=32, Collected=7, Explicit=1)
-level 10: 57 partitions (AddedUnit=40, Collected=16, Explicit=1)
-level 11: 71 partitions (AddedUnit=57, Collected=13, Explicit=1)
-level 12: 98 partitions (AddedUnit=71, Collected=26, Explicit=1)
-error: members out of canonical order or duplicated near 2+2+2+2+2+2
-"""
-
-
-@pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
-def test_a_fault_in_a_late_batch_is_refused_as_the_whole_level_was(
-        run_cli, tmp_path, monkeypatch, snapshot):
-    # Only the members of first part 2 are grown twice; the blocks fail
-    # their certificate, and the whole level's progress and refusal are
-    # printed.
-    monkeypatch.setattr(_pure, "step_m2",
-                        _doubling_first_part_2(_pure.step_m2))
-    output = ("--snapshot-out", tmp_path / "x.jsonl") if snapshot else ()
-    assert run_cli("evolve", 0, 12, "--method", 2, *output) == (
-        2, "", _DOUBLED_TWOS_STDERR)
-    assert list(tmp_path.iterdir()) == []
 
 
 def _miscounted(step):
@@ -620,6 +588,26 @@ def _losing_a_head(step):
     return lost
 
 
+# What method 2's run prints for the doubled twos below: the check of
+# the blocks, a chunk at a time, meets the repeated 8+2+2.
+_DOUBLED_TWOS_STDERR = """\
+level 0: 1 partitions (Seed=1)
+level 1: 1 partitions (AddedUnit=1)
+level 2: 3 partitions (AddedUnit=1, Collected=1, Explicit=1)
+level 3: 4 partitions (AddedUnit=3, Explicit=1)
+level 4: 8 partitions (AddedUnit=4, Collected=3, Explicit=1)
+level 5: 10 partitions (AddedUnit=8, Collected=1, Explicit=1)
+level 6: 17 partitions (AddedUnit=10, Collected=6, Explicit=1)
+level 7: 21 partitions (AddedUnit=17, Collected=3, Explicit=1)
+level 8: 32 partitions (AddedUnit=21, Collected=10, Explicit=1)
+level 9: 40 partitions (AddedUnit=32, Collected=7, Explicit=1)
+level 10: 88 partitions (AddedUnit=40, Collected=47, Explicit=1)
+level 11: 106 partitions (AddedUnit=88, Collected=17, Explicit=1)
+level 12: 174 partitions (AddedUnit=106, Collected=67, Explicit=1)
+error: members out of canonical order or duplicated near 8+2+2
+"""
+
+
 @pytest.mark.parametrize("sabotage", [
     duplicating, overweight, lambda step: dropping(step, 8),
     _losing_a_head, lambda step: zeroed(step, 10), shuffled, _miscounted,
@@ -629,19 +617,30 @@ def _losing_a_head(step):
 @pytest.mark.parametrize("snapshot", [False, True], ids=["text", "snapshot"])
 def test_faulty_kernels_print_what_the_whole_level_printed(
         run_cli, tmp_path, monkeypatch, sabotage, snapshot):
-    # Blocks that fail their certificate, or hold other than P(12)
-    # members, give way to the whole level, whose progress, output and
-    # refusal are printed.
-    monkeypatch.setattr(_pure, "step_m2", sabotage(_pure.step_m2))
+    # The contract of a faulty kernel under either method: the run prints
+    # the whole level, the oracle's bytes with the method's tags, or it is
+    # refused with exit 2 and writes nothing.
+    listing = run_cli("list", 12)[1]
     output = tmp_path / "x.jsonl"
-    runs = []
-    for evolve in (method2.evolve_m2_chunks, method2.evolve_m2):
-        monkeypatch.setattr(cli, "evolve_m2_chunks", evolve)
-        runs.append((run_cli("evolve", 0, 12, "--method", 2, *(
-            ("--snapshot-out", output) if snapshot else ())),
-            output.read_bytes() if output.exists() else None))
+    for method in (1, 2):
+        whole = io.StringIO()
+        write_snapshot(enumerate_oracle(12).tagged(f"method{method}"), whole)
+        kernel = f"step_m{method}"
+        with monkeypatch.context() as patched:
+            patched.setattr(_pure, kernel, sabotage(getattr(_pure, kernel)))
+            code, out, err = run_cli("evolve", 0, 12, "--method", method, *(
+                ("--snapshot-out", output) if snapshot else ()))
+        written = output.read_text() if output.exists() else None
         output.unlink(missing_ok=True)
-    assert runs[0] == runs[1]
+        if code:
+            assert (code, out, written) == (2, "", None)
+            assert err.splitlines()[-1].startswith("error: ")
+        elif snapshot:
+            assert (out, written) == ("", whole.getvalue())
+        else:
+            assert (out, written) == (listing, None)
+        if sabotage is _doubling_first_part_2 and method == 2:
+            assert err == _DOUBLED_TWOS_STDERR
 
 
 @pytest.mark.parametrize("sabotage", [
@@ -846,13 +845,13 @@ def test_the_kernels_order_within_a_last_part_is_for_speed_only(
     assert out == run_cli("list", 20)[1]
 
 
-# The messages are those the CLI printed before the weight check was
-# chunked.  At weight 30 the level spans three check chunks.
+# At weight 30 the level spans three check chunks, and either method's
+# blocks are checked a chunk at a time.
 @pytest.mark.parametrize("method, to_n, message", [
     (1, 2, "member 3 has weight 3, level holds weight 2"),
     (2, 2, "member 3 has weight 3, level holds weight 2"),
     (1, 30, "member 59 has weight 59, level holds weight 30"),
-    (2, 30, "member 31 has weight 31, level holds weight 30"),
+    (2, 30, "member 32 has weight 32, level holds weight 30"),
 ])
 def test_a_wrong_weight_kernel_is_refused_with_exit_2(run_cli, monkeypatch,
                                                       method, to_n, message):
@@ -1109,7 +1108,7 @@ def test_a_faulty_kernel_during_the_proof_falls_back(run_cli, tmp_path,
 def test_a_snapshot_from_a_fifo_is_parsed_as_before(run_cli, tmp_path,
                                                     monkeypatch):
     # A stream that cannot be read twice is parsed, and no level is
-    # grown to prove it against.
+    # grown to prove it against; the run grows from the seed.
     snapshot = tmp_path / "level12.jsonl"
     snapshot.write_text(run_cli("list", 12, "--format", "jsonl")[1])
     argv = ("evolve", 12, 20, "--method", 1, "--snapshot-out",
@@ -1132,7 +1131,32 @@ def test_a_snapshot_from_a_fifo_is_parsed_as_before(run_cli, tmp_path,
     finally:
         writer.join(timeout=60)
     assert run == expected and run[0][0] == 0
-    assert grown == [(12, 20)] and parsed
+    assert grown == [(0, 20)] and parsed
+
+
+@pytest.mark.parametrize("method,held", [(1, 593), (2, 599)])
+@pytest.mark.parametrize("layout", ["canonical", "reformatted"])
+def test_a_resume_grows_from_the_seed_under_a_faulty_kernel(
+        run_cli, tmp_path, monkeypatch, layout, method, held):
+    # A kernel that loses a head of weight 8 fails the proof, so the file
+    # is parsed; the run still grows level 20 from the seed, and is
+    # refused as ``evolve 0 20`` is, whichever method and layout.
+    listing = run_cli("list", 12, "--format", "jsonl")[1]
+    snapshot = tmp_path / "level12.jsonl"
+    snapshot.write_text(listing if layout == "canonical"
+                        else _reformatted(listing))
+    kernel = f"step_m{method}"
+    monkeypatch.setattr(_pure, kernel, dropping(getattr(_pure, kernel), 8))
+    refusal = ("error: evolved level is incomplete for weight 20: holds "
+               f"{held} of {P_AT[20]} partitions\n")
+    assert run_cli("evolve", 0, 20, "--method", method)[2].endswith(refusal)
+    output = tmp_path / "out.jsonl"
+    for given in ((), ("--snapshot-out", output)):
+        code, out, err = run_cli("evolve", 12, 20, "--method", method,
+                                 "--snapshot-in", snapshot, *given)
+        assert (code, out) == (2, "")
+        assert err.endswith(refusal)
+    assert not output.exists()
 
 
 def test_a_file_too_short_for_its_level_is_parsed_without_growing_it(

@@ -11,7 +11,7 @@ from partition_evolve import (Kind, Level, NoPredecessorError, Partition,
                               predecessor_m2, successors_m2,
                               tagged_successors_m2)
 from partition_evolve.engine import run_evolution
-from partition_evolve.level import LevelBlocks
+from partition_evolve.level import LevelBlocks, _certified
 
 from golden import M2_COLLECTED_6, PARTITIONS_5, PARTITIONS_6
 
@@ -161,16 +161,16 @@ def test_each_table_holds_the_partitions_from_its_single_part_up(last):
 def test_the_certified_count_is_p_of_n_with_no_whole_level(
         monkeypatch, start_n, target_n):
     # From the seed and on resumes from the oracle's level: the blocks pass
-    # their certificate and hold P(N) members, so the whole level is never
-    # grown, and they are the oracle's level.
+    # their certificate, not the walk, and hold P(N) members; no whole
+    # level is sorted, and they are the oracle's level.
     def never(*args, **kwargs):
-        raise AssertionError("the whole level was grown")
+        raise AssertionError("a whole level was sorted")
 
-    monkeypatch.setattr(method2, "evolve_m2", never)
+    monkeypatch.setattr(Level, "from_raw", never)
     start = (Level.seed("method2") if start_n == 0
              else enumerate_oracle(start_n))
     blocks = method2.evolve_m2_chunks(start, target_n)
     assert isinstance(blocks, LevelBlocks)
-    assert blocks.certified() == euler_p_coeffs(target_n)[target_n]
+    assert _certified(blocks) == euler_p_coeffs(target_n)[target_n]
     assert blocks.level().raw_members() == \
         enumerate_oracle(target_n).raw_members()
