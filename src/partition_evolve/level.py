@@ -6,7 +6,9 @@ A snapshot file holds one JSON object per line::
 
 Tags record which rule emitted each partition.  One rule tags a whole
 level (see ``rule_tags``), so a level stores no tags; a snapshot written
-after an evolution run is valid input for resuming it.
+after an evolution run is valid input for resuming it.  A snapshot is
+read by proof against its recomputed level, or else by a scan of its
+lines one at a time (see ``read_snapshot``).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, filterfalse, islice, repeat
-from operator import gt, itemgetter, lt
+from itertools import accumulate, islice, repeat
+from operator import gt, itemgetter
 from struct import pack
 from typing import IO, Callable, Iterable, Iterator, Sequence
 from zlib import adler32
@@ -39,19 +41,17 @@ METHOD_TAGS = ("method1", "method2", "oracle")
 # single part) are told apart by their length.
 SECOND_KIND_TAG = {"method1": TAG_AUGMENTED, "method2": TAG_COLLECTED}
 
-# Members per bulk pass of the snapshot writer, the weight check and the
-# snapshot reader.  Each pass drops its buffers before the next, so a pass
-# bounds the memory held at once; the speed barely changes from 1024 to
-# 8192 members.  The writer renders each chunk with one ``_snapshot_lines``;
-# the reader cuts each chunk's text into parts and tags with whole-chunk
-# string methods, parses all its parts with one ``bytes`` of a C-level map,
-# and takes the chunk only when ``_snapshot_lines`` writes the parsed
-# members and tags back as its own text (see ``_read_chunks``).  The weight
-# check sums each chunk's members with one adler32 each (see
-# ``_canonical``).  A chunk of method 1's blocks holds about half as many
-# members when the snapshot writer renders it, at most this many and one
-# block (see ``_block_chunks``), and at most this many when blocks that
-# fail their certificate are assembled and checked (see ``_walked``).
+# Members per bulk pass of the snapshot writer and the weight check.  Each
+# pass drops its buffers before the next, so a pass bounds the memory held
+# at once; the speed barely changes from 1024 to 8192 members.  The writer
+# renders each chunk with one ``_snapshot_lines``, and the proof of a
+# snapshot compares the file with that text a chunk at a time (see
+# ``_proven_rule``).  The weight check sums each chunk's members with one
+# adler32 each (see ``_canonical``).  A chunk of method 1's blocks holds
+# about half as many members when the snapshot writer renders it, at most
+# this many and one block (see ``_block_chunks``), and at most this many
+# when blocks that fail their certificate are assembled and checked (see
+# ``_walked``).
 _CHUNK = 2048
 # Members per render of text, and per write of a Level's text: at weight
 # 50 about 250 KB, several times a pipe's buffer, so that a reader finds
@@ -814,33 +814,25 @@ def read_snapshot(stream: Iterable[str], *,
     seekable one is first proven instead of parsed (see ``_proven_rule``):
     when it holds the lines that the writer gives ``level`` under one
     rule, in any order, ``level`` is returned tagged by that rule, with
-    no member parsed or held.  By the paper's lemma a
-    weight has exactly one complete, duplicate-free level, so a file that
-    the parse would accept as complete can only be those lines.  The
-    proof compares the file with a level that the blocks' certificate
-    and the count vouch for, which is no weaker than the parse with its
-    count.  Any other stream is read from its start as without ``level``,
-    so every accepted layout and every refusal stays as it was.
+    no member parsed or held.  By the paper's lemma a weight has exactly
+    one complete, duplicate-free level, so a file that the scan would
+    accept as complete can only be those lines.  The proof compares the
+    file with a level that the blocks' certificate and the count vouch
+    for, which is no weaker than the scan with its count.
 
-    The lines are parsed in bulk, a chunk of ``_CHUNK`` nonblank lines at
-    a time, without a JSON record per line, into a Level, which checks the
-    weights and the uniqueness of its members.  A chunk is taken only when
-    its tags are those of a rule that the chunks before it left, and the
-    writer writes it back byte for byte (see ``_read_chunks``).  On any
-    failure, the per-line scan reruns over the lines; it alone words
-    errors and reads the other layouts JSON allows.
+    Any other stream, and every stream without ``level``, is scanned
+    from its start, once, line by line (see ``_scan_lines``): each line
+    is parsed as JSON and checked, and the first line that fails ends the
+    read with the error that names it.  Only the members read so far are
+    held, not the lines.  The scan reads every layout that JSON allows,
+    and words every refusal.
     """
     if level is not None and stream.seekable():
         rule = _proven_rule(stream, level)
         if rule is not None:
             return level.tagged(rule)
         stream.seek(0)
-    lines = list(stream)
-    try:
-        return Level.from_raw(*_read_chunks(lines, expected_n))
-    except ValueError:
-        pass
-    return _scan_lines(lines, expected_n)
+    return _scan_lines(stream, expected_n)
 
 
 # The rule that each tag but AddedUnit names past weight 0 (see
@@ -849,6 +841,8 @@ _TAG_RULE = {TAG_SEED: "oracle", TAG_AUGMENTED: "method1",
              TAG_COLLECTED: "method2", TAG_EXPLICIT: "method2"}
 # Characters per read of a file out of the writer's order.
 _READ_HINT = 1 << 20
+# What the writer writes between a line's parts and its tag.
+_TAG_KEY = '], "tag": "'
 
 
 def _proven_rule(stream: IO[str], level: Level | LevelBlocks) -> str | None:
@@ -894,78 +888,6 @@ def _proven_rule(stream: IO[str], level: Level | LevelBlocks) -> str | None:
             return None
         lines = stream.readlines(_READ_HINT)
     return None if left else rule
-
-
-# The text of each part the bulk reader reads, to its code; the member
-# separator is read as part 0.
-_PART_CODE = {str(part): part for part in range(256)}.__getitem__
-# What the writer writes between a line's parts and its tag.
-_TAG_KEY = '], "tag": "'
-
-
-def _read_chunks(lines: list[str], expected_n: int | None
-                 ) -> tuple[int, list[str], str]:
-    """The weight, members and method tag of the nonblank lines, parsed a
-    chunk at a time with whole-chunk built-ins.
-
-    The weight is ``expected_n``, or the first line's.  Each chunk's text
-    is cut into its lines' parts and tags by one ``replace`` and one
-    ``split``: where a line meets the next, its tag's close and the next
-    line's head become one more ``_TAG_KEY``.  The lines' parts, joined
-    with a part 0 after each line and split at ``", "`` once, are parsed
-    by one ``bytes`` of a ``_PART_CODE`` lookup per part for the whole
-    chunk.
-    Each line must give one member and its parts descend.  The rules of
-    ``METHOD_TAGS`` whose ``rule_tags`` are the chunk's tags remain, and
-    the chunk is taken only when one does and ``_snapshot_lines`` writes
-    the parsed members and tags back as exactly its text (its last line
-    may lack the newline), so its lines are canonical records, one to a
-    line.  The method tag is the first rule left after the last chunk.
-    Any failure raises ValueError.  The members' weights and uniqueness
-    are left to the Level.
-    """
-    members: list[str] = []
-    rules = METHOD_TAGS
-    level_n = expected_n
-    tables = None
-    nonblank = filterfalse(str.isspace, lines)
-    while chunk := list(islice(nonblank, _CHUNK)):
-        if level_n is None:
-            level_n = int(chunk[0].partition(",")[0].removeprefix('{"n": '))
-        head = '{"n": %d, "parts": [' % level_n
-        text = "".join(chunk)
-        if not text.endswith("\n"):
-            text += "\n"
-        fields = text[len(head):-len('"}\n')].replace(
-            '"}\n' + head, _TAG_KEY).split(_TAG_KEY)
-        # Every member's parts followed by a separator 0, by one split.  At
-        # weight 0 each member is empty, and the codes are the separators
-        # alone.
-        parts = (", 0, ".join(fields[0::2]) + ", 0").split(", ")
-        try:
-            codes = (bytes(map(_PART_CODE, parts)) if level_n
-                     else bytes(len(chunk)))
-        except KeyError:
-            raise ValueError("a part that the writer never writes") from None
-        chunk_members = codes.decode("latin-1").split("\0")[:-1]
-        tags = tuple(fields[1::2])
-        # The parts descend when the only ascents are from each separator
-        # into the next member's first part (a level of weight 0 holds one
-        # member); with a tag a line, no member past weight 0 is empty.
-        if not len(chunk) == len(chunk_members) == len(tags) or sum(
-                map(lt, codes, codes[1:])) != len(chunk) - 1:
-            raise ValueError("not one descending member and tag a line")
-        rules = [rule for rule in rules
-                 if rule_tags(level_n, chunk_members, rule) == tags]
-        if not rules:
-            raise ValueError("not the tags of one rule")
-        tables = tables or _cell_tables(level_n, b", ", b"\0")
-        if _snapshot_lines(head, tables, chunk_members, tags) != text:
-            raise ValueError("not the lines the writer writes")
-        members += chunk_members
-    if not members:
-        raise ValueError("no members")
-    return level_n, members, rules[0]
 
 
 class _RepeatedName(Exception):

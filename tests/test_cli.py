@@ -22,8 +22,8 @@ from partition_evolve import (Level, _pure, cli, core, count_oracle,
                               enumerate_oracle, evolve_m1, method1, method2,
                               write_snapshot)
 from partition_evolve.engine import split_heads
-from partition_evolve.level import (_CHUNK, LevelBlocks, _read_chunks,
-                                    check_members, write_text)
+from partition_evolve.level import (_CHUNK, LevelBlocks, check_members,
+                                    write_text)
 
 from golden import (CLASSIFY_20_SHA256, CLASSIFY_42_SHA256,
                     EVOLVE_50_M2_TEXT_SHA256,
@@ -920,15 +920,13 @@ def test_resuming_from_a_reformatted_snapshot_prints_the_same(run_cli,
                          "--snapshot-out", canonical)
     assert code == 0
     # Reordered keys, compact separators, leading spaces and CRLF: lines
-    # that the bulk reader leaves to the per-line scan.
+    # that only the per-line scan reads.
     reformatted = tmp_path / "reformatted.jsonl"
     reformatted.write_bytes(b"".join(
         b"  " + json.dumps({"tag": record["tag"], "parts": record["parts"],
                             "n": record["n"]},
                            separators=(",", ":")).encode() + b"\r\n"
         for record in map(json.loads, canonical.read_text().splitlines())))
-    with pytest.raises(ValueError):
-        _read_chunks(reformatted.read_text().splitlines(keepends=True), 20)
     resumed = run_cli("evolve", 20, 24, "--method", method,
                       "--snapshot-in", reformatted)
     assert resumed[0] == 0 and resumed[1]
@@ -981,15 +979,15 @@ def _resumed(run_cli, tmp_path, argv, text=True):
 
 
 def _parsed(monkeypatch):
-    """Count the bulk reader's calls; returns the list it appends to."""
+    """Count the per-line scan's calls; returns the list it appends to."""
     calls = []
-    read_chunks = partition_evolve.level._read_chunks
+    scan_lines = partition_evolve.level._scan_lines
 
     def counted(*args):
         calls.append(args)
-        return read_chunks(*args)
+        return scan_lines(*args)
 
-    monkeypatch.setattr(partition_evolve.level, "_read_chunks", counted)
+    monkeypatch.setattr(partition_evolve.level, "_scan_lines", counted)
     return calls
 
 
@@ -1045,7 +1043,6 @@ def test_a_shuffled_method2_file_led_by_added_unit_is_proven(
     def never(*args):
         raise AssertionError("the snapshot was parsed")
 
-    monkeypatch.setattr(partition_evolve.level, "_read_chunks", never)
     monkeypatch.setattr(partition_evolve.level, "_scan_lines", never)
     assert expected == [
         _resumed(run_cli, tmp_path, ("evolve", 12, to_n, "--method", method,
@@ -1194,7 +1191,7 @@ def test_a_file_too_short_for_its_level_is_parsed_without_growing_it(
 def test_the_benchmarked_resume_enters_no_layer_its_benchmark_bypasses(
         run_cli, tmp_path, monkeypatch):
     # perfbench's resume workload reads a shuffled listing: it is proven,
-    # so neither reader runs, and no layer the workload bypasses is
+    # so the scan does not run, and no layer the workload bypasses is
     # entered.
     code, listing, _ = run_cli("list", 38, "--format", "jsonl")
     lines = listing.splitlines(keepends=True)
@@ -1207,7 +1204,6 @@ def test_the_benchmarked_resume_enters_no_layer_its_benchmark_bypasses(
 
     for module, name in [(_pure, "step_m2"), (_pure, "enumerate_level"),
                          (cli, "enumerate_oracle"), (cli, "run_suite"),
-                         (partition_evolve.level, "_read_chunks"),
                          (partition_evolve.level, "_scan_lines")]:
         monkeypatch.setattr(module, name, never)
     out = tmp_path / "out.jsonl"

@@ -1,6 +1,7 @@
 """An import guard: every name a module of the package or of these tests
-imports is used in that module, so an edit that orphans an import fails
-here.
+imports is used in that module, and every private name that a module of
+the package defines is named elsewhere in the package, so an edit that
+orphans an import or a helper fails here.
 
 The exceptions, in the package only, are names the benchmark looks up on a
 module (see ``test_verify.BENCHMARK_HOOKS``) and the package's re-exports,
@@ -80,3 +81,41 @@ def test_the_package_reexports_exactly_its_all():
     assert _imported(tree) == _all(tree) - defined
     for name in partition_evolve.__all__:
         assert hasattr(partition_evolve, name), name
+
+
+def _private_names(node):
+    """The private names that a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        names = [name.id for target in targets for name in ast.walk(target)
+                 if isinstance(name, ast.Name)]
+    else:
+        names = []
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _read(tree):
+    """The names read in ``tree``, as names or as attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_named_elsewhere_in_the_package(module):
+    # Elsewhere: in another module, or in another top-level statement of
+    # its own, so that a helper that only calls itself is an orphan too.
+    elsewhere = set().union(*(_read(_tree(other)) for other in MODULES
+                              if other != module))
+    body = _tree(module).body
+    reads = [_read(node) for node in body]
+    orphans = [name for i, node in enumerate(body)
+               for name in _private_names(node)
+               if name not in elsewhere
+               and not any(name in read for read in reads[:i] + reads[i + 1:])]
+    assert not orphans, orphans

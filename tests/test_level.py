@@ -15,7 +15,7 @@ from partition_evolve import (Level, SnapshotError, TAG_ORDER,
 import partition_evolve.level
 from partition_evolve.core import encode_parts, member_text
 from partition_evolve.level import (_CHUNK, METHOD_TAGS, Joined, LevelBlocks,
-                                    _canonical, _read_chunks, _scan_lines,
+                                    _canonical, _scan_lines,
                                     _snapshot_texts,
                                     check_members, rule_tags, write_text)
 from partition_evolve.method1 import evolve_m1_chunks
@@ -134,8 +134,6 @@ def test_the_bulk_reader_narrows_the_rules_across_chunks():
     write_snapshot(Level(26, members[:_CHUNK], "method1"), buffer)
     write_snapshot(Level(26, members[_CHUNK:], "oracle"), buffer)
     lines = buffer.getvalue().splitlines(keepends=True)
-    with pytest.raises(ValueError, match="^not the tags of one rule$"):
-        _read_chunks(lines, 26)
     for read in (read_snapshot, lambda lines: _scan_lines(lines, None)):
         with pytest.raises(SnapshotError) as refused:
             read(lines)
@@ -158,17 +156,14 @@ def _assert_writers_match_their_reference_formats(level):
     snapshot = io.StringIO()
     write_snapshot(level, snapshot)
     assert snapshot.getvalue() == _reference_snapshot(level)
-    # The bulk reader takes every snapshot it can hold (parts up to 255)
-    # as the writer wrote it, with or without a newline on the last line,
-    # so none of them falls to the per-line scan.  It reads the first rule
-    # that gives the level's tags.
-    if all(member[:1] <= "\xff" for member in level.raw_members()):
-        rule = next(rule for rule in METHOD_TAGS if rule_tags(
-            level.n, level.raw_members(), rule) == level.tags)
-        lines = snapshot.getvalue().splitlines(keepends=True)
-        for copy in (lines, lines[:-1] + [lines[-1].rstrip("\n")]):
-            assert _read_chunks(copy, None) == (
-                level.n, level.raw_members(), rule)
+    # Every snapshot reads back as the level, with or without a newline on
+    # the last line, under the first rule that gives the level's tags.
+    rule = next(rule for rule in METHOD_TAGS if rule_tags(
+        level.n, level.raw_members(), rule) == level.tags)
+    lines = snapshot.getvalue().splitlines(keepends=True)
+    for copy in (lines, lines[:-1] + [lines[-1].rstrip("\n")]):
+        back = read_snapshot(copy)
+        assert back == level and back.method_tag == rule
 
 
 # Weight 35 holds 14,883 members, several write chunks, in a level of each
@@ -498,8 +493,8 @@ def test_snapshot_tolerates_blank_lines():
      r"line 2: tag 'Explicit' does not fit parts \[1\]"),
     ('{"n": 0, "parts": [], "tag": "AddedUnit"}',
      r"line 2: tag 'AddedUnit' does not fit parts \[\]"),
-    # Lines in the writer's layout that the bulk reader cuts at its fixed
-    # texts, with a part or tag that the writer never writes.
+    # Lines in the writer's layout with a part or tag that the writer
+    # never writes, some holding the writer's own texts.
     ('{"n": 2, "parts": [02], "tag": "Seed"}', "line 2: not valid JSON"),
     ('{"n": 2, "parts": [256], "tag": "Seed"}', "line 2: .*sum to 256, not 2"),
     ('{"n": 2, "parts": [2], "tag": "x], \\"tag\\": \\"Seed"}',
@@ -531,8 +526,6 @@ def _second_chunk_fault(fault):
 def test_multi_chunk_snapshot_with_blank_lines_reads_back():
     level = enumerate_oracle(30)
     lines, _ = _second_chunk_fault(lambda record, first: record)
-    # The bulk checks pass it whole, with no rerun of the scan.
-    assert _read_chunks(lines, 30) is not None
     assert read_snapshot(lines, expected_n=30) == level
 
 
@@ -545,7 +538,7 @@ def test_multi_chunk_snapshot_with_blank_lines_reads_back():
      "does not fit parts"),
     (lambda record, first: first, r"duplicate partition \[30\]"),
     # The level leaves the order of the parts within a member to its
-    # caller: the bulk reader checks it.
+    # caller: the scan checks it.
     (lambda record, first: {**record, "parts": record["parts"][::-1]},
      r"parts \[1, 1, 1, 1, 1, 2, 3, 10, 10\] are not non-increasing"),
 ])
@@ -597,9 +590,21 @@ def test_empty_snapshot_is_an_error():
         read_snapshot(io.StringIO(""))
 
 
-# A first line that gives the bulk reader no weight to render lines with:
-# an empty line parses to no record, and "%d" refuses a weight of NaN or
-# infinity.  The scan words the error.
+def test_a_refused_line_ends_the_read():
+    # The stream is read once, line by line: the first line refused ends
+    # the read, and no line after it is pulled.
+    def lines():
+        yield '{"n": 2, "parts": [2], "tag": "Seed"}\n'
+        yield '{"n": 2, "parts": [2], "tag": "Seed"}\n'
+        raise AssertionError("a line after the refused one was pulled")
+
+    with pytest.raises(SnapshotError) as refused:
+        read_snapshot(lines())
+    assert str(refused.value) == "line 2: duplicate partition [2]"
+
+
+# A first line that gives no weight: an empty line parses to no record,
+# and a weight of NaN or infinity is no integer.  The scan words the error.
 @pytest.mark.parametrize("line,message", [
     ("", "snapshot is empty"),
     ('{"n": Infinity, "parts": [], "tag": "Seed"}', "line 1: bad weight inf"),
@@ -612,8 +617,8 @@ def test_a_first_line_without_a_weight_to_render_falls_to_the_scan(
     assert str(refused.value) == message
 
 
-# A weight-0 file, whose members the bulk reader reads without parsing a
-# part: a second empty member or a part is still refused.
+# A weight-0 file, whose members hold no part: a second empty member or a
+# part is refused.
 @pytest.mark.parametrize("lines,message", [
     (['{"n": 0, "parts": [], "tag": "Seed"}\n'] * 2,
      "line 2: duplicate partition []"),
@@ -627,39 +632,6 @@ def test_weight_zero_snapshot_errors_name_the_line(lines, message):
     with pytest.raises(SnapshotError) as refused:
         read_snapshot(lines)
     assert str(refused.value) == message
-
-
-def _holds_a_record(value):
-    """Whether a decoded JSON value is or holds an object."""
-    return isinstance(value, dict) or isinstance(value, list) and any(
-        map(_holds_a_record, value))
-
-
-@pytest.mark.parametrize("expected_n", [None, 26])
-def test_a_written_snapshot_is_read_without_json_records(monkeypatch,
-                                                         expected_n):
-    # Two read chunks of the writer's lines: the bulk reader takes them
-    # both, decoding no JSON object and never entering the per-line scan.
-    level = evolve_m1(Level.seed("method1"), 26)
-    assert _CHUNK < len(level) <= 2 * _CHUNK
-    buffer = io.StringIO()
-    write_snapshot(level, buffer)
-    loaded = []
-
-    def loads(*args, **kwargs):
-        loaded.append(json_loads(*args, **kwargs))
-        return loaded[-1]
-
-    def scan(*args):
-        raise AssertionError("the per-line scan ran")
-
-    json_loads = partition_evolve.level.json.loads
-    monkeypatch.setattr(partition_evolve.level.json, "loads", loads)
-    monkeypatch.setattr(partition_evolve.level, "_scan_lines", scan)
-    buffer.seek(0)
-    back = read_snapshot(buffer, expected_n=expected_n)
-    assert back == level and back.method_tag == "method1"
-    assert not _holds_a_record(loaded)
 
 
 def _candidate(method_tag, n):
@@ -676,7 +648,7 @@ def test_a_snapshot_is_proven_in_any_order_without_a_parse(monkeypatch, n,
                                                            method_tag):
     # Each rule's snapshot, in the writer's order and shuffled, is proven
     # against the recomputed level: the level returned carries the rule
-    # that the parse gives it, and neither reader runs.
+    # that the parse gives it, and the scan does not run.
     candidate = _candidate(method_tag, n)
     texts = {}
     for rule in METHOD_TAGS:
@@ -691,7 +663,6 @@ def test_a_snapshot_is_proven_in_any_order_without_a_parse(monkeypatch, n,
     def never(*args):
         raise AssertionError("the snapshot was parsed")
 
-    monkeypatch.setattr(partition_evolve.level, "_read_chunks", never)
     monkeypatch.setattr(partition_evolve.level, "_scan_lines", never)
     for text, parsed in texts.items():
         proven = read_snapshot(io.StringIO(text), expected_n=n,
@@ -757,119 +728,9 @@ def test_snapshot_reader_fails_only_with_snapshot_errors(lines):
         assert 0 < len(level) == len(set(level.partitions))
 
 
-def _outcome(read):
-    """What a reader makes of some lines: the level's weight, members,
-    tags and method tag, or its error text."""
-    try:
-        level = read()
-    except SnapshotError as exc:
-        return str(exc)
-    return level.n, level.raw_members(), level.tags, level.method_tag
-
-
-def _mostly(common, rare):
-    """Values of ``common``, and one time in eight of ``rare``."""
-    return st.sampled_from([common] * 7 + [rare]).flatmap(lambda pick: pick)
-
-
-@st.composite
-def _records(draw, n, rule, faults=True):
-    """A JSON record near one of weight n, tagged mostly as ``rule`` tags
-    its parts: with ``faults``, parts 0 and past 255 among its parts, and
-    now and then a junk weight, parts list or tag."""
-    mostly = _mostly if faults else lambda common, rare: common
-    part = st.one_of(st.integers(1, 5), st.integers(250, 300))
-    parts = draw(st.lists(mostly(part, st.just(0)), max_size=4))
-    if draw(mostly(st.just(True), st.just(False))):
-        parts = _fill(parts, n)
-        # Or the units as one part, so that members end in other parts.
-        units = parts.count(1)
-        if units > 1 and draw(st.booleans()):
-            parts = sorted(parts[:-units] + [units], reverse=True)
-    # The rule's tag; or a random one, which may be another rule's.
-    member = "".join(map(chr, parts))
-    own = rule_tags(n, [member], rule)[0] if member else "Seed"
-    tags = _mostly(st.just(own), st.sampled_from(TAG_ORDER))
-    # Tags holding the texts at which the bulk reader cuts a line.
-    cut = st.sampled_from(['x], "tag": "Seed', 'Seed"}\n{"n": %d, "parts": ['
-                           % n, "Seed\"}\n"])
-    return json.dumps({
-        "n": draw(mostly(st.just(n), st.one_of(st.just(n + 1),
-                                               _JSON_SCALARS))),
-        "parts": draw(mostly(st.just(parts), _JSON_SCALARS)),
-        "tag": draw(mostly(tags, st.one_of(st.just("Odd"), cut,
-                                           _JSON_SCALARS)))})
-
-
-@st.composite
-def _misaligned(draw, n, rule):
-    """Lines near records of weight n that are not one canonical record per
-    line, the layout the bulk reader takes a chunk at a time: a record
-    split across two lines beside a line of two records, and a brace in a
-    string that joins two lines into one record, each with as many
-    records or braces as lines; a nested object; a brace in a string;
-    leading spaces; trailing whitespace that str.strip removes but JSON
-    refuses; a first part with a leading zero, which JSON refuses."""
-    record = draw(_records(n, rule))
-    other = draw(_records(n, rule))
-    cut = record.index(', "tag"')
-    return draw(st.sampled_from([
-        [record[:cut], record[cut + 2:], other + ", " + other],
-        ['{"extra": "}', '{", ' + record[1:]],
-        ['{"extra": "}', '{", ' + record[1:] + ", " + other],
-        [record[:-1] + ', "extra": {"n": 1}}'],
-        [record[:-1] + ', "extra": "}{"}'],
-        ["  " + record],
-        [record + "\x1c"],
-        [record + "\x85"],
-        [record.replace("[", "[0", 1)],
-    ]))
-
-
-@st.composite
-def _snapshots(draw):
-    """A few lines near a snapshot of one weight and rule, and the weight
-    the reader expects.  One file in two has faults: records with faults,
-    and lines that are no record at all or not one canonical record per
-    line.  The lines end in a newline, or in nothing, as a caller may pass
-    them; only then can a string run from one line into the next.  Or
-    only the last line lacks its newline, as in a file cut short."""
-    n = draw(st.sampled_from([0, 1, 3, 5, 300]))
-    rule = draw(st.sampled_from(METHOD_TAGS))
-    junk = st.sampled_from(["{}", "[]", "null", "", "7"]).map(
-        lambda line: [line])
-    if draw(st.booleans()):
-        groups = draw(st.lists(_mostly(
-            _records(n, rule).map(lambda line: [line]),
-            st.one_of(junk, _misaligned(n, rule))), max_size=6))
-    else:
-        groups = [[line] for line in draw(st.lists(
-            _records(n, rule, faults=False), min_size=1, max_size=6,
-            unique_by=lambda line: line[:line.index("]")]))]
-    end = draw(st.sampled_from(["\n", ""]))
-    lines = [line + end for group in groups for line in group]
-    if lines and draw(st.booleans()):
-        lines[-1] = lines[-1].removesuffix("\n")
-    return lines, draw(st.sampled_from([None, n, n + 1]))
-
-
-@given(_snapshots())
-def test_bulk_reader_and_scan_agree(snapshot):
-    # Most lines carry their file's rule's tag, so that files of each rule
-    # are accepted; tags of more than one rule are refused by both, with
-    # one message.
-    lines, expected_n = snapshot
-    assert _outcome(lambda: read_snapshot(
-        lines, expected_n=expected_n)) == _outcome(
-        lambda: _scan_lines(lines, expected_n))
-
-
-# Lines whose records do not fall one to a line, though the lines joined
-# into one JSON array parse, with the message the per-line scan has always
-# given them: the writer writes none of these chunks back, so the scan
-# reads them.  The lines come without line ends, as a caller may pass
-# them: JSON refuses a newline inside a string, so with them the last two
-# would not parse.
+# Lines whose records do not fall one to a line, with the message the
+# per-line scan has always given them.  The lines come without line ends,
+# as a caller may pass them.
 @pytest.mark.parametrize("lines,message", [
     (['{"n": 3, "parts": [2, 1]', '"tag": "AddedUnit"}',
       '{"n": 3, "parts": [3], "tag": "Seed"}, '
@@ -885,24 +746,18 @@ def test_bulk_reader_and_scan_agree(snapshot):
      "column 11 (char 10))"),
 ])
 def test_records_not_one_to_a_line_are_refused_by_the_scan(lines, message):
-    # The lines joined into an array parse: the bulk reader refuses them.
-    json.loads("[" + ",".join(lines) + "]")
     with pytest.raises(SnapshotError) as refused:
         read_snapshot(lines)
     assert str(refused.value) == message
 
 
-# A part 0 splits line 1 into two members, and line 2's text after its
-# head reads as line 1's tag: as many members as lines, but one tag.  The
-# bulk reader must refuse it before it derives the tags of the empty
-# member, which ``rule_tags`` cannot at a weight past 0.
+# Lines in the writer's layout cut short, one with a part 0: neither is
+# JSON, and the first is refused.
 _MEMBER_WITHOUT_A_TAG = ['{"n": 3, "parts": [1, 2, 0"}\n',
                          '{"n": 3, "parts": [x"}\n']
 
 
 def test_a_member_without_a_tag_is_refused_by_both_readers():
-    with pytest.raises(ValueError):
-        _read_chunks(_MEMBER_WITHOUT_A_TAG, None)
     message = ("line 1: not valid JSON (Expecting ',' delimiter: line 1 "
                "column 27 (char 26))")
     for read in (read_snapshot, lambda lines: _scan_lines(lines, None)):
